@@ -17,7 +17,7 @@ from .frames import (
     MalformedFrameError,
     parse_frame,
 )
-from .harness import compare_modes, run_experiment
+from .harness import compare_modes, format_value, run_experiment
 from .ledger import ChainIntegrityError, load_chain
 from .scenario import ConfigError, build_config, parse_config_file
 
@@ -81,24 +81,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = compare_modes(config)
         result.emit(args.out)
         for key, value in result.comparison.items():
-            print("%s: %s" % (key, _fmt(value)))
+            print("%s: %s" % (key, format_value(value)))
     else:
         result = run_experiment(config)
         result.emit(args.out)
         for key, value in result.summary.items():
-            print("%s: %s" % (key, _fmt(value)))
+            print("%s: %s" % (key, format_value(value)))
     print("results written to %s" % args.out)
     return 0
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.3f" % value
-    return str(value)
 
 
 def _cmd_ledger_verify(args: argparse.Namespace) -> int:

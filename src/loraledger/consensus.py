@@ -36,6 +36,23 @@ class BatchConfig:
             raise ValueError("batch timeout and message count must be positive")
 
 
+@dataclass(frozen=True)
+class ConsensusConfig:
+    """Who orders, who maintains, and how blocks commit, per channel."""
+
+    mode: str  # "solo" | "pbft"
+    p: int
+    batch: BatchConfig
+    orderer_hosts: dict[str, str]
+    maintainers: dict[str, tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("solo", "pbft"):
+            raise ValueError("consensus mode must be 'solo' or 'pbft'")
+        if self.p < 0:
+            raise ValueError("p must be non-negative")
+
+
 class SoloOrderer:
     """Single ordering service for one channel."""
 

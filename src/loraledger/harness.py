@@ -35,7 +35,7 @@ from .crypto import (
     generate_keypair,
     hash_bytes,
 )
-from .consensus import BatchConfig
+from .consensus import BatchConfig, ConsensusConfig
 from .ledger import (
     KIND_APPLICATION,
     KIND_NETWORK,
@@ -53,7 +53,6 @@ from .metrics import (
 from .nodes import (
     BEHAVIOR_JOIN_LOOP,
     BEHAVIOR_UPLINK_LOOP,
-    ConsensusConfig,
     DeviceProfile,
     EndDevice,
     Gateway,
@@ -66,6 +65,7 @@ from .scenario import (
     EXPERIMENT_JOIN_LOAD,
     EXPERIMENT_MIXED_TRUST,
     ScenarioConfig,
+    validate_config,
 )
 from .simnet import (
     Engine,
@@ -269,7 +269,7 @@ def build_world(config: ScenarioConfig) -> World:
                 gw.register_device(dev_eui, app_key, device_id)
             else:
                 for srv in servers:
-                    srv.register_device(dev_eui, app_key, device_id, gw.entity_id)
+                    srv.register_device(dev_eui, app_key, device_id)
         devices.append(device)
 
     return World(
@@ -495,10 +495,11 @@ class RunResult:
         )
         with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             for key, value in self.summary.items():
-                fh.write("%s: %s\n" % (key, _format_value(value)))
+                fh.write("%s: %s\n" % (key, format_value(value)))
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """One summary or comparison value as the result files and the CLI print it."""
     if value is None:
         return "n/a"
     if isinstance(value, bool):
@@ -529,12 +530,16 @@ class CompareResult:
         self.traditional.emit(os.path.join(out_dir, "traditional"))
         with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
             for key, value in self.comparison.items():
-                fh.write("%s: %s\n" % (key, _format_value(value)))
+                fh.write("%s: %s\n" % (key, format_value(value)))
 
 
 def compare_modes(config: ScenarioConfig) -> CompareResult:
-    edge = run_experiment(replace(config, mode=MODE_EDGE))
-    traditional = run_experiment(replace(config, mode=MODE_TRADITIONAL))
+    edge_config = replace(config, mode=MODE_EDGE)
+    traditional_config = replace(config, mode=MODE_TRADITIONAL)
+    validate_config(edge_config)
+    validate_config(traditional_config)
+    edge = run_experiment(edge_config)
+    traditional = run_experiment(traditional_config)
     e, t = edge.summary, traditional.summary
 
     comparison: dict[str, object] = {}

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .crypto import (
+    DecryptionError,
     KeyDirectory,
     ROLE_SERVER,
     SIGNATURE_LEN,
@@ -402,24 +403,36 @@ class Ledger:
             raise InvalidBlockError(
                 "block %d rejected at height %d" % (block.zeta, self.height)
             )
+        # every context's metadata is read before anything changes
+        contexts = self._contexts(block)
         self.blocks.append(block)
-        if self.kind == KIND_NETWORK:
-            for tx in block.txs:
-                self._apply_context_tx(tx, block.zeta)
+        self._apply(contexts)
 
-    def _apply_context_tx(self, tx: Transaction, zeta: int) -> None:
-        aad = envelope_aad(tx.payload)
-        if len(aad) != DEV_ADDR_LEN + DEV_EUI_LEN:
-            raise InvalidBlockError("context metadata must be addr(4) | eui(8)")
-        dev_addr = aad[:DEV_ADDR_LEN]
-        dev_eui = aad[DEV_ADDR_LEN:]
-        self.world_state[dev_addr] = WorldEntry(
-            requester=tx.requester,
-            envelope=tx.payload,
-            timestamp_ms=tx.timestamp_ms,
-            zeta=zeta,
-        )
-        self._eui_index[dev_eui] = dev_addr
+    def _contexts(self, block: Block) -> list[tuple[bytes, bytes, WorldEntry]]:
+        """(device address, device EUI, entry) per tx; raises InvalidBlockError."""
+        if self.kind != KIND_NETWORK:
+            return []
+        contexts = []
+        for tx in block.txs:
+            try:
+                aad = envelope_aad(tx.payload)
+            except DecryptionError as exc:
+                raise InvalidBlockError("context envelope is truncated") from exc
+            if len(aad) != DEV_ADDR_LEN + DEV_EUI_LEN:
+                raise InvalidBlockError("context metadata must be addr(4) | eui(8)")
+            entry = WorldEntry(
+                requester=tx.requester,
+                envelope=tx.payload,
+                timestamp_ms=tx.timestamp_ms,
+                zeta=block.zeta,
+            )
+            contexts.append((aad[:DEV_ADDR_LEN], aad[DEV_ADDR_LEN:], entry))
+        return contexts
+
+    def _apply(self, contexts: list[tuple[bytes, bytes, WorldEntry]]) -> None:
+        for dev_addr, dev_eui, entry in contexts:
+            self.world_state[dev_addr] = entry
+            self._eui_index[dev_eui] = dev_addr
 
     def query_context(self, dev_addr: bytes) -> WorldEntry | None:
         """Latest committed entry for a device address; None signals unknown."""
@@ -447,13 +460,10 @@ class Ledger:
 
     def rebuild_world_state(self) -> None:
         """Replay the chain from genesis; the result must match incremental upkeep."""
+        contexts = [context for block in self.blocks for context in self._contexts(block)]
         self.world_state = {}
         self._eui_index = {}
-        if self.kind != KIND_NETWORK:
-            return
-        for block in self.blocks:
-            for tx in block.txs:
-                self._apply_context_tx(tx, block.zeta)
+        self._apply(contexts)
 
     def sync_from(self, peer: "Ledger", key_directory: KeyDirectory) -> None:
         """Replace this replica's state with a validated copy of a peer's chain."""
@@ -551,5 +561,8 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     ledger.blocks = blocks
     if not ledger.validate_chain(directory):
         raise ChainIntegrityError("chain failed validation")
-    ledger.rebuild_world_state()
+    try:
+        ledger.rebuild_world_state()
+    except InvalidBlockError as exc:
+        raise ChainIntegrityError("chain holds malformed context metadata") from exc
     return ledger, directory

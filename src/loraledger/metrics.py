@@ -127,7 +127,3 @@ def write_links_csv(path: str, links: list[Link]) -> None:
                     link.bytes_sent,
                 ]
             )
-
-
-def format_ms(value: float | None) -> str:
-    return "n/a" if value is None else "%.3f" % value

@@ -1,16 +1,27 @@
 """Node state machines: end devices, gateways, and network servers.
 
-Two deployment modes share these classes.  In edge mode each gateway runs the
-join server and network controller itself: it verifies frames, answers joins,
-ACKs uplinks, and forwards only (device address, frame counter, encrypted
-payload) upstream, while maintaining a replica of the network ledger.  In
-traditional mode gateways are transparent pipes and the first network server
-does all of that work centrally, with full frames crossing the backhaul in
-both directions.
+Two deployment modes share these classes.  The join server (JS), which
+answers joins, and the network controller (NC), which verifies and ACKs
+uplinks, exist once, on ``LedgerNode``, and run on whichever node hosts them:
+each gateway in edge mode, the first network server in traditional mode.
+Edge gateways forward only (device address, frame counter, encrypted
+payload) upstream and keep a replica of the network ledger; traditional
+gateways are transparent pipes, with full frames crossing the backhaul in
+both directions.  The modes differ in three ways only:
+
+  1. a new device address takes the index of the gateway the join came
+     through as its prefix,
+  2. a downlink frame goes out over the node's own radio (gateway) or as a
+     ``DownlinkFrameForward`` to that gateway (server),
+  3. a verified uplink is forwarded as an ``UplinkNotice`` (gateway) or
+     wrapped into an application transaction (server).
 
 Application payloads stay encrypted under the device's application session
 key end to end; gateways and servers never derive or hold that key, so no
 state machine here can observe application plaintext.
+
+Each class maps payload types to handlers in a class-level table, and its
+``handle`` runs the handler of the delivered payload's type.
 
 Work units are a coarse CPU proxy: frame parse or encapsulation costs 1, MIC
 verification or computation 2, a world-state context query 1, and building a
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 from .consensus import (
     COMMITTED,
     FAILED,
-    BatchConfig,
+    ConsensusConfig,
     SoloOrderer,
     VoteRejectedError,
     VoteRound,
@@ -129,7 +140,10 @@ class DownlinkData:
 
 @dataclass(frozen=True)
 class DownlinkFrameForward:
-    """Traditional server -> gateway: a ready frame plus a radio routing token."""
+    """Server -> gateway: a ready frame plus a radio routing token.
+
+    A gateway also schedules one to itself to send a join accept late.
+    """
 
     frame: bytes
     device_id: str
@@ -211,31 +225,6 @@ class TimerUplinkTimeout:
     request_id: int
 
 
-@dataclass(frozen=True)
-class DelayedAirFrame:
-    """Self-addressed: transmit after an injected processing delay."""
-
-    device_id: str
-    data: bytes
-
-
-@dataclass(frozen=True)
-class ConsensusConfig:
-    """Who orders, who maintains, and how blocks commit, per channel."""
-
-    mode: str  # "solo" | "pbft"
-    p: int
-    batch: BatchConfig
-    orderer_hosts: dict[str, str]
-    maintainers: dict[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("solo", "pbft"):
-            raise ValueError("consensus mode must be 'solo' or 'pbft'")
-        if self.p < 0:
-            raise ValueError("p must be non-negative")
-
-
 def format_dev_addr(prefix: int, counter: int) -> bytes:
     """Creator-index prefix byte plus a 3-byte little-endian counter."""
     if not 0 <= prefix <= 0xFF:
@@ -283,21 +272,32 @@ class JoinState:
 
 
 class LedgerNode:
-    """Shared plumbing for gateways and servers: routes, ledgers, consensus."""
+    """A gateway or server: ledger replicas and consensus, plus the JS and NC.
+
+    The join server and network controller run on the node that hosts them in
+    the deployment mode.  Subclasses supply the steps where the modes differ:
+    ``_address_prefix``, ``_downlink`` and ``_ingest``.
+    """
 
     def __init__(
         self,
         entity_id: str,
+        index: int,
+        mode: str,
         keypair: KeyPair,
         engine: Engine,
         key_directory: KeyDirectory,
         consensus: ConsensusConfig,
+        net_id: bytes,
     ) -> None:
         self.entity_id = entity_id
+        self.index = index
+        self.mode = mode
         self.keypair = keypair
         self.engine = engine
         self.directory = key_directory
         self.consensus = consensus
+        self.net_id = net_id
         self.rng = engine.stream("node:%s" % entity_id)
         self.routes: dict[str, Link] = {}
         self.ledgers: dict[str, Ledger] = {}
@@ -313,6 +313,18 @@ class LedgerNode:
         self._commit_wanted: set[tuple[str, bytes]] = set()
         self._round_open: dict[str, bytes] = {}
         self._batch_queue: dict[str, list] = {}
+        # join server and network controller state
+        self.js = JoinState()
+        self.context_cache: dict[bytes, SessionContext] = {}
+        self.pending_contexts: dict[bytes, SessionContext] = {}
+        self.last_fcnt_up: dict[bytes, int] = {}
+        self.next_fcnt_down: dict[bytes, int] = {}
+        self.held_keys: dict[str, bytes] = {}
+        self.device_of_addr: dict[bytes, str] = {}  # radio route for ACKs and downlinks
+        self.coverage: dict[bytes, str] = {}  # device EUI -> device id; gateways only
+        self.filtered_frames = 0
+        self.acks_sent = 0
+        self.joins_accepted = 0
         engine.register(entity_id, self.handle)
 
     @property
@@ -327,9 +339,6 @@ class LedgerNode:
 
     def host_orderer(self, channel: str) -> None:
         self.orderers[channel] = SoloOrderer(self.consensus.batch)
-
-    def handle(self, payload) -> None:
-        raise NotImplementedError
 
     def _send(self, peer_id: str, message) -> None:
         self.engine.send(self.routes[peer_id], message, message.wire_size())
@@ -353,10 +362,10 @@ class LedgerNode:
             delay_us = orderer.deadline_ms * US_PER_MS - self.engine.now_us
             self.engine.schedule(max(delay_us, 0), self.entity_id, OrdererTick(channel))
 
-    def _on_orderer_tick(self, channel: str) -> None:
-        batch = self.orderers[channel].on_timer(self.now_ms)
+    def _on_orderer_tick(self, tick: OrdererTick) -> None:
+        batch = self.orderers[tick.channel].on_timer(self.now_ms)
         if batch is not None:
-            self._propose(channel, batch)
+            self._propose(tick.channel, batch)
 
     def _maintainer_peers(self, channel: str) -> list[str]:
         return [m for m in self.consensus.maintainers[channel] if m != self.entity_id]
@@ -409,15 +418,15 @@ class LedgerNode:
         except InvalidBlockError:
             self.invalid_blocks += 1
             return
-        self._post_commit(channel, block)
+        if channel == KIND_NETWORK:
+            for tx in block.txs:
+                if tx.requester == self.entity_id:
+                    self.pending_contexts.pop(envelope_aad(tx.payload)[:4], None)
         held = self._reorder.get(channel)
         if held:
             successor = held.pop(ledger.height, None)
             if successor is not None:
                 self._commit_block(channel, successor)
-
-    def _post_commit(self, channel: str, block: Block) -> None:
-        pass
 
     def _settle_round(self, channel: str, digest: bytes) -> None:
         vote_round = self._rounds.get((channel, digest))
@@ -442,99 +451,56 @@ class LedgerNode:
             if queued:
                 self._propose(channel, queued.pop(0))
 
-    def handle_infra(self, msg) -> bool:
-        """Dispatch consensus-plane messages; returns False for anything else."""
-        if isinstance(msg, OrdererTick):
-            self._on_orderer_tick(msg.channel)
-            return True
-        if isinstance(msg, TxSubmit):
-            self._orderer_submit(msg.channel, msg.tx)
-            return True
-        if isinstance(msg, BlockAnnounce):
+    def _on_proposal(self, msg: BlockProposal) -> None:
+        digest = block_hash(msg.block)
+        self._proposals[(msg.channel, digest)] = msg.block
+        verdict = self._validate_proposal(msg.channel, msg.block)
+        self._send(
+            msg.proposer,
+            VoteMessage(
+                channel=msg.channel,
+                voter=self.entity_id,
+                block_hash=digest,
+                verdict=verdict,
+                signature=make_vote(self.keypair, digest, verdict),
+            ),
+        )
+        if (msg.channel, digest) in self._commit_wanted:
+            # the commit notice overtook this proposal on the backhaul
+            self._commit_wanted.discard((msg.channel, digest))
+            self._proposals.pop((msg.channel, digest), None)
             self._commit_block(msg.channel, msg.block)
-            return True
-        if isinstance(msg, BlockProposal):
-            digest = block_hash(msg.block)
-            self._proposals[(msg.channel, digest)] = msg.block
-            verdict = self._validate_proposal(msg.channel, msg.block)
-            self._send(
-                msg.proposer,
-                VoteMessage(
-                    channel=msg.channel,
-                    voter=self.entity_id,
-                    block_hash=digest,
-                    verdict=verdict,
-                    signature=make_vote(self.keypair, digest, verdict),
-                ),
-            )
-            if (msg.channel, digest) in self._commit_wanted:
-                # the commit notice overtook this proposal on the backhaul
-                self._commit_wanted.discard((msg.channel, digest))
-                self._proposals.pop((msg.channel, digest), None)
-                self._commit_block(msg.channel, msg.block)
-            return True
-        if isinstance(msg, VoteMessage):
-            vote_round = self._rounds.get((msg.channel, msg.block_hash))
-            if vote_round is not None:
-                try:
-                    vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
-                except VoteRejectedError:
-                    self.rejected_votes += 1
-                self._settle_round(msg.channel, msg.block_hash)
-            return True
-        if isinstance(msg, CommitNotice):
-            block = self._proposals.pop((msg.channel, msg.block_hash), None)
-            if block is not None:
-                self._commit_block(msg.channel, block)
-            else:
-                self._commit_wanted.add((msg.channel, msg.block_hash))
-            return True
-        return False
 
+    def _on_vote(self, msg: VoteMessage) -> None:
+        vote_round = self._rounds.get((msg.channel, msg.block_hash))
+        if vote_round is not None:
+            try:
+                vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
+            except VoteRejectedError:
+                self.rejected_votes += 1
+            self._settle_round(msg.channel, msg.block_hash)
 
-class Gateway(LedgerNode):
-    """LoRa gateway; in edge mode it runs the join server and network controller."""
+    def _on_commit_notice(self, msg: CommitNotice) -> None:
+        block = self._proposals.pop((msg.channel, msg.block_hash), None)
+        if block is not None:
+            self._commit_block(msg.channel, block)
+        else:
+            self._commit_wanted.add((msg.channel, msg.block_hash))
 
-    def __init__(
-        self,
-        entity_id: str,
-        index: int,
-        mode: str,
-        keypair: KeyPair,
-        engine: Engine,
-        key_directory: KeyDirectory,
-        consensus: ConsensusConfig,
-        net_id: bytes,
-        join_processing_delay_us: int = 0,
-    ) -> None:
-        super().__init__(entity_id, keypair, engine, key_directory, consensus)
-        self.index = index
-        self.mode = mode
-        self.net_id = net_id
-        self.join_processing_delay_us = join_processing_delay_us
-        self.js = JoinState()
-        self.context_cache: dict[bytes, SessionContext] = {}
-        self.pending_contexts: dict[bytes, SessionContext] = {}
-        self.last_fcnt_up: dict[bytes, int] = {}
-        self.next_fcnt_down: dict[bytes, int] = {}
-        self.held_keys: dict[str, bytes] = {}
-        self.addr_routes: dict[bytes, str] = {}
-        self.coverage: dict[bytes, str] = {}
-        self.device_links: dict[str, Link] = {}
-        self.uplink_server: str | None = None
-        self.filtered_frames = 0
-        self.forwarded_uplinks = 0
-        self.acks_sent = 0
-        self.joins_accepted = 0
+    # consensus-plane payload type -> handler(node, payload); subclasses extend it
+    _HANDLERS = {
+        OrdererTick: _on_orderer_tick,
+        TxSubmit: lambda node, msg: node._orderer_submit(msg.channel, msg.tx),
+        BlockAnnounce: lambda node, msg: node._commit_block(msg.channel, msg.block),
+        BlockProposal: _on_proposal,
+        VoteMessage: _on_vote,
+        CommitNotice: _on_commit_notice,
+    }
 
-    # -- wiring (done once by the scenario builder) --
+    # -- join server and network controller --
 
     def register_device(self, dev_eui: bytes, app_key: bytes, device_id: str) -> None:
         self.js.register(dev_eui, (app_key, device_id))
-
-    def add_coverage(self, dev_eui: bytes, device_id: str, link: Link) -> None:
-        self.coverage[dev_eui] = device_id
-        self.device_links[device_id] = link
 
     def install_session(self, context: SessionContext, device_id: str) -> None:
         """Adopt an out-of-band established session (bootstrap or provisioning)."""
@@ -546,43 +512,14 @@ class Gateway(LedgerNode):
         """Out-of-band private-key copy from a failing gateway."""
         self.held_keys[entity_id] = private_key
 
-    def _bind_context(self, context: SessionContext, device_id: str | None) -> None:
+    def _bind_context(self, context: SessionContext, device_id: str) -> None:
         self.context_cache[context.dev_addr] = context
         self.last_fcnt_up[context.dev_addr] = -1
         self.next_fcnt_down[context.dev_addr] = 0
-        if device_id is not None:
-            self.addr_routes[context.dev_addr] = device_id
+        self.device_of_addr[context.dev_addr] = device_id
 
-    # -- event handling --
-
-    def handle(self, payload) -> None:
-        if isinstance(payload, (bytes, bytearray)):
-            self._on_air_frame(bytes(payload))
-            return
-        if isinstance(payload, DelayedAirFrame):
-            self._transmit(payload.device_id, payload.data)
-            return
-        if isinstance(payload, DownlinkData):
-            self._on_downlink_data(payload)
-            return
-        if isinstance(payload, DownlinkFrameForward):
-            self._transmit(payload.device_id, payload.frame)
-            return
-        if self.handle_infra(payload):
-            return
-        raise TypeError("gateway cannot handle %r" % (payload,))
-
-    def _transmit(self, device_id: str, data: bytes) -> None:
-        link = self.device_links.get(device_id)
-        if link is not None:
-            self.engine.send(link, data, len(data))
-
-    def _on_air_frame(self, data: bytes) -> None:
-        if self.mode == MODE_TRADITIONAL:
-            # transparent forwarding: no parse, no verification, no work units
-            self.forwarded_uplinks += 1
-            self._send(self.uplink_server, FrameForward(gateway_id=self.entity_id, frame=data))
-            return
+    def _on_frame(self, data: bytes, via: str) -> None:
+        """Classify one device frame that arrived through gateway ``via``."""
         self.work_units += WU_PARSE
         try:
             frame = parse_frame(data)
@@ -590,13 +527,13 @@ class Gateway(LedgerNode):
             self.filtered_frames += 1
             return
         if isinstance(frame, JoinRequest):
-            self._js_join(frame)
+            self._js_join(frame, via)
         elif isinstance(frame, DataFrame) and frame.direction == DIR_UP:
-            self._nc_uplink(frame)
+            self._nc_uplink(frame, via)
         else:
             self.filtered_frames += 1
 
-    def _js_join(self, frame: JoinRequest) -> None:
+    def _js_join(self, frame: JoinRequest, via: str) -> None:
         entry = self.js.lookup(frame.dev_eui)
         if entry is None:
             self.filtered_frames += 1
@@ -609,7 +546,7 @@ class Gateway(LedgerNode):
         if not self.js.nonce_fresh(frame.dev_eui, frame.dev_nonce):
             self.filtered_frames += 1
             return
-        dev_addr = self.js.allocate(frame.dev_eui, self.index)
+        dev_addr = self.js.allocate(frame.dev_eui, self._address_prefix(via))
         app_nonce = self.rng.randbytes(3)
         # the application session key is derived only by the device
         nwk_s_key, _ = derive_session_keys(app_key, app_nonce, self.net_id, frame.dev_nonce)
@@ -630,14 +567,10 @@ class Gateway(LedgerNode):
         self.work_units += WU_PARSE + WU_MIC
         accept = build_join_accept(app_key, app_nonce, self.net_id, dev_addr)
         self.joins_accepted += 1
-        if self.join_processing_delay_us > 0:
-            self.engine.schedule(
-                self.join_processing_delay_us,
-                self.entity_id,
-                DelayedAirFrame(device_id=device_id, data=accept),
-            )
-        else:
-            self._transmit(device_id, accept)
+        self._send_join_accept(via, device_id, accept)
+
+    def _send_join_accept(self, via: str, device_id: str, accept: bytes) -> None:
+        self._downlink(via, device_id, accept)
 
     def _lookup_context(self, dev_addr: bytes) -> SessionContext | None:
         context = self.context_cache.get(dev_addr)
@@ -661,211 +594,10 @@ class Gateway(LedgerNode):
         self.next_fcnt_down.setdefault(dev_addr, 0)
         device_id = self.coverage.get(context.dev_eui)
         if device_id is not None:
-            self.addr_routes.setdefault(dev_addr, device_id)
+            self.device_of_addr.setdefault(dev_addr, device_id)
         return context
 
-    def _nc_uplink(self, frame: DataFrame) -> None:
-        self.work_units += WU_QUERY
-        context = self._lookup_context(frame.dev_addr)
-        if context is None:
-            self.filtered_frames += 1
-            return
-        self.work_units += WU_MIC
-        if not verify_data_mic(frame, context.nwk_s_key):
-            self.filtered_frames += 1
-            return
-        if frame.fcnt <= self.last_fcnt_up.get(frame.dev_addr, -1):
-            self.filtered_frames += 1
-            return
-        self.last_fcnt_up[frame.dev_addr] = frame.fcnt
-        self._send_ack(context, frame.dev_addr)
-        self.forwarded_uplinks += 1
-        self._send(
-            self.uplink_server,
-            UplinkNotice(dev_addr=frame.dev_addr, fcnt=frame.fcnt, payload=frame.payload),
-        )
-
-    def _send_ack(self, context: SessionContext, dev_addr: bytes) -> None:
-        device_id = self.addr_routes.get(dev_addr)
-        if device_id is None:
-            return
-        fcnt = self.next_fcnt_down[dev_addr]
-        self.next_fcnt_down[dev_addr] = fcnt + 1
-        self.work_units += WU_PARSE + WU_MIC
-        ack = build_data_frame(context.nwk_s_key, dev_addr, fcnt, 0, b"", DIR_DOWN)
-        self._transmit(device_id, serialize_frame(ack))
-        self.acks_sent += 1
-
-    def _on_downlink_data(self, msg: DownlinkData) -> None:
-        self.work_units += WU_QUERY
-        context = self._lookup_context(msg.dev_addr)
-        if context is None:
-            return
-        self.work_units += WU_PARSE + WU_MIC
-        frame = build_data_frame(
-            context.nwk_s_key, msg.dev_addr, msg.fcnt, 1, msg.payload, DIR_DOWN
-        )
-        self.next_fcnt_down[msg.dev_addr] = max(
-            self.next_fcnt_down.get(msg.dev_addr, 0), msg.fcnt + 1
-        )
-        device_id = self.addr_routes.get(msg.dev_addr)
-        if device_id is not None:
-            self._transmit(device_id, serialize_frame(frame))
-
-    def _post_commit(self, channel: str, block: Block) -> None:
-        if channel != KIND_NETWORK:
-            return
-        for tx in block.txs:
-            if tx.requester == self.entity_id:
-                dev_addr = envelope_aad(tx.payload)[:4]
-                self.pending_contexts.pop(dev_addr, None)
-
-
-class NetworkServer(LedgerNode):
-    """Maintains both ledgers; in traditional mode also runs the JS and NC."""
-
-    def __init__(
-        self,
-        entity_id: str,
-        index: int,
-        mode: str,
-        keypair: KeyPair,
-        engine: Engine,
-        key_directory: KeyDirectory,
-        consensus: ConsensusConfig,
-        net_id: bytes,
-    ) -> None:
-        super().__init__(entity_id, keypair, engine, key_directory, consensus)
-        self.index = index
-        self.mode = mode
-        self.net_id = net_id
-        self.js = JoinState()
-        self.context_cache: dict[bytes, SessionContext] = {}
-        self.pending_contexts: dict[bytes, SessionContext] = {}
-        self.last_fcnt_up: dict[bytes, int] = {}
-        self.next_fcnt_down: dict[bytes, int] = {}
-        self.device_of_addr: dict[bytes, str] = {}
-        self.gateway_by_index: dict[int, str] = {}
-        self.filtered_frames = 0
-        self.ingested = 0
-        self.acks_sent = 0
-        self.joins_accepted = 0
-
-    # -- wiring --
-
-    def register_device(
-        self, dev_eui: bytes, app_key: bytes, device_id: str, gateway_id: str
-    ) -> None:
-        self.js.register(dev_eui, (app_key, device_id, gateway_id))
-
-    def wire_gateway(self, index: int, gateway_id: str) -> None:
-        self.gateway_by_index[index] = gateway_id
-
-    def install_session(self, context: SessionContext, device_id: str) -> None:
-        self._bind_context(context, device_id)
-        self.js.addr_by_eui[context.dev_eui] = context.dev_addr
-        self.js.nonce_fresh(context.dev_eui, context.dev_nonce)
-
-    def _bind_context(self, context: SessionContext, device_id: str | None) -> None:
-        self.context_cache[context.dev_addr] = context
-        self.last_fcnt_up[context.dev_addr] = -1
-        self.next_fcnt_down[context.dev_addr] = 0
-        if device_id is not None:
-            self.device_of_addr[context.dev_addr] = device_id
-
-    # -- event handling --
-
-    def handle(self, payload) -> None:
-        if isinstance(payload, UplinkNotice):
-            self._ingest(payload)
-            return
-        if isinstance(payload, FrameForward):
-            self._process_frame(payload)
-            return
-        if self.handle_infra(payload):
-            return
-        raise TypeError("server cannot handle %r" % (payload,))
-
-    def _ingest(self, notice: UplinkNotice) -> None:
-        """Edge mode: the gateway already verified; wrap and submit as-is."""
-        self.work_units += WU_TX_BUILD
-        tx = make_app_tx(self.keypair, notice.payload, self.now_ms)
-        self.ingested += 1
-        self.submit_tx(KIND_APPLICATION, tx)
-
-    def _process_frame(self, fwd: FrameForward) -> None:
-        self.work_units += WU_PARSE
-        try:
-            frame = parse_frame(fwd.frame)
-        except MalformedFrameError:
-            self.filtered_frames += 1
-            return
-        if isinstance(frame, JoinRequest):
-            self._js_join(frame, fwd.gateway_id)
-        elif isinstance(frame, DataFrame) and frame.direction == DIR_UP:
-            self._nc_uplink(frame, fwd.gateway_id)
-        else:
-            self.filtered_frames += 1
-
-    def _gateway_index(self, gateway_id: str) -> int:
-        for index, entity in self.gateway_by_index.items():
-            if entity == gateway_id:
-                return index
-        raise KeyError("unknown gateway %r" % gateway_id)
-
-    def _js_join(self, frame: JoinRequest, gateway_id: str) -> None:
-        entry = self.js.lookup(frame.dev_eui)
-        if entry is None:
-            self.filtered_frames += 1
-            return
-        app_key, device_id, _home = entry
-        self.work_units += WU_MIC
-        if not verify_join_request(frame, app_key):
-            self.filtered_frames += 1
-            return
-        if not self.js.nonce_fresh(frame.dev_eui, frame.dev_nonce):
-            self.filtered_frames += 1
-            return
-        dev_addr = self.js.allocate(frame.dev_eui, self._gateway_index(gateway_id))
-        app_nonce = self.rng.randbytes(3)
-        nwk_s_key, _ = derive_session_keys(app_key, app_nonce, self.net_id, frame.dev_nonce)
-        context = SessionContext(
-            dev_eui=frame.dev_eui,
-            app_key=app_key,
-            dev_addr=dev_addr,
-            nwk_s_key=nwk_s_key,
-            dev_nonce=frame.dev_nonce,
-            app_nonce=app_nonce,
-        )
-        self._bind_context(context, device_id)
-        self.pending_contexts[dev_addr] = context
-        self.work_units += WU_TX_BUILD
-        tx = make_network_tx(self.keypair, context, self.now_ms, self.rng)
-        self.submit_tx(KIND_NETWORK, tx)
-        self.work_units += WU_PARSE + WU_MIC
-        accept = build_join_accept(app_key, app_nonce, self.net_id, dev_addr)
-        self.joins_accepted += 1
-        self._send(gateway_id, DownlinkFrameForward(frame=accept, device_id=device_id))
-
-    def _lookup_context(self, dev_addr: bytes) -> SessionContext | None:
-        context = self.context_cache.get(dev_addr)
-        if context is not None:
-            return context
-        entry = self.ledgers[KIND_NETWORK].query_context(dev_addr)
-        if entry is None or entry.requester != self.entity_id:
-            return None
-        try:
-            context = SessionContext.from_bytes(
-                pk_decrypt(self.keypair.private_key, entry.envelope)
-            )
-        except (DecryptionError, ValueError):
-            return None
-        self.context_cache[dev_addr] = context
-        self.last_fcnt_up.setdefault(dev_addr, -1)
-        self.next_fcnt_down.setdefault(dev_addr, 0)
-        return context
-
-    def _nc_uplink(self, frame: DataFrame, gateway_id: str) -> None:
+    def _nc_uplink(self, frame: DataFrame, via: str) -> None:
         self.work_units += WU_QUERY
         context = self._lookup_context(frame.dev_addr)
         if context is None:
@@ -885,15 +617,142 @@ class NetworkServer(LedgerNode):
             self.next_fcnt_down[frame.dev_addr] = fcnt_down + 1
             self.work_units += WU_PARSE + WU_MIC
             ack = build_data_frame(context.nwk_s_key, frame.dev_addr, fcnt_down, 0, b"", DIR_DOWN)
-            self._send(
-                gateway_id,
-                DownlinkFrameForward(frame=serialize_frame(ack), device_id=device_id),
-            )
+            self._downlink(via, device_id, serialize_frame(ack))
             self.acks_sent += 1
+        self._ingest(frame)
+
+
+class Gateway(LedgerNode):
+    """LoRa gateway; in edge mode it runs the join server and network controller."""
+
+    def __init__(
+        self,
+        entity_id: str,
+        index: int,
+        mode: str,
+        keypair: KeyPair,
+        engine: Engine,
+        key_directory: KeyDirectory,
+        consensus: ConsensusConfig,
+        net_id: bytes,
+        join_processing_delay_us: int = 0,
+    ) -> None:
+        super().__init__(entity_id, index, mode, keypair, engine, key_directory, consensus, net_id)
+        self.join_processing_delay_us = join_processing_delay_us
+        self.device_links: dict[str, Link] = {}
+        self.uplink_server: str | None = None
+        self.forwarded_uplinks = 0
+
+    def add_coverage(self, dev_eui: bytes, device_id: str, link: Link) -> None:
+        self.coverage[dev_eui] = device_id
+        self.device_links[device_id] = link
+
+    def handle(self, payload) -> None:
+        handler = self._HANDLERS.get(type(payload))
+        if handler is None:
+            raise TypeError("gateway cannot handle %r" % (payload,))
+        handler(self, payload)
+
+    def _transmit(self, device_id: str, data: bytes) -> None:
+        link = self.device_links.get(device_id)
+        if link is not None:
+            self.engine.send(link, data, len(data))
+
+    def _on_air_frame(self, data: bytes) -> None:
+        if self.mode == MODE_TRADITIONAL:
+            # transparent forwarding: no parse, no verification, no work units
+            self.forwarded_uplinks += 1
+            self._send(self.uplink_server, FrameForward(gateway_id=self.entity_id, frame=data))
+            return
+        self._on_frame(data, self.entity_id)
+
+    def _address_prefix(self, via: str) -> int:
+        return self.index
+
+    def _downlink(self, via: str, device_id: str, frame: bytes) -> None:
+        self._transmit(device_id, frame)
+
+    def _send_join_accept(self, via: str, device_id: str, accept: bytes) -> None:
+        if self.join_processing_delay_us > 0:
+            self.engine.schedule(
+                self.join_processing_delay_us,
+                self.entity_id,
+                DownlinkFrameForward(frame=accept, device_id=device_id),
+            )
+        else:
+            self._transmit(device_id, accept)
+
+    def _ingest(self, frame: DataFrame) -> None:
+        """Edge mode: only the verified essentials go upstream."""
+        self.forwarded_uplinks += 1
+        self._send(
+            self.uplink_server,
+            UplinkNotice(dev_addr=frame.dev_addr, fcnt=frame.fcnt, payload=frame.payload),
+        )
+
+    def _on_downlink_data(self, msg: DownlinkData) -> None:
+        self.work_units += WU_QUERY
+        context = self._lookup_context(msg.dev_addr)
+        if context is None:
+            return
+        self.work_units += WU_PARSE + WU_MIC
+        frame = build_data_frame(
+            context.nwk_s_key, msg.dev_addr, msg.fcnt, 1, msg.payload, DIR_DOWN
+        )
+        self.next_fcnt_down[msg.dev_addr] = max(
+            self.next_fcnt_down.get(msg.dev_addr, 0), msg.fcnt + 1
+        )
+        device_id = self.device_of_addr.get(msg.dev_addr)
+        if device_id is not None:
+            self._transmit(device_id, serialize_frame(frame))
+
+    _HANDLERS = {
+        bytes: _on_air_frame,
+        bytearray: lambda gateway, data: gateway._on_air_frame(bytes(data)),
+        DownlinkData: _on_downlink_data,
+        DownlinkFrameForward: lambda gateway, msg: gateway._transmit(msg.device_id, msg.frame),
+        **LedgerNode._HANDLERS,
+    }
+
+
+class NetworkServer(LedgerNode):
+    """Maintains both ledgers; in traditional mode also runs the JS and NC."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.gateway_by_index: dict[int, str] = {}
+        self.ingested = 0
+
+    def wire_gateway(self, index: int, gateway_id: str) -> None:
+        self.gateway_by_index[index] = gateway_id
+
+    def handle(self, payload) -> None:
+        handler = self._HANDLERS.get(type(payload))
+        if handler is None:
+            raise TypeError("server cannot handle %r" % (payload,))
+        handler(self, payload)
+
+    def _ingest(self, uplink: UplinkNotice | DataFrame) -> None:
+        """Wrap a verified uplink's payload as-is and submit it."""
         self.work_units += WU_TX_BUILD
-        tx = make_app_tx(self.keypair, frame.payload, self.now_ms)
+        tx = make_app_tx(self.keypair, uplink.payload, self.now_ms)
         self.ingested += 1
         self.submit_tx(KIND_APPLICATION, tx)
+
+    def _address_prefix(self, via: str) -> int:
+        for index, entity in self.gateway_by_index.items():
+            if entity == via:
+                return index
+        raise KeyError("unknown gateway %r" % via)
+
+    def _downlink(self, via: str, device_id: str, frame: bytes) -> None:
+        self._send(via, DownlinkFrameForward(frame=frame, device_id=device_id))
+
+    _HANDLERS = {
+        UplinkNotice: _ingest,
+        FrameForward: lambda server, fwd: server._on_frame(fwd.frame, fwd.gateway_id),
+        **LedgerNode._HANDLERS,
+    }
 
     # -- operator-facing operations --
 
@@ -945,17 +804,7 @@ class NetworkServer(LedgerNode):
         self.next_fcnt_down[dev_addr] = max(self.next_fcnt_down.get(dev_addr, 0), fcnt + 1)
         self.work_units += WU_PARSE + WU_MIC
         frame = build_data_frame(context.nwk_s_key, dev_addr, fcnt, 1, encrypted_payload, DIR_DOWN)
-        self._send(
-            gateway_id, DownlinkFrameForward(frame=serialize_frame(frame), device_id=device_id)
-        )
-
-    def _post_commit(self, channel: str, block: Block) -> None:
-        if channel != KIND_NETWORK:
-            return
-        for tx in block.txs:
-            if tx.requester == self.entity_id:
-                dev_addr = envelope_aad(tx.payload)[:4]
-                self.pending_contexts.pop(dev_addr, None)
+        self._downlink(gateway_id, device_id, serialize_frame(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -1058,19 +907,10 @@ class EndDevice:
         return self.rng.randint(self.profile.interval_lo_us, self.profile.interval_hi_us)
 
     def handle(self, payload) -> None:
-        if isinstance(payload, (bytes, bytearray)):
-            self._on_air_frame(bytes(payload))
-            return
-        if isinstance(payload, TimerNextAction):
-            self._next_action()
-            return
-        if isinstance(payload, TimerJoinTimeout):
-            self._on_join_timeout(payload.join_seq)
-            return
-        if isinstance(payload, TimerUplinkTimeout):
-            self._on_uplink_timeout(payload.request_id)
-            return
-        raise TypeError("device cannot handle %r" % (payload,))
+        handler = self._HANDLERS.get(type(payload))
+        if handler is None:
+            raise TypeError("device cannot handle %r" % (payload,))
+        handler(self, payload)
 
     def _next_action(self) -> None:
         if self.muted:
@@ -1210,3 +1050,11 @@ class EndDevice:
             session.app_s_key, session.dev_addr, frame.fcnt, DIR_DOWN, frame.payload
         )
         self.received_downlinks.append(plaintext)
+
+    _HANDLERS = {
+        bytes: _on_air_frame,
+        bytearray: lambda device, data: device._on_air_frame(bytes(data)),
+        TimerNextAction: lambda device, _: device._next_action(),
+        TimerJoinTimeout: lambda device, timer: device._on_join_timeout(timer.join_seq),
+        TimerUplinkTimeout: lambda device, timer: device._on_uplink_timeout(timer.request_id),
+    }

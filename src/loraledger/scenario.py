@@ -238,6 +238,11 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("batch parameters must be positive")
     if config.network_orderer not in ("server", "gateway"):
         raise ConfigError("consensus.network_orderer must be 'server' or 'gateway'")
+    if config.network_orderer == "gateway" and config.mode == "traditional":
+        raise ConfigError(
+            "consensus.network_orderer = gateway needs edge mode: "
+            "traditional gateways keep no network ledger"
+        )
     if config.join_processing_delay_ms < 0:
         raise ConfigError("join_processing_delay_ms must be non-negative")
     if config.time_compress < 1:

@@ -328,6 +328,7 @@ def test_build_config_presets():
         dict(uplink_interval_s=(17, 13)),
         dict(consensus_mode="pow"),
         dict(net_id=b"\x00\x00"),
+        dict(mode="traditional", network_orderer="gateway"),  # its gateways hold no ledger
     ],
 )
 def test_validate_config_rejections(overrides):
@@ -335,6 +336,19 @@ def test_validate_config_rejections(overrides):
     base.update(overrides)
     with pytest.raises(ConfigError):
         build_config(flag_overrides=base)
+
+
+def test_compare_validates_each_mode(tmp_path, capsys):
+    """A gateway-hosted network orderer is fine in edge mode but not in traditional."""
+    config = config_for(experiment=1, n_devices=20, duration_s=1800, network_orderer="gateway")
+    with pytest.raises(ConfigError):
+        compare_modes(config)
+    conf = tmp_path / "orderer.conf"
+    conf.write_text("consensus.network_orderer = gateway\n")
+    argv = ["run", "--experiment", "1", "--devices", "20", "--duration", "1800"]
+    argv += ["--config", str(conf), "--out", str(tmp_path / "out"), "--compare"]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ from loraledger.crypto import (
     envelope_aad,
     generate_keypair,
     pk_decrypt,
+    pk_encrypt,
+    sign,
 )
+from loraledger.cli import main
 from loraledger.ledger import (
     Block,
     ChainIntegrityError,
@@ -249,6 +252,43 @@ def test_ledger_rejects_invalid_append(directory):
     with pytest.raises(InvalidBlockError):
         ledger.append_block(b0, directory)  # replay: wrong height now
     assert ledger.height == 1
+
+
+def _signed_network_tx(entity_id: str, payload: bytes, t_ms: int = 1000) -> Transaction:
+    signature = sign(keypair(entity_id).private_key, struct.pack("<Q", t_ms) + payload)
+    return Transaction(requester=entity_id, signature=signature, timestamp_ms=t_ms, payload=payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pk_encrypt(keypair("gw0").public_key, make_context(2).to_bytes(), random.Random(2), b"\x00" * 5),
+        b"\x01" * 8,  # shorter than the envelope header
+    ],
+    ids=["aad-not-12-bytes", "short-envelope"],
+)
+def test_malformed_context_metadata_rejects_block_whole(directory, payload, tmp_path):
+    """A signed tx whose envelope metadata is unusable rejects its block, leaving no trace."""
+    ledger = Ledger(KIND_NETWORK)
+    b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
+    ledger.append_block(b0, directory)
+    state = dict(ledger.world_state)
+    # a good context ahead of the bad one would show if the block were half applied
+    bad = assemble_block([network_tx("gw0", 1), _signed_network_tx("gw0", payload)], 1, 20, b0)
+    assert validate_block(bad, b0, directory)  # signatures and links are fine
+    with pytest.raises(InvalidBlockError):
+        ledger.append_block(bad, directory)
+    assert ledger.height == 1
+    assert ledger.world_state == state
+    assert ledger.addr_for_eui(make_context(1).dev_eui) is None
+
+    # in a dump, the same block makes a corrupt chain rather than a crash
+    ledger.blocks.append(bad)
+    path = tmp_path / "network.chain"
+    path.write_bytes(dump_chain(ledger, directory))
+    with pytest.raises(ChainIntegrityError):
+        load_chain(path.read_bytes())
+    assert main(["ledger", "verify", str(path)]) == 1
 
 
 def test_validate_chain_and_rebuild(directory):

@@ -637,6 +637,24 @@ def test_join_state_bookkeeping():
     assert js.allocate(b"\x03" * 8, 5) == format_dev_addr(5, 11)
 
 
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+def test_handle_rejects_unknown_payload_types(mode):
+    world = app_world(mode=mode)
+    nodes = (world.gateways[0], world.servers[0], world.devices[0])
+    for node in nodes:
+        for payload in ("text", 7, object()):
+            with pytest.raises(TypeError):
+                node.handle(payload)
+    # each kind of node handles only its own message types
+    notice = UplinkNotice(dev_addr=b"\x00\x01\x00\x00", fcnt=0, payload=b"x" * 20)
+    with pytest.raises(TypeError):
+        world.gateways[0].handle(notice)
+    with pytest.raises(TypeError):
+        world.servers[0].handle(DownlinkData(dev_addr=b"\x00\x01\x00\x00", fcnt=0, payload=b"x"))
+    with pytest.raises(TypeError):
+        world.devices[0].handle(CommitNotice(channel="network", block_hash=b"\x00" * 32))
+
+
 def test_backhaul_message_wire_sizes():
     addr = b"\x00\x01\x00\x00"
     assert UplinkNotice(dev_addr=addr, fcnt=0, payload=b"x" * 20).wire_size() == 29
