@@ -8,6 +8,7 @@ key; both public/private halves travel as opaque byte strings.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -137,18 +138,25 @@ def _split_private(private_key: bytes) -> tuple[bytes, bytes]:
     return private_key[:_KEY_HALF], private_key[_KEY_HALF:]
 
 
+@functools.lru_cache(maxsize=256)
+def _signing_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
 def sign(private_key: bytes, message: bytes) -> bytes:
     """Sign a message; 64-byte signature, deterministic for a fixed key."""
     seed, _ = _split_private(private_key)
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+    return _signing_key(seed).sign(message)
 
 
-def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    verify_half, _ = _split_public(public_key)
+def verify(public_key: bytes | Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
+    """Check an Ed25519 signature against a public key bundle or a built verify key."""
+    if not isinstance(public_key, Ed25519PublicKey):
+        public_key = Ed25519PublicKey.from_public_bytes(_split_public(public_key)[0])
     if len(signature) != SIGNATURE_LEN:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(verify_half).verify(signature, message)
+        public_key.verify(signature, message)
     except InvalidSignature:
         return False
     return True
@@ -233,14 +241,21 @@ def mac32(key: bytes, message: bytes) -> bytes:
     return mac.finalize()[:MIC_LEN]
 
 
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt exactly one 16-byte block (building block for key derivation)."""
+def aes128_encrypt_blocks(key: bytes, blocks: bytes) -> bytes:
+    """Encrypt whole 16-byte blocks independently (ECB) in one cipher call."""
     if len(key) != SYM_KEY_LEN:
         raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
+    if len(blocks) % 16:
+        raise ValueError("input must be whole 16-byte blocks")
+    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    return enc.update(blocks) + enc.finalize()
+
+
+def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
+    """Encrypt exactly one 16-byte block (building block for key derivation)."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
+    return aes128_encrypt_blocks(key, block)
 
 
 def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
@@ -276,11 +291,23 @@ ROLE_GATEWAY = "gateway"
 ROLE_SERVER = "server"
 
 
+#: verdicts KeyDirectory.verify remembers, oldest evicted first; enough for
+#: every replica of a world to re-check a signature without a second verify
+VERDICT_MEMO_SIZE = 1024
+
+
 class KeyDirectory:
-    """Registry of entity public keys and roles, shared by all honest nodes."""
+    """Registry of entity public keys and roles, shared by all honest nodes.
+
+    It is also where transaction signatures are checked: every replica in a
+    simulated world validates the same blocks, so ``verify`` remembers its
+    recent verdicts.  Registrations are final, so a verdict never goes stale.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[bytes, str]] = {}
+        self._verify_keys: dict[str, Ed25519PublicKey] = {}
+        self._verdicts: dict[tuple[str, bytes, bytes], bool] = {}
 
     def add(self, entity_id: str, public_key: bytes, role: str) -> None:
         if len(public_key) != KEY_LEN:
@@ -290,6 +317,24 @@ class KeyDirectory:
         if entity_id in self._entries:
             raise ValueError("entity %r already registered" % entity_id)
         self._entries[entity_id] = (public_key, role)
+        self._verify_keys[entity_id] = Ed25519PublicKey.from_public_bytes(
+            _split_public(public_key)[0]
+        )
+
+    def verify(self, entity_id: str, message: bytes, signature: bytes) -> bool:
+        """``verify`` against the entity's registered key, memoized on the exact bytes."""
+        try:
+            verify_key = self._verify_keys[entity_id]
+        except KeyError:
+            raise UnknownEntityError("no public key registered for %r" % entity_id) from None
+        memo_key = (entity_id, message, signature)
+        verdict = self._verdicts.get(memo_key)
+        if verdict is None:
+            verdict = verify(verify_key, message, signature)
+            if len(self._verdicts) >= VERDICT_MEMO_SIZE:
+                del self._verdicts[next(iter(self._verdicts))]
+            self._verdicts[memo_key] = verdict
+        return verdict
 
     def public_key(self, entity_id: str) -> bytes:
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .crypto import aes128_decrypt_block, aes128_encrypt_block, mac32
+from .crypto import aes128_decrypt_block, aes128_encrypt_block, aes128_encrypt_blocks, mac32
 
 MHDR_JOIN_REQUEST = 0x00
 MHDR_JOIN_ACCEPT = 0x20
@@ -256,15 +256,13 @@ def encrypt_payload(
         raise ValueError("direction must be 0 (up) or 1 (down)")
     if len(data) > MAX_FRM_PAYLOAD:
         raise ValueError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
-    out = bytearray()
-    for i in range(0, len(data), 16):
-        counter = struct.pack(
-            "<B4xB4sIxB", 0x01, direction, dev_addr, fcnt & 0xFFFFFFFF, i // 16 + 1
-        )
-        stream = aes128_encrypt_block(app_s_key, counter)
-        chunk = data[i : i + 16]
-        out.extend(a ^ b for a, b in zip(chunk, stream))
-    return bytes(out)
+    if not data:
+        return b""
+    prefix = struct.pack("<B4xB4sIx", 0x01, direction, dev_addr, fcnt & 0xFFFFFFFF)
+    counters = b"".join(prefix + bytes([i]) for i in range(1, (len(data) + 15) // 16 + 1))
+    stream = aes128_encrypt_blocks(app_s_key, counters)[: len(data)]
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 decrypt_payload = encrypt_payload

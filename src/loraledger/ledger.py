@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .crypto import (
+    CryptoError,
     DecryptionError,
     KeyDirectory,
     ROLE_SERVER,
@@ -28,7 +29,6 @@ from .crypto import (
     hash_bytes,
     pk_encrypt,
     sign,
-    verify,
 )
 
 KIND_NETWORK = "network"
@@ -217,10 +217,6 @@ def make_app_tx(keypair, payload: bytes, timestamp_ms: int) -> Transaction:
     )
 
 
-def verify_tx(tx: Transaction, public_key: bytes) -> bool:
-    return verify(public_key, tx.signed_span(), tx.signature)
-
-
 def build_merkle(leaves: list[bytes]) -> bytes:
     """Merkle root over ordered leaves, carrying an odd node up unhashed.
 
@@ -354,10 +350,9 @@ def validate_block(
     if block.merkle_root != build_merkle([tx.signature for tx in block.txs]):
         return False
     for tx in block.txs:
-        public_key = key_directory.public_key(tx.requester)
         if server_requesters_only and key_directory.role(tx.requester) != ROLE_SERVER:
             return False
-        if not verify_tx(tx, public_key):
+        if not key_directory.verify(tx.requester, tx.signed_span(), tx.signature):
             return False
     return True
 
@@ -393,12 +388,15 @@ class Ledger:
 
     def append_block(self, block: Block, key_directory: KeyDirectory) -> None:
         """Validate against the current tip and append; rejection changes nothing."""
-        ok = validate_block(
-            block,
-            self.tip,
-            key_directory,
-            server_requesters_only=self.kind == KIND_APPLICATION,
-        )
+        try:
+            ok = validate_block(
+                block,
+                self.tip,
+                key_directory,
+                server_requesters_only=self.kind == KIND_APPLICATION,
+            )
+        except UnknownEntityError as exc:
+            raise InvalidBlockError("block %d has an unregistered requester" % block.zeta) from exc
         if not ok:
             raise InvalidBlockError(
                 "block %d rejected at height %d" % (block.zeta, self.height)
@@ -460,19 +458,30 @@ class Ledger:
 
     def rebuild_world_state(self) -> None:
         """Replay the chain from genesis; the result must match incremental upkeep."""
-        contexts = [context for block in self.blocks for context in self._contexts(block)]
+        self._adopt(self.blocks)
+
+    def _adopt(self, blocks: list[Block]) -> None:
+        """Make a validated chain this replica's; malformed metadata changes nothing."""
+        try:
+            contexts = [context for block in blocks for context in self._contexts(block)]
+        except InvalidBlockError as exc:
+            raise ChainIntegrityError("chain holds malformed context metadata") from exc
+        self.blocks = list(blocks)
         self.world_state = {}
         self._eui_index = {}
         self._apply(contexts)
 
     def sync_from(self, peer: "Ledger", key_directory: KeyDirectory) -> None:
-        """Replace this replica's state with a validated copy of a peer's chain."""
+        """Replace this replica's state with a validated copy of a peer's chain.
+
+        Raises ChainIntegrityError, leaving this replica untouched, when the
+        peer chain fails validation or holds malformed context metadata.
+        """
         if peer.kind != self.kind:
             raise ValueError("cannot sync across ledger kinds")
         if not peer.validate_chain(key_directory):
             raise ChainIntegrityError("peer chain failed validation")
-        self.blocks = list(peer.blocks)
-        self.rebuild_world_state()
+        self._adopt(peer.blocks)
 
 
 def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
@@ -541,7 +550,10 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
             if len(public_key) != pub_len:
                 raise ChainIntegrityError("truncated public key")
             offset += pub_len
-            directory.add(entity_id, public_key, _ROLE_NAMES[role_code])
+            try:
+                directory.add(entity_id, public_key, _ROLE_NAMES[role_code])
+            except CryptoError as exc:
+                raise ChainIntegrityError("key table holds a malformed public key") from exc
         (block_count,) = struct.unpack_from("<I", body, offset)
         offset += 4
         ledger = Ledger(_KIND_NAMES[kind_code])
@@ -561,8 +573,5 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     ledger.blocks = blocks
     if not ledger.validate_chain(directory):
         raise ChainIntegrityError("chain failed validation")
-    try:
-        ledger.rebuild_world_state()
-    except InvalidBlockError as exc:
-        raise ChainIntegrityError("chain holds malformed context metadata") from exc
+    ledger.rebuild_world_state()
     return ledger, directory

@@ -1,9 +1,11 @@
 """Primitive layer: keys, signatures, envelopes, MACs, key derivation."""
 
+import itertools
 import random
 
 import pytest
 
+from loraledger import crypto
 from loraledger.crypto import (
     DecryptionError,
     ENVELOPE_OVERHEAD,
@@ -12,6 +14,7 @@ from loraledger.crypto import (
     ROLE_GATEWAY,
     ROLE_SERVER,
     UnknownEntityError,
+    VERDICT_MEMO_SIZE,
     derive_session_keys,
     envelope_aad,
     generate_keypair,
@@ -168,3 +171,54 @@ def test_key_directory():
         directory.public_key("ghost")
     with pytest.raises(ValueError):
         directory.add("gw0", gw.public_key, ROLE_GATEWAY)
+
+
+def _signed_directory():
+    directory = KeyDirectory()
+    for entity_id, role in (("gw0", ROLE_GATEWAY), ("srv0", ROLE_SERVER)):
+        directory.add(entity_id, generate_keypair(entity_id, 1).public_key, role)
+    sig = sign(generate_keypair("gw0", 1).private_key, b"payload")
+    return directory, sig
+
+
+def test_key_directory_verify_agrees_with_verify():
+    """A remembered verdict never answers for a different triple, in either order."""
+    _, sig = _signed_directory()
+    good = ("gw0", b"payload", sig)
+    tampered = [
+        ("gw0", b"payloaD", sig),
+        ("gw0", b"payload", sig[:-1] + bytes([sig[-1] ^ 1])),
+        ("srv0", b"payload", sig),
+        ("gw0", b"payload", sig[:-1]),
+    ]
+    for bad in tampered:
+        for order in ((good, bad), (bad, good)):
+            directory, _ = _signed_directory()
+            for entity_id, message, signature in itertools.chain(order, order):
+                expected = crypto.verify(directory.public_key(entity_id), message, signature)
+                assert directory.verify(entity_id, message, signature) is expected
+            assert directory.verify(*good) and not directory.verify(*bad)
+    directory, _ = _signed_directory()
+    with pytest.raises(UnknownEntityError):
+        directory.verify("ghost", b"payload", sig)
+
+
+def test_key_directory_verify_memo_is_bounded(monkeypatch):
+    """The memo keeps at most VERDICT_MEMO_SIZE verdicts and re-verifies evicted ones."""
+    directory, sig = _signed_directory()
+    calls = []
+    real = crypto.verify
+
+    def counting_verify(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting_verify)
+    for n in range(VERDICT_MEMO_SIZE + 10):
+        assert not directory.verify("gw0", b"%d" % n, sig)
+        assert len(directory._verdicts) <= VERDICT_MEMO_SIZE
+    assert len(calls) == VERDICT_MEMO_SIZE + 10
+    assert directory.verify("gw0", b"payload", sig) and len(calls) == VERDICT_MEMO_SIZE + 11
+    assert directory.verify("gw0", b"payload", sig) and len(calls) == VERDICT_MEMO_SIZE + 11
+    assert not directory.verify("gw0", b"0", sig)  # evicted first, so verified again
+    assert len(calls) == VERDICT_MEMO_SIZE + 12

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from loraledger import crypto
 from loraledger.cli import main
 from loraledger.crypto import ROLE_SERVER, KeyDirectory, generate_keypair
 from loraledger.frames import build_join_request, serialize_frame
@@ -463,3 +464,32 @@ def test_cli_frame_decode(capsys):
     assert main(["frame", "decode", "zz"]) == 2
     assert main(["frame", "decode", "00"]) == 1
     assert "undecodable frame" in capsys.readouterr().out
+
+
+def test_each_signature_verified_once_per_world(monkeypatch):
+    """Every replica validates every block, but Ed25519 runs once per signature.
+
+    The golden experiment-1 case in edge mode: each gateway and server keeps
+    a network ledger, so without the verdict memo each signature would be
+    verified once per replica.
+    """
+    calls = []
+    real = crypto.verify
+
+    def counting_verify(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting_verify)
+    config = build_config(
+        flag_overrides=dict(experiment=1, mode="edge", n_devices=20, seed=6, duration_s=1800)
+    )
+    world = run_experiment(config).world
+    signatures = [
+        tx.signature
+        for ledger in world.servers[0].ledgers.values()
+        for block in ledger.blocks
+        for tx in block.txs
+    ]
+    assert len(world.gateways) + len(world.servers) > 1
+    assert signatures and sorted(calls) == sorted(signatures)

@@ -12,12 +12,15 @@ from loraledger.crypto import (
     UnknownEntityError,
     envelope_aad,
     generate_keypair,
+    hash_bytes,
     pk_decrypt,
     pk_encrypt,
     sign,
 )
 from loraledger.cli import main
 from loraledger.ledger import (
+    DUMP_MAGIC,
+    DUMP_VERSION,
     Block,
     ChainIntegrityError,
     GENESIS_PREV_HASH,
@@ -37,7 +40,6 @@ from loraledger.ledger import (
     make_network_tx,
     transaction_from_bytes,
     validate_block,
-    verify_tx,
 )
 
 
@@ -81,8 +83,8 @@ def test_network_tx_shape_and_verify(directory):
     assert tx.requester == "gw0"
     assert len(tx.signature) == 64
     assert tx.timestamp_ms == 1000
-    assert verify_tx(tx, directory.public_key("gw0"))
-    assert not verify_tx(tx, directory.public_key("gw1"))
+    assert directory.verify("gw0", tx.signed_span(), tx.signature)
+    assert not directory.verify("gw1", tx.signed_span(), tx.signature)
 
 
 def test_network_tx_aad_is_addr_and_eui():
@@ -106,21 +108,20 @@ def test_app_tx_payload_passthrough(directory):
     payload = bytes.fromhex("c02c3109228e9072b303fb82a542945abc0fa21b")
     tx = make_app_tx(keypair("srv0"), payload, 77)
     assert tx.payload == payload  # byte-identical, still encrypted
-    assert verify_tx(tx, directory.public_key("srv0"))
+    assert directory.verify("srv0", tx.signed_span(), tx.signature)
 
 
 def test_tx_signature_covers_timestamp_and_payload(directory):
     tx = network_tx("gw0", 1)
-    pub = directory.public_key("gw0")
     bumped = Transaction(tx.requester, tx.signature, tx.timestamp_ms + 1, tx.payload)
-    assert not verify_tx(bumped, pub)
+    assert not directory.verify("gw0", bumped.signed_span(), bumped.signature)
     flipped = Transaction(
         tx.requester,
         tx.signature,
         tx.timestamp_ms,
         tx.payload[:-1] + bytes([tx.payload[-1] ^ 1]),
     )
-    assert not verify_tx(flipped, pub)
+    assert not directory.verify("gw0", flipped.signed_span(), flipped.signature)
 
 
 def test_tx_wire_roundtrip():
@@ -318,6 +319,23 @@ def test_sync_from(directory):
     assert replica.world_state.keys() == source.world_state.keys()
 
 
+def test_failed_sync_leaves_replica_untouched(directory):
+    """A peer chain with malformed context metadata is refused whole."""
+    replica = Ledger(KIND_NETWORK)
+    b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
+    replica.append_block(b0, directory)
+    blocks, state = list(replica.blocks), dict(replica.world_state)
+    index = dict(replica._eui_index)
+    peer = Ledger(KIND_NETWORK)
+    peer.blocks = [assemble_block([_signed_network_tx("gw1", b"\x01" * 8)], 0, 5, None)]
+    assert peer.validate_chain(directory)  # signatures and links are fine
+    with pytest.raises(ChainIntegrityError):
+        replica.sync_from(peer, directory)
+    assert replica.blocks == blocks
+    assert replica.world_state == state
+    assert replica._eui_index == index
+
+
 def _dumped_chain(directory, n_blocks=4):
     ledger = Ledger(KIND_NETWORK)
     prev = None
@@ -373,3 +391,17 @@ def test_dump_truncation_and_garbage_detected(directory):
         load_chain(b"XXXX" + data[4:])  # wrong magic
     with pytest.raises(ChainIntegrityError):
         load_chain(data + b"\x00")  # trailing junk
+
+
+def test_dump_with_short_public_key_is_invalid(tmp_path, capsys):
+    """A key table entry of the wrong length, under a correct trailer, is corruption."""
+    ident = b"gw0"
+    body = DUMP_MAGIC + struct.pack("<HBI", DUMP_VERSION, 0, 1)
+    body += struct.pack("<H", len(ident)) + ident + struct.pack("<BH", 0, 10) + bytes(10)
+    body += struct.pack("<I", 0)
+    path = tmp_path / "short-key.chain"
+    path.write_bytes(body + hash_bytes(body))
+    with pytest.raises(ChainIntegrityError):
+        load_chain(path.read_bytes())
+    assert main(["ledger", "verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: ")

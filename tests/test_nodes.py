@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from loraledger.crypto import derive_session_keys
+from loraledger.crypto import derive_session_keys, generate_keypair
 from loraledger.frames import (
     DIR_DOWN,
     DIR_UP,
@@ -14,8 +14,15 @@ from loraledger.frames import (
     serialize_frame,
 )
 from loraledger.harness import bootstrap_sessions, build_world
-from loraledger.ledger import KIND_APPLICATION, KIND_NETWORK, SessionContext
+from loraledger.ledger import (
+    KIND_APPLICATION,
+    KIND_NETWORK,
+    SessionContext,
+    assemble_block,
+    make_app_tx,
+)
 from loraledger.nodes import (
+    BlockAnnounce,
     CommitNotice,
     DownlinkData,
     DownlinkFrameForward,
@@ -662,3 +669,16 @@ def test_backhaul_message_wire_sizes():
     assert DownlinkData(dev_addr=addr, fcnt=0, payload=b"x" * 20).wire_size() == 29
     assert DownlinkFrameForward(frame=b"\x00" * 17, device_id="dev0000").wire_size() == 28
     assert CommitNotice(channel="network", block_hash=b"\x00" * 32).wire_size() == 34
+
+
+def test_block_from_unregistered_requester_counts_as_invalid():
+    """An announced block signed by an unknown entity is rejected, not a crash."""
+    world = app_world()
+    srv1 = world.servers[1]
+    ledger = srv1.ledgers[KIND_APPLICATION]
+    height, tip = ledger.height, ledger.tip
+    tx = make_app_tx(generate_keypair("srv9", 1), b"payload", 1)
+    block = assemble_block([tx], height, 1, tip)
+    srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
+    assert srv1.invalid_blocks == 1
+    assert ledger.height == height and ledger.tip is tip
