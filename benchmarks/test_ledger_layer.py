@@ -1,0 +1,113 @@
+"""Micro-benchmarks of the ledger layer (pytest-benchmark).
+
+    python3 -m pytest benchmarks --benchmark-only
+
+Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
+a fast wrong answer does not pass.  Blocks hold 16 network transactions,
+the chain 8 such blocks.
+"""
+
+import random
+import struct
+
+from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, generate_keypair, hash_bytes
+from loraledger.ledger import (
+    DUMP_MAGIC,
+    KIND_NETWORK,
+    Ledger,
+    SessionContext,
+    assemble_block,
+    block_hash,
+    build_merkle,
+    dump_chain,
+    load_chain,
+    make_network_tx,
+    validate_block,
+)
+
+KEYPAIR = generate_keypair("gw0", 1)
+DIRECTORY = KeyDirectory()
+DIRECTORY.add("gw0", KEYPAIR.public_key, ROLE_GATEWAY)
+TXS_PER_BLOCK = 16
+
+
+def _context(n: int) -> SessionContext:
+    return SessionContext(
+        dev_eui=struct.pack("<Q", n + 1),
+        app_key=bytes(16),
+        dev_addr=struct.pack("<I", n + 1),
+        nwk_s_key=bytes(16),
+        dev_nonce=bytes(2),
+        app_nonce=bytes(3),
+    )
+
+
+def _chain(n_blocks: int) -> Ledger:
+    ledger = Ledger(KIND_NETWORK)
+    rng = random.Random(1)
+    for z in range(n_blocks):
+        txs = [
+            make_network_tx(KEYPAIR, _context(z * TXS_PER_BLOCK + i), z, rng)
+            for i in range(TXS_PER_BLOCK)
+        ]
+        ledger.append_block(assemble_block(txs, z, z, ledger.tip), DIRECTORY)
+    return ledger
+
+
+CHAIN = _chain(8)
+GENESIS, NEXT = CHAIN.blocks[0], CHAIN.blocks[1]
+DUMP = dump_chain(CHAIN, DIRECTORY)
+LEAVES = [hash_bytes(bytes([n])) for n in range(200)]  # a full default batch
+
+
+def _reference_root(row: list[bytes]) -> bytes:
+    while len(row) > 1:
+        row = [
+            hash_bytes(row[i] + row[i + 1]) if i + 1 < len(row) else row[i]
+            for i in range(0, len(row), 2)
+        ]
+    return row[0]
+
+
+def test_build_merkle(benchmark):
+    assert benchmark(build_merkle, LEAVES) == _reference_root(LEAVES)
+
+
+def test_assemble_block(benchmark):
+    block = benchmark(assemble_block, list(NEXT.txs), 1, NEXT.tau_ms, GENESIS)
+    assert block == NEXT
+    assert block.prev_hash == block_hash(GENESIS)
+
+
+def test_validate_block_warm(benchmark):
+    # every signature of NEXT is already in the directory's memo
+    assert benchmark(validate_block, NEXT, GENESIS, DIRECTORY, KIND_NETWORK)
+
+
+def _fresh_ledger():
+    return (Ledger(KIND_NETWORK),), {}
+
+
+def test_append_block(benchmark):
+    def append(ledger):
+        ledger.append_block(GENESIS, DIRECTORY)
+        return ledger
+
+    ledger = benchmark.pedantic(append, setup=_fresh_ledger, rounds=200)
+    assert ledger.blocks == [GENESIS]
+    assert len(ledger.world_state) == TXS_PER_BLOCK
+
+
+def test_dump_chain(benchmark):
+    data = benchmark(dump_chain, CHAIN, DIRECTORY)
+    assert data.startswith(DUMP_MAGIC)
+    assert hash_bytes(data[:-32]) == data[-32:]
+    assert data == DUMP
+
+
+def test_load_chain(benchmark):
+    # a fresh key directory per load: every signature is verified again
+    ledger, directory = benchmark(load_chain, DUMP)
+    assert [block_hash(b) for b in ledger.blocks] == [block_hash(b) for b in CHAIN.blocks]
+    assert ledger.world_state == CHAIN.world_state
+    assert directory.items() == DIRECTORY.items()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto import KeyDirectory, sign, verify
+from .crypto import KeyDirectory, sign
 
 COMMITTED = "committed"
 PENDING = "pending"
@@ -150,9 +150,7 @@ class VoteRound:
         """Record one vote; re-votes are ignored, bad votes are rejected."""
         if voter not in self.voters:
             raise VoteRejectedError("voter %r is not in this round" % voter)
-        if not verify(
-            self._directory.public_key(voter), vote_message(self.block_hash, verdict), signature
-        ):
+        if not self._directory.verify(voter, vote_message(self.block_hash, verdict), signature):
             raise VoteRejectedError("vote signature from %r failed verification" % voter)
         if voter in self._verdicts or voter in self._unreachable:
             return

@@ -24,7 +24,6 @@ from .crypto import (
     KeyDirectory,
     ROLE_SERVER,
     SIGNATURE_LEN,
-    UnknownEntityError,
     envelope_aad,
     hash_bytes,
     pk_encrypt,
@@ -326,19 +325,35 @@ def assemble_block(
     )
 
 
-def validate_block(
-    block: Block,
-    prev_block: Block | None,
-    key_directory: KeyDirectory,
-    server_requesters_only: bool = False,
-) -> bool:
-    """Full verdict over one block in its chain position.
+def context_metadata(payload: bytes) -> tuple[bytes, bytes] | None:
+    """(device address, device EUI) from a context envelope's clear metadata.
 
-    Checks: index increments from the predecessor (0 at genesis), prev_hash
-    matches the serialized predecessor (all-zero at genesis), the Merkle root
-    recomputes from the tx signatures, and every tx signature verifies.
-    Raises UnknownEntityError when a requester has no registered key.
+    None when the envelope is truncated or its metadata is not addr(4) | eui(8).
     """
+    try:
+        aad = envelope_aad(payload)
+    except DecryptionError:
+        return None
+    if len(aad) != DEV_ADDR_LEN + DEV_EUI_LEN:
+        return None
+    return aad[:DEV_ADDR_LEN], aad[DEV_ADDR_LEN:]
+
+
+def validate_block(
+    block: Block, prev_block: Block | None, key_directory: KeyDirectory, kind: str
+) -> bool:
+    """Full verdict over one block in its chain position on a ledger of ``kind``.
+
+    This is the one acceptance rule: a replica appends, a voter votes valid
+    and a chain dump loads exactly when it holds.  It checks that the index
+    increments from the predecessor (0 at genesis), prev_hash matches the
+    serialized predecessor (all-zero at genesis), the Merkle root recomputes
+    from the tx signatures, and for every tx: the requester is registered,
+    only servers write the application chain, network-chain context metadata
+    is addr(4) | eui(8), and the signature verifies.
+    """
+    if kind not in _KIND_CODES:
+        raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
     if prev_block is None:
         if block.zeta != 0 or block.prev_hash != GENESIS_PREV_HASH:
             return False
@@ -350,7 +365,11 @@ def validate_block(
     if block.merkle_root != build_merkle([tx.signature for tx in block.txs]):
         return False
     for tx in block.txs:
-        if server_requesters_only and key_directory.role(tx.requester) != ROLE_SERVER:
+        if tx.requester not in key_directory:
+            return False
+        if kind == KIND_APPLICATION and key_directory.role(tx.requester) != ROLE_SERVER:
+            return False
+        if kind == KIND_NETWORK and context_metadata(tx.payload) is None:
             return False
         if not key_directory.verify(tx.requester, tx.signed_span(), tx.signature):
             return False
@@ -378,6 +397,17 @@ class Ledger:
         self.world_state: dict[bytes, WorldEntry] = {}
         self._eui_index: dict[bytes, bytes] = {}
 
+    @classmethod
+    def replay(cls, kind: str, blocks: list[Block], key_directory: KeyDirectory) -> "Ledger":
+        """A fresh replica holding ``blocks``; raises ChainIntegrityError on a rejection."""
+        ledger = cls(kind)
+        try:
+            for block in blocks:
+                ledger.append_block(block, key_directory)
+        except InvalidBlockError as exc:
+            raise ChainIntegrityError("chain failed validation: %s" % exc) from exc
+        return ledger
+
     @property
     def height(self) -> int:
         return len(self.blocks)
@@ -387,50 +417,20 @@ class Ledger:
         return self.blocks[-1] if self.blocks else None
 
     def append_block(self, block: Block, key_directory: KeyDirectory) -> None:
-        """Validate against the current tip and append; rejection changes nothing."""
-        try:
-            ok = validate_block(
-                block,
-                self.tip,
-                key_directory,
-                server_requesters_only=self.kind == KIND_APPLICATION,
-            )
-        except UnknownEntityError as exc:
-            raise InvalidBlockError("block %d has an unregistered requester" % block.zeta) from exc
-        if not ok:
-            raise InvalidBlockError(
-                "block %d rejected at height %d" % (block.zeta, self.height)
-            )
-        # every context's metadata is read before anything changes
-        contexts = self._contexts(block)
+        """Validate against the current tip, append and index; rejection changes nothing."""
+        if not validate_block(block, self.tip, key_directory, self.kind):
+            raise InvalidBlockError("block %d rejected at height %d" % (block.zeta, self.height))
         self.blocks.append(block)
-        self._apply(contexts)
-
-    def _contexts(self, block: Block) -> list[tuple[bytes, bytes, WorldEntry]]:
-        """(device address, device EUI, entry) per tx; raises InvalidBlockError."""
-        if self.kind != KIND_NETWORK:
-            return []
-        contexts = []
-        for tx in block.txs:
-            try:
-                aad = envelope_aad(tx.payload)
-            except DecryptionError as exc:
-                raise InvalidBlockError("context envelope is truncated") from exc
-            if len(aad) != DEV_ADDR_LEN + DEV_EUI_LEN:
-                raise InvalidBlockError("context metadata must be addr(4) | eui(8)")
-            entry = WorldEntry(
-                requester=tx.requester,
-                envelope=tx.payload,
-                timestamp_ms=tx.timestamp_ms,
-                zeta=block.zeta,
-            )
-            contexts.append((aad[:DEV_ADDR_LEN], aad[DEV_ADDR_LEN:], entry))
-        return contexts
-
-    def _apply(self, contexts: list[tuple[bytes, bytes, WorldEntry]]) -> None:
-        for dev_addr, dev_eui, entry in contexts:
-            self.world_state[dev_addr] = entry
-            self._eui_index[dev_eui] = dev_addr
+        if self.kind == KIND_NETWORK:
+            for tx in block.txs:
+                dev_addr, dev_eui = context_metadata(tx.payload)
+                self.world_state[dev_addr] = WorldEntry(
+                    requester=tx.requester,
+                    envelope=tx.payload,
+                    timestamp_ms=tx.timestamp_ms,
+                    zeta=block.zeta,
+                )
+                self._eui_index[dev_eui] = dev_addr
 
     def query_context(self, dev_addr: bytes) -> WorldEntry | None:
         """Latest committed entry for a device address; None signals unknown."""
@@ -440,48 +440,22 @@ class Ledger:
         return self._eui_index.get(dev_eui)
 
     def validate_chain(self, key_directory: KeyDirectory) -> bool:
-        prev = None
-        for block in self.blocks:
-            try:
-                ok = validate_block(
-                    block,
-                    prev,
-                    key_directory,
-                    server_requesters_only=self.kind == KIND_APPLICATION,
-                )
-            except UnknownEntityError:
-                return False
-            if not ok:
-                return False
-            prev = block
-        return True
-
-    def rebuild_world_state(self) -> None:
-        """Replay the chain from genesis; the result must match incremental upkeep."""
-        self._adopt(self.blocks)
-
-    def _adopt(self, blocks: list[Block]) -> None:
-        """Make a validated chain this replica's; malformed metadata changes nothing."""
-        try:
-            contexts = [context for block in blocks for context in self._contexts(block)]
-        except InvalidBlockError as exc:
-            raise ChainIntegrityError("chain holds malformed context metadata") from exc
-        self.blocks = list(blocks)
-        self.world_state = {}
-        self._eui_index = {}
-        self._apply(contexts)
+        return all(
+            validate_block(block, prev, key_directory, self.kind)
+            for prev, block in zip([None, *self.blocks], self.blocks)
+        )
 
     def sync_from(self, peer: "Ledger", key_directory: KeyDirectory) -> None:
         """Replace this replica's state with a validated copy of a peer's chain.
 
-        Raises ChainIntegrityError, leaving this replica untouched, when the
-        peer chain fails validation or holds malformed context metadata.
+        Raises ChainIntegrityError, leaving this replica untouched, when any
+        peer block fails validation.
         """
         if peer.kind != self.kind:
             raise ValueError("cannot sync across ledger kinds")
-        if not peer.validate_chain(key_directory):
-            raise ChainIntegrityError("peer chain failed validation")
-        self._adopt(peer.blocks)
+        copy = Ledger.replay(self.kind, peer.blocks, key_directory)
+        self.blocks, self.world_state = copy.blocks, copy.world_state
+        self._eui_index = copy._eui_index
 
 
 def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
@@ -556,7 +530,6 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
                 raise ChainIntegrityError("key table holds a malformed public key") from exc
         (block_count,) = struct.unpack_from("<I", body, offset)
         offset += 4
-        ledger = Ledger(_KIND_NAMES[kind_code])
         blocks = []
         for _ in range(block_count):
             (block_len,) = struct.unpack_from("<I", body, offset)
@@ -570,8 +543,4 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
             raise ChainIntegrityError("trailing bytes after blocks")
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise ChainIntegrityError("malformed dump encoding") from exc
-    ledger.blocks = blocks
-    if not ledger.validate_chain(directory):
-        raise ChainIntegrityError("chain failed validation")
-    ledger.rebuild_world_state()
-    return ledger, directory
+    return Ledger.replay(_KIND_NAMES[kind_code], blocks, directory), directory

@@ -48,9 +48,7 @@ from .crypto import (
     DecryptionError,
     KeyDirectory,
     KeyPair,
-    UnknownEntityError,
     derive_session_keys,
-    envelope_aad,
     pk_decrypt,
 )
 from .frames import (
@@ -82,6 +80,7 @@ from .ledger import (
     Transaction,
     assemble_block,
     block_hash,
+    context_metadata,
     make_app_tx,
     make_network_tx,
     validate_block,
@@ -388,23 +387,11 @@ class LedgerNode:
         voters = tuple(self.consensus.maintainers[channel])
         vote_round = VoteRound(digest, voters, self.consensus.p, self.directory)
         self._rounds[(channel, digest)] = vote_round
-        verdict = self._validate_proposal(channel, block)
+        verdict = validate_block(block, ledger.tip, self.directory, channel)
         vote_round.collect_vote(self.entity_id, verdict, make_vote(self.keypair, digest, verdict))
         for peer in self._maintainer_peers(channel):
             self._send(peer, BlockProposal(channel=channel, proposer=self.entity_id, block=block))
         self._settle_round(channel, digest)
-
-    def _validate_proposal(self, channel: str, block: Block) -> bool:
-        ledger = self.ledgers[channel]
-        try:
-            return validate_block(
-                block,
-                ledger.tip,
-                self.directory,
-                server_requesters_only=channel == KIND_APPLICATION,
-            )
-        except UnknownEntityError:
-            return False
 
     def _commit_block(self, channel: str, block: Block) -> None:
         ledger = self.ledgers[channel]
@@ -418,10 +405,14 @@ class LedgerNode:
         except InvalidBlockError:
             self.invalid_blocks += 1
             return
+        # a failed round's proposal for this height can never commit now
+        for key, proposal in list(self._proposals.items()):
+            if key[0] == channel and proposal.zeta < ledger.height:
+                del self._proposals[key]
         if channel == KIND_NETWORK:
             for tx in block.txs:
                 if tx.requester == self.entity_id:
-                    self.pending_contexts.pop(envelope_aad(tx.payload)[:4], None)
+                    self.pending_contexts.pop(context_metadata(tx.payload)[0], None)
         held = self._reorder.get(channel)
         if held:
             successor = held.pop(ledger.height, None)
@@ -454,7 +445,8 @@ class LedgerNode:
     def _on_proposal(self, msg: BlockProposal) -> None:
         digest = block_hash(msg.block)
         self._proposals[(msg.channel, digest)] = msg.block
-        verdict = self._validate_proposal(msg.channel, msg.block)
+        ledger = self.ledgers[msg.channel]
+        verdict = validate_block(msg.block, ledger.tip, self.directory, msg.channel)
         self._send(
             msg.proposer,
             VoteMessage(

@@ -9,7 +9,6 @@ from loraledger.crypto import (
     KeyDirectory,
     ROLE_GATEWAY,
     ROLE_SERVER,
-    UnknownEntityError,
     envelope_aad,
     generate_keypair,
     hash_bytes,
@@ -148,27 +147,29 @@ def test_chain_linkage_and_validation(directory):
     b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
     b1 = assemble_block([network_tx("gw0", 1), network_tx("gw1", 2)], 1, 20, b0)
     assert b1.prev_hash == block_hash(b0)
-    assert validate_block(b0, None, directory)
-    assert validate_block(b1, b0, directory)
+    assert validate_block(b0, None, directory, KIND_NETWORK)
+    assert validate_block(b1, b0, directory, KIND_NETWORK)
+    with pytest.raises(ValueError):
+        validate_block(b0, None, directory, "app")  # not a ledger kind
 
 
 def test_validate_rejects_bad_height(directory):
     b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
     wrong = Block(2, b0.tau_ms, b0.merkle_root, b0.prev_hash, b0.txs)
-    assert not validate_block(wrong, None, directory)
+    assert not validate_block(wrong, None, directory, KIND_NETWORK)
 
 
 def test_validate_rejects_bad_prev_hash(directory):
     b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
     b1 = assemble_block([network_tx("gw0", 1)], 1, 20, b0)
     forged = Block(1, b1.tau_ms, b1.merkle_root, bytes(32), b1.txs)
-    assert not validate_block(forged, b0, directory)
+    assert not validate_block(forged, b0, directory, KIND_NETWORK)
 
 
 def test_validate_rejects_bad_merkle_root(directory):
     b0 = assemble_block([network_tx("gw0", 0), network_tx("gw0", 1)], 0, 10, None)
     forged = Block(0, b0.tau_ms, bytes(32), b0.prev_hash, b0.txs)
-    assert not validate_block(forged, None, directory)
+    assert not validate_block(forged, None, directory, KIND_NETWORK)
 
 
 def test_validate_rejects_tampered_tx(directory):
@@ -176,15 +177,15 @@ def test_validate_rejects_tampered_tx(directory):
     evil = Transaction(tx.requester, tx.signature, tx.timestamp_ms + 1, tx.payload)
     good = assemble_block([tx], 0, 10, None)
     forged = Block(0, good.tau_ms, good.merkle_root, good.prev_hash, (evil,))
-    assert not validate_block(forged, None, directory)
+    assert not validate_block(forged, None, directory, KIND_NETWORK)
 
 
-def test_validate_unknown_requester_raises(directory):
+@pytest.mark.parametrize("kind", [KIND_NETWORK, KIND_APPLICATION])
+def test_validate_rejects_unknown_requester(directory, kind):
     ghost = generate_keypair("ghost", 1)
     tx = make_network_tx(ghost, make_context(0), 1, random.Random(0))
     block = assemble_block([tx], 0, 10, None)
-    with pytest.raises(UnknownEntityError):
-        validate_block(block, None, directory)
+    assert not validate_block(block, None, directory, kind)
 
 
 def test_app_chain_rejects_gateway_requesters(directory):
@@ -193,9 +194,10 @@ def test_app_chain_rejects_gateway_requesters(directory):
     srv_tx = make_app_tx(keypair("srv0"), b"data", 1)
     gw_block = assemble_block([gw_tx], 0, 10, None)
     srv_block = assemble_block([srv_tx], 0, 10, None)
-    assert not validate_block(gw_block, None, directory, server_requesters_only=True)
-    assert validate_block(srv_block, None, directory, server_requesters_only=True)
-    assert validate_block(gw_block, None, directory)  # fine on the network chain
+    assert not validate_block(gw_block, None, directory, KIND_APPLICATION)
+    assert validate_block(srv_block, None, directory, KIND_APPLICATION)
+    gw_context = assemble_block([network_tx("gw0", 0)], 0, 10, None)
+    assert validate_block(gw_context, None, directory, KIND_NETWORK)
 
 
 def test_empty_block_forbidden():
@@ -276,7 +278,8 @@ def test_malformed_context_metadata_rejects_block_whole(directory, payload, tmp_
     state = dict(ledger.world_state)
     # a good context ahead of the bad one would show if the block were half applied
     bad = assemble_block([network_tx("gw0", 1), _signed_network_tx("gw0", payload)], 1, 20, b0)
-    assert validate_block(bad, b0, directory)  # signatures and links are fine
+    # signatures and links are fine, the metadata is not
+    assert not validate_block(bad, b0, directory, KIND_NETWORK)
     with pytest.raises(InvalidBlockError):
         ledger.append_block(bad, directory)
     assert ledger.height == 1
@@ -300,9 +303,13 @@ def test_validate_chain_and_rebuild(directory):
         ledger.append_block(block, directory)
         prev = block
     assert ledger.validate_chain(directory)
-    state_before = dict(ledger.world_state)
-    ledger.rebuild_world_state()
-    assert ledger.world_state == state_before
+    # replaying the chain from genesis rebuilds what incremental upkeep built
+    synced = Ledger(KIND_NETWORK)
+    synced.sync_from(ledger, directory)
+    loaded, _ = load_chain(dump_chain(ledger, directory))
+    for replica in (synced, loaded):
+        assert replica.world_state == ledger.world_state
+        assert replica._eui_index == ledger._eui_index
 
 
 def test_sync_from(directory):
@@ -328,7 +335,8 @@ def test_failed_sync_leaves_replica_untouched(directory):
     index = dict(replica._eui_index)
     peer = Ledger(KIND_NETWORK)
     peer.blocks = [assemble_block([_signed_network_tx("gw1", b"\x01" * 8)], 0, 5, None)]
-    assert peer.validate_chain(directory)  # signatures and links are fine
+    # signatures and links are fine, the metadata is not
+    assert not peer.validate_chain(directory)
     with pytest.raises(ChainIntegrityError):
         replica.sync_from(peer, directory)
     assert replica.blocks == blocks

@@ -1,10 +1,11 @@
 """End-to-end node behavior: joins, uplinks, filtering, downlinks, handover."""
 
+import random
 import struct
 
 import pytest
 
-from loraledger.crypto import derive_session_keys, generate_keypair
+from loraledger.crypto import derive_session_keys, generate_keypair, pk_encrypt, sign
 from loraledger.frames import (
     DIR_DOWN,
     DIR_UP,
@@ -17,12 +18,16 @@ from loraledger.harness import bootstrap_sessions, build_world
 from loraledger.ledger import (
     KIND_APPLICATION,
     KIND_NETWORK,
+    InvalidBlockError,
     SessionContext,
+    Transaction,
     assemble_block,
     make_app_tx,
+    make_network_tx,
 )
 from loraledger.nodes import (
     BlockAnnounce,
+    BlockProposal,
     CommitNotice,
     DownlinkData,
     DownlinkFrameForward,
@@ -603,6 +608,63 @@ def test_pbft_join_commits_across_edge_replicas():
     assert world.devices[0].state == "joined"
     heights = [n.ledgers[KIND_NETWORK].height for n in world.gateways + world.servers]
     assert heights == [1, 1, 1, 1]
+
+
+def _context_tx(keypair, payload: bytes, t_ms: int = 1) -> Transaction:
+    signature = sign(keypair.private_key, struct.pack("<Q", t_ms) + payload)
+    return Transaction(keypair.entity_id, signature, t_ms, payload)
+
+
+@pytest.mark.parametrize(
+    "metadata", [b"\x00" * 5, None], ids=["aad-not-12-bytes", "short-envelope"]
+)
+def test_pbft_voter_rejects_proposal_no_replica_can_append(metadata):
+    """A voter votes on the rule commit applies: bad context metadata is invalid."""
+    world = build_world(make_config(experiment=1, consensus_mode="pbft", consensus_p=0))
+    proposer = world.consensus.orderer_hosts[KIND_NETWORK]
+    voter = next(n for n in world.gateways + world.servers if n.entity_id != proposer)
+    gw = world.gateways[0]
+    context = SessionContext(
+        dev_eui=b"\x01" * 8,
+        app_key=b"\x02" * 16,
+        dev_addr=b"\x00\x01\x00\x00",
+        nwk_s_key=b"\x03" * 16,
+        dev_nonce=b"\x00\x01",
+        app_nonce=b"\x00\x00\x01",
+    )
+    if metadata is None:
+        payload = b"\x01" * 8  # shorter than the envelope header
+    else:
+        payload = pk_encrypt(gw.keypair.public_key, context.to_bytes(), random.Random(0), metadata)
+    good = make_network_tx(gw.keypair, context, 1, random.Random(0))
+    votes = []
+    voter._send = lambda peer, msg: votes.append(msg)
+    for tx in (good, _context_tx(gw.keypair, payload)):
+        block = assemble_block([tx], 0, 1, None)
+        voter.handle(BlockProposal(channel=KIND_NETWORK, proposer=proposer, block=block))
+    assert [vote.verdict for vote in votes] == [True, False]
+    with pytest.raises(InvalidBlockError):
+        voter.ledgers[KIND_NETWORK].append_block(block, world.key_directory)
+
+
+def test_failed_round_proposal_evicted_after_commit():
+    """A voter drops a failed round's proposal once a block commits at its height."""
+    world = build_world(
+        make_config(mode="traditional", n_servers=4, consensus_mode="pbft", consensus_p=1)
+    )
+    bootstrap_sessions(world)
+    host = world.servers[0]
+    assert world.consensus.orderer_hosts[KIND_APPLICATION] == host.entity_id
+    # only servers write the application chain, so every voter rejects this block
+    host.submit_tx(KIND_APPLICATION, make_app_tx(world.gateways[0].keypair, b"payload", 1))
+    run_for(world, 4.0)
+    assert host.failed_rounds == 1
+    assert all(len(srv._proposals) == 1 for srv in world.servers[1:])
+    world.devices[0].send_uplink()
+    run_for(world, 6.0)
+    for srv in world.servers:
+        assert srv.ledgers[KIND_APPLICATION].height == 1
+        assert srv._proposals == {}
 
 
 def test_pbft_quorum_must_fit_smallest_voter_set():
