@@ -72,41 +72,6 @@ class KeyPair:
         if len(self.public_key) != KEY_LEN or len(self.private_key) != KEY_LEN:
             raise BadKeyError("key halves must each be %d bytes" % KEY_LEN)
 
-    def to_bytes(self) -> bytes:
-        ident = self.entity_id.encode("utf-8")
-        return b"".join(
-            [
-                struct.pack("<H", len(ident)),
-                ident,
-                struct.pack("<H", len(self.public_key)),
-                self.public_key,
-                struct.pack("<H", len(self.private_key)),
-                self.private_key,
-            ]
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "KeyPair":
-        try:
-            offset = 0
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            ident = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            (pub_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            public = data[offset : offset + pub_len]
-            offset += pub_len
-            (priv_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            private = data[offset : offset + priv_len]
-            offset += priv_len
-            if offset != len(data) or len(public) != pub_len or len(private) != priv_len:
-                raise BadKeyError("truncated or oversized key pair encoding")
-        except struct.error as exc:
-            raise BadKeyError("truncated key pair encoding") from exc
-        return cls(entity_id=ident, public_key=public, private_key=private)
-
 
 def hash_bytes(data: bytes) -> bytes:
     """32-byte digest used for Merkle nodes, block links, and vote subjects."""

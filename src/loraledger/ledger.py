@@ -346,11 +346,8 @@ def validate_block(
 
     This is the one acceptance rule: a replica appends, a voter votes valid
     and a chain dump loads exactly when it holds.  It checks that the index
-    increments from the predecessor (0 at genesis), prev_hash matches the
-    serialized predecessor (all-zero at genesis), the Merkle root recomputes
-    from the tx signatures, and for every tx: the requester is registered,
-    only servers write the application chain, network-chain context metadata
-    is addr(4) | eui(8), and the signature verifies.
+    increments from the predecessor (0 at genesis) and prev_hash matches the
+    serialized predecessor (all-zero at genesis), then ``validate_body``.
     """
     if kind not in _KIND_CODES:
         raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
@@ -362,6 +359,19 @@ def validate_block(
             return False
         if block.prev_hash != block_hash(prev_block):
             return False
+    return validate_body(block, key_directory, kind)
+
+
+def validate_body(block: Block, key_directory: KeyDirectory, kind: str) -> bool:
+    """The part of ``validate_block`` that does not depend on the chain position.
+
+    The Merkle root recomputes from the tx signatures, and for every tx: the
+    requester is registered, only servers write the application chain,
+    network-chain context metadata is addr(4) | eui(8), and the signature
+    verifies.  A block failing it can never be appended at any height.
+    """
+    if kind not in _KIND_CODES:
+        raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
     if block.merkle_root != build_merkle([tx.signature for tx in block.txs]):
         return False
     for tx in block.txs:
@@ -395,7 +405,6 @@ class Ledger:
         self.kind = kind
         self.blocks: list[Block] = []
         self.world_state: dict[bytes, WorldEntry] = {}
-        self._eui_index: dict[bytes, bytes] = {}
 
     @classmethod
     def replay(cls, kind: str, blocks: list[Block], key_directory: KeyDirectory) -> "Ledger":
@@ -423,21 +432,17 @@ class Ledger:
         self.blocks.append(block)
         if self.kind == KIND_NETWORK:
             for tx in block.txs:
-                dev_addr, dev_eui = context_metadata(tx.payload)
+                dev_addr, _ = context_metadata(tx.payload)
                 self.world_state[dev_addr] = WorldEntry(
                     requester=tx.requester,
                     envelope=tx.payload,
                     timestamp_ms=tx.timestamp_ms,
                     zeta=block.zeta,
                 )
-                self._eui_index[dev_eui] = dev_addr
 
     def query_context(self, dev_addr: bytes) -> WorldEntry | None:
         """Latest committed entry for a device address; None signals unknown."""
         return self.world_state.get(dev_addr)
-
-    def addr_for_eui(self, dev_eui: bytes) -> bytes | None:
-        return self._eui_index.get(dev_eui)
 
     def validate_chain(self, key_directory: KeyDirectory) -> bool:
         return all(
@@ -455,7 +460,6 @@ class Ledger:
             raise ValueError("cannot sync across ledger kinds")
         copy = Ledger.replay(self.kind, peer.blocks, key_directory)
         self.blocks, self.world_state = copy.blocks, copy.world_state
-        self._eui_index = copy._eui_index
 
 
 def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:

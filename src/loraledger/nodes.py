@@ -84,6 +84,7 @@ from .ledger import (
     make_app_tx,
     make_network_tx,
     validate_block,
+    validate_body,
 )
 from .simnet import Engine, Link, US_PER_MS
 
@@ -270,6 +271,16 @@ class JoinState:
         self._counters[prefix] = max(self._counters.get(prefix, 0), count)
 
 
+@dataclass
+class NcSession:
+    """What the network controller tracks for one device address."""
+
+    context: SessionContext
+    device_id: str | None  # radio route for ACKs and downlinks; None if out of coverage
+    last_fcnt_up: int = -1
+    next_fcnt_down: int = 0  # counts the NC's ACKs only; see docs/wire.md
+
+
 class LedgerNode:
     """A gateway or server: ledger replicas and consensus, plus the JS and NC.
 
@@ -305,21 +316,19 @@ class LedgerNode:
         self.invalid_blocks = 0
         self.failed_rounds = 0
         self.rejected_votes = 0
+        # voter side: proposals received, keyed by (channel, block hash)
         self._proposals: dict[tuple[str, bytes], Block] = {}
-        self._rounds: dict[tuple[str, bytes], VoteRound] = {}
+        # proposer side: the one open round per channel, with its block
+        self._rounds: dict[str, tuple[VoteRound, Block]] = {}
         # backhaul messages are not FIFO, so tolerate reordered deliveries
         self._reorder: dict[str, dict[int, Block]] = {}
         self._commit_wanted: set[tuple[str, bytes]] = set()
-        self._round_open: dict[str, bytes] = {}
         self._batch_queue: dict[str, list] = {}
         # join server and network controller state
         self.js = JoinState()
-        self.context_cache: dict[bytes, SessionContext] = {}
+        self.sessions: dict[bytes, NcSession] = {}
         self.pending_contexts: dict[bytes, SessionContext] = {}
-        self.last_fcnt_up: dict[bytes, int] = {}
-        self.next_fcnt_down: dict[bytes, int] = {}
         self.held_keys: dict[str, bytes] = {}
-        self.device_of_addr: dict[bytes, str] = {}  # radio route for ACKs and downlinks
         self.coverage: dict[bytes, str] = {}  # device EUI -> device id; gateways only
         self.filtered_frames = 0
         self.acks_sent = 0
@@ -370,7 +379,7 @@ class LedgerNode:
         return [m for m in self.consensus.maintainers[channel] if m != self.entity_id]
 
     def _propose(self, channel: str, batch: list) -> None:
-        if self.consensus.mode == "pbft" and channel in self._round_open:
+        if channel in self._rounds:
             # one outstanding proposal per channel keeps block heights linear
             self._batch_queue.setdefault(channel, []).append(batch)
             return
@@ -382,21 +391,23 @@ class LedgerNode:
                 self._send(peer, BlockAnnounce(channel=channel, block=block))
             return
         digest = block_hash(block)
-        self._round_open[channel] = digest
-        self._proposals[(channel, digest)] = block
         voters = tuple(self.consensus.maintainers[channel])
         vote_round = VoteRound(digest, voters, self.consensus.p, self.directory)
-        self._rounds[(channel, digest)] = vote_round
+        self._rounds[channel] = (vote_round, block)
         verdict = validate_block(block, ledger.tip, self.directory, channel)
         vote_round.collect_vote(self.entity_id, verdict, make_vote(self.keypair, digest, verdict))
         for peer in self._maintainer_peers(channel):
             self._send(peer, BlockProposal(channel=channel, proposer=self.entity_id, block=block))
-        self._settle_round(channel, digest)
+        self._settle_round(channel)
 
     def _commit_block(self, channel: str, block: Block) -> None:
         ledger = self.ledgers[channel]
         if block.zeta > ledger.height:
-            self._reorder.setdefault(channel, {})[block.zeta] = block
+            # hold only a block that could ever be appended
+            if validate_body(block, self.directory, channel):
+                self._reorder.setdefault(channel, {})[block.zeta] = block
+            else:
+                self.invalid_blocks += 1
             return
         if block.zeta < ledger.height:
             return  # stale duplicate of something already on chain
@@ -419,28 +430,22 @@ class LedgerNode:
             if successor is not None:
                 self._commit_block(channel, successor)
 
-    def _settle_round(self, channel: str, digest: bytes) -> None:
-        vote_round = self._rounds.get((channel, digest))
-        if vote_round is None:
-            return
+    def _settle_round(self, channel: str) -> None:
+        vote_round, block = self._rounds[channel]
         state = vote_round.check()
         if state == COMMITTED:
-            block = self._proposals.pop((channel, digest))
-            del self._rounds[(channel, digest)]
+            del self._rounds[channel]
             self._commit_block(channel, block)
             for peer in self._maintainer_peers(channel):
-                self._send(peer, CommitNotice(channel=channel, block_hash=digest))
+                self._send(peer, CommitNotice(channel=channel, block_hash=vote_round.block_hash))
         elif state == FAILED:
-            self._proposals.pop((channel, digest), None)
-            del self._rounds[(channel, digest)]
+            del self._rounds[channel]
             self.failed_rounds += 1
         else:
             return
-        if self._round_open.get(channel) == digest:
-            del self._round_open[channel]
-            queued = self._batch_queue.get(channel)
-            if queued:
-                self._propose(channel, queued.pop(0))
+        queued = self._batch_queue.get(channel)
+        if queued:
+            self._propose(channel, queued.pop(0))
 
     def _on_proposal(self, msg: BlockProposal) -> None:
         digest = block_hash(msg.block)
@@ -464,13 +469,14 @@ class LedgerNode:
             self._commit_block(msg.channel, msg.block)
 
     def _on_vote(self, msg: VoteMessage) -> None:
-        vote_round = self._rounds.get((msg.channel, msg.block_hash))
-        if vote_round is not None:
-            try:
-                vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
-            except VoteRejectedError:
-                self.rejected_votes += 1
-            self._settle_round(msg.channel, msg.block_hash)
+        vote_round, _ = self._rounds.get(msg.channel, (None, None))
+        if vote_round is None or vote_round.block_hash != msg.block_hash:
+            return  # no open round for this block: it has settled
+        try:
+            vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
+        except VoteRejectedError:
+            self.rejected_votes += 1
+        self._settle_round(msg.channel)
 
     def _on_commit_notice(self, msg: CommitNotice) -> None:
         block = self._proposals.pop((msg.channel, msg.block_hash), None)
@@ -496,7 +502,7 @@ class LedgerNode:
 
     def install_session(self, context: SessionContext, device_id: str) -> None:
         """Adopt an out-of-band established session (bootstrap or provisioning)."""
-        self._bind_context(context, device_id)
+        self.sessions[context.dev_addr] = NcSession(context, device_id)
         self.js.addr_by_eui[context.dev_eui] = context.dev_addr
         self.js.nonce_fresh(context.dev_eui, context.dev_nonce)
 
@@ -504,11 +510,14 @@ class LedgerNode:
         """Out-of-band private-key copy from a failing gateway."""
         self.held_keys[entity_id] = private_key
 
-    def _bind_context(self, context: SessionContext, device_id: str) -> None:
-        self.context_cache[context.dev_addr] = context
-        self.last_fcnt_up[context.dev_addr] = -1
-        self.next_fcnt_down[context.dev_addr] = 0
-        self.device_of_addr[context.dev_addr] = device_id
+    def _publish_context(self, context: SessionContext, device_id: str) -> None:
+        """Serve a new session at once and submit its context to the network ledger."""
+        self.sessions[context.dev_addr] = NcSession(context, device_id)
+        self.js.addr_by_eui[context.dev_eui] = context.dev_addr
+        self.pending_contexts[context.dev_addr] = context
+        self.work_units += WU_TX_BUILD
+        tx = make_network_tx(self.keypair, context, self.now_ms, self.rng)
+        self.submit_tx(KIND_NETWORK, tx)
 
     def _on_frame(self, data: bytes, via: str) -> None:
         """Classify one device frame that arrived through gateway ``via``."""
@@ -550,11 +559,7 @@ class LedgerNode:
             dev_nonce=frame.dev_nonce,
             app_nonce=app_nonce,
         )
-        self._bind_context(context, device_id)
-        self.pending_contexts[dev_addr] = context
-        self.work_units += WU_TX_BUILD
-        tx = make_network_tx(self.keypair, context, self.now_ms, self.rng)
-        self.submit_tx(KIND_NETWORK, tx)
+        self._publish_context(context, device_id)
         # the accept goes out concurrently with consensus, not after it
         self.work_units += WU_PARSE + WU_MIC
         accept = build_join_accept(app_key, app_nonce, self.net_id, dev_addr)
@@ -564,10 +569,11 @@ class LedgerNode:
     def _send_join_accept(self, via: str, device_id: str, accept: bytes) -> None:
         self._downlink(via, device_id, accept)
 
-    def _lookup_context(self, dev_addr: bytes) -> SessionContext | None:
-        context = self.context_cache.get(dev_addr)
-        if context is not None:
-            return context
+    def _session(self, dev_addr: bytes) -> NcSession | None:
+        """The session for an address, adopting a committed context this node can open."""
+        session = self.sessions.get(dev_addr)
+        if session is not None:
+            return session
         entry = self.ledgers[KIND_NETWORK].query_context(dev_addr)
         if entry is None:
             return None
@@ -581,37 +587,40 @@ class LedgerNode:
             context = SessionContext.from_bytes(pk_decrypt(private_key, entry.envelope))
         except (DecryptionError, ValueError):
             return None
-        self.context_cache[dev_addr] = context
-        self.last_fcnt_up.setdefault(dev_addr, -1)
-        self.next_fcnt_down.setdefault(dev_addr, 0)
-        device_id = self.coverage.get(context.dev_eui)
-        if device_id is not None:
-            self.device_of_addr.setdefault(dev_addr, device_id)
-        return context
+        session = NcSession(context, self.coverage.get(context.dev_eui))
+        self.sessions[dev_addr] = session
+        return session
 
     def _nc_uplink(self, frame: DataFrame, via: str) -> None:
         self.work_units += WU_QUERY
-        context = self._lookup_context(frame.dev_addr)
-        if context is None:
+        session = self._session(frame.dev_addr)
+        if session is None:
             self.filtered_frames += 1
             return
         self.work_units += WU_MIC
-        if not verify_data_mic(frame, context.nwk_s_key):
+        if not verify_data_mic(frame, session.context.nwk_s_key):
             self.filtered_frames += 1
             return
-        if frame.fcnt <= self.last_fcnt_up.get(frame.dev_addr, -1):
+        if frame.fcnt <= session.last_fcnt_up:
             self.filtered_frames += 1
             return
-        self.last_fcnt_up[frame.dev_addr] = frame.fcnt
-        device_id = self.device_of_addr.get(frame.dev_addr)
-        if device_id is not None:
-            fcnt_down = self.next_fcnt_down[frame.dev_addr]
-            self.next_fcnt_down[frame.dev_addr] = fcnt_down + 1
-            self.work_units += WU_PARSE + WU_MIC
-            ack = build_data_frame(context.nwk_s_key, frame.dev_addr, fcnt_down, 0, b"", DIR_DOWN)
-            self._downlink(via, device_id, serialize_frame(ack))
+        session.last_fcnt_up = frame.fcnt
+        if session.device_id is not None:
+            self._send_data_down(via, session, session.next_fcnt_down, 0, b"")
+            session.next_fcnt_down += 1
             self.acks_sent += 1
         self._ingest(frame)
+
+    def _send_data_down(
+        self, via: str, session: NcSession, fcnt: int, fport: int, payload: bytes
+    ) -> None:
+        """Build, integrity-tag and send one downlink data frame (ACK or application)."""
+        self.work_units += WU_PARSE + WU_MIC
+        context = session.context
+        frame = build_data_frame(
+            context.nwk_s_key, context.dev_addr, fcnt, fport, payload, DIR_DOWN
+        )
+        self._downlink(via, session.device_id, serialize_frame(frame))
 
 
 class Gateway(LedgerNode):
@@ -684,19 +693,10 @@ class Gateway(LedgerNode):
 
     def _on_downlink_data(self, msg: DownlinkData) -> None:
         self.work_units += WU_QUERY
-        context = self._lookup_context(msg.dev_addr)
-        if context is None:
-            return
-        self.work_units += WU_PARSE + WU_MIC
-        frame = build_data_frame(
-            context.nwk_s_key, msg.dev_addr, msg.fcnt, 1, msg.payload, DIR_DOWN
-        )
-        self.next_fcnt_down[msg.dev_addr] = max(
-            self.next_fcnt_down.get(msg.dev_addr, 0), msg.fcnt + 1
-        )
-        device_id = self.device_of_addr.get(msg.dev_addr)
-        if device_id is not None:
-            self._transmit(device_id, serialize_frame(frame))
+        session = self._session(msg.dev_addr)
+        if session is not None:
+            # without a radio route the frame is built but goes nowhere
+            self._send_data_down(self.entity_id, session, msg.fcnt, 1, msg.payload)
 
     _HANDLERS = {
         bytes: _on_air_frame,
@@ -713,6 +713,7 @@ class NetworkServer(LedgerNode):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.gateway_by_index: dict[int, str] = {}
+        self.next_app_fcnt_down: dict[bytes, int] = {}
         self.ingested = 0
 
     def wire_gateway(self, index: int, gateway_id: str) -> None:
@@ -755,17 +756,12 @@ class NetworkServer(LedgerNode):
             or context.dev_addr in self.pending_contexts
         ):
             raise ValueError("device address %s already in use" % context.dev_addr.hex())
-        self._bind_context(context, device_id)
-        self.js.addr_by_eui[context.dev_eui] = context.dev_addr
-        self.pending_contexts[context.dev_addr] = context
-        self.work_units += WU_TX_BUILD
-        tx = make_network_tx(self.keypair, context, self.now_ms, self.rng)
-        self.submit_tx(KIND_NETWORK, tx)
+        self._publish_context(context, device_id)
 
     def reserve_fcnt_down(self, dev_addr: bytes) -> int:
-        """Hand out the next downlink counter (the payload encryptor needs it)."""
-        fcnt = self.next_fcnt_down.get(dev_addr, 0)
-        self.next_fcnt_down[dev_addr] = fcnt + 1
+        """Hand out the next application downlink counter, kept apart from the NC's ACKs."""
+        fcnt = self.next_app_fcnt_down.get(dev_addr, 0)
+        self.next_app_fcnt_down[dev_addr] = fcnt + 1
         return fcnt
 
     def downlink(self, dev_addr: bytes, encrypted_payload: bytes, fcnt: int) -> None:
@@ -787,16 +783,12 @@ class NetworkServer(LedgerNode):
                 DownlinkData(dev_addr=dev_addr, fcnt=fcnt, payload=encrypted_payload),
             )
             return
-        context = self._lookup_context(dev_addr)
-        if context is None:
+        session = self._session(dev_addr)
+        if session is None:
             raise ValueError("unknown device address %s" % dev_addr.hex())
-        device_id = self.device_of_addr.get(dev_addr)
-        if device_id is None:
+        if session.device_id is None:
             raise ValueError("no radio route for address %s" % dev_addr.hex())
-        self.next_fcnt_down[dev_addr] = max(self.next_fcnt_down.get(dev_addr, 0), fcnt + 1)
-        self.work_units += WU_PARSE + WU_MIC
-        frame = build_data_frame(context.nwk_s_key, dev_addr, fcnt, 1, encrypted_payload, DIR_DOWN)
-        self._downlink(gateway_id, device_id, serialize_frame(frame))
+        self._send_data_down(gateway_id, session, fcnt, 1, encrypted_payload)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +825,8 @@ class DeviceSession:
     nwk_s_key: bytes
     app_s_key: bytes
     fcnt_up: int = 0
-    last_fcnt_down: int = -1
+    last_fcnt_down: int = -1  # the NC's ACKs
+    last_app_fcnt_down: int = -1  # application downlinks
 
 
 class EndDevice:
@@ -1028,16 +1021,19 @@ class EndDevice:
             return
         if not verify_data_mic(frame, session.nwk_s_key):
             return
-        if frame.fcnt <= session.last_fcnt_down:
-            return
-        session.last_fcnt_down = frame.fcnt
         if len(frame.payload) == 0:
+            if frame.fcnt <= session.last_fcnt_down:
+                return
+            session.last_fcnt_down = frame.fcnt
             # an ACK settles the oldest outstanding uplink
             if self._pending_uplinks:
                 request_id, timer = self._pending_uplinks.popitem(last=False)
                 self.engine.cancel(timer)
                 self.recorder.complete(request_id, self.engine.now_us)
             return
+        if frame.fcnt <= session.last_app_fcnt_down:
+            return
+        session.last_app_fcnt_down = frame.fcnt
         plaintext = decrypt_payload(
             session.app_s_key, session.dev_addr, frame.fcnt, DIR_DOWN, frame.payload
         )

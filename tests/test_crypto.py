@@ -10,7 +10,6 @@ from loraledger.crypto import (
     DecryptionError,
     ENVELOPE_OVERHEAD,
     KeyDirectory,
-    KeyPair,
     ROLE_GATEWAY,
     ROLE_SERVER,
     UnknownEntityError,
@@ -50,12 +49,6 @@ def test_keypair_deterministic_per_seed():
     assert a.public_key == b.public_key and a.private_key == b.private_key
     assert a.public_key != c.public_key
     assert a.public_key != d.public_key
-
-
-def test_keypair_roundtrip():
-    kp = generate_keypair("srv0", 3)
-    again = KeyPair.from_bytes(kp.to_bytes())
-    assert again == kp
 
 
 def test_sign_verify():

@@ -39,6 +39,7 @@ from loraledger.ledger import (
     make_network_tx,
     transaction_from_bytes,
     validate_block,
+    validate_body,
 )
 
 
@@ -157,6 +158,7 @@ def test_validate_rejects_bad_height(directory):
     b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
     wrong = Block(2, b0.tau_ms, b0.merkle_root, b0.prev_hash, b0.txs)
     assert not validate_block(wrong, None, directory, KIND_NETWORK)
+    assert validate_body(wrong, directory, KIND_NETWORK)  # the body ignores chain position
 
 
 def test_validate_rejects_bad_prev_hash(directory):
@@ -170,6 +172,7 @@ def test_validate_rejects_bad_merkle_root(directory):
     b0 = assemble_block([network_tx("gw0", 0), network_tx("gw0", 1)], 0, 10, None)
     forged = Block(0, b0.tau_ms, bytes(32), b0.prev_hash, b0.txs)
     assert not validate_block(forged, None, directory, KIND_NETWORK)
+    assert not validate_body(forged, directory, KIND_NETWORK)
 
 
 def test_validate_rejects_tampered_tx(directory):
@@ -222,7 +225,7 @@ def test_ledger_append_and_world_state(directory):
     assert ledger.height == 1
     entry = ledger.query_context(ctx_a.dev_addr)
     assert entry is not None and entry.requester == "gw0" and entry.zeta == 0
-    assert ledger.addr_for_eui(ctx_b.dev_eui) == ctx_b.dev_addr
+    assert ledger.query_context(ctx_b.dev_addr).timestamp_ms == 2
     assert ledger.query_context(b"\xff\xff\xff\xff") is None
 
 
@@ -284,7 +287,6 @@ def test_malformed_context_metadata_rejects_block_whole(directory, payload, tmp_
         ledger.append_block(bad, directory)
     assert ledger.height == 1
     assert ledger.world_state == state
-    assert ledger.addr_for_eui(make_context(1).dev_eui) is None
 
     # in a dump, the same block makes a corrupt chain rather than a crash
     ledger.blocks.append(bad)
@@ -309,7 +311,6 @@ def test_validate_chain_and_rebuild(directory):
     loaded, _ = load_chain(dump_chain(ledger, directory))
     for replica in (synced, loaded):
         assert replica.world_state == ledger.world_state
-        assert replica._eui_index == ledger._eui_index
 
 
 def test_sync_from(directory):
@@ -332,7 +333,6 @@ def test_failed_sync_leaves_replica_untouched(directory):
     b0 = assemble_block([network_tx("gw0", 0)], 0, 10, None)
     replica.append_block(b0, directory)
     blocks, state = list(replica.blocks), dict(replica.world_state)
-    index = dict(replica._eui_index)
     peer = Ledger(KIND_NETWORK)
     peer.blocks = [assemble_block([_signed_network_tx("gw1", b"\x01" * 8)], 0, 5, None)]
     # signatures and links are fine, the metadata is not
@@ -341,7 +341,6 @@ def test_failed_sync_leaves_replica_untouched(directory):
         replica.sync_from(peer, directory)
     assert replica.blocks == blocks
     assert replica.world_state == state
-    assert replica._eui_index == index
 
 
 def _dumped_chain(directory, n_blocks=4):

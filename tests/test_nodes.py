@@ -74,7 +74,7 @@ def test_edge_join_roundtrip():
     assert addr == format_dev_addr(0, 1)
     assert gw0.joins_accepted == 1
     # the device and the join server independently derived the same network key
-    assert gw0.context_cache[addr].nwk_s_key == device.session.nwk_s_key
+    assert gw0.sessions[addr].context.nwk_s_key == device.session.nwk_s_key
     record = world.recorder.by_kind("join")[0]
     assert record.status == "completed"
     assert record.latency_us == 800_000  # two fixed 400 ms air hops
@@ -346,7 +346,7 @@ def test_ack_settles_oldest_pending_uplink():
     assert [r.status for r in records] == ["completed", "completed"]
     assert device._pending_uplinks == {}
     assert device.session.last_fcnt_down == 1
-    assert world.gateways[0].next_fcnt_down[device.session.dev_addr] == 2
+    assert world.gateways[0].sessions[device.session.dev_addr].next_fcnt_down == 2
 
 
 def test_uplink_timeout_marks_failure():
@@ -390,7 +390,7 @@ def test_edge_downlink_payload_only_to_gateway():
     assert gw0.work_units == 4  # query + frame build
     assert world.engine.links["srv0->gw0"].bytes_sent == 9 + len(ct)
 
-    # the gateway's downlink counter moved past the pushed frame, so ACKs still work
+    # ACKs have their own counter, so the pushed frame does not make the next one stale
     device.send_uplink()
     run_for(world, 1.0)
     assert world.recorder.by_kind("uplink")[0].status == "completed"
@@ -409,6 +409,28 @@ def test_traditional_downlink_full_frame():
     assert device.received_downlinks == [plaintext]
     assert srv0.work_units == 4  # query + frame build happen centrally
     assert world.engine.links["srv0->gw0"].bytes_sent == 11 + 12 + len(ct)
+
+
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+def test_downlink_after_ack_reaches_device(mode):
+    """ACKs and application downlinks are counted apart, so neither looks like a replay."""
+    world = app_world(mode=mode)
+    device = world.devices[0]
+    srv0 = world.servers[0]
+    addr = device.session.dev_addr
+    device.send_uplink()
+    run_for(world, 1.0)
+    assert device.session.last_fcnt_down == 0
+
+    fcnt = srv0.reserve_fcnt_down(addr)
+    ct = encrypt_payload(device.session.app_s_key, addr, fcnt, DIR_DOWN, b"after-ack")
+    srv0.downlink(addr, ct, fcnt)
+    run_for(world, 1.0)
+    assert device.received_downlinks == [b"after-ack"]
+
+    device.send_uplink()
+    run_for(world, 1.0)
+    assert [r.status for r in world.recorder.by_kind("uplink")] == ["completed", "completed"]
 
 
 def test_edge_downlink_unknown_address_raises():
@@ -433,10 +455,20 @@ def test_device_rejects_foreign_stale_and_tampered_downlinks():
     good = build_data_frame(session.nwk_s_key, session.dev_addr, 3, 1, ct, DIR_DOWN)
     device._on_air_frame(serialize_frame(good))
     assert device.received_downlinks == [b"fresh!"]
-    assert session.last_fcnt_down == 3
+    assert (session.last_app_fcnt_down, session.last_fcnt_down) == (3, -1)
 
-    device._on_air_frame(serialize_frame(good))  # counter replay
+    device._on_air_frame(serialize_frame(good))  # application counter replay
     assert device.received_downlinks == [b"fresh!"]
+
+    # an ACK below the application counter is still fresh; its replay is not
+    device.send_uplink()
+    device.send_uplink()
+    ack = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 0, b"", DIR_DOWN)
+    device._on_air_frame(serialize_frame(ack))
+    device._on_air_frame(serialize_frame(ack))  # ACK counter replay
+    statuses = [r.status for r in world.recorder.by_kind("uplink")]
+    assert statuses == ["completed", "inflight"]
+    assert (session.last_app_fcnt_down, session.last_fcnt_down) == (3, 0)
 
     raw = bytearray(serialize_frame(good))
     raw[5] ^= 0x01
@@ -744,3 +776,26 @@ def test_block_from_unregistered_requester_counts_as_invalid():
     srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
     assert srv1.invalid_blocks == 1
     assert ledger.height == height and ledger.tip is tip
+
+
+def test_blocks_ahead_of_the_chain_are_validated_before_held():
+    """Only a block that could ever be appended waits in the reorder buffer."""
+    world = app_world()
+    srv1 = world.servers[1]
+    rogue = generate_keypair("srv9", 1)
+    for zeta in range(1000, 1050):
+        block = assemble_block([make_app_tx(rogue, b"payload", zeta)], zeta, 1, None)
+        srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
+    assert srv1.invalid_blocks == 50
+    assert srv1._reorder.get(KIND_APPLICATION, {}) == {}
+
+    # a valid block that arrives early is still held until its predecessor commits
+    host = world.servers[0]
+    first = assemble_block([make_app_tx(host.keypair, b"first", 1)], 0, 1, None)
+    second = assemble_block([make_app_tx(host.keypair, b"second", 2)], 1, 2, first)
+    srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=second))
+    assert list(srv1._reorder[KIND_APPLICATION]) == [1]
+    srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=first))
+    assert srv1.ledgers[KIND_APPLICATION].blocks == [first, second]
+    assert srv1._reorder[KIND_APPLICATION] == {}
+    assert srv1.invalid_blocks == 50
