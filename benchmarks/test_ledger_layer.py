@@ -17,11 +17,13 @@ from loraledger.ledger import (
     Ledger,
     SessionContext,
     assemble_block,
+    block_from_bytes,
     block_hash,
     build_merkle,
     dump_chain,
     load_chain,
     make_network_tx,
+    transaction_from_bytes,
     validate_block,
 )
 
@@ -56,6 +58,7 @@ def _chain(n_blocks: int) -> Ledger:
 
 CHAIN = _chain(8)
 GENESIS, NEXT = CHAIN.blocks[0], CHAIN.blocks[1]
+NEXT_BYTES = NEXT.to_bytes()
 DUMP = dump_chain(CHAIN, DIRECTORY)
 LEAVES = [hash_bytes(bytes([n])) for n in range(200)]  # a full default batch
 
@@ -71,6 +74,23 @@ def _reference_root(row: list[bytes]) -> bytes:
 
 def test_build_merkle(benchmark):
     assert benchmark(build_merkle, LEAVES) == _reference_root(LEAVES)
+
+
+def test_tx_to_bytes(benchmark):
+    raw = benchmark(NEXT.txs[0].to_bytes)
+    head = 8 + 8 + 2 + len(NEXT.merkle_root) + 32 + 4  # block fields before the first tx
+    assert NEXT_BYTES[head : head + len(raw)] == raw
+    assert transaction_from_bytes(raw) == NEXT.txs[0]
+
+
+def test_block_to_bytes(benchmark):
+    raw = benchmark(NEXT.to_bytes)
+    assert raw == NEXT_BYTES
+    assert hash_bytes(raw) == CHAIN.blocks[2].prev_hash
+
+
+def test_block_from_bytes(benchmark):
+    assert benchmark(block_from_bytes, NEXT_BYTES) == NEXT
 
 
 def test_assemble_block(benchmark):

@@ -9,7 +9,7 @@ frames.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .crypto import aes128_decrypt_block, aes128_encrypt_block, aes128_encrypt_blocks, mac32
 
@@ -113,8 +113,17 @@ class DataFrame:
 Frame = JoinRequest | EncryptedJoinAccept | DataFrame
 
 
-def _join_request_mic_input(frame: JoinRequest) -> bytes:
-    return bytes([MHDR_JOIN_REQUEST]) + frame.app_eui + frame.dev_eui + frame.dev_nonce
+_DATA_HEAD = struct.Struct("<B4sHB")  # mhdr | dev_addr | fcnt | fport
+
+
+def _head(frame: Frame) -> bytes:
+    """Every wire byte of a join request or data frame that precedes its MIC."""
+    if isinstance(frame, DataFrame):
+        mhdr = MHDR_DATA_UP if frame.direction == DIR_UP else MHDR_DATA_DOWN
+        return _DATA_HEAD.pack(mhdr, frame.dev_addr, frame.fcnt, frame.fport) + frame.payload
+    if isinstance(frame, JoinRequest):
+        return bytes([MHDR_JOIN_REQUEST]) + frame.app_eui + frame.dev_eui + frame.dev_nonce
+    raise TypeError("not a frame: %r" % (frame,))
 
 
 def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> bytes:
@@ -122,21 +131,18 @@ def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> 
 
 
 def _data_mic_input(frame: DataFrame) -> bytes:
-    mhdr = MHDR_DATA_UP if frame.direction == DIR_UP else MHDR_DATA_DOWN
-    head = struct.pack("<B4sHB", mhdr, frame.dev_addr, frame.fcnt, frame.fport)
-    return head + frame.payload + bytes([frame.direction])
+    return _head(frame) + bytes([frame.direction])
 
 
 def build_join_request(
     app_key: bytes, app_eui: bytes, dev_eui: bytes, dev_nonce: bytes
 ) -> JoinRequest:
-    partial = JoinRequest(app_eui=app_eui, dev_eui=dev_eui, dev_nonce=dev_nonce, mic=b"\x00" * 4)
-    mic = mac32(app_key, _join_request_mic_input(partial))
-    return JoinRequest(app_eui=app_eui, dev_eui=dev_eui, dev_nonce=dev_nonce, mic=mic)
+    partial = JoinRequest(app_eui, dev_eui, dev_nonce, mic=bytes(MIC_LEN))
+    return replace(partial, mic=mac32(app_key, _head(partial)))
 
 
 def verify_join_request(frame: JoinRequest, app_key: bytes) -> bool:
-    return mac32(app_key, _join_request_mic_input(frame)) == frame.mic
+    return mac32(app_key, _head(frame)) == frame.mic
 
 
 def build_join_accept(
@@ -175,23 +181,8 @@ def build_data_frame(
     direction: int,
 ) -> DataFrame:
     """Assemble a data frame around an already-encrypted payload."""
-    partial = DataFrame(
-        dev_addr=dev_addr,
-        fcnt=fcnt,
-        fport=fport,
-        payload=payload,
-        mic=b"\x00" * 4,
-        direction=direction,
-    )
-    mic = mac32(nwk_s_key, _data_mic_input(partial))
-    return DataFrame(
-        dev_addr=dev_addr,
-        fcnt=fcnt,
-        fport=fport,
-        payload=payload,
-        mic=mic,
-        direction=direction,
-    )
+    partial = DataFrame(dev_addr, fcnt, fport, payload, bytes(MIC_LEN), direction)
+    return replace(partial, mic=mac32(nwk_s_key, _data_mic_input(partial)))
 
 
 def verify_data_mic(frame: DataFrame, nwk_s_key: bytes) -> bool:
@@ -199,15 +190,9 @@ def verify_data_mic(frame: DataFrame, nwk_s_key: bytes) -> bool:
 
 
 def serialize_frame(frame: Frame) -> bytes:
-    if isinstance(frame, JoinRequest):
-        return bytes([MHDR_JOIN_REQUEST]) + frame.app_eui + frame.dev_eui + frame.dev_nonce + frame.mic
     if isinstance(frame, EncryptedJoinAccept):
         return bytes([MHDR_JOIN_ACCEPT]) + frame.cipher
-    if isinstance(frame, DataFrame):
-        mhdr = MHDR_DATA_UP if frame.direction == DIR_UP else MHDR_DATA_DOWN
-        head = struct.pack("<B4sHB", mhdr, frame.dev_addr, frame.fcnt, frame.fport)
-        return head + frame.payload + frame.mic
-    raise TypeError("not a frame: %r" % (frame,))
+    return _head(frame) + frame.mic
 
 
 def parse_frame(data: bytes) -> Frame:
@@ -230,7 +215,7 @@ def parse_frame(data: bytes) -> Frame:
             raise MalformedFrameError("data frame shorter than %d bytes" % DATA_OVERHEAD)
         if len(data) > DATA_OVERHEAD + MAX_FRM_PAYLOAD:
             raise MalformedFrameError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
-        _, dev_addr, fcnt, fport = struct.unpack_from("<B4sHB", data, 0)
+        _, dev_addr, fcnt, fport = _DATA_HEAD.unpack_from(data)
         return DataFrame(
             dev_addr=dev_addr,
             fcnt=fcnt,

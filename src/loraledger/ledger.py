@@ -49,9 +49,16 @@ DEV_ADDR_LEN = 4
 NWK_S_KEY_LEN = 16
 DEV_NONCE_LEN = 2
 APP_NONCE_LEN = 3
-SESSION_CONTEXT_LEN = (
-    DEV_EUI_LEN + APP_KEY_LEN + DEV_ADDR_LEN + NWK_S_KEY_LEN + DEV_NONCE_LEN + APP_NONCE_LEN
-)  # 49
+# SessionContext fields in wire order, with their lengths
+_CONTEXT_LAYOUT = (
+    ("dev_eui", DEV_EUI_LEN),
+    ("app_key", APP_KEY_LEN),
+    ("dev_addr", DEV_ADDR_LEN),
+    ("nwk_s_key", NWK_S_KEY_LEN),
+    ("dev_nonce", DEV_NONCE_LEN),
+    ("app_nonce", APP_NONCE_LEN),
+)
+SESSION_CONTEXT_LEN = sum(size for _, size in _CONTEXT_LAYOUT)  # 49
 
 
 class InvalidBlockError(Exception):
@@ -60,6 +67,63 @@ class InvalidBlockError(Exception):
 
 class ChainIntegrityError(Exception):
     """A serialized chain that fails structural or cryptographic checks."""
+
+
+def _signed_span(timestamp_ms: int, payload: bytes) -> bytes:
+    """What a transaction signature covers: u64 timestamp | payload."""
+    return timestamp_ms.to_bytes(8, "little") + payload
+
+
+def _prefixed(size: int, data: bytes) -> bytes:
+    """``data`` behind its length as a ``size``-byte little-endian integer."""
+    return len(data).to_bytes(size, "little") + data
+
+
+# little-endian unsigned integers by width in bytes
+_UINTS = {size: struct.Struct("<" + code) for size, code in zip((1, 2, 4, 8), "BHIQ")}
+
+
+class _Reader:
+    """A cursor over outside bytes, read in wire order.
+
+    Every shortfall, bad UTF-8 and trailing byte raises ChainIntegrityError.
+    """
+
+    __slots__ = ("_data", "_pos")
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def take(self, n: int) -> bytes:
+        start = self._pos
+        end = self._pos = start + n
+        if end > len(self._data):
+            raise ChainIntegrityError("truncated encoding")
+        return self._data[start:end]
+
+    def uint(self, size: int) -> int:
+        return _UINTS[size].unpack(self.take(size))[0]
+
+    def prefixed(self, size: int) -> bytes:
+        # one call, no nested reads: the decoders make three per transaction
+        data, start = self._data, self._pos + size
+        if start > len(data):
+            raise ChainIntegrityError("truncated encoding")
+        end = self._pos = start + _UINTS[size].unpack_from(data, start - size)[0]
+        if end > len(data):
+            raise ChainIntegrityError("truncated encoding")
+        return data[start:end]
+
+    def text(self, size: int) -> str:
+        try:
+            return self.prefixed(size).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ChainIntegrityError("identifier is not UTF-8") from exc
+
+    def finish(self, what: str) -> None:
+        if self._pos != len(self._data):
+            raise ChainIntegrityError("trailing bytes after %s" % what)
 
 
 @dataclass(frozen=True)
@@ -74,39 +138,18 @@ class SessionContext:
     app_nonce: bytes
 
     def __post_init__(self) -> None:
-        lengths = (
-            (self.dev_eui, DEV_EUI_LEN),
-            (self.app_key, APP_KEY_LEN),
-            (self.dev_addr, DEV_ADDR_LEN),
-            (self.nwk_s_key, NWK_S_KEY_LEN),
-            (self.dev_nonce, DEV_NONCE_LEN),
-            (self.app_nonce, APP_NONCE_LEN),
-        )
-        if any(len(field) != want for field, want in lengths):
+        if any(len(getattr(self, name)) != size for name, size in _CONTEXT_LAYOUT):
             raise ValueError("session context field length mismatch")
 
     def to_bytes(self) -> bytes:
-        return (
-            self.dev_eui
-            + self.app_key
-            + self.dev_addr
-            + self.nwk_s_key
-            + self.dev_nonce
-            + self.app_nonce
-        )
+        return b"".join(getattr(self, name) for name, _ in _CONTEXT_LAYOUT)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SessionContext":
         if len(data) != SESSION_CONTEXT_LEN:
             raise ValueError("session context must be %d bytes" % SESSION_CONTEXT_LEN)
-        return cls(
-            dev_eui=data[0:8],
-            app_key=data[8:24],
-            dev_addr=data[24:28],
-            nwk_s_key=data[28:44],
-            dev_nonce=data[44:46],
-            app_nonce=data[46:49],
-        )
+        reader = _Reader(data)
+        return cls(**{name: reader.take(size) for name, size in _CONTEXT_LAYOUT})
 
 
 @dataclass(frozen=True)
@@ -127,58 +170,45 @@ class Transaction:
             raise ValueError("transaction payload must be non-empty")
 
     def signed_span(self) -> bytes:
-        return struct.pack("<Q", self.timestamp_ms) + self.payload
+        return _signed_span(self.timestamp_ms, self.payload)
 
     def to_bytes(self) -> bytes:
-        ident = self.requester.encode("utf-8")
         return b"".join(
-            [
-                struct.pack("<H", len(ident)),
-                ident,
-                struct.pack("<H", len(self.signature)),
-                self.signature,
-                struct.pack("<Q", self.timestamp_ms),
-                struct.pack("<I", len(self.payload)),
-                self.payload,
-            ]
+            (
+                _prefixed(2, self.requester.encode("utf-8")),
+                _prefixed(2, self.signature),
+                self.timestamp_ms.to_bytes(8, "little"),
+                _prefixed(4, self.payload),
+            )
         )
 
 
-def _read_tx(data: bytes, offset: int) -> tuple[Transaction, int]:
+def _read_tx(reader: _Reader) -> Transaction:
     try:
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        requester = data[offset : offset + id_len].decode("utf-8")
-        if len(data) - offset < id_len:
-            raise ChainIntegrityError("truncated requester id")
-        offset += id_len
-        (sig_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        signature = data[offset : offset + sig_len]
-        if len(signature) != sig_len:
-            raise ChainIntegrityError("truncated signature")
-        offset += sig_len
-        (timestamp_ms,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        (payload_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        payload = data[offset : offset + payload_len]
-        if len(payload) != payload_len:
-            raise ChainIntegrityError("truncated payload")
-        offset += payload_len
-        tx = Transaction(
-            requester=requester, signature=signature, timestamp_ms=timestamp_ms, payload=payload
+        return Transaction(
+            requester=reader.text(2),
+            signature=reader.prefixed(2),
+            timestamp_ms=reader.uint(8),
+            payload=reader.prefixed(4),
         )
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise ChainIntegrityError("malformed transaction encoding") from exc
-    return tx, offset
+    except ValueError as exc:
+        raise ChainIntegrityError("malformed transaction: %s" % exc) from exc
 
 
 def transaction_from_bytes(data: bytes) -> Transaction:
-    tx, offset = _read_tx(data, 0)
-    if offset != len(data):
-        raise ChainIntegrityError("trailing bytes after transaction")
+    reader = _Reader(data)
+    tx = _read_tx(reader)
+    reader.finish("transaction")
     return tx
+
+
+def _signed_tx(keypair, timestamp_ms: int, payload: bytes) -> Transaction:
+    return Transaction(
+        requester=keypair.entity_id,
+        signature=sign(keypair.private_key, _signed_span(timestamp_ms, payload)),
+        timestamp_ms=timestamp_ms,
+        payload=payload,
+    )
 
 
 def make_network_tx(
@@ -196,24 +226,12 @@ def make_network_tx(
         rng,
         aad=context.dev_addr + context.dev_eui,
     )
-    signature = sign(keypair.private_key, struct.pack("<Q", timestamp_ms) + envelope)
-    return Transaction(
-        requester=keypair.entity_id,
-        signature=signature,
-        timestamp_ms=timestamp_ms,
-        payload=envelope,
-    )
+    return _signed_tx(keypair, timestamp_ms, envelope)
 
 
 def make_app_tx(keypair, payload: bytes, timestamp_ms: int) -> Transaction:
     """Sign an application payload as-is; it stays session-key encrypted."""
-    signature = sign(keypair.private_key, struct.pack("<Q", timestamp_ms) + payload)
-    return Transaction(
-        requester=keypair.entity_id,
-        signature=signature,
-        timestamp_ms=timestamp_ms,
-        payload=payload,
-    )
+    return _signed_tx(keypair, timestamp_ms, payload)
 
 
 def build_merkle(leaves: list[bytes]) -> bytes:
@@ -256,19 +274,17 @@ class Block:
         if not self.txs:
             raise ValueError("block body must hold at least one transaction")
 
-    def header_bytes(self) -> bytes:
-        return (
-            struct.pack("<Q", self.tau_ms)
-            + struct.pack("<H", len(self.merkle_root))
-            + self.merkle_root
-            + self.prev_hash
-        )
-
-    def body_bytes(self) -> bytes:
-        return struct.pack("<I", len(self.txs)) + b"".join(tx.to_bytes() for tx in self.txs)
-
     def to_bytes(self) -> bytes:
-        return struct.pack("<Q", self.zeta) + self.header_bytes() + self.body_bytes()
+        return b"".join(
+            [
+                self.zeta.to_bytes(8, "little"),
+                self.tau_ms.to_bytes(8, "little"),
+                _prefixed(2, self.merkle_root),
+                self.prev_hash,
+                len(self.txs).to_bytes(4, "little"),
+                *[tx.to_bytes() for tx in self.txs],
+            ]
+        )
 
 
 def block_hash(block: Block) -> bytes:
@@ -277,39 +293,19 @@ def block_hash(block: Block) -> bytes:
 
 
 def block_from_bytes(data: bytes) -> Block:
+    reader = _Reader(data)
     try:
-        offset = 0
-        (zeta,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        (tau_ms,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        (root_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        merkle_root = data[offset : offset + root_len]
-        if len(merkle_root) != root_len:
-            raise ChainIntegrityError("truncated merkle root")
-        offset += root_len
-        prev_hash = data[offset : offset + 32]
-        if len(prev_hash) != 32:
-            raise ChainIntegrityError("truncated prev hash")
-        offset += 32
-        (tx_count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        txs = []
-        for _ in range(tx_count):
-            tx, offset = _read_tx(data, offset)
-            txs.append(tx)
-        if offset != len(data):
-            raise ChainIntegrityError("trailing bytes after block body")
-        return Block(
-            zeta=zeta,
-            tau_ms=tau_ms,
-            merkle_root=merkle_root,
-            prev_hash=prev_hash,
-            txs=tuple(txs),
+        block = Block(
+            zeta=reader.uint(8),
+            tau_ms=reader.uint(8),
+            merkle_root=reader.prefixed(2),
+            prev_hash=reader.take(32),
+            txs=tuple(_read_tx(reader) for _ in range(reader.uint(4))),
         )
-    except (struct.error, ValueError) as exc:
-        raise ChainIntegrityError("malformed block encoding") from exc
+    except ValueError as exc:
+        raise ChainIntegrityError("malformed block: %s" % exc) from exc
+    reader.finish("block")
+    return block
 
 
 def assemble_block(
@@ -469,82 +465,50 @@ def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
     the tip block's header timestamp) that no in-chain rule would otherwise
     commit to.  The key table makes signature verification self-contained.
     """
-    out = bytearray()
-    out += DUMP_MAGIC
-    out += struct.pack("<H", DUMP_VERSION)
-    out += struct.pack("<B", _KIND_CODES[ledger.kind])
     entries = key_directory.items()
-    out += struct.pack("<I", len(entries))
+    parts = [
+        DUMP_MAGIC,
+        DUMP_VERSION.to_bytes(2, "little"),
+        bytes([_KIND_CODES[ledger.kind]]),
+        len(entries).to_bytes(4, "little"),
+    ]
     for entity_id, public_key, role in entries:
-        ident = entity_id.encode("utf-8")
-        out += struct.pack("<H", len(ident))
-        out += ident
-        out += struct.pack("<B", _ROLE_CODES[role])
-        out += struct.pack("<H", len(public_key))
-        out += public_key
-    out += struct.pack("<I", ledger.height)
-    for block in ledger.blocks:
-        raw = block.to_bytes()
-        out += struct.pack("<I", len(raw))
-        out += raw
-    out += hash_bytes(bytes(out))
-    return bytes(out)
+        parts += (
+            _prefixed(2, entity_id.encode("utf-8")),
+            bytes([_ROLE_CODES[role]]),
+            _prefixed(2, public_key),
+        )
+    parts.append(ledger.height.to_bytes(4, "little"))
+    parts += (_prefixed(4, block.to_bytes()) for block in ledger.blocks)
+    # two joins rather than body + digest: at most two copies of the dump are alive
+    parts.append(hash_bytes(b"".join(parts)))
+    return b"".join(parts)
 
 
 def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     """Parse and fully validate a chain dump; any corruption raises."""
-    if len(data) < 4 + 2 + 1 + 4 + 4 + 32:
-        raise ChainIntegrityError("dump too short")
     body, trailer = data[:-32], data[-32:]
     if hash_bytes(body) != trailer:
         raise ChainIntegrityError("dump digest mismatch")
-    if body[:4] != DUMP_MAGIC:
+    reader = _Reader(body)
+    if reader.take(4) != DUMP_MAGIC:
         raise ChainIntegrityError("bad magic")
-    offset = 4
-    (version,) = struct.unpack_from("<H", body, offset)
-    offset += 2
+    version = reader.uint(2)
     if version != DUMP_VERSION:
         raise ChainIntegrityError("unsupported dump version %d" % version)
-    (kind_code,) = struct.unpack_from("<B", body, offset)
-    offset += 1
-    if kind_code not in _KIND_NAMES:
-        raise ChainIntegrityError("unknown ledger kind %d" % kind_code)
+    kind = _KIND_NAMES.get(reader.uint(1))
+    if kind is None:
+        raise ChainIntegrityError("unknown ledger kind")
     directory = KeyDirectory()
-    try:
-        (entry_count,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        for _ in range(entry_count):
-            (id_len,) = struct.unpack_from("<H", body, offset)
-            offset += 2
-            entity_id = body[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            (role_code,) = struct.unpack_from("<B", body, offset)
-            offset += 1
-            if role_code not in _ROLE_NAMES:
-                raise ChainIntegrityError("unknown role code %d" % role_code)
-            (pub_len,) = struct.unpack_from("<H", body, offset)
-            offset += 2
-            public_key = body[offset : offset + pub_len]
-            if len(public_key) != pub_len:
-                raise ChainIntegrityError("truncated public key")
-            offset += pub_len
-            try:
-                directory.add(entity_id, public_key, _ROLE_NAMES[role_code])
-            except CryptoError as exc:
-                raise ChainIntegrityError("key table holds a malformed public key") from exc
-        (block_count,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        blocks = []
-        for _ in range(block_count):
-            (block_len,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            raw = body[offset : offset + block_len]
-            if len(raw) != block_len:
-                raise ChainIntegrityError("truncated block")
-            offset += block_len
-            blocks.append(block_from_bytes(raw))
-        if offset != len(body):
-            raise ChainIntegrityError("trailing bytes after blocks")
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise ChainIntegrityError("malformed dump encoding") from exc
-    return Ledger.replay(_KIND_NAMES[kind_code], blocks, directory), directory
+    for _ in range(reader.uint(4)):
+        entity_id = reader.text(2)
+        role = _ROLE_NAMES.get(reader.uint(1))
+        public_key = reader.prefixed(2)
+        try:
+            # rejects a malformed key, an unknown role (None) and a repeated id
+            directory.add(entity_id, public_key, role)
+        except (CryptoError, ValueError) as exc:
+            raise ChainIntegrityError("malformed key table entry: %s" % exc) from exc
+    blocks = [block_from_bytes(reader.prefixed(4)) for _ in range(reader.uint(4))]
+    reader.finish("blocks")
+    return Ledger.replay(kind, blocks, directory), directory

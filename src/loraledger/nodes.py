@@ -448,8 +448,11 @@ class LedgerNode:
             self._propose(channel, queued.pop(0))
 
     def _on_proposal(self, msg: BlockProposal) -> None:
+        if msg.proposer not in self._maintainer_peers(msg.channel):
+            self.invalid_blocks += 1  # only another maintainer of the channel may propose
+            return
         digest = block_hash(msg.block)
-        self._proposals[(msg.channel, digest)] = msg.block
+        key = (msg.channel, digest)
         ledger = self.ledgers[msg.channel]
         verdict = validate_block(msg.block, ledger.tip, self.directory, msg.channel)
         self._send(
@@ -462,11 +465,14 @@ class LedgerNode:
                 signature=make_vote(self.keypair, digest, verdict),
             ),
         )
-        if (msg.channel, digest) in self._commit_wanted:
+        if key in self._commit_wanted:
             # the commit notice overtook this proposal on the backhaul
-            self._commit_wanted.discard((msg.channel, digest))
-            self._proposals.pop((msg.channel, digest), None)
+            self._commit_wanted.discard(key)
             self._commit_block(msg.channel, msg.block)
+        elif verdict or validate_body(msg.block, self.directory, msg.channel):
+            # hold only a block that could commit; a lagging voter may vote
+            # against one that is valid at its height and see it commit later
+            self._proposals[key] = msg.block
 
     def _on_vote(self, msg: VoteMessage) -> None:
         vote_round, _ = self._rounds.get(msg.channel, (None, None))

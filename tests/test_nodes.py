@@ -18,6 +18,7 @@ from loraledger.harness import bootstrap_sessions, build_world
 from loraledger.ledger import (
     KIND_APPLICATION,
     KIND_NETWORK,
+    Block,
     InvalidBlockError,
     SessionContext,
     Transaction,
@@ -679,24 +680,61 @@ def test_pbft_voter_rejects_proposal_no_replica_can_append(metadata):
         voter.ledgers[KIND_NETWORK].append_block(block, world.key_directory)
 
 
-def test_failed_round_proposal_evicted_after_commit():
-    """A voter drops a failed round's proposal once a block commits at its height."""
+def _pbft_servers():
     world = build_world(
         make_config(mode="traditional", n_servers=4, consensus_mode="pbft", consensus_p=1)
     )
     bootstrap_sessions(world)
+    assert world.consensus.orderer_hosts[KIND_APPLICATION] == world.servers[0].entity_id
+    return world
+
+
+def test_failed_round_proposal_evicted_after_commit():
+    """A voter drops a held proposal whose round never committed once the chain passes it."""
+    world = _pbft_servers()
     host = world.servers[0]
-    assert world.consensus.orderer_hosts[KIND_APPLICATION] == host.entity_id
-    # only servers write the application chain, so every voter rejects this block
-    host.submit_tx(KIND_APPLICATION, make_app_tx(world.gateways[0].keypair, b"payload", 1))
-    run_for(world, 4.0)
-    assert host.failed_rounds == 1
-    assert all(len(srv._proposals) == 1 for srv in world.servers[1:])
+    # body-valid, but proposed at height 1 to voters still at height 0
+    tx = make_app_tx(host.keypair, b"payload", 1)
+    early = Block(zeta=1, tau_ms=1, merkle_root=tx.signature, prev_hash=bytes(32), txs=(tx,))
+    for srv in world.servers[1:]:
+        srv.handle(BlockProposal(channel=KIND_APPLICATION, proposer=host.entity_id, block=early))
+        assert len(srv._proposals) == 1  # it could still commit on a CommitNotice
     world.devices[0].send_uplink()
     run_for(world, 6.0)
+    assert all(len(srv._proposals) == 1 for srv in world.servers[1:])
+    world.devices[1].send_uplink()
+    run_for(world, 6.0)
     for srv in world.servers:
-        assert srv.ledgers[KIND_APPLICATION].height == 1
+        assert srv.ledgers[KIND_APPLICATION].height == 2
         assert srv._proposals == {}
+
+
+def test_proposal_from_outside_the_channel_is_ignored():
+    """A proposer that is not a maintainer gets no vote, and the voter does not crash."""
+    world = _pbft_servers()
+    srv1 = world.servers[1]
+    sent = []
+    srv1._send = lambda peer, msg: sent.append((peer, msg))
+    block = assemble_block([make_app_tx(world.servers[0].keypair, b"payload", 1)], 0, 1, None)
+    for proposer in ("srv9", srv1.entity_id, world.gateways[0].entity_id):
+        srv1.handle(BlockProposal(channel=KIND_APPLICATION, proposer=proposer, block=block))
+    assert sent == []
+    assert srv1.invalid_blocks == 3
+    assert srv1._proposals == {}
+
+
+def test_voter_holds_only_proposals_that_could_commit():
+    """Proposals whose body no replica could append get a vote but are not kept."""
+    world = _pbft_servers()
+    srv1 = world.servers[1]
+    votes = []
+    srv1._send = lambda peer, msg: votes.append(msg)
+    rogue = generate_keypair("srv9", 1)
+    for zeta in range(1000, 1050):
+        block = assemble_block([make_app_tx(rogue, b"payload", zeta)], zeta, 1, None)
+        srv1.handle(BlockProposal(channel=KIND_APPLICATION, proposer="srv0", block=block))
+    assert [vote.verdict for vote in votes] == [False] * 50
+    assert srv1._proposals == {}
 
 
 def test_pbft_quorum_must_fit_smallest_voter_set():
