@@ -56,6 +56,7 @@ from .nodes import (
     DeviceProfile,
     EndDevice,
     Gateway,
+    LedgerNode,
     MODE_EDGE,
     MODE_TRADITIONAL,
     NetworkServer,
@@ -101,6 +102,19 @@ class World:
 
     def authorized_devices(self) -> list[EndDevice]:
         return [d for d in self.devices if d.authorized]
+
+    def replicas(self, channel: str) -> list[LedgerNode]:
+        """The nodes that keep ``channel``'s ledger, gateways first."""
+        return [node for node in self.gateways + self.servers if channel in node.channels]
+
+    def home(self, index: int) -> tuple[Gateway, int]:
+        """The gateway covering device ``index``, and the device's ordinal there."""
+        ordinal, k = divmod(index, self.config.n_gateways)
+        return self.gateways[k], ordinal
+
+    def join_server(self, gateway: Gateway) -> LedgerNode:
+        """Who answers joins heard by ``gateway``: itself at the edge, else the first server."""
+        return gateway if self.config.mode == MODE_EDGE else self.servers[0]
 
 
 def device_app_key(dev_eui: bytes) -> bytes:
@@ -160,46 +174,27 @@ def build_world(config: ScenarioConfig) -> World:
         maintainers={KIND_NETWORK: network_maintainers, KIND_APPLICATION: tuple(srv_ids)},
     )
 
+    common = dict(
+        mode=config.mode,
+        engine=engine,
+        key_directory=directory,
+        consensus=consensus,
+        net_id=config.net_id,
+    )
     join_delay_us = config.join_processing_delay_ms * US_PER_MS
     gateways = [
-        Gateway(
-            entity_id=gw_ids[k],
-            index=k,
-            mode=config.mode,
-            keypair=keypairs[gw_ids[k]],
-            engine=engine,
-            key_directory=directory,
-            consensus=consensus,
-            net_id=config.net_id,
-            join_processing_delay_us=join_delay_us,
-        )
-        for k in range(config.n_gateways)
+        Gateway(e, k, keypair=keypairs[e], join_processing_delay_us=join_delay_us, **common)
+        for k, e in enumerate(gw_ids)
     ]
-    servers = [
-        NetworkServer(
-            entity_id=srv_ids[k],
-            index=k,
-            mode=config.mode,
-            keypair=keypairs[srv_ids[k]],
-            engine=engine,
-            key_directory=directory,
-            consensus=consensus,
-            net_id=config.net_id,
-        )
-        for k in range(config.n_servers)
-    ]
-
-    for node in gateways + servers:
-        for channel, maintainers in consensus.maintainers.items():
-            if node.entity_id in maintainers:
-                node.attach_ledger(channel, Ledger(channel))
-        if consensus.orderer_hosts.get(KIND_NETWORK) == node.entity_id:
-            node.host_orderer(KIND_NETWORK)
-        if consensus.orderer_hosts.get(KIND_APPLICATION) == node.entity_id:
-            node.host_orderer(KIND_APPLICATION)
+    servers = [NetworkServer(e, k, keypair=keypairs[e], **common) for k, e in enumerate(srv_ids)]
+    infra = {node.entity_id: node for node in gateways + servers}
+    for channel, maintainers in consensus.maintainers.items():
+        for entity_id in maintainers:
+            infra[entity_id].attach_ledger(channel, Ledger(channel))
+    for channel, host in consensus.orderer_hosts.items():
+        infra[host].host_orderer(channel)
 
     # full backhaul mesh among infrastructure nodes
-    infra = {node.entity_id: node for node in gateways + servers}
     backhaul_lo_us = config.backhaul_latency_ms[0] * US_PER_MS
     backhaul_hi_us = config.backhaul_latency_ms[1] * US_PER_MS
     for src in infra.values():
@@ -220,19 +215,27 @@ def build_world(config: ScenarioConfig) -> World:
         for k, gw_id in enumerate(gw_ids):
             srv.wire_gateway(k, gw_id)
 
+    world = World(
+        config=config,
+        engine=engine,
+        recorder=recorder,
+        key_directory=directory,
+        consensus=consensus,
+        devices=[],
+        gateways=gateways,
+        servers=servers,
+    )
     profile = _device_profile(config)
     air_latency = LatencyModel.fixed(config.air_latency_ms * US_PER_MS)
     per_gateway = config.n_devices // config.n_gateways
     authorized_per_gateway = round(per_gateway * config.authorized_fraction)
     severed = set(config.severed_gateways)
-    devices = []
     for i in range(config.n_devices):
         device_id = "dev%04d" % i
         dev_eui = struct.pack("<Q", i + 1)
         app_eui = struct.pack("<Q", 0x1A2B3C4D)
         app_key = device_app_key(dev_eui)
-        gw = gateways[i % config.n_gateways]
-        ordinal = i // config.n_gateways
+        gw, ordinal = world.home(i)
         authorized = ordinal < authorized_per_gateway
         device = EndDevice(
             device_id=device_id,
@@ -265,23 +268,9 @@ def build_world(config: ScenarioConfig) -> World:
         device.attach_uplink(up)
         gw.add_coverage(dev_eui, device_id, down)
         if authorized:
-            if config.mode == MODE_EDGE:
-                gw.register_device(dev_eui, app_key, device_id)
-            else:
-                for srv in servers:
-                    srv.register_device(dev_eui, app_key, device_id)
-        devices.append(device)
-
-    return World(
-        config=config,
-        engine=engine,
-        recorder=recorder,
-        key_directory=directory,
-        consensus=consensus,
-        devices=devices,
-        gateways=gateways,
-        servers=servers,
-    )
+            world.join_server(gw).register_device(dev_eui, app_key, device_id)
+        world.devices.append(device)
+    return world
 
 
 def bootstrap_sessions(world: World) -> None:
@@ -295,12 +284,8 @@ def bootstrap_sessions(world: World) -> None:
     config = world.config
     per_gateway = config.n_devices // config.n_gateways
     creators: dict[str, list] = {}
-    for device in world.devices:
-        if not device.authorized:
-            continue
-        i = device.index
-        gw = world.gateways[i % config.n_gateways]
-        ordinal = i // config.n_gateways
+    for device in world.authorized_devices():
+        gw, ordinal = world.home(device.index)
         boot = world.engine.stream("bootstrap:%s" % device.device_id)
         dev_nonce = boot.randbytes(2)
         app_nonce = boot.randbytes(3)
@@ -317,18 +302,13 @@ def bootstrap_sessions(world: World) -> None:
             app_nonce=app_nonce,
         )
         device.install_session(dev_addr, nwk_s_key, app_s_key)
-        creator = gw if config.mode == MODE_EDGE else world.servers[0]
+        creator = world.join_server(gw)
         creator.install_session(context, device.device_id)
         creator.js.reserve(gw.index, per_gateway)
         tx = make_network_tx(creator.keypair, context, 0, creator.rng)
         creators.setdefault(creator.entity_id, []).append(tx)
 
-    maintainers = world.consensus.maintainers[KIND_NETWORK]
-    replicas = [
-        node.ledgers[KIND_NETWORK]
-        for node in world.gateways + world.servers
-        if node.entity_id in maintainers
-    ]
+    replicas = [node.ledgers[KIND_NETWORK] for node in world.replicas(KIND_NETWORK)]
     if not replicas:
         return
     height = 0
@@ -367,11 +347,8 @@ def committed_app_payloads(world: World) -> Counter:
 
 
 def committed_network_tx_count(world: World) -> int:
-    maintainers = world.consensus.maintainers[KIND_NETWORK]
-    node = next(
-        n for n in world.servers + world.gateways if n.entity_id in maintainers
-    )
-    return sum(len(block.txs) for block in node.ledgers[KIND_NETWORK].blocks)
+    ledger = world.replicas(KIND_NETWORK)[0].ledgers[KIND_NETWORK]
+    return sum(len(block.txs) for block in ledger.blocks)
 
 
 def _link_bytes(world: World, src_prefix: str, dst_prefix: str) -> int:
@@ -399,11 +376,7 @@ def summarize(world: World) -> dict:
     summary["events_processed"] = world.engine.events_processed
 
     joins = recorder.by_kind("join")
-    join_stats = latency_stats(joins)
-    for key in ("issued", "completed", "failed", "inflight"):
-        summary["join.%s" % key] = join_stats[key]
-    for key in ("mean_ms", "median_ms", "p95_ms", "max_ms"):
-        summary["join.%s" % key] = join_stats[key]
+    summary.update(("join." + key, value) for key, value in latency_stats(joins).items())
     completed_joins = [r for r in joins if r.status == "completed"]
     if completed_joins:
         within = sum(1 for r in completed_joins if r.latency_us <= JOIN_CEILING_MS * 1000)
@@ -412,11 +385,7 @@ def summarize(world: World) -> dict:
         summary["join.within_5s_fraction"] = None
 
     uplinks = recorder.by_kind("uplink")
-    uplink_stats = latency_stats(uplinks)
-    for key in ("issued", "completed", "failed", "inflight"):
-        summary["uplink.%s" % key] = uplink_stats[key]
-    for key in ("mean_ms", "median_ms", "p95_ms", "max_ms"):
-        summary["uplink.%s" % key] = uplink_stats[key]
+    summary.update(("uplink." + key, value) for key, value in latency_stats(uplinks).items())
     window_lo = world.warmup_us
     window_hi = world.duration_us
     steady = [
@@ -440,31 +409,17 @@ def summarize(world: World) -> dict:
         if link.link_class == LINK_CLASS_BACKHAUL
     )
 
-    gateway_work = 0
-    for gw in world.gateways:
-        summary["work.%s" % gw.entity_id] = gw.work_units
-        gateway_work += gw.work_units
-    server_work = 0
-    for srv in world.servers:
-        summary["work.%s" % srv.entity_id] = srv.work_units
-        server_work += srv.work_units
-    summary["work.gateways_total"] = gateway_work
-    summary["work.servers_total"] = server_work
+    for node in world.gateways + world.servers:
+        summary["work.%s" % node.entity_id] = node.work_units
+    summary["work.gateways_total"] = sum(gw.work_units for gw in world.gateways)
+    summary["work.servers_total"] = sum(srv.work_units for srv in world.servers)
 
     for gw in world.gateways:
         summary["filtered.%s" % gw.entity_id] = gw.filtered_frames
     summary["filtered.servers_total"] = sum(s.filtered_frames for s in world.servers)
 
-    network_heights = [
-        node.ledgers[KIND_NETWORK].height
-        for node in world.gateways + world.servers
-        if node.entity_id in world.consensus.maintainers[KIND_NETWORK]
-    ]
-    app_heights = [
-        srv.ledgers[KIND_APPLICATION].height
-        for srv in world.servers
-        if srv.entity_id in world.consensus.maintainers[KIND_APPLICATION]
-    ]
+    network_heights = [n.ledgers[KIND_NETWORK].height for n in world.replicas(KIND_NETWORK)]
+    app_heights = [n.ledgers[KIND_APPLICATION].height for n in world.replicas(KIND_APPLICATION)]
     summary["ledger.network.height"] = network_heights[0] if network_heights else 0
     summary["ledger.network.txs"] = committed_network_tx_count(world)
     summary["ledger.app.height"] = app_heights[0] if app_heights else 0

@@ -164,8 +164,8 @@ class Transaction:
     def __post_init__(self) -> None:
         if len(self.signature) != SIGNATURE_LEN:
             raise ValueError("signature must be %d bytes" % SIGNATURE_LEN)
-        if self.timestamp_ms < 0:
-            raise ValueError("timestamp must be non-negative")
+        if not 0 <= self.timestamp_ms < 2**64:
+            raise ValueError("timestamp must be within 0..2**64-1")
         if not self.payload:
             raise ValueError("transaction payload must be non-empty")
 
@@ -267,8 +267,8 @@ class Block:
     txs: tuple[Transaction, ...]
 
     def __post_init__(self) -> None:
-        if self.zeta < 0:
-            raise ValueError("block index must be non-negative")
+        if not (0 <= self.zeta < 2**64 and 0 <= self.tau_ms < 2**64):
+            raise ValueError("block index and timestamp must be within 0..2**64-1")
         if len(self.prev_hash) != 32:
             raise ValueError("prev hash must be 32 bytes")
         if not self.txs:

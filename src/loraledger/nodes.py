@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .consensus import (
     COMMITTED,
@@ -281,6 +281,23 @@ class NcSession:
     next_fcnt_down: int = 0  # counts the NC's ACKs only; see docs/wire.md
 
 
+@dataclass(eq=False)
+class Channel:
+    """One channel as a node keeps it: its ledger replica and consensus state."""
+
+    name: str
+    ledger: Ledger
+    peers: tuple[str, ...]  # the channel's other maintainers
+    orderer: SoloOrderer | None = None  # set on the channel's orderer host only
+    # proposer side: the one open round, with its block
+    round: tuple[VoteRound, Block] | None = None
+    queued: list = field(default_factory=list)  # batches cut while a round is open
+    # backhaul messages are not FIFO, so tolerate reordered deliveries
+    early: dict[int, Block] = field(default_factory=dict)  # above the chain, by height
+    proposals: dict[bytes, Block] = field(default_factory=dict)  # voter side, by block hash
+    commit_wanted: set[bytes] = field(default_factory=set)  # notices that beat their proposal
+
+
 class LedgerNode:
     """A gateway or server: ledger replicas and consensus, plus the JS and NC.
 
@@ -310,20 +327,11 @@ class LedgerNode:
         self.net_id = net_id
         self.rng = engine.stream("node:%s" % entity_id)
         self.routes: dict[str, Link] = {}
-        self.ledgers: dict[str, Ledger] = {}
-        self.orderers: dict[str, SoloOrderer] = {}
+        self.channels: dict[str, Channel] = {}
         self.work_units = 0
         self.invalid_blocks = 0
         self.failed_rounds = 0
         self.rejected_votes = 0
-        # voter side: proposals received, keyed by (channel, block hash)
-        self._proposals: dict[tuple[str, bytes], Block] = {}
-        # proposer side: the one open round per channel, with its block
-        self._rounds: dict[str, tuple[VoteRound, Block]] = {}
-        # backhaul messages are not FIFO, so tolerate reordered deliveries
-        self._reorder: dict[str, dict[int, Block]] = {}
-        self._commit_wanted: set[tuple[str, bytes]] = set()
-        self._batch_queue: dict[str, list] = {}
         # join server and network controller state
         self.js = JoinState()
         self.sessions: dict[bytes, NcSession] = {}
@@ -342,70 +350,83 @@ class LedgerNode:
     def attach_route(self, peer_id: str, link: Link) -> None:
         self.routes[peer_id] = link
 
+    @property
+    def ledgers(self) -> dict[str, Ledger]:
+        """Each kept channel's ledger replica, by channel name."""
+        return {name: channel.ledger for name, channel in self.channels.items()}
+
     def attach_ledger(self, channel: str, ledger: Ledger) -> None:
-        self.ledgers[channel] = ledger
+        peers = tuple(m for m in self.consensus.maintainers[channel] if m != self.entity_id)
+        self.channels[channel] = Channel(channel, ledger, peers)
 
     def host_orderer(self, channel: str) -> None:
-        self.orderers[channel] = SoloOrderer(self.consensus.batch)
+        self.channels[channel].orderer = SoloOrderer(self.consensus.batch)
 
     def _send(self, peer_id: str, message) -> None:
         self.engine.send(self.routes[peer_id], message, message.wire_size())
+
+    def _to_peers(self, channel: Channel, message) -> None:
+        for peer in channel.peers:
+            self._send(peer, message)
 
     # -- ordering and commit --
 
     def submit_tx(self, channel: str, tx: Transaction) -> None:
         host = self.consensus.orderer_hosts[channel]
         if host == self.entity_id:
-            self._orderer_submit(channel, tx)
+            self._orderer_submit(self.channels[channel], tx)
         else:
             self._send(host, TxSubmit(channel=channel, tx=tx))
 
-    def _orderer_submit(self, channel: str, tx: Transaction) -> None:
-        orderer = self.orderers[channel]
+    def _orderer_submit(self, channel: Channel, tx: Transaction) -> None:
+        orderer = channel.orderer
         started_batch = orderer.pending_count == 0
         batch = orderer.submit(tx, self.now_ms)
         if batch is not None:
             self._propose(channel, batch)
         elif started_batch:
             delay_us = orderer.deadline_ms * US_PER_MS - self.engine.now_us
-            self.engine.schedule(max(delay_us, 0), self.entity_id, OrdererTick(channel))
+            self.engine.schedule(max(delay_us, 0), self.entity_id, OrdererTick(channel.name))
 
     def _on_orderer_tick(self, tick: OrdererTick) -> None:
-        batch = self.orderers[tick.channel].on_timer(self.now_ms)
+        channel = self.channels[tick.channel]  # a timer this node set for its own orderer
+        batch = channel.orderer.on_timer(self.now_ms)
         if batch is not None:
-            self._propose(tick.channel, batch)
+            self._propose(channel, batch)
 
-    def _maintainer_peers(self, channel: str) -> list[str]:
-        return [m for m in self.consensus.maintainers[channel] if m != self.entity_id]
+    def _on_tx_submit(self, msg: TxSubmit) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is not None and channel.orderer is not None:
+            self._orderer_submit(channel, msg.tx)  # else this node does not order it: drop
 
-    def _propose(self, channel: str, batch: list) -> None:
-        if channel in self._rounds:
+    def _propose(self, channel: Channel, batch: list) -> None:
+        if channel.round is not None:
             # one outstanding proposal per channel keeps block heights linear
-            self._batch_queue.setdefault(channel, []).append(batch)
+            channel.queued.append(batch)
             return
-        ledger = self.ledgers[channel]
+        ledger = channel.ledger
         block = assemble_block(batch, ledger.height, self.now_ms, ledger.tip)
         if self.consensus.mode == "solo":
             self._commit_block(channel, block)
-            for peer in self._maintainer_peers(channel):
-                self._send(peer, BlockAnnounce(channel=channel, block=block))
+            self._to_peers(channel, BlockAnnounce(channel=channel.name, block=block))
             return
         digest = block_hash(block)
-        voters = tuple(self.consensus.maintainers[channel])
+        voters = self.consensus.maintainers[channel.name]
         vote_round = VoteRound(digest, voters, self.consensus.p, self.directory)
-        self._rounds[channel] = (vote_round, block)
-        verdict = validate_block(block, ledger.tip, self.directory, channel)
+        channel.round = (vote_round, block)
+        verdict = validate_block(block, ledger.tip, self.directory, channel.name)
         vote_round.collect_vote(self.entity_id, verdict, make_vote(self.keypair, digest, verdict))
-        for peer in self._maintainer_peers(channel):
-            self._send(peer, BlockProposal(channel=channel, proposer=self.entity_id, block=block))
+        self._to_peers(
+            channel, BlockProposal(channel=channel.name, proposer=self.entity_id, block=block)
+        )
         self._settle_round(channel)
 
-    def _commit_block(self, channel: str, block: Block) -> None:
-        ledger = self.ledgers[channel]
+    def _commit_block(self, channel: Channel, block: Block) -> None:
+        ledger = channel.ledger
         if block.zeta > ledger.height:
             # hold only a block that could ever be appended
-            if validate_body(block, self.directory, channel):
-                self._reorder.setdefault(channel, {})[block.zeta] = block
+            if validate_body(block, self.directory, channel.name):
+                channel.early[block.zeta] = block
             else:
                 self.invalid_blocks += 1
             return
@@ -417,85 +438,94 @@ class LedgerNode:
             self.invalid_blocks += 1
             return
         # a failed round's proposal for this height can never commit now
-        for key, proposal in list(self._proposals.items()):
-            if key[0] == channel and proposal.zeta < ledger.height:
-                del self._proposals[key]
-        if channel == KIND_NETWORK:
+        for digest, proposal in list(channel.proposals.items()):
+            if proposal.zeta < ledger.height:
+                del channel.proposals[digest]
+        if channel.name == KIND_NETWORK:
             for tx in block.txs:
                 if tx.requester == self.entity_id:
                     self.pending_contexts.pop(context_metadata(tx.payload)[0], None)
-        held = self._reorder.get(channel)
-        if held:
-            successor = held.pop(ledger.height, None)
-            if successor is not None:
-                self._commit_block(channel, successor)
+        successor = channel.early.pop(ledger.height, None)
+        if successor is not None:
+            self._commit_block(channel, successor)
 
-    def _settle_round(self, channel: str) -> None:
-        vote_round, block = self._rounds[channel]
+    def _settle_round(self, channel: Channel) -> None:
+        vote_round, block = channel.round
         state = vote_round.check()
         if state == COMMITTED:
-            del self._rounds[channel]
+            channel.round = None
             self._commit_block(channel, block)
-            for peer in self._maintainer_peers(channel):
-                self._send(peer, CommitNotice(channel=channel, block_hash=vote_round.block_hash))
+            notice = CommitNotice(channel=channel.name, block_hash=vote_round.block_hash)
+            self._to_peers(channel, notice)
         elif state == FAILED:
-            del self._rounds[channel]
+            channel.round = None
             self.failed_rounds += 1
         else:
             return
-        queued = self._batch_queue.get(channel)
-        if queued:
-            self._propose(channel, queued.pop(0))
+        if channel.queued:
+            self._propose(channel, channel.queued.pop(0))
+
+    def _on_announce(self, msg: BlockAnnounce) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is None:
+            self.invalid_blocks += 1  # a block for a channel this node does not keep
+        else:
+            self._commit_block(channel, msg.block)
 
     def _on_proposal(self, msg: BlockProposal) -> None:
-        if msg.proposer not in self._maintainer_peers(msg.channel):
-            self.invalid_blocks += 1  # only another maintainer of the channel may propose
+        channel = self.channels.get(msg.channel)
+        if channel is None or msg.proposer not in channel.peers:
+            self.invalid_blocks += 1  # only another maintainer of a kept channel may propose
             return
         digest = block_hash(msg.block)
-        key = (msg.channel, digest)
-        ledger = self.ledgers[msg.channel]
-        verdict = validate_block(msg.block, ledger.tip, self.directory, msg.channel)
+        verdict = validate_block(msg.block, channel.ledger.tip, self.directory, channel.name)
         self._send(
             msg.proposer,
             VoteMessage(
-                channel=msg.channel,
+                channel=channel.name,
                 voter=self.entity_id,
                 block_hash=digest,
                 verdict=verdict,
                 signature=make_vote(self.keypair, digest, verdict),
             ),
         )
-        if key in self._commit_wanted:
+        if digest in channel.commit_wanted:
             # the commit notice overtook this proposal on the backhaul
-            self._commit_wanted.discard(key)
-            self._commit_block(msg.channel, msg.block)
-        elif verdict or validate_body(msg.block, self.directory, msg.channel):
+            channel.commit_wanted.discard(digest)
+            self._commit_block(channel, msg.block)
+        elif verdict or validate_body(msg.block, self.directory, channel.name):
             # hold only a block that could commit; a lagging voter may vote
             # against one that is valid at its height and see it commit later
-            self._proposals[key] = msg.block
+            channel.proposals[digest] = msg.block
 
     def _on_vote(self, msg: VoteMessage) -> None:
-        vote_round, _ = self._rounds.get(msg.channel, (None, None))
-        if vote_round is None or vote_round.block_hash != msg.block_hash:
-            return  # no open round for this block: it has settled
+        channel = self.channels.get(msg.channel)
+        if channel is None or channel.round is None:
+            return  # no open round: it has settled, or the channel is not kept here
+        vote_round = channel.round[0]
+        if vote_round.block_hash != msg.block_hash:
+            return  # a vote on an earlier round's block
         try:
             vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
         except VoteRejectedError:
             self.rejected_votes += 1
-        self._settle_round(msg.channel)
+        self._settle_round(channel)
 
     def _on_commit_notice(self, msg: CommitNotice) -> None:
-        block = self._proposals.pop((msg.channel, msg.block_hash), None)
+        channel = self.channels.get(msg.channel)
+        if channel is None:
+            return
+        block = channel.proposals.pop(msg.block_hash, None)
         if block is not None:
-            self._commit_block(msg.channel, block)
+            self._commit_block(channel, block)
         else:
-            self._commit_wanted.add((msg.channel, msg.block_hash))
+            channel.commit_wanted.add(msg.block_hash)
 
     # consensus-plane payload type -> handler(node, payload); subclasses extend it
     _HANDLERS = {
         OrdererTick: _on_orderer_tick,
-        TxSubmit: lambda node, msg: node._orderer_submit(msg.channel, msg.tx),
-        BlockAnnounce: lambda node, msg: node._commit_block(msg.channel, msg.block),
+        TxSubmit: _on_tx_submit,
+        BlockAnnounce: _on_announce,
         BlockProposal: _on_proposal,
         VoteMessage: _on_vote,
         CommitNotice: _on_commit_notice,
@@ -580,7 +610,7 @@ class LedgerNode:
         session = self.sessions.get(dev_addr)
         if session is not None:
             return session
-        entry = self.ledgers[KIND_NETWORK].query_context(dev_addr)
+        entry = self.channels[KIND_NETWORK].ledger.query_context(dev_addr)
         if entry is None:
             return None
         if entry.requester == self.entity_id:
@@ -758,7 +788,7 @@ class NetworkServer(LedgerNode):
     def abp_provision(self, context: SessionContext, device_id: str) -> None:
         """Install an operator-supplied session; address collisions are rejected."""
         if (
-            self.ledgers[KIND_NETWORK].query_context(context.dev_addr) is not None
+            self.channels[KIND_NETWORK].ledger.query_context(context.dev_addr) is not None
             or context.dev_addr in self.pending_contexts
         ):
             raise ValueError("device address %s already in use" % context.dev_addr.hex())
@@ -782,7 +812,7 @@ class NetworkServer(LedgerNode):
         if gateway_id is None:
             raise ValueError("no gateway serves address %s" % dev_addr.hex())
         if self.mode == MODE_EDGE:
-            if self.ledgers[KIND_NETWORK].query_context(dev_addr) is None:
+            if self.channels[KIND_NETWORK].ledger.query_context(dev_addr) is None:
                 raise ValueError("unknown device address %s" % dev_addr.hex())
             self._send(
                 gateway_id,

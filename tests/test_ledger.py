@@ -280,6 +280,21 @@ def test_empty_block_forbidden():
         assemble_block([], 0, 0, None)
 
 
+@pytest.mark.parametrize(
+    "zeta, tau_ms, timestamp_ms",
+    [(0, -1, 0), (-1, 0, 0), (2**64, 0, 0), (0, 2**64, 0), (0, 0, -1), (0, 0, 2**64)],
+    ids=["tau-negative", "zeta-negative", "zeta-2^64", "tau-2^64", "ts-negative", "ts-2^64"],
+)
+def test_constructors_reject_integers_no_u64_encoding_holds(zeta, tau_ms, timestamp_ms):
+    """Out-of-range indexes and timestamps fail at construction, not when hashed.
+
+    Each case puts one value out of range; the constructor that holds it raises.
+    """
+    with pytest.raises(ValueError):
+        tx = Transaction("srv0", bytes(64), timestamp_ms, b"payload")
+        Block(zeta, tau_ms, b"", GENESIS_PREV_HASH, (tx,))
+
+
 def test_ledger_append_and_world_state(directory):
     ledger = Ledger(KIND_NETWORK)
     ctx_a, ctx_b = make_context(0), make_context(1)

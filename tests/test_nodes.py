@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from loraledger.consensus import make_vote
 from loraledger.crypto import derive_session_keys, generate_keypair, pk_encrypt, sign
 from loraledger.frames import (
     DIR_DOWN,
@@ -23,6 +24,7 @@ from loraledger.ledger import (
     SessionContext,
     Transaction,
     assemble_block,
+    block_hash,
     make_app_tx,
     make_network_tx,
 )
@@ -34,7 +36,9 @@ from loraledger.nodes import (
     DownlinkFrameForward,
     FrameForward,
     JoinState,
+    TxSubmit,
     UplinkNotice,
+    VoteMessage,
     format_dev_addr,
 )
 from loraledger.scenario import ConfigError, build_config
@@ -698,15 +702,15 @@ def test_failed_round_proposal_evicted_after_commit():
     early = Block(zeta=1, tau_ms=1, merkle_root=tx.signature, prev_hash=bytes(32), txs=(tx,))
     for srv in world.servers[1:]:
         srv.handle(BlockProposal(channel=KIND_APPLICATION, proposer=host.entity_id, block=early))
-        assert len(srv._proposals) == 1  # it could still commit on a CommitNotice
+        assert len(srv.channels[KIND_APPLICATION].proposals) == 1  # a CommitNotice may follow
     world.devices[0].send_uplink()
     run_for(world, 6.0)
-    assert all(len(srv._proposals) == 1 for srv in world.servers[1:])
+    assert all(len(srv.channels[KIND_APPLICATION].proposals) == 1 for srv in world.servers[1:])
     world.devices[1].send_uplink()
     run_for(world, 6.0)
     for srv in world.servers:
         assert srv.ledgers[KIND_APPLICATION].height == 2
-        assert srv._proposals == {}
+        assert srv.channels[KIND_APPLICATION].proposals == {}
 
 
 def test_proposal_from_outside_the_channel_is_ignored():
@@ -720,7 +724,7 @@ def test_proposal_from_outside_the_channel_is_ignored():
         srv1.handle(BlockProposal(channel=KIND_APPLICATION, proposer=proposer, block=block))
     assert sent == []
     assert srv1.invalid_blocks == 3
-    assert srv1._proposals == {}
+    assert srv1.channels[KIND_APPLICATION].proposals == {}
 
 
 def test_voter_holds_only_proposals_that_could_commit():
@@ -734,7 +738,39 @@ def test_voter_holds_only_proposals_that_could_commit():
         block = assemble_block([make_app_tx(rogue, b"payload", zeta)], zeta, 1, None)
         srv1.handle(BlockProposal(channel=KIND_APPLICATION, proposer="srv0", block=block))
     assert [vote.verdict for vote in votes] == [False] * 50
-    assert srv1._proposals == {}
+    assert srv1.channels[KIND_APPLICATION].proposals == {}
+
+
+def test_messages_for_a_channel_the_node_does_not_keep_are_dropped():
+    """A channel a node does not keep or order never crashes it and leaves no state.
+
+    Blocks count as invalid, as an outsider's proposal does; transactions,
+    votes and commit notices are dropped.
+    """
+    world = _pbft_servers()
+    host, srv1, gw0 = world.servers[0], world.servers[1], world.gateways[0]
+    sent = []
+    for node in (srv1, gw0):
+        node._send = lambda peer, msg: sent.append((peer, msg))
+    tx = make_app_tx(host.keypair, b"payload", 1)
+    block = assemble_block([tx], 0, 1, None)
+    digest = block_hash(block)
+    vote = VoteMessage("bogus", host.entity_id, digest, True, make_vote(host.keypair, digest, True))
+    for channel, node in (("bogus", srv1), (KIND_NETWORK, gw0)):  # traditional gw0 keeps none
+        node.handle(BlockProposal(channel=channel, proposer=host.entity_id, block=block))
+        node.handle(BlockAnnounce(channel=channel, block=block))
+        assert node.invalid_blocks == 2
+    srv1.handle(vote)
+    srv1.handle(CommitNotice(channel="bogus", block_hash=digest))
+    for node in (srv1, gw0):
+        node.handle(TxSubmit(channel="bogus", tx=tx))
+        node.handle(TxSubmit(channel=KIND_APPLICATION, tx=tx))  # ordered by srv0 only
+    run_for(world, 10.0)
+    assert sent == [] and world.engine.events_processed == 0  # no batch timer either
+    assert gw0.channels == {} and list(srv1.channels) == [KIND_NETWORK, KIND_APPLICATION]
+    for channel in srv1.channels.values():
+        assert channel.orderer is None and channel.round is None and channel.queued == []
+        assert channel.early == channel.proposals == {} and channel.commit_wanted == set()
 
 
 def test_pbft_quorum_must_fit_smallest_voter_set():
@@ -825,15 +861,15 @@ def test_blocks_ahead_of_the_chain_are_validated_before_held():
         block = assemble_block([make_app_tx(rogue, b"payload", zeta)], zeta, 1, None)
         srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
     assert srv1.invalid_blocks == 50
-    assert srv1._reorder.get(KIND_APPLICATION, {}) == {}
+    assert srv1.channels[KIND_APPLICATION].early == {}
 
     # a valid block that arrives early is still held until its predecessor commits
     host = world.servers[0]
     first = assemble_block([make_app_tx(host.keypair, b"first", 1)], 0, 1, None)
     second = assemble_block([make_app_tx(host.keypair, b"second", 2)], 1, 2, first)
     srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=second))
-    assert list(srv1._reorder[KIND_APPLICATION]) == [1]
+    assert list(srv1.channels[KIND_APPLICATION].early) == [1]
     srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=first))
     assert srv1.ledgers[KIND_APPLICATION].blocks == [first, second]
-    assert srv1._reorder[KIND_APPLICATION] == {}
+    assert srv1.channels[KIND_APPLICATION].early == {}
     assert srv1.invalid_blocks == 50
