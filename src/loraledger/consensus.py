@@ -18,10 +18,6 @@ PENDING = "pending"
 FAILED = "failed"
 
 
-class DuplicateTransactionError(Exception):
-    """A transaction digest already queued in the current batch."""
-
-
 class VoteRejectedError(Exception):
     """A vote from an unauthorized voter or with a bad signature."""
 
@@ -74,10 +70,10 @@ class SoloOrderer:
         return self._batch_start_ms + self.config.batch_timeout_ms
 
     def submit(self, tx, now_ms: int) -> list | None:
-        """Queue one transaction; returns the batch if this submission filled it."""
+        """Queue one transaction unless already queued; returns the batch if it filled it."""
         digest = tx.signature
         if digest in self._digests:
-            raise DuplicateTransactionError("digest already queued in this batch")
+            return None
         if not self._pending:
             self._batch_start_ms = now_ms
         self._pending.append(tx)

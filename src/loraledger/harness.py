@@ -212,8 +212,7 @@ def build_world(config: ScenarioConfig) -> World:
     for gw in gateways:
         gw.uplink_server = srv_ids[0]
     for srv in servers:
-        for k, gw_id in enumerate(gw_ids):
-            srv.wire_gateway(k, gw_id)
+        srv.gateways = tuple(gw_ids)
 
     world = World(
         config=config,
@@ -334,11 +333,11 @@ def _kickoff(world: World) -> None:
         device.start(offset)
 
 
-def quiesce(world: World, grace_s: int = DRAIN_GRACE_S) -> None:
+def quiesce(world: World) -> None:
     """Stop new device actions, then let in-flight work settle and commit."""
     for device in world.devices:
         device.muted = True
-    world.engine.run_until(world.engine.now_us + grace_s * US_PER_S)
+    world.engine.run_until(world.engine.now_us + DRAIN_GRACE_S * US_PER_S)
 
 
 def committed_app_payloads(world: World) -> Counter:

@@ -361,25 +361,28 @@ def validate_block(
 def validate_body(block: Block, key_directory: KeyDirectory, kind: str) -> bool:
     """The part of ``validate_block`` that does not depend on the chain position.
 
-    The Merkle root recomputes from the tx signatures, and for every tx: the
-    requester is registered, only servers write the application chain,
-    network-chain context metadata is addr(4) | eui(8), and the signature
-    verifies.  A block failing it can never be appended at any height.
+    The Merkle root recomputes from the tx signatures, and ``validate_tx``
+    accepts every tx.  A block failing it can never be appended at any height.
     """
     if kind not in _KIND_CODES:
         raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
     if block.merkle_root != build_merkle([tx.signature for tx in block.txs]):
         return False
-    for tx in block.txs:
-        if tx.requester not in key_directory:
-            return False
-        if kind == KIND_APPLICATION and key_directory.role(tx.requester) != ROLE_SERVER:
-            return False
-        if kind == KIND_NETWORK and context_metadata(tx.payload) is None:
-            return False
-        if not key_directory.verify(tx.requester, tx.signed_span(), tx.signature):
-            return False
-    return True
+    return all(validate_tx(tx, key_directory, kind) for tx in block.txs)
+
+
+def validate_tx(tx: Transaction, key_directory: KeyDirectory, kind: str) -> bool:
+    """One tx on its own: the requester is registered, only servers write the
+    application chain, network context metadata is addr(4) | eui(8), and the
+    signature verifies.
+    """
+    if tx.requester not in key_directory:
+        return False
+    if kind == KIND_APPLICATION and key_directory.role(tx.requester) != ROLE_SERVER:
+        return False
+    if kind == KIND_NETWORK and context_metadata(tx.payload) is None:
+        return False
+    return key_directory.verify(tx.requester, tx.signed_span(), tx.signature)
 
 
 @dataclass(frozen=True)

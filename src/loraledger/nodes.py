@@ -54,6 +54,7 @@ from .crypto import (
 from .frames import (
     DIR_DOWN,
     DIR_UP,
+    MAX_FRM_PAYLOAD,
     DataFrame,
     EncryptedJoinAccept,
     JoinRequest,
@@ -80,11 +81,11 @@ from .ledger import (
     Transaction,
     assemble_block,
     block_hash,
-    context_metadata,
     make_app_tx,
     make_network_tx,
     validate_block,
     validate_body,
+    validate_tx,
 )
 from .simnet import Engine, Link, US_PER_MS
 
@@ -97,6 +98,7 @@ WU_QUERY = 1
 WU_TX_BUILD = 3
 
 UNAUTHORIZED_ADDR_PREFIX = 0xFF
+APP_FPORT = 1  # every application uplink and downlink; ACKs go on port 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ class TimerNextAction:
 
 @dataclass(frozen=True)
 class TimerJoinTimeout:
-    join_seq: int
+    pass
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,6 @@ class LedgerNode:
         # join server and network controller state
         self.js = JoinState()
         self.sessions: dict[bytes, NcSession] = {}
-        self.pending_contexts: dict[bytes, SessionContext] = {}
         self.held_keys: dict[str, bytes] = {}
         self.coverage: dict[bytes, str] = {}  # device EUI -> device id; gateways only
         self.filtered_frames = 0
@@ -396,8 +397,11 @@ class LedgerNode:
 
     def _on_tx_submit(self, msg: TxSubmit) -> None:
         channel = self.channels.get(msg.channel)
-        if channel is not None and channel.orderer is not None:
-            self._orderer_submit(channel, msg.tx)  # else this node does not order it: drop
+        if channel is None or channel.orderer is None:
+            return  # this node does not order the channel
+        # judge a peer's transaction on its own, so a bad one cannot sink its batch
+        if validate_tx(msg.tx, self.directory, channel.name):
+            self._orderer_submit(channel, msg.tx)
 
     def _propose(self, channel: Channel, batch: list) -> None:
         if channel.round is not None:
@@ -441,10 +445,6 @@ class LedgerNode:
         for digest, proposal in list(channel.proposals.items()):
             if proposal.zeta < ledger.height:
                 del channel.proposals[digest]
-        if channel.name == KIND_NETWORK:
-            for tx in block.txs:
-                if tx.requester == self.entity_id:
-                    self.pending_contexts.pop(context_metadata(tx.payload)[0], None)
         successor = channel.early.pop(ledger.height, None)
         if successor is not None:
             self._commit_block(channel, successor)
@@ -550,7 +550,6 @@ class LedgerNode:
         """Serve a new session at once and submit its context to the network ledger."""
         self.sessions[context.dev_addr] = NcSession(context, device_id)
         self.js.addr_by_eui[context.dev_eui] = context.dev_addr
-        self.pending_contexts[context.dev_addr] = context
         self.work_units += WU_TX_BUILD
         tx = make_network_tx(self.keypair, context, self.now_ms, self.rng)
         self.submit_tx(KIND_NETWORK, tx)
@@ -565,10 +564,10 @@ class LedgerNode:
             return
         if isinstance(frame, JoinRequest):
             self._js_join(frame, via)
-        elif isinstance(frame, DataFrame) and frame.direction == DIR_UP:
+        elif isinstance(frame, DataFrame) and frame.direction == DIR_UP and frame.payload:
             self._nc_uplink(frame, via)
         else:
-            self.filtered_frames += 1
+            self.filtered_frames += 1  # includes uplinks with nothing to put on a ledger
 
     def _js_join(self, frame: JoinRequest, via: str) -> None:
         entry = self.js.lookup(frame.dev_eui)
@@ -610,7 +609,8 @@ class LedgerNode:
         session = self.sessions.get(dev_addr)
         if session is not None:
             return session
-        entry = self.channels[KIND_NETWORK].ledger.query_context(dev_addr)
+        network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
+        entry = None if network is None else network.ledger.query_context(dev_addr)
         if entry is None:
             return None
         if entry.requester == self.entity_id:
@@ -662,19 +662,8 @@ class LedgerNode:
 class Gateway(LedgerNode):
     """LoRa gateway; in edge mode it runs the join server and network controller."""
 
-    def __init__(
-        self,
-        entity_id: str,
-        index: int,
-        mode: str,
-        keypair: KeyPair,
-        engine: Engine,
-        key_directory: KeyDirectory,
-        consensus: ConsensusConfig,
-        net_id: bytes,
-        join_processing_delay_us: int = 0,
-    ) -> None:
-        super().__init__(entity_id, index, mode, keypair, engine, key_directory, consensus, net_id)
+    def __init__(self, *args, join_processing_delay_us: int = 0, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.join_processing_delay_us = join_processing_delay_us
         self.device_links: dict[str, Link] = {}
         self.uplink_server: str | None = None
@@ -730,13 +719,13 @@ class Gateway(LedgerNode):
     def _on_downlink_data(self, msg: DownlinkData) -> None:
         self.work_units += WU_QUERY
         session = self._session(msg.dev_addr)
-        if session is not None:
-            # without a radio route the frame is built but goes nowhere
-            self._send_data_down(self.entity_id, session, msg.fcnt, 1, msg.payload)
+        # a payload no frame can carry is dropped; without a radio route the
+        # frame is built but goes nowhere
+        if session is not None and len(msg.payload) <= MAX_FRM_PAYLOAD:
+            self._send_data_down(self.entity_id, session, msg.fcnt, APP_FPORT, msg.payload)
 
     _HANDLERS = {
         bytes: _on_air_frame,
-        bytearray: lambda gateway, data: gateway._on_air_frame(bytes(data)),
         DownlinkData: _on_downlink_data,
         DownlinkFrameForward: lambda gateway, msg: gateway._transmit(msg.device_id, msg.frame),
         **LedgerNode._HANDLERS,
@@ -748,12 +737,9 @@ class NetworkServer(LedgerNode):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.gateway_by_index: dict[int, str] = {}
+        self.gateways: tuple[str, ...] = ()  # gateway ids by index, the address prefix
         self.next_app_fcnt_down: dict[bytes, int] = {}
         self.ingested = 0
-
-    def wire_gateway(self, index: int, gateway_id: str) -> None:
-        self.gateway_by_index[index] = gateway_id
 
     def handle(self, payload) -> None:
         handler = self._HANDLERS.get(type(payload))
@@ -763,23 +749,29 @@ class NetworkServer(LedgerNode):
 
     def _ingest(self, uplink: UplinkNotice | DataFrame) -> None:
         """Wrap a verified uplink's payload as-is and submit it."""
+        if not uplink.payload:
+            self.filtered_frames += 1  # a notice with nothing to put on the ledger
+            return
         self.work_units += WU_TX_BUILD
         tx = make_app_tx(self.keypair, uplink.payload, self.now_ms)
         self.ingested += 1
         self.submit_tx(KIND_APPLICATION, tx)
 
+    def _on_frame_forward(self, fwd: FrameForward) -> None:
+        if fwd.gateway_id not in self.gateways:
+            self.filtered_frames += 1  # only a wired gateway may forward frames
+            return
+        self._on_frame(fwd.frame, fwd.gateway_id)
+
     def _address_prefix(self, via: str) -> int:
-        for index, entity in self.gateway_by_index.items():
-            if entity == via:
-                return index
-        raise KeyError("unknown gateway %r" % via)
+        return self.gateways.index(via)
 
     def _downlink(self, via: str, device_id: str, frame: bytes) -> None:
         self._send(via, DownlinkFrameForward(frame=frame, device_id=device_id))
 
     _HANDLERS = {
         UplinkNotice: _ingest,
-        FrameForward: lambda server, fwd: server._on_frame(fwd.frame, fwd.gateway_id),
+        FrameForward: _on_frame_forward,
         **LedgerNode._HANDLERS,
     }
 
@@ -787,9 +779,10 @@ class NetworkServer(LedgerNode):
 
     def abp_provision(self, context: SessionContext, device_id: str) -> None:
         """Install an operator-supplied session; address collisions are rejected."""
+        # an address not yet committed is in sessions; every other one is on the ledger
         if (
-            self.channels[KIND_NETWORK].ledger.query_context(context.dev_addr) is not None
-            or context.dev_addr in self.pending_contexts
+            context.dev_addr in self.sessions
+            or self.channels[KIND_NETWORK].ledger.query_context(context.dev_addr) is not None
         ):
             raise ValueError("device address %s already in use" % context.dev_addr.hex())
         self._publish_context(context, device_id)
@@ -808,9 +801,9 @@ class NetworkServer(LedgerNode):
         frame here.
         """
         self.work_units += WU_QUERY
-        gateway_id = self.gateway_by_index.get(dev_addr[0])
-        if gateway_id is None:
+        if dev_addr[0] >= len(self.gateways):
             raise ValueError("no gateway serves address %s" % dev_addr.hex())
+        gateway_id = self.gateways[dev_addr[0]]
         if self.mode == MODE_EDGE:
             if self.channels[KIND_NETWORK].ledger.query_context(dev_addr) is None:
                 raise ValueError("unknown device address %s" % dev_addr.hex())
@@ -824,7 +817,7 @@ class NetworkServer(LedgerNode):
             raise ValueError("unknown device address %s" % dev_addr.hex())
         if session.device_id is None:
             raise ValueError("no radio route for address %s" % dev_addr.hex())
-        self._send_data_down(gateway_id, session, fcnt, 1, encrypted_payload)
+        self._send_data_down(gateway_id, session, fcnt, APP_FPORT, encrypted_payload)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +837,6 @@ class DeviceProfile:
     join_timeout_us: int
     uplink_timeout_us: int
     payload_bytes: int = 20
-    fport: int = 1
 
     def __post_init__(self) -> None:
         if self.behavior not in (BEHAVIOR_JOIN_LOOP, BEHAVIOR_UPLINK_LOOP, BEHAVIOR_IDLE):
@@ -853,6 +845,15 @@ class DeviceProfile:
             raise ValueError("interval bounds must satisfy 0 < lo <= hi")
         if not 6 <= self.payload_bytes <= 242:
             raise ValueError("payload size must be within [6, 242]")
+
+
+@dataclass(frozen=True)
+class JoinAttempt:
+    """A device's one open join: its request record, timeout timer and DevNonce."""
+
+    request_id: int
+    timer: int
+    dev_nonce: bytes
 
 
 @dataclass
@@ -892,17 +893,20 @@ class EndDevice:
         self.rng = engine.stream("device:%s" % device_id)
         self.uplink: Link | None = None
         self.session: DeviceSession | None = None
-        self.state = "idle"  # idle | joining | joined
+        self._join: JoinAttempt | None = None
         self.muted = False
         self.received_downlinks: list[bytes] = []
         self.skipped_sends = 0
-        self._join_seq = 0
-        self._join_request_id: int | None = None
-        self._join_timer: int | None = None
-        self._join_dev_nonce: bytes | None = None
         self._used_dev_nonces: set[bytes] = set()
         self._pending_uplinks: "OrderedDict[int, int]" = OrderedDict()
         engine.register(device_id, self.handle)
+
+    @property
+    def state(self) -> str:
+        """``joining`` while a join is open, else ``joined`` with a session, else ``idle``."""
+        if self._join is not None:
+            return "joining"
+        return "idle" if self.session is None else "joined"
 
     # -- wiring --
 
@@ -912,7 +916,6 @@ class EndDevice:
     def install_session(self, dev_addr: bytes, nwk_s_key: bytes, app_s_key: bytes) -> None:
         """Adopt a session established out of band (bootstrap / provisioning)."""
         self.session = DeviceSession(dev_addr=dev_addr, nwk_s_key=nwk_s_key, app_s_key=app_s_key)
-        self.state = "joined"
 
     def self_mint_session(self) -> None:
         """What an outsider does: invent an address and keys nobody vouches for."""
@@ -950,17 +953,15 @@ class EndDevice:
                 return nonce
 
     def begin_join(self) -> None:
-        if self.state == "joining" or self.uplink is None:
+        if self._join is not None or self.uplink is None:
             return
-        self._join_seq += 1
         dev_nonce = self._fresh_dev_nonce()
         frame = build_join_request(self.app_key, self.app_eui, self.dev_eui, dev_nonce)
-        self._join_dev_nonce = dev_nonce
-        self._join_request_id = self.recorder.issue("join", self.device_id, self.engine.now_us)
-        self._join_timer = self.engine.schedule(
-            self.profile.join_timeout_us, self.device_id, TimerJoinTimeout(self._join_seq)
+        request_id = self.recorder.issue("join", self.device_id, self.engine.now_us)
+        timer = self.engine.schedule(
+            self.profile.join_timeout_us, self.device_id, TimerJoinTimeout()
         )
-        self.state = "joining"
+        self._join = JoinAttempt(request_id, timer, dev_nonce)
         data = serialize_frame(frame)
         self.engine.send(self.uplink, data, len(data))
 
@@ -980,7 +981,7 @@ class EndDevice:
             session.nwk_s_key,
             session.dev_addr,
             session.fcnt_up,
-            self.profile.fport,
+            APP_FPORT,
             ciphertext,
             DIR_UP,
         )
@@ -1012,36 +1013,30 @@ class EndDevice:
             self._on_downlink(frame)
 
     def _on_join_accept(self, data: bytes) -> None:
-        if self.state != "joining":
+        join = self._join
+        if join is None:
             return
         try:
             accept = open_join_accept(data, self.app_key)
         except (MalformedFrameError, MicMismatchError):
             return
         nwk_s_key, app_s_key = derive_session_keys(
-            self.app_key, accept.app_nonce, accept.net_id, self._join_dev_nonce
+            self.app_key, accept.app_nonce, accept.net_id, join.dev_nonce
         )
         self.session = DeviceSession(
             dev_addr=accept.dev_addr, nwk_s_key=nwk_s_key, app_s_key=app_s_key
         )
-        self.state = "joined"
-        if self._join_timer is not None:
-            self.engine.cancel(self._join_timer)
-            self._join_timer = None
-        if self._join_request_id is not None:
-            self.recorder.complete(self._join_request_id, self.engine.now_us)
-            self._join_request_id = None
+        self._join = None
+        self.engine.cancel(join.timer)
+        self.recorder.complete(join.request_id, self.engine.now_us)
         if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
             self.engine.schedule(self._draw_interval_us(), self.device_id, TimerNextAction())
 
-    def _on_join_timeout(self, join_seq: int) -> None:
-        if self.state != "joining" or join_seq != self._join_seq:
-            return
-        self.state = "joined" if self.session is not None else "idle"
-        self._join_timer = None
-        if self._join_request_id is not None:
-            self.recorder.fail(self._join_request_id, self.engine.now_us)
-            self._join_request_id = None
+    def _on_join_timeout(self) -> None:
+        # an accepted join cancels its timer and no join opens while one is
+        # open, so the timer that fires is the open attempt's
+        join, self._join = self._join, None
+        self.recorder.fail(join.request_id, self.engine.now_us)
         if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
             self.engine.schedule(self._draw_interval_us(), self.device_id, TimerNextAction())
 
@@ -1077,8 +1072,7 @@ class EndDevice:
 
     _HANDLERS = {
         bytes: _on_air_frame,
-        bytearray: lambda device, data: device._on_air_frame(bytes(data)),
         TimerNextAction: lambda device, _: device._next_action(),
-        TimerJoinTimeout: lambda device, timer: device._on_join_timeout(timer.join_seq),
+        TimerJoinTimeout: lambda device, _: device._on_join_timeout(),
         TimerUplinkTimeout: lambda device, timer: device._on_uplink_timeout(timer.request_id),
     }

@@ -8,7 +8,6 @@ import pytest
 from loraledger.consensus import (
     BatchConfig,
     COMMITTED,
-    DuplicateTransactionError,
     FAILED,
     PENDING,
     SoloOrderer,
@@ -72,11 +71,12 @@ def test_empty_batch_never_cut():
 
 
 def test_duplicate_digest_rejected_within_batch():
+    """A digest already queued is ignored: it neither raises nor joins the batch."""
     o = orderer()
     tx = FakeTx(7)
     o.submit(tx, now_ms=0)
-    with pytest.raises(DuplicateTransactionError):
-        o.submit(tx, now_ms=1)
+    assert o.submit(tx, now_ms=1) is None
+    assert o.pending_count == 1
     # after the batch cuts, the digest may legitimately appear again
     o.on_timer(now_ms=5000)
     assert o.submit(tx, now_ms=6000) is None
