@@ -20,7 +20,8 @@ from loraledger.simnet import US_PER_S, Engine
 VOTERS = tuple("srv%d" % n for n in range(4))
 KEYPAIRS = [generate_keypair(voter, 1) for voter in VOTERS]
 DIGEST = hash_bytes(b"block")
-VOTES = [(kp.entity_id, make_vote(kp, DIGEST, True)) for kp in KEYPAIRS]
+# signed outside the rounds' directories, so no verdict is known before a round
+VOTES = [(kp.entity_id, make_vote(KeyDirectory(), kp, DIGEST, True)) for kp in KEYPAIRS]
 N_EVENTS = 10_000
 PBFT_ROUNDS = 20
 
@@ -71,7 +72,10 @@ def _pbft_world():
     )
     world = build_world(config)
     host = world.servers[0]
-    txs = [make_app_tx(host.keypair, b"reading %d" % n, n) for n in range(PBFT_ROUNDS)]
+    txs = [
+        make_app_tx(world.key_directory, host.keypair, b"reading %d" % n, n)
+        for n in range(PBFT_ROUNDS)
+    ]
     return (world, txs), {}
 
 

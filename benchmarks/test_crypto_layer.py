@@ -9,7 +9,15 @@ a fast wrong answer does not pass.
 import pytest
 
 from loraledger import crypto
-from loraledger.crypto import KeyDirectory, ROLE_SERVER, generate_keypair, mac32, sign
+from loraledger.crypto import (
+    KeyDirectory,
+    ROLE_SERVER,
+    aes128_decrypt_block,
+    aes128_encrypt_block,
+    generate_keypair,
+    mac32,
+    sign,
+)
 from loraledger.frames import DIR_UP, decrypt_payload, encrypt_payload
 
 KEYPAIR = generate_keypair("srv0", 1)
@@ -17,6 +25,10 @@ MESSAGE = bytes(range(256)) * 2
 SIGNATURE = sign(KEYPAIR.private_key, MESSAGE)
 SYM_KEY = bytes(range(16))
 DEV_ADDR = bytes.fromhex("01000001")
+# FIPS-197 Appendix C.1 (AES-128)
+FIPS_KEY = bytes(range(16))
+FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
+FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 
 def test_sign(benchmark):
@@ -32,6 +44,26 @@ def test_key_directory_verify_memo_hit(benchmark):
     directory.add("srv0", KEYPAIR.public_key, ROLE_SERVER)
     assert directory.verify("srv0", MESSAGE, SIGNATURE)  # fill the memo
     assert benchmark(directory.verify, "srv0", MESSAGE, SIGNATURE)
+
+
+def test_key_directory_sign_then_verify(benchmark):
+    """A world signs a message and one of its replicas checks the signature."""
+    directory = KeyDirectory()
+    directory.add("srv0", KEYPAIR.public_key, ROLE_SERVER)
+
+    def sign_then_verify():
+        signature = directory.sign(KEYPAIR, MESSAGE)
+        return signature, directory.verify("srv0", MESSAGE, signature)
+
+    assert benchmark(sign_then_verify) == (SIGNATURE, True)
+
+
+def test_aes128_encrypt_block(benchmark):
+    assert benchmark(aes128_encrypt_block, FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
+
+
+def test_aes128_decrypt_block(benchmark):
+    assert benchmark(aes128_decrypt_block, FIPS_KEY, FIPS_CIPHER) == FIPS_PLAIN
 
 
 def test_mac32(benchmark):

@@ -49,7 +49,7 @@ def _chain(n_blocks: int) -> Ledger:
     rng = random.Random(1)
     for z in range(n_blocks):
         txs = [
-            make_network_tx(KEYPAIR, _context(z * TXS_PER_BLOCK + i), z, rng)
+            make_network_tx(DIRECTORY, KEYPAIR, _context(z * TXS_PER_BLOCK + i), z, rng)
             for i in range(TXS_PER_BLOCK)
         ]
         ledger.append_block(assemble_block(txs, z, z, ledger.tip), DIRECTORY)

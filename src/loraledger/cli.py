@@ -7,6 +7,7 @@ internal error), 2 unusable arguments or configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -65,7 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output path that cannot become a directory, before anything runs."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError("--out %s: %s exists and is not a directory" % (path, existing))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     file_overrides = parse_config_file(args.config_file) if args.config_file else {}
     flag_overrides = {
         "experiment": args.experiment,

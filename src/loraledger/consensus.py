@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto import KeyDirectory, sign
+from .crypto import KeyDirectory
 
 COMMITTED = "committed"
 PENDING = "pending"
@@ -122,8 +122,8 @@ def vote_message(block_hash: bytes, verdict: bool) -> bytes:
     return b"vote\x00" + block_hash + (b"\x01" if verdict else b"\x00")
 
 
-def make_vote(keypair, block_hash: bytes, verdict: bool) -> bytes:
-    return sign(keypair.private_key, vote_message(block_hash, verdict))
+def make_vote(directory: KeyDirectory, keypair, block_hash: bytes, verdict: bool) -> bytes:
+    return directory.sign(keypair, vote_message(block_hash, verdict))
 
 
 class VoteRound:

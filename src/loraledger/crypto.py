@@ -108,6 +108,14 @@ def _signing_key(seed: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(seed)
 
 
+@functools.lru_cache(maxsize=256)
+def _signing_public(seed: bytes) -> bytes:
+    """The raw Ed25519 public key that signatures made with ``seed`` verify under."""
+    return _signing_key(seed).public_key().public_bytes(
+        serialization.Encoding.Raw, serialization.PublicFormat.Raw
+    )
+
+
 def sign(private_key: bytes, message: bytes) -> bytes:
     """Sign a message; 64-byte signature, deterministic for a fixed key."""
     seed, _ = _split_private(private_key)
@@ -197,23 +205,41 @@ def pk_decrypt(private_key: bytes, envelope: bytes) -> bytes:
         raise DecryptionError("envelope failed authentication") from exc
 
 
+#: keyed CMAC templates and ECB encryptors kept per key; above the number of
+#: live session keys of the largest workload, so round-robin traffic stays hot
+KEYED_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
+def _cmac_template(key: bytes) -> CMAC:
+    return CMAC(algorithms.AES(key))
+
+
+@functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
+def _ecb_encryptor(key: bytes):
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+
+
 def mac32(key: bytes, message: bytes) -> bytes:
     """4-byte message integrity code (CMAC truncated), as used by LoRa frames."""
     if len(key) != SYM_KEY_LEN:
         raise BadKeyError("MIC key must be %d bytes" % SYM_KEY_LEN)
-    mac = CMAC(algorithms.AES(key))
+    mac = _cmac_template(key).copy()
     mac.update(message)
     return mac.finalize()[:MIC_LEN]
 
 
 def aes128_encrypt_blocks(key: bytes, blocks: bytes) -> bytes:
-    """Encrypt whole 16-byte blocks independently (ECB) in one cipher call."""
+    """Encrypt whole 16-byte blocks independently (ECB) in one cipher call.
+
+    ECB over whole blocks keeps no state between ``update`` calls, so one
+    encryptor per key serves every call and is never finalized.
+    """
     if len(key) != SYM_KEY_LEN:
         raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
     if len(blocks) % 16:
         raise ValueError("input must be whole 16-byte blocks")
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return enc.update(blocks) + enc.finalize()
+    return _ecb_encryptor(key).update(blocks)
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
@@ -228,6 +254,8 @@ def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
         raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
+    # one call per join accept: a cached 1 KB context per root key would cost
+    # more memory than the time it saves
     dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
     return dec.update(block) + dec.finalize()
 
@@ -256,17 +284,19 @@ ROLE_GATEWAY = "gateway"
 ROLE_SERVER = "server"
 
 
-#: verdicts KeyDirectory.verify remembers, oldest evicted first; enough for
-#: every replica of a world to re-check a signature without a second verify
+#: verdicts a KeyDirectory remembers, oldest evicted first; enough for every
+#: replica of a world to check a signature made in it without an Ed25519 verify
 VERDICT_MEMO_SIZE = 1024
 
 
 class KeyDirectory:
     """Registry of entity public keys and roles, shared by all honest nodes.
 
-    It is also where transaction signatures are checked: every replica in a
-    simulated world validates the same blocks, so ``verify`` remembers its
-    recent verdicts.  Registrations are final, so a verdict never goes stale.
+    It is also where a world's signatures are made and checked.  ``sign``
+    records the verdict of each signature it makes with a registered key,
+    and ``verify`` records each verdict it computes, so every replica of the
+    world validates the same blocks without verifying a signature again.
+    Registrations are final, so a verdict never goes stale.
     """
 
     def __init__(self) -> None:
@@ -296,10 +326,29 @@ class KeyDirectory:
         verdict = self._verdicts.get(memo_key)
         if verdict is None:
             verdict = verify(verify_key, message, signature)
-            if len(self._verdicts) >= VERDICT_MEMO_SIZE:
-                del self._verdicts[next(iter(self._verdicts))]
-            self._verdicts[memo_key] = verdict
+            self._remember(memo_key, verdict)
         return verdict
+
+    def sign(self, keypair: KeyPair, message: bytes) -> bytes:
+        """``sign`` with the keypair, remembering the verdict if its key is the registered one.
+
+        Ed25519 is deterministic and a signature always verifies under the
+        public key of the seed that made it (RFC 8032), so a signature made
+        here with the entity's registered key needs no verify in this world.
+        Any other signature is left for ``verify`` to check.
+        """
+        signature = sign(keypair.private_key, message)
+        entry = self._entries.get(keypair.entity_id)
+        seed, _ = _split_private(keypair.private_key)
+        if entry is not None and _signing_public(seed) == _split_public(entry[0])[0]:
+            self._remember((keypair.entity_id, message, signature), True)
+        return signature
+
+    def _remember(self, memo_key: tuple[str, bytes, bytes], verdict: bool) -> None:
+        verdicts = self._verdicts
+        if memo_key not in verdicts and len(verdicts) >= VERDICT_MEMO_SIZE:
+            del verdicts[next(iter(verdicts))]
+        verdicts[memo_key] = verdict
 
     def public_key(self, entity_id: str) -> bytes:
         try:

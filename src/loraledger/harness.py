@@ -304,7 +304,7 @@ def bootstrap_sessions(world: World) -> None:
         creator = world.join_server(gw)
         creator.install_session(context, device.device_id)
         creator.js.reserve(gw.index, per_gateway)
-        tx = make_network_tx(creator.keypair, context, 0, creator.rng)
+        tx = make_network_tx(world.key_directory, creator.keypair, context, 0, creator.rng)
         creators.setdefault(creator.entity_id, []).append(tx)
 
     replicas = [node.ledgers[KIND_NETWORK] for node in world.replicas(KIND_NETWORK)]

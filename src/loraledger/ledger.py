@@ -27,7 +27,6 @@ from .crypto import (
     envelope_aad,
     hash_bytes,
     pk_encrypt,
-    sign,
 )
 
 KIND_NETWORK = "network"
@@ -202,19 +201,21 @@ def transaction_from_bytes(data: bytes) -> Transaction:
     return tx
 
 
-def _signed_tx(keypair, timestamp_ms: int, payload: bytes) -> Transaction:
+def _signed_tx(
+    directory: KeyDirectory, keypair, timestamp_ms: int, payload: bytes
+) -> Transaction:
     return Transaction(
         requester=keypair.entity_id,
-        signature=sign(keypair.private_key, _signed_span(timestamp_ms, payload)),
+        signature=directory.sign(keypair, _signed_span(timestamp_ms, payload)),
         timestamp_ms=timestamp_ms,
         payload=payload,
     )
 
 
 def make_network_tx(
-    keypair, context: SessionContext, timestamp_ms: int, rng: Random
+    directory: KeyDirectory, keypair, context: SessionContext, timestamp_ms: int, rng: Random
 ) -> Transaction:
-    """Seal a session context to the requester's own key and sign it.
+    """Seal a session context to the requester's own key and sign it through ``directory``.
 
     The device address and EUI ride as authenticated envelope metadata: that
     is what lets every replica key its world state while the context itself
@@ -226,12 +227,14 @@ def make_network_tx(
         rng,
         aad=context.dev_addr + context.dev_eui,
     )
-    return _signed_tx(keypair, timestamp_ms, envelope)
+    return _signed_tx(directory, keypair, timestamp_ms, envelope)
 
 
-def make_app_tx(keypair, payload: bytes, timestamp_ms: int) -> Transaction:
-    """Sign an application payload as-is; it stays session-key encrypted."""
-    return _signed_tx(keypair, timestamp_ms, payload)
+def make_app_tx(
+    directory: KeyDirectory, keypair, payload: bytes, timestamp_ms: int
+) -> Transaction:
+    """Sign an application payload as-is through ``directory``; it stays session-key encrypted."""
+    return _signed_tx(directory, keypair, timestamp_ms, payload)
 
 
 def build_merkle(leaves: list[bytes]) -> bytes:

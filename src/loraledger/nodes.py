@@ -419,7 +419,8 @@ class LedgerNode:
         vote_round = VoteRound(digest, voters, self.consensus.p, self.directory)
         channel.round = (vote_round, block)
         verdict = validate_block(block, ledger.tip, self.directory, channel.name)
-        vote_round.collect_vote(self.entity_id, verdict, make_vote(self.keypair, digest, verdict))
+        signature = make_vote(self.directory, self.keypair, digest, verdict)
+        vote_round.collect_vote(self.entity_id, verdict, signature)
         self._to_peers(
             channel, BlockProposal(channel=channel.name, proposer=self.entity_id, block=block)
         )
@@ -486,7 +487,7 @@ class LedgerNode:
                 voter=self.entity_id,
                 block_hash=digest,
                 verdict=verdict,
-                signature=make_vote(self.keypair, digest, verdict),
+                signature=make_vote(self.directory, self.keypair, digest, verdict),
             ),
         )
         if digest in channel.commit_wanted:
@@ -551,7 +552,7 @@ class LedgerNode:
         self.sessions[context.dev_addr] = NcSession(context, device_id)
         self.js.addr_by_eui[context.dev_eui] = context.dev_addr
         self.work_units += WU_TX_BUILD
-        tx = make_network_tx(self.keypair, context, self.now_ms, self.rng)
+        tx = make_network_tx(self.directory, self.keypair, context, self.now_ms, self.rng)
         self.submit_tx(KIND_NETWORK, tx)
 
     def _on_frame(self, data: bytes, via: str) -> None:
@@ -753,7 +754,7 @@ class NetworkServer(LedgerNode):
             self.filtered_frames += 1  # a notice with nothing to put on the ledger
             return
         self.work_units += WU_TX_BUILD
-        tx = make_app_tx(self.keypair, uplink.payload, self.now_ms)
+        tx = make_app_tx(self.directory, self.keypair, uplink.payload, self.now_ms)
         self.ingested += 1
         self.submit_tx(KIND_APPLICATION, tx)
 

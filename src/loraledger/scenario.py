@@ -128,24 +128,28 @@ KEY_MAP = {
 
 def parse_config_file(path: str) -> dict[str, object]:
     """Read ``key = value`` lines into dataclass-field overrides."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from None
     overrides: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected 'key = value'" % (path, lineno))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            entry = KEY_MAP.get(key)
-            if entry is None:
-                raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            field_name, parser = entry
-            try:
-                overrides[field_name] = parser(value.strip())
-            except ConfigError as exc:
-                raise ConfigError("%s:%d: %s" % (path, lineno, exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected 'key = value'" % (path, lineno))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        entry = KEY_MAP.get(key)
+        if entry is None:
+            raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        field_name, parser = entry
+        try:
+            overrides[field_name] = parser(value.strip())
+        except ConfigError as exc:
+            raise ConfigError("%s:%d: %s" % (path, lineno, exc)) from None
     return overrides
 
 

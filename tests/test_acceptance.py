@@ -127,7 +127,7 @@ def _fifty_block_chain():
                 dev_nonce=rng.randbytes(2),
                 app_nonce=rng.randbytes(3),
             )
-            txs.append(make_network_tx(keypair, context, height * 1000, rng))
+            txs.append(make_network_tx(directory, keypair, context, height * 1000, rng))
         block = assemble_block(txs, height, height * 1000, tip)
         ledger.append_block(block, directory)
         tip = block

@@ -203,7 +203,7 @@ def test_vote_round_commits_at_threshold(voters):
     r = VoteRound(digest, ("srv0", "srv1", "srv2", "srv3"), 1, directory)
     for n, entity_id in enumerate(("srv0", "srv1", "srv2")):
         assert r.check() == PENDING
-        r.collect_vote(entity_id, True, make_vote(keypairs[entity_id], digest, True))
+        r.collect_vote(entity_id, True, make_vote(directory, keypairs[entity_id], digest, True))
     assert r.valid_count == 3
     assert r.check() == COMMITTED
 
@@ -212,9 +212,9 @@ def test_vote_round_fails_when_threshold_unreachable(voters):
     directory, keypairs = voters
     digest = bytes(32)
     r = VoteRound(digest, ("srv0", "srv1", "srv2", "srv3"), 1, directory)
-    r.collect_vote("srv0", False, make_vote(keypairs["srv0"], digest, False))
+    r.collect_vote("srv0", False, make_vote(directory, keypairs["srv0"], digest, False))
     assert r.check() == PENDING
-    r.collect_vote("srv1", False, make_vote(keypairs["srv1"], digest, False))
+    r.collect_vote("srv1", False, make_vote(directory, keypairs["srv1"], digest, False))
     assert r.check() == FAILED
 
 
@@ -222,7 +222,7 @@ def test_vote_round_unreachable_counts_against_quorum(voters):
     directory, keypairs = voters
     digest = bytes(32)
     r = VoteRound(digest, ("srv0", "srv1", "srv2", "srv3"), 1, directory)
-    r.collect_vote("srv0", True, make_vote(keypairs["srv0"], digest, True))
+    r.collect_vote("srv0", True, make_vote(directory, keypairs["srv0"], digest, True))
     r.mark_unreachable("srv1")
     assert r.check() == PENDING
     r.mark_unreachable("srv2")
@@ -234,9 +234,9 @@ def test_vote_round_rejects_outsiders_and_bad_signatures(voters):
     digest = bytes(32)
     r = VoteRound(digest, ("srv0", "srv1"), 0, directory)
     with pytest.raises(VoteRejectedError):
-        r.collect_vote("srv3", True, make_vote(keypairs["srv3"], digest, True))
+        r.collect_vote("srv3", True, make_vote(directory, keypairs["srv3"], digest, True))
     # a verdict flipped after signing must not verify
-    sig = make_vote(keypairs["srv0"], digest, False)
+    sig = make_vote(directory, keypairs["srv0"], digest, False)
     with pytest.raises(VoteRejectedError):
         r.collect_vote("srv0", True, sig)
     assert r.check() == PENDING
@@ -246,8 +246,8 @@ def test_vote_round_ignores_revotes(voters):
     directory, keypairs = voters
     digest = bytes(32)
     r = VoteRound(digest, ("srv0", "srv1", "srv2"), 1, directory)
-    r.collect_vote("srv0", True, make_vote(keypairs["srv0"], digest, True))
-    r.collect_vote("srv0", False, make_vote(keypairs["srv0"], digest, False))
+    r.collect_vote("srv0", True, make_vote(directory, keypairs["srv0"], digest, True))
+    r.collect_vote("srv0", False, make_vote(directory, keypairs["srv0"], digest, False))
     assert r.valid_count == 1  # first vote stands
 
 

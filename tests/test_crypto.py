@@ -4,16 +4,23 @@ import itertools
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.cmac import CMAC
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loraledger import crypto
 from loraledger.crypto import (
     DecryptionError,
     ENVELOPE_OVERHEAD,
     KeyDirectory,
+    KeyPair,
     ROLE_GATEWAY,
     ROLE_SERVER,
     UnknownEntityError,
     VERDICT_MEMO_SIZE,
+    aes128_decrypt_block,
+    aes128_encrypt_blocks,
     derive_session_keys,
     envelope_aad,
     generate_keypair,
@@ -166,12 +173,16 @@ def test_key_directory():
         directory.add("gw0", gw.public_key, ROLE_GATEWAY)
 
 
-def _signed_directory():
+def _world_directory() -> KeyDirectory:
     directory = KeyDirectory()
     for entity_id, role in (("gw0", ROLE_GATEWAY), ("srv0", ROLE_SERVER)):
         directory.add(entity_id, generate_keypair(entity_id, 1).public_key, role)
+    return directory
+
+
+def _signed_directory():
     sig = sign(generate_keypair("gw0", 1).private_key, b"payload")
-    return directory, sig
+    return _world_directory(), sig
 
 
 def test_key_directory_verify_agrees_with_verify():
@@ -215,3 +226,122 @@ def test_key_directory_verify_memo_is_bounded(monkeypatch):
     assert directory.verify("gw0", b"payload", sig) and len(calls) == VERDICT_MEMO_SIZE + 11
     assert not directory.verify("gw0", b"0", sig)  # evicted first, so verified again
     assert len(calls) == VERDICT_MEMO_SIZE + 12
+
+
+# ---------------------------------------------------------------------------
+# verdicts recorded at sign time
+
+SIGN_CASES = (
+    "honest",
+    "tampered",
+    "bit-flipped",
+    "re-attributed",
+    "unregistered",
+    "second-directory",
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    message=st.binary(max_size=64),
+    signer=st.sampled_from(["gw0", "srv0"]),
+    case=st.sampled_from(SIGN_CASES),
+    bit=st.integers(0, 8 * crypto.SIGNATURE_LEN - 1),
+)
+def test_only_signatures_made_here_with_the_registered_key_skip_verify(
+    message, signer, case, bit
+):
+    """``KeyDirectory.sign`` spares the verify of exactly its own honest signatures.
+
+    An honest signature verifies with no Ed25519 call.  Any other signature
+    gets the verdict ``crypto.verify`` gives it, at the cost of one call.
+    """
+    directory = _world_directory()
+    keypair, entity_id = generate_keypair(signer, 1), signer
+    if case == "re-attributed":
+        entity_id = "srv0" if signer == "gw0" else "gw0"
+        pretender = generate_keypair(entity_id, 1)
+        keypair = KeyPair(entity_id, pretender.public_key, keypair.private_key)
+        signature = directory.sign(keypair, message)
+    elif case == "unregistered":
+        keypair, entity_id = generate_keypair("gw9", 1), "gw9"
+        signature = directory.sign(keypair, message)
+        directory.add("gw9", keypair.public_key, ROLE_GATEWAY)  # registered only afterwards
+    elif case == "second-directory":
+        signature = _world_directory().sign(keypair, message)
+    else:
+        signature = directory.sign(keypair, message)
+        if case == "tampered":
+            message += b"\x00"
+        elif case == "bit-flipped":
+            flipped = bytearray(signature)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            signature = bytes(flipped)
+    real = crypto.verify
+    calls = []
+
+    def counting_verify(*args):
+        calls.append(args)
+        return real(*args)
+
+    expected = real(directory.public_key(entity_id), message, signature)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "verify", counting_verify)
+        assert directory.verify(entity_id, message, signature) is expected
+    assert len(calls) == (0 if case == "honest" else 1)
+    assert expected is (case in ("honest", "unregistered", "second-directory"))
+
+
+# ---------------------------------------------------------------------------
+# keyed cipher objects
+
+
+def _reference_mac32(key: bytes, message: bytes) -> bytes:
+    mac = CMAC(algorithms.AES(key))
+    mac.update(message)
+    return mac.finalize()[: crypto.MIC_LEN]
+
+
+def _reference_ecb(key: bytes, data: bytes, decrypt: bool) -> bytes:
+    cipher = Cipher(algorithms.AES(key), modes.ECB())
+    context = cipher.decryptor() if decrypt else cipher.encryptor()
+    return context.update(data) + context.finalize()
+
+
+# distinct keys that do not look alike, so a context answering for another key shows
+KEY_POOL = [hash_bytes(b"key %d" % n)[:16] for n in range(4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(KEY_POOL) | st.binary(min_size=16, max_size=16),
+            st.sampled_from(["mac", "encrypt", "decrypt"]),
+            st.binary(max_size=80),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+)
+def test_keyed_ciphers_match_a_fresh_object_per_call(calls):
+    """``mac32`` and the AES block functions give what a fresh CMAC or Cipher would.
+
+    Calls repeat and interleave keys and operations, so a context that kept
+    state between calls, or answered for another key, would show.
+    """
+    for key, operation, data in calls:
+        if operation == "mac":
+            assert mac32(key, data) == _reference_mac32(key, data)
+        elif operation == "encrypt":
+            blocks = data + bytes(-len(data) % 16)
+            assert aes128_encrypt_blocks(key, blocks) == _reference_ecb(key, blocks, False)
+        else:
+            block = data[:16].ljust(16, b"\x00")
+            assert aes128_decrypt_block(key, block) == _reference_ecb(key, block, True)
+
+
+def test_keyed_cipher_caches_are_bounded():
+    for cache in (crypto._cmac_template, crypto._ecb_encryptor):
+        assert cache.cache_info().maxsize == crypto.KEYED_CACHE_SIZE
+    assert 0 < crypto.KEYED_CACHE_SIZE < float("inf")

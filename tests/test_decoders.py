@@ -40,7 +40,7 @@ def _real_dump() -> bytes:
     directory.add("gw0", keypair.public_key, ROLE_GATEWAY)
     context = SessionContext(bytes(8), bytes(16), b"\x00\x01\x00\x01", bytes(16), bytes(2), bytes(3))
     ledger = Ledger(KIND_NETWORK)
-    tx = make_network_tx(keypair, context, 5, random.Random(0))
+    tx = make_network_tx(directory, keypair, context, 5, random.Random(0))
     ledger.append_block(assemble_block([tx], 0, 10, None), directory)
     return dump_chain(ledger, directory)
 

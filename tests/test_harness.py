@@ -1,12 +1,13 @@
 """Scenario harness: experiments, metrics, result files, config, and the CLI."""
 
 import csv
+import random
 
 import pytest
 
 from loraledger import crypto
 from loraledger.cli import main
-from loraledger.crypto import ROLE_SERVER, KeyDirectory, generate_keypair
+from loraledger.crypto import ROLE_SERVER, KeyDirectory, KeyPair, generate_keypair
 from loraledger.frames import build_join_request, serialize_frame
 from loraledger.harness import (
     bootstrap_sessions,
@@ -31,6 +32,7 @@ from loraledger.metrics import (
     write_links_csv,
     write_requests_csv,
 )
+from loraledger.nodes import BlockAnnounce
 from loraledger.scenario import ConfigError, build_config, parse_config_file
 from loraledger.simnet import Engine, LatencyModel, US_PER_S
 
@@ -398,6 +400,29 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_cli_rejects_unreadable_config_file(tmp_path, capsys, kind):
+    conf = tmp_path / "run.conf"
+    if kind == "directory":
+        conf.mkdir()
+    elif kind == "not-utf8":
+        conf.write_bytes(b"seed = 1 # \xff\xfe\n")
+    argv = ["run", "--experiment", "2", "--config", str(conf), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "config error: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", ["out", "out/below"], ids=["a-file", "under-a-file"])
+def test_cli_rejects_out_that_cannot_be_a_directory(tmp_path, capsys, name):
+    """An --out that cannot become a directory is refused before anything runs."""
+    (tmp_path / "out").write_text("keep me\n")
+    argv = ["run", "--experiment", "2", "--devices", "4", "--duration", "30", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / name)]) == 2
+    assert "exists and is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "keep me\n"
+
+
 def test_cli_run_is_deterministic(tmp_path):
     _, first = run_cli(tmp_path / "a")
     _, second = run_cli(tmp_path / "b")
@@ -427,9 +452,7 @@ def _tiny_chain_dump() -> bytes:
         dev_nonce=b"\x00\x01",
         app_nonce=b"\x00\x00\x01",
     )
-    import random
-
-    tx = make_network_tx(keypair, context, 0, random.Random(1))
+    tx = make_network_tx(directory, keypair, context, 0, random.Random(1))
     ledger = Ledger(KIND_NETWORK)
     ledger.append_block(assemble_block([tx], 0, 0, None), directory)
     return dump_chain(ledger, directory)
@@ -466,12 +489,15 @@ def test_cli_frame_decode(capsys):
     assert "undecodable frame" in capsys.readouterr().out
 
 
-def test_each_signature_verified_once_per_world(monkeypatch):
-    """Every replica validates every block, but Ed25519 runs once per signature.
+def test_only_signatures_made_outside_the_world_cost_a_verify(monkeypatch):
+    """Honest in-world signatures cost no Ed25519 verify; any other costs one.
 
-    The golden experiment-1 case in edge mode: each gateway and server keeps
-    a network ledger, so without the verdict memo each signature would be
-    verified once per replica.
+    The golden experiment-1 case in edge mode: every gateway and server keeps
+    a network ledger and validates every block, yet no signature the world
+    made with the signer's registered key is verified.  A block whose one
+    transaction is signed with a key that is not its requester's registered
+    one costs exactly one verify, and the replica counts it invalid; a
+    requester with no registered key costs none.
     """
     calls = []
     real = crypto.verify
@@ -492,4 +518,30 @@ def test_each_signature_verified_once_per_world(monkeypatch):
         for tx in block.txs
     ]
     assert len(world.gateways) + len(world.servers) > 1
-    assert signatures and sorted(calls) == sorted(signatures)
+    assert signatures and calls == []
+
+    replica = world.servers[0]
+    assert replica.invalid_blocks == 0
+    ledger = replica.ledgers[KIND_NETWORK]
+    height, tip = ledger.height, ledger.tip
+    gw0, gw1 = world.gateways[0].keypair, world.gateways[1].keypair
+    context = SessionContext(
+        dev_eui=b"\x77" * 8,
+        app_key=bytes(16),
+        dev_addr=b"\x00\x77\x77\x77",
+        nwk_s_key=bytes(16),
+        dev_nonce=b"\x00\x01",
+        app_nonce=b"\x00\x00\x01",
+    )
+    cases = [
+        (generate_keypair(gw0.entity_id, config.seed + 1), 1),  # a key never registered
+        (KeyPair(gw1.entity_id, gw1.public_key, gw0.private_key), 1),  # re-attributed
+        (generate_keypair("gw9", config.seed), 0),  # no key to check against
+    ]
+    for n, (keypair, cost) in enumerate(cases, start=1):
+        tx = make_network_tx(world.key_directory, keypair, context, 1, random.Random(n))
+        replica.handle(BlockAnnounce(KIND_NETWORK, assemble_block([tx], height, 1, tip)))
+        assert calls == [tx.signature] * cost
+        assert replica.invalid_blocks == n
+        assert ledger.height == height
+        calls.clear()

@@ -46,6 +46,11 @@ from loraledger.ledger import (
 )
 
 
+# signs for the tests below but registers no one, so it records no verdict
+# and every check of these signatures runs a real verify
+SIGNER = KeyDirectory()
+
+
 @pytest.fixture
 def directory():
     d = KeyDirectory()
@@ -71,7 +76,7 @@ def make_context(n: int, prefix: int = 0) -> SessionContext:
 
 def network_tx(entity_id: str, n: int, t_ms: int = 1000, seed: int = 0) -> Transaction:
     kp = keypair(entity_id)
-    return make_network_tx(kp, make_context(n), t_ms, random.Random(seed + n))
+    return make_network_tx(SIGNER, kp, make_context(n), t_ms, random.Random(seed + n))
 
 
 def test_session_context_roundtrip():
@@ -94,7 +99,7 @@ def test_network_tx_aad_is_addr_and_eui():
     """Replicas key world state off the clear AAD; owner decrypts the rest."""
     ctx = make_context(3)
     kp = keypair("gw0")
-    tx = make_network_tx(kp, ctx, 5, random.Random(0))
+    tx = make_network_tx(SIGNER, kp, ctx, 5, random.Random(0))
     assert envelope_aad(tx.payload) == ctx.dev_addr + ctx.dev_eui
     assert SessionContext.from_bytes(pk_decrypt(kp.private_key, tx.payload)) == ctx
 
@@ -102,14 +107,14 @@ def test_network_tx_aad_is_addr_and_eui():
 def test_network_tx_context_opaque_to_others():
     from loraledger.crypto import DecryptionError
 
-    tx = make_network_tx(keypair("gw0"), make_context(3), 5, random.Random(0))
+    tx = make_network_tx(SIGNER, keypair("gw0"), make_context(3), 5, random.Random(0))
     with pytest.raises(DecryptionError):
         pk_decrypt(keypair("gw1").private_key, tx.payload)
 
 
 def test_app_tx_payload_passthrough(directory):
     payload = bytes.fromhex("c02c3109228e9072b303fb82a542945abc0fa21b")
-    tx = make_app_tx(keypair("srv0"), payload, 77)
+    tx = make_app_tx(SIGNER, keypair("srv0"), payload, 77)
     assert tx.payload == payload  # byte-identical, still encrypted
     assert directory.verify("srv0", tx.signed_span(), tx.signature)
 
@@ -258,15 +263,15 @@ def test_validate_rejects_tampered_tx(directory):
 @pytest.mark.parametrize("kind", [KIND_NETWORK, KIND_APPLICATION])
 def test_validate_rejects_unknown_requester(directory, kind):
     ghost = generate_keypair("ghost", 1)
-    tx = make_network_tx(ghost, make_context(0), 1, random.Random(0))
+    tx = make_network_tx(SIGNER, ghost, make_context(0), 1, random.Random(0))
     block = assemble_block([tx], 0, 10, None)
     assert not validate_block(block, None, directory, kind)
 
 
 def test_app_chain_rejects_gateway_requesters(directory):
     """Only servers write the application chain; gateways may write the network chain."""
-    gw_tx = make_app_tx(keypair("gw0"), b"data", 1)
-    srv_tx = make_app_tx(keypair("srv0"), b"data", 1)
+    gw_tx = make_app_tx(SIGNER, keypair("gw0"), b"data", 1)
+    srv_tx = make_app_tx(SIGNER, keypair("srv0"), b"data", 1)
     gw_block = assemble_block([gw_tx], 0, 10, None)
     srv_block = assemble_block([srv_tx], 0, 10, None)
     assert not validate_block(gw_block, None, directory, KIND_APPLICATION)
@@ -301,8 +306,8 @@ def test_ledger_append_and_world_state(directory):
     kp = keypair("gw0")
     b0 = assemble_block(
         [
-            make_network_tx(kp, ctx_a, 1, random.Random(0)),
-            make_network_tx(kp, ctx_b, 2, random.Random(1)),
+            make_network_tx(SIGNER, kp, ctx_a, 1, random.Random(0)),
+            make_network_tx(SIGNER, kp, ctx_b, 2, random.Random(1)),
         ],
         0,
         10,
@@ -329,9 +334,9 @@ def test_rejoin_supersedes_context(directory):
         dev_nonce=b"\x99\x99",
         app_nonce=b"\x01\x02\x03",
     )
-    b0 = assemble_block([make_network_tx(kp, first, 1, random.Random(0))], 0, 10, None)
+    b0 = assemble_block([make_network_tx(SIGNER, kp, first, 1, random.Random(0))], 0, 10, None)
     ledger.append_block(b0, directory)
-    b1 = assemble_block([make_network_tx(kp, rejoin, 2, random.Random(1))], 1, 20, b0)
+    b1 = assemble_block([make_network_tx(SIGNER, kp, rejoin, 2, random.Random(1))], 1, 20, b0)
     ledger.append_block(b1, directory)
     entry = ledger.query_context(first.dev_addr)
     assert entry.zeta == 1
@@ -457,7 +462,7 @@ def test_dump_load_roundtrip(directory):
 
 def test_dump_load_application_kind(directory):
     ledger = Ledger(KIND_APPLICATION)
-    block = assemble_block([make_app_tx(keypair("srv0"), b"payload", 1)], 0, 5, None)
+    block = assemble_block([make_app_tx(SIGNER, keypair("srv0"), b"payload", 1)], 0, 5, None)
     ledger.append_block(block, directory)
     loaded, _ = load_chain(dump_chain(ledger, directory))
     assert loaded.kind == KIND_APPLICATION

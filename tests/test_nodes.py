@@ -675,7 +675,7 @@ def test_pbft_voter_rejects_proposal_no_replica_can_append(metadata):
         payload = b"\x01" * 8  # shorter than the envelope header
     else:
         payload = pk_encrypt(gw.keypair.public_key, context.to_bytes(), random.Random(0), metadata)
-    good = make_network_tx(gw.keypair, context, 1, random.Random(0))
+    good = make_network_tx(world.key_directory, gw.keypair, context, 1, random.Random(0))
     votes = []
     voter._send = lambda peer, msg: votes.append(msg)
     for tx in (good, _context_tx(gw.keypair, payload)):
@@ -700,7 +700,7 @@ def test_failed_round_proposal_evicted_after_commit():
     world = _pbft_servers()
     host = world.servers[0]
     # body-valid, but proposed at height 1 to voters still at height 0
-    tx = make_app_tx(host.keypair, b"payload", 1)
+    tx = make_app_tx(world.key_directory, host.keypair, b"payload", 1)
     early = Block(zeta=1, tau_ms=1, merkle_root=tx.signature, prev_hash=bytes(32), txs=(tx,))
     for srv in world.servers[1:]:
         srv.handle(BlockProposal(channel=KIND_APPLICATION, proposer=host.entity_id, block=early))
@@ -721,7 +721,8 @@ def test_proposal_from_outside_the_channel_is_ignored():
     srv1 = world.servers[1]
     sent = []
     srv1._send = lambda peer, msg: sent.append((peer, msg))
-    block = assemble_block([make_app_tx(world.servers[0].keypair, b"payload", 1)], 0, 1, None)
+    tx = make_app_tx(world.key_directory, world.servers[0].keypair, b"payload", 1)
+    block = assemble_block([tx], 0, 1, None)
     for proposer in ("srv9", srv1.entity_id, world.gateways[0].entity_id):
         srv1.handle(BlockProposal(channel=KIND_APPLICATION, proposer=proposer, block=block))
     assert sent == []
@@ -737,7 +738,8 @@ def test_voter_holds_only_proposals_that_could_commit():
     srv1._send = lambda peer, msg: votes.append(msg)
     rogue = generate_keypair("srv9", 1)
     for zeta in range(1000, 1050):
-        block = assemble_block([make_app_tx(rogue, b"payload", zeta)], zeta, 1, None)
+        tx = make_app_tx(world.key_directory, rogue, b"payload", zeta)
+        block = assemble_block([tx], zeta, 1, None)
         srv1.handle(BlockProposal(channel=KIND_APPLICATION, proposer="srv0", block=block))
     assert [vote.verdict for vote in votes] == [False] * 50
     assert srv1.channels[KIND_APPLICATION].proposals == {}
@@ -754,10 +756,11 @@ def test_messages_for_a_channel_the_node_does_not_keep_are_dropped():
     sent = []
     for node in (srv1, gw0):
         node._send = lambda peer, msg: sent.append((peer, msg))
-    tx = make_app_tx(host.keypair, b"payload", 1)
+    tx = make_app_tx(world.key_directory, host.keypair, b"payload", 1)
     block = assemble_block([tx], 0, 1, None)
     digest = block_hash(block)
-    vote = VoteMessage("bogus", host.entity_id, digest, True, make_vote(host.keypair, digest, True))
+    signature = make_vote(world.key_directory, host.keypair, digest, True)
+    vote = VoteMessage("bogus", host.entity_id, digest, True, signature)
     for channel, node in (("bogus", srv1), (KIND_NETWORK, gw0)):  # traditional gw0 keeps none
         node.handle(BlockProposal(channel=channel, proposer=host.entity_id, block=block))
         node.handle(BlockAnnounce(channel=channel, block=block))
@@ -847,7 +850,7 @@ def test_block_from_unregistered_requester_counts_as_invalid():
     srv1 = world.servers[1]
     ledger = srv1.ledgers[KIND_APPLICATION]
     height, tip = ledger.height, ledger.tip
-    tx = make_app_tx(generate_keypair("srv9", 1), b"payload", 1)
+    tx = make_app_tx(world.key_directory, generate_keypair("srv9", 1), b"payload", 1)
     block = assemble_block([tx], height, 1, tip)
     srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
     assert srv1.invalid_blocks == 1
@@ -860,15 +863,18 @@ def test_blocks_ahead_of_the_chain_are_validated_before_held():
     srv1 = world.servers[1]
     rogue = generate_keypair("srv9", 1)
     for zeta in range(1000, 1050):
-        block = assemble_block([make_app_tx(rogue, b"payload", zeta)], zeta, 1, None)
+        tx = make_app_tx(world.key_directory, rogue, b"payload", zeta)
+        block = assemble_block([tx], zeta, 1, None)
         srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
     assert srv1.invalid_blocks == 50
     assert srv1.channels[KIND_APPLICATION].early == {}
 
     # a valid block that arrives early is still held until its predecessor commits
     host = world.servers[0]
-    first = assemble_block([make_app_tx(host.keypair, b"first", 1)], 0, 1, None)
-    second = assemble_block([make_app_tx(host.keypair, b"second", 2)], 1, 2, first)
+    first = assemble_block([make_app_tx(world.key_directory, host.keypair, b"first", 1)], 0, 1, None)
+    second = assemble_block(
+        [make_app_tx(world.key_directory, host.keypair, b"second", 2)], 1, 2, first
+    )
     srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=second))
     assert list(srv1.channels[KIND_APPLICATION].early) == [1]
     srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=first))
@@ -939,7 +945,7 @@ def test_uplink_with_an_empty_payload_is_filtered(mode):
 def test_tx_submit_repeated_while_queued_commits_once():
     world = app_world()
     srv1 = world.servers[1]
-    tx = make_app_tx(srv1.keypair, b"payload", 1)
+    tx = make_app_tx(world.key_directory, srv1.keypair, b"payload", 1)
     for _ in range(2):
         world.servers[0].handle(TxSubmit(channel=KIND_APPLICATION, tx=tx))
     run_for(world, 4.0)
@@ -951,9 +957,11 @@ def test_forged_tx_submit_does_not_sink_the_honest_batch():
     """The orderer judges each submitted transaction on its own, as a replica would."""
     world = app_world()
     srv0, srv1 = world.servers
-    honest = [make_app_tx(srv1.keypair, b"payload%d" % k, k) for k in range(5)]
-    unregistered = make_app_tx(generate_keypair("srv9", 1), b"forged", 9)
-    not_a_server = make_app_tx(world.gateways[0].keypair, b"forged", 9)
+    honest = [
+        make_app_tx(world.key_directory, srv1.keypair, b"payload%d" % k, k) for k in range(5)
+    ]
+    unregistered = make_app_tx(world.key_directory, generate_keypair("srv9", 1), b"forged", 9)
+    not_a_server = make_app_tx(world.key_directory, world.gateways[0].keypair, b"forged", 9)
     for tx in honest[:2] + [unregistered] + honest[2:4] + [not_a_server] + honest[4:]:
         srv0.handle(TxSubmit(channel=KIND_APPLICATION, tx=tx))
     run_for(world, 4.0)
@@ -991,11 +999,12 @@ def _wire_messages(world) -> dict:
 
     rogue = generate_keypair("srv9", world.config.seed)
     signers = (srv0.keypair, gw0.keypair, rogue)
+    directory = world.key_directory
     context = next(iter(world.join_server(gw0).sessions.values())).context
     rng = random.Random(0)
     txs = st.sampled_from(
-        [make_app_tx(kp, b"reading", 1) for kp in signers]
-        + [make_network_tx(kp, context, 1, rng) for kp in signers]
+        [make_app_tx(directory, kp, b"reading", 1) for kp in signers]
+        + [make_network_tx(directory, kp, context, 1, rng) for kp in signers]
     )
     tip = srv0.ledgers[KIND_NETWORK].tip
     blocks = st.builds(
@@ -1010,7 +1019,7 @@ def _wire_messages(world) -> dict:
     def votes(draw):
         digest, verdict = draw(digests), draw(st.booleans())
         signature = draw(
-            st.sampled_from([make_vote(kp, digest, verdict) for kp in signers])
+            st.sampled_from([make_vote(directory, kp, digest, verdict) for kp in signers])
             | st.binary(min_size=64, max_size=64)
         )
         return VoteMessage(draw(channels), draw(ids), digest, verdict, signature)
