@@ -18,7 +18,7 @@ from .frames import (
     MalformedFrameError,
     parse_frame,
 )
-from .harness import compare_modes, format_value, run_experiment
+from .harness import compare_modes, report_text, run_experiment
 from .ledger import ChainIntegrityError, load_chain
 from .scenario import ConfigError, build_config, parse_config_file
 
@@ -90,14 +90,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = build_config(file_overrides, flag_overrides)
     if args.compare:
         result = compare_modes(config)
-        result.emit(args.out)
-        for key, value in result.comparison.items():
-            print("%s: %s" % (key, format_value(value)))
+        report = result.comparison
     else:
         result = run_experiment(config)
-        result.emit(args.out)
-        for key, value in result.summary.items():
-            print("%s: %s" % (key, format_value(value)))
+        report = result.summary
+    result.emit(args.out)
+    print(report_text(report), end="")
     print("results written to %s" % args.out)
     return 0
 

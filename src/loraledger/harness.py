@@ -60,7 +60,6 @@ from .nodes import (
     MODE_EDGE,
     MODE_TRADITIONAL,
     NetworkServer,
-    format_dev_addr,
 )
 from .scenario import (
     EXPERIMENT_JOIN_LOAD,
@@ -276,19 +275,21 @@ def bootstrap_sessions(world: World) -> None:
     """Pre-establish sessions for authorized devices and commit them on-chain.
 
     Keys and nonces come from per-device bootstrap streams, and addresses
-    from creator-index arithmetic, so both deployment modes end up with
-    byte-identical device sessions.  Blocks are appended to every network
-    replica directly; no simulated traffic is involved.
+    from the join server's allocator, which hands a gateway's authorized
+    devices (its first ordinals, visited in order) the slots ``ordinal + 1``,
+    so both deployment modes end up with byte-identical device sessions.
+    Blocks are appended to every network replica directly; no simulated
+    traffic is involved.
     """
     config = world.config
-    per_gateway = config.n_devices // config.n_gateways
     creators: dict[str, list] = {}
     for device in world.authorized_devices():
-        gw, ordinal = world.home(device.index)
+        gw, _ = world.home(device.index)
+        creator = world.join_server(gw)
         boot = world.engine.stream("bootstrap:%s" % device.device_id)
         dev_nonce = boot.randbytes(2)
         app_nonce = boot.randbytes(3)
-        dev_addr = format_dev_addr(gw.index, ordinal + 1)
+        dev_addr = creator.assign_address(device.dev_eui, gw.index)
         nwk_s_key, app_s_key = derive_session_keys(
             device.app_key, app_nonce, config.net_id, dev_nonce
         )
@@ -301,9 +302,7 @@ def bootstrap_sessions(world: World) -> None:
             app_nonce=app_nonce,
         )
         device.install_session(dev_addr, nwk_s_key, app_s_key)
-        creator = world.join_server(gw)
-        creator.install_session(context, device.device_id)
-        creator.js.reserve(gw.index, per_gateway)
+        creator.install_session(context)
         tx = make_network_tx(world.key_directory, creator.keypair, context, 0, creator.rng)
         creators.setdefault(creator.entity_id, []).append(tx)
 
@@ -448,8 +447,7 @@ class RunResult:
             os.path.join(out_dir, "links.csv"), list(self.world.engine.links.values())
         )
         with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-            for key, value in self.summary.items():
-                fh.write("%s: %s\n" % (key, format_value(value)))
+            fh.write(report_text(self.summary))
 
 
 def format_value(value) -> str:
@@ -461,6 +459,11 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return "%.3f" % value
     return str(value)
+
+
+def report_text(values: dict) -> str:
+    """One ``key: value`` line per entry, as the result files and the CLI print them."""
+    return "".join("%s: %s\n" % (key, format_value(value)) for key, value in values.items())
 
 
 def run_experiment(config: ScenarioConfig) -> RunResult:
@@ -483,8 +486,7 @@ class CompareResult:
         self.edge.emit(os.path.join(out_dir, "edge"))
         self.traditional.emit(os.path.join(out_dir, "traditional"))
         with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
-            for key, value in self.comparison.items():
-                fh.write("%s: %s\n" % (key, format_value(value)))
+            fh.write(report_text(self.comparison))
 
 
 def compare_modes(config: ScenarioConfig) -> CompareResult:

@@ -20,8 +20,9 @@ Application payloads stay encrypted under the device's application session
 key end to end; gateways and servers never derive or hold that key, so no
 state machine here can observe application plaintext.
 
-Each class maps payload types to handlers in a class-level table, and its
-``handle`` runs the handler of the delivered payload's type.
+Each class maps payload types to handlers in a class-level table, and binds
+the one dispatcher, ``_dispatch``, as its ``handle``: it runs the handler of
+the delivered payload's type.
 
 Work units are a coarse CPU proxy: frame parse or encapsulation costs 1, MIC
 verification or computation 2, a world-state context query 1, and building a
@@ -236,41 +237,22 @@ def format_dev_addr(prefix: int, counter: int) -> bytes:
     return bytes([prefix]) + struct.pack("<I", counter)[:3]
 
 
-class JoinState:
-    """Join-server bookkeeping: registrations, nonce replay, stable addresses."""
+def _dispatch(node, payload) -> None:
+    """Run the handler that ``node``'s class maps the payload's type to."""
+    handler = node._HANDLERS.get(type(payload))
+    if handler is None:
+        raise TypeError("%s cannot handle %r" % (type(node).__name__, payload))
+    handler(node, payload)
 
-    def __init__(self) -> None:
-        self.registered: dict[bytes, tuple] = {}
-        self.used_dev_nonces: dict[bytes, set[bytes]] = {}
-        self.addr_by_eui: dict[bytes, bytes] = {}
-        self._counters: dict[int, int] = {}
 
-    def register(self, dev_eui: bytes, entry: tuple) -> None:
-        self.registered[dev_eui] = entry
+@dataclass
+class Registration:
+    """What the join server keeps for one registered device."""
 
-    def lookup(self, dev_eui: bytes):
-        return self.registered.get(dev_eui)
-
-    def nonce_fresh(self, dev_eui: bytes, dev_nonce: bytes) -> bool:
-        used = self.used_dev_nonces.setdefault(dev_eui, set())
-        if dev_nonce in used:
-            return False
-        used.add(dev_nonce)
-        return True
-
-    def allocate(self, dev_eui: bytes, prefix: int) -> bytes:
-        """Same device, same address across rejoins; new devices get the next slot."""
-        addr = self.addr_by_eui.get(dev_eui)
-        if addr is None:
-            counter = self._counters.get(prefix, 0) + 1
-            self._counters[prefix] = counter
-            addr = format_dev_addr(prefix, counter)
-            self.addr_by_eui[dev_eui] = addr
-        return addr
-
-    def reserve(self, prefix: int, count: int) -> None:
-        """Keep future allocations clear of externally assigned slots."""
-        self._counters[prefix] = max(self._counters.get(prefix, 0), count)
+    app_key: bytes
+    device_id: str
+    dev_addr: bytes | None = None  # assigned once, kept across rejoins
+    spent_nonces: set[bytes] = field(default_factory=set)
 
 
 @dataclass
@@ -335,7 +317,8 @@ class LedgerNode:
         self.failed_rounds = 0
         self.rejected_votes = 0
         # join server and network controller state
-        self.js = JoinState()
+        self.registry: dict[bytes, Registration] = {}  # by device EUI
+        self._addr_counters: dict[int, int] = {}  # last address counter, by prefix
         self.sessions: dict[bytes, NcSession] = {}
         self.held_keys: dict[str, bytes] = {}
         self.coverage: dict[bytes, str] = {}  # device EUI -> device id; gateways only
@@ -535,13 +518,22 @@ class LedgerNode:
     # -- join server and network controller --
 
     def register_device(self, dev_eui: bytes, app_key: bytes, device_id: str) -> None:
-        self.js.register(dev_eui, (app_key, device_id))
+        self.registry[dev_eui] = Registration(app_key, device_id)
 
-    def install_session(self, context: SessionContext, device_id: str) -> None:
-        """Adopt an out-of-band established session (bootstrap or provisioning)."""
-        self.sessions[context.dev_addr] = NcSession(context, device_id)
-        self.js.addr_by_eui[context.dev_eui] = context.dev_addr
-        self.js.nonce_fresh(context.dev_eui, context.dev_nonce)
+    def assign_address(self, dev_eui: bytes, prefix: int) -> bytes:
+        """A registered device's address: the one it has, else the prefix's next slot."""
+        registration = self.registry[dev_eui]
+        if registration.dev_addr is None:
+            counter = self._addr_counters.get(prefix, 0) + 1
+            registration.dev_addr = format_dev_addr(prefix, counter)
+            self._addr_counters[prefix] = counter
+        return registration.dev_addr
+
+    def install_session(self, context: SessionContext) -> None:
+        """Adopt a registered device's session established out of band (bootstrap)."""
+        registration = self.registry[context.dev_eui]
+        registration.spent_nonces.add(context.dev_nonce)
+        self.sessions[context.dev_addr] = NcSession(context, registration.device_id)
 
     def receive_key_handover(self, entity_id: str, private_key: bytes) -> None:
         """Out-of-band private-key copy from a failing gateway."""
@@ -550,7 +542,6 @@ class LedgerNode:
     def _publish_context(self, context: SessionContext, device_id: str) -> None:
         """Serve a new session at once and submit its context to the network ledger."""
         self.sessions[context.dev_addr] = NcSession(context, device_id)
-        self.js.addr_by_eui[context.dev_eui] = context.dev_addr
         self.work_units += WU_TX_BUILD
         tx = make_network_tx(self.directory, self.keypair, context, self.now_ms, self.rng)
         self.submit_tx(KIND_NETWORK, tx)
@@ -571,19 +562,20 @@ class LedgerNode:
             self.filtered_frames += 1  # includes uplinks with nothing to put on a ledger
 
     def _js_join(self, frame: JoinRequest, via: str) -> None:
-        entry = self.js.lookup(frame.dev_eui)
-        if entry is None:
+        registration = self.registry.get(frame.dev_eui)
+        if registration is None:
             self.filtered_frames += 1
             return
-        app_key, device_id = entry
+        app_key, device_id = registration.app_key, registration.device_id
         self.work_units += WU_MIC
-        if not verify_join_request(frame, app_key):
+        if (
+            not verify_join_request(frame, app_key)
+            or frame.dev_nonce in registration.spent_nonces
+        ):
             self.filtered_frames += 1
             return
-        if not self.js.nonce_fresh(frame.dev_eui, frame.dev_nonce):
-            self.filtered_frames += 1
-            return
-        dev_addr = self.js.allocate(frame.dev_eui, self._address_prefix(via))
+        registration.spent_nonces.add(frame.dev_nonce)
+        dev_addr = self.assign_address(frame.dev_eui, self._address_prefix(via))
         app_nonce = self.rng.randbytes(3)
         # the application session key is derived only by the device
         nwk_s_key, _ = derive_session_keys(app_key, app_nonce, self.net_id, frame.dev_nonce)
@@ -674,11 +666,7 @@ class Gateway(LedgerNode):
         self.coverage[dev_eui] = device_id
         self.device_links[device_id] = link
 
-    def handle(self, payload) -> None:
-        handler = self._HANDLERS.get(type(payload))
-        if handler is None:
-            raise TypeError("gateway cannot handle %r" % (payload,))
-        handler(self, payload)
+    handle = _dispatch
 
     def _transmit(self, device_id: str, data: bytes) -> None:
         link = self.device_links.get(device_id)
@@ -742,11 +730,7 @@ class NetworkServer(LedgerNode):
         self.next_app_fcnt_down: dict[bytes, int] = {}
         self.ingested = 0
 
-    def handle(self, payload) -> None:
-        handler = self._HANDLERS.get(type(payload))
-        if handler is None:
-            raise TypeError("server cannot handle %r" % (payload,))
-        handler(self, payload)
+    handle = _dispatch
 
     def _ingest(self, uplink: UplinkNotice | DataFrame) -> None:
         """Wrap a verified uplink's payload as-is and submit it."""
@@ -786,6 +770,9 @@ class NetworkServer(LedgerNode):
             or self.channels[KIND_NETWORK].ledger.query_context(context.dev_addr) is not None
         ):
             raise ValueError("device address %s already in use" % context.dev_addr.hex())
+        registration = self.registry.get(context.dev_eui)
+        if registration is not None:
+            registration.dev_addr = context.dev_addr  # a later join keeps this address
         self._publish_context(context, device_id)
 
     def reserve_fcnt_down(self, dev_addr: bytes) -> int:
@@ -931,11 +918,7 @@ class EndDevice:
     def _draw_interval_us(self) -> int:
         return self.rng.randint(self.profile.interval_lo_us, self.profile.interval_hi_us)
 
-    def handle(self, payload) -> None:
-        handler = self._HANDLERS.get(type(payload))
-        if handler is None:
-            raise TypeError("device cannot handle %r" % (payload,))
-        handler(self, payload)
+    handle = _dispatch
 
     def _next_action(self) -> None:
         if self.muted:

@@ -187,6 +187,9 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("devices must be positive")
     if config.n_gateways <= 0 or config.n_servers <= 0:
         raise ConfigError("gateway and server counts must be positive")
+    if config.n_gateways > 256:
+        # a device address's first byte is its gateway's index
+        raise ConfigError("at most 256 gateways: one device address prefix each")
     if config.n_devices % config.n_gateways != 0:
         raise ConfigError(
             "devices (%d) must divide evenly across gateways (%d)"

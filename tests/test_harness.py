@@ -341,6 +341,23 @@ def test_validate_config_rejections(overrides):
         build_config(flag_overrides=base)
 
 
+def test_more_gateways_than_address_prefixes_is_a_config_error():
+    """A device address's first byte is its gateway's index, so 256 gateways is the most."""
+    assert config_for(experiment=2, n_devices=256, n_gateways=256).n_gateways == 256
+    with pytest.raises(ConfigError, match="256 gateways"):
+        config_for(experiment=2, n_devices=257, n_gateways=257)
+
+
+def test_cli_rejects_more_gateways_than_address_prefixes(tmp_path, capsys):
+    conf = tmp_path / "wide.conf"
+    conf.write_text("gateways = 257\n")
+    argv = ["run", "--experiment", "2", "--devices", "257", "--duration", "20"]
+    argv += ["--config", str(conf), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_compare_validates_each_mode(tmp_path, capsys):
     """A gateway-hosted network orderer is fine in edge mode but not in traditional."""
     config = config_for(experiment=1, n_devices=20, duration_s=1800, network_orderer="gateway")
@@ -390,6 +407,18 @@ def test_cli_compare_writes_comparison(tmp_path, capsys):
     assert (out / "comparison.txt").is_file()
     assert (out / "edge" / "summary.txt").is_file()
     assert (out / "traditional" / "summary.txt").is_file()
+
+
+@pytest.mark.parametrize("compare", [False, True], ids=["run", "compare"])
+def test_cli_prints_its_report_file(tmp_path, capsys, compare):
+    """Above its last line, the CLI's stdout is the report file, byte for byte."""
+    code, out = run_cli(tmp_path, *(["--compare"] if compare else []))
+    assert code == 0
+    printed = capsys.readouterr().out
+    report, last = printed[: printed.rindex("results written to")], printed.splitlines()[-1]
+    assert last == "results written to %s" % out
+    name = "comparison.txt" if compare else "summary.txt"
+    assert report == (out / name).read_text(encoding="utf-8")
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

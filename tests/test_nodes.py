@@ -38,7 +38,6 @@ from loraledger.nodes import (
     DownlinkData,
     DownlinkFrameForward,
     FrameForward,
-    JoinState,
     OrdererTick,
     TxSubmit,
     UplinkNotice,
@@ -800,21 +799,88 @@ def test_format_dev_addr_layout_and_bounds():
         format_dev_addr(256, 1)
 
 
-def test_join_state_bookkeeping():
-    js = JoinState()
-    js.register(b"\x01" * 8, ("key", "dev"))
-    assert js.lookup(b"\x01" * 8) == ("key", "dev")
-    assert js.lookup(b"\x02" * 8) is None
-    assert js.nonce_fresh(b"\x01" * 8, b"\x00\x01")
-    assert not js.nonce_fresh(b"\x01" * 8, b"\x00\x01")
-    assert js.nonce_fresh(b"\x01" * 8, b"\x00\x02")
+def test_assign_address_keeps_a_device_and_gives_the_next_its_own_slot():
+    world = build_world(make_config(experiment=1))
+    gw0 = world.gateways[0]
+    first, second = world.devices[0], world.devices[2]  # both covered by gw0
+    address = gw0.assign_address(first.dev_eui, 0)
+    assert address == format_dev_addr(0, 1)
+    assert gw0.assign_address(first.dev_eui, 0) == address  # a rejoin keeps it
+    assert gw0.registry[first.dev_eui].dev_addr == address
+    assert gw0.assign_address(second.dev_eui, 0) == format_dev_addr(0, 2)
 
-    first = js.allocate(b"\x01" * 8, 3)
-    assert first == format_dev_addr(3, 1)
-    assert js.allocate(b"\x01" * 8, 3) == first  # rejoin keeps the address
-    assert js.allocate(b"\x02" * 8, 3) == format_dev_addr(3, 2)
-    js.reserve(5, 10)
-    assert js.allocate(b"\x03" * 8, 5) == format_dev_addr(5, 11)
+
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+@pytest.mark.parametrize("experiment", [2, 3])
+def test_bootstrap_addresses_are_the_creator_index_slots(mode, experiment):
+    """The allocator gives a gateway's authorized devices the slots ordinal + 1, in order."""
+    world = app_world(mode=mode, experiment=experiment, n_devices=16, n_gateways=4)
+    authorized = world.authorized_devices()
+    assert len(authorized) == (16 if experiment == 2 else 8)
+    for device in authorized:
+        gw, ordinal = world.home(device.index)
+        expected = format_dev_addr(gw.index, ordinal + 1)
+        assert device.session.dev_addr == expected
+        session = world.join_server(gw).sessions[expected]
+        assert session.context.dev_eui == device.dev_eui
+        assert session.device_id == device.device_id
+
+
+def test_abp_device_keeps_its_address_when_it_joins():
+    world = build_world(make_config(experiment=1, mode="traditional"))
+    device, srv0 = world.devices[0], world.servers[0]
+    dev_addr = format_dev_addr(0, 77)
+    context = SessionContext(
+        dev_eui=device.dev_eui,
+        app_key=device.app_key,
+        dev_addr=dev_addr,
+        nwk_s_key=bytes(16),
+        dev_nonce=b"\x00\x09",
+        app_nonce=b"\x09\x08\x07",
+    )
+    srv0.abp_provision(context, device.device_id)
+    device.begin_join()
+    run_for(world, 2.0)
+    assert device.state == "joined"
+    assert device.session.dev_addr == dev_addr
+    assert srv0.sessions[dev_addr].context.nwk_s_key == device.session.nwk_s_key
+
+
+# (device index, DevNonce, signed with the device's own app key?)
+_join_requests = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.sampled_from([b"\x00\x01", b"\x00\x02", b"\x00\x03"]), st.booleans()
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+@settings(max_examples=30, deadline=None)
+@given(requests=_join_requests)
+def test_join_server_accepts_each_fresh_nonce_once_and_keeps_addresses(mode, requests):
+    """Joins with replayed nonces or a wrong app key are filtered; addresses stay put."""
+    world = build_world(make_config(experiment=1, mode=mode))
+    for index, dev_nonce, right_key in requests:
+        device = world.devices[index]
+        app_key = device.app_key if right_key else b"\x33" * 16
+        frame = build_join_request(app_key, device.app_eui, device.dev_eui, dev_nonce)
+        raw = serialize_frame(frame)
+        world.engine.send(device.uplink, raw, len(raw))
+    run_for(world, 4.0)
+
+    nodes = world.gateways + world.servers
+    fresh = {(index, dev_nonce) for index, dev_nonce, right_key in requests if right_key}
+    assert sum(node.joins_accepted for node in nodes) == len(fresh)
+    addresses = {}
+    for node in nodes:
+        for dev_addr, session in node.sessions.items():
+            addresses.setdefault(session.context.dev_eui, set()).add(dev_addr)
+    joined = {world.devices[index].dev_eui for index, _ in fresh}
+    assert set(addresses) == joined
+    assert all(len(held) == 1 for held in addresses.values())  # one address per device
+    assert len(set.union(set(), *addresses.values())) == len(joined)  # none shared
 
 
 @pytest.mark.parametrize("mode", ["edge", "traditional"])
@@ -905,7 +971,7 @@ def test_frame_forward_only_from_a_wired_gateway(sender):
     assert srv0.filtered_frames == 2
     assert (srv0.work_units, srv0.acks_sent, srv0.joins_accepted) == (0, 0, 0)
     assert srv0.sessions[session.dev_addr].last_fcnt_up == -1
-    assert srv0.js.nonce_fresh(device.dev_eui, b"\x07\x07")  # the nonce was never spent
+    assert b"\x07\x07" not in srv0.registry[device.dev_eui].spent_nonces  # never spent
     assert world.engine.events_processed == 0
 
 
