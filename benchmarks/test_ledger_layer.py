@@ -4,7 +4,8 @@
 
 Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
 a fast wrong answer does not pass.  Blocks hold 16 network transactions,
-the chain 8 such blocks.
+the chain 8 such blocks; the chain whose load fans out holds just over
+``PARALLEL_MIN_SIGNATURES`` transactions.
 """
 
 import random
@@ -13,6 +14,7 @@ import struct
 from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, generate_keypair, hash_bytes
 from loraledger.ledger import (
     DUMP_MAGIC,
+    PARALLEL_MIN_SIGNATURES,
     KIND_NETWORK,
     Ledger,
     SessionContext,
@@ -60,6 +62,8 @@ CHAIN = _chain(8)
 GENESIS, NEXT = CHAIN.blocks[0], CHAIN.blocks[1]
 NEXT_BYTES = NEXT.to_bytes()
 DUMP = dump_chain(CHAIN, DIRECTORY)
+LONG_CHAIN = _chain(PARALLEL_MIN_SIGNATURES // TXS_PER_BLOCK + 1)
+LONG_DUMP = dump_chain(LONG_CHAIN, DIRECTORY)
 LEAVES = [hash_bytes(bytes([n])) for n in range(200)]  # a full default batch
 
 
@@ -125,9 +129,20 @@ def test_dump_chain(benchmark):
     assert data == DUMP
 
 
-def test_load_chain(benchmark):
-    # a fresh key directory per load: every signature is verified again
-    ledger, directory = benchmark(load_chain, DUMP)
-    assert [block_hash(b) for b in ledger.blocks] == [block_hash(b) for b in CHAIN.blocks]
-    assert ledger.world_state == CHAIN.world_state
+def _check_load(load, chain):
+    ledger, directory = load
+    assert [block_hash(b) for b in ledger.blocks] == [block_hash(b) for b in chain.blocks]
+    assert ledger.world_state == chain.world_state
     assert directory.items() == DIRECTORY.items()
+
+
+def test_load_chain(benchmark):
+    # a fresh key directory per load: every signature is verified again, in this process
+    assert len(CHAIN.blocks) * TXS_PER_BLOCK < PARALLEL_MIN_SIGNATURES
+    _check_load(benchmark(load_chain, DUMP), CHAIN)
+
+
+def test_load_chain_fanned_out(benchmark):
+    # signatures checked on verify_jobs() processes: one on a host with one usable CPU
+    assert len(LONG_CHAIN.blocks) * TXS_PER_BLOCK >= PARALLEL_MIN_SIGNATURES
+    _check_load(benchmark(load_chain, LONG_DUMP), LONG_CHAIN)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from random import Random
 
@@ -303,6 +304,7 @@ class KeyDirectory:
         self._entries: dict[str, tuple[bytes, str]] = {}
         self._verify_keys: dict[str, Ed25519PublicKey] = {}
         self._verdicts: dict[tuple[str, bytes, bytes], bool] = {}
+        self._settled: dict[tuple[str, bytes, bytes], bool] = {}
 
     def add(self, entity_id: str, public_key: bytes, role: str) -> None:
         if len(public_key) != KEY_LEN:
@@ -325,9 +327,24 @@ class KeyDirectory:
         memo_key = (entity_id, message, signature)
         verdict = self._verdicts.get(memo_key)
         if verdict is None:
-            verdict = verify(verify_key, message, signature)
+            verdict = self._settled.get(memo_key)
+            if verdict is None:
+                verdict = verify(verify_key, message, signature)
             self._remember(memo_key, verdict)
         return verdict
+
+    @contextmanager
+    def settled(self, verdicts: dict[tuple[str, bytes, bytes], bool]):
+        """Inside the block, ``verify`` answers the exact bytes in ``verdicts`` from them.
+
+        For verdicts computed out of this process (``ledger.load_chain``'s
+        workers); each is remembered as if verified here, in the bounded memo.
+        """
+        self._settled = verdicts
+        try:
+            yield
+        finally:
+            self._settled = {}
 
     def sign(self, keypair: KeyPair, message: bytes) -> bytes:
         """``sign`` with the keypair, remembering the verdict if its key is the registered one.

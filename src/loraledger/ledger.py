@@ -14,6 +14,7 @@ serialized predecessor.  Wire layouts are documented in docs/wire.md.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from random import Random
@@ -491,8 +492,131 @@ def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
     return b"".join(parts)
 
 
+#: a dump with fewer signatures is verified in one process.  On a 2-vCPU VM,
+#: two processes took as long as one over 1024 signatures (0.21 s) and 36%
+#: less over 2048; starting a worker alone costs about 8 ms, or 40 verifies
+PARALLEL_MIN_SIGNATURES = 1024
+#: most processes, the loading one included, that check one dump's signatures
+MAX_VERIFY_JOBS = 4
+
+# one signature check: (requester, signed span, signature)
+_Check = tuple[str, bytes, bytes]
+
+# (directory, signature checks) a forked worker received when it started
+_worker_checks: tuple[KeyDirectory, list[_Check]] | None = None
+
+
+def verify_jobs() -> int:
+    """Processes ``load_chain`` checks signatures on: usable CPUs, at most
+    ``MAX_VERIFY_JOBS``; 1 where processes cannot be forked, or where this
+    one runs other threads, which could hold a lock a forked child needs."""
+    import multiprocessing  # here and below: only a large dump needs the pool modules
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_VERIFY_JOBS)
+
+
+def _first_failure(
+    directory: KeyDirectory, checks: list[_Check], start: int, stop: int
+) -> int | None:
+    """Offset from ``start`` of the first signature check in [start, stop) that fails."""
+    for position in range(start, stop):
+        if not directory.verify(*checks[position]):
+            return position - start
+    return None
+
+
+def _receive_checks(directory: KeyDirectory, checks: list[_Check]) -> None:
+    global _worker_checks
+    _worker_checks = directory, checks
+
+
+def _worker_first_failure(start: int, stop: int) -> int | None:
+    return _first_failure(*_worker_checks, start, stop)
+
+
+def _fanned_out_verdicts(
+    directory: KeyDirectory, checks: list[_Check], jobs: int
+) -> dict[_Check, bool] | None:
+    """Verdicts of ``checks`` up to the first that fails, over ``jobs`` processes.
+
+    ``checks`` is cut into ``jobs`` contiguous slices; this process checks the
+    first and forked workers the others.  A forked worker's start arguments
+    are not pickled, so workers get the checks through the fork and only
+    slice bounds and offsets cross a pipe.  A replay stops at the first
+    failing check, so it never asks for a later verdict.  None when a worker
+    died.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    bounds = [len(checks) * job // jobs for job in range(jobs + 1)]
+    try:
+        # all workers fork before the pool starts its thread; leaving the
+        # block joins them, on a raise too
+        with ProcessPoolExecutor(
+            jobs - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_receive_checks,
+            initargs=(directory, checks),
+        ) as pool:
+            futures = [
+                pool.submit(_worker_first_failure, start, stop)
+                for start, stop in zip(bounds[1:], bounds[2:])
+            ]
+            failures = [_first_failure(directory, checks, bounds[0], bounds[1])]
+            failures += [future.result() for future in futures]
+    except BrokenProcessPool:
+        return None
+    first = next(
+        (start + offset for start, offset in zip(bounds, failures) if offset is not None),
+        len(checks),
+    )
+    verdicts = dict.fromkeys(checks[:first], True)
+    if first < len(checks):
+        verdicts[checks[first]] = False
+    return verdicts
+
+
+def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Ledger:
+    """``Ledger.replay``, with the signatures checked ahead of it on ``verify_jobs()``
+    processes when there are at least ``PARALLEL_MIN_SIGNATURES``.
+
+    The replay stays the one verdict: it answers each signature from the
+    checks made ahead, and re-checks serially if a worker died.
+    """
+    signatures = sum(len(block.txs) for block in blocks)
+    jobs = verify_jobs() if signatures >= PARALLEL_MIN_SIGNATURES else 1
+    if jobs > 1:
+        # each distinct signature check the replay can make, in chain order
+        checks = list(
+            dict.fromkeys(
+                (tx.requester, tx.signed_span(), tx.signature)
+                for block in blocks
+                for tx in block.txs
+                if tx.requester in directory
+            )
+        )
+        verdicts = _fanned_out_verdicts(directory, checks, jobs) if checks else None
+        if verdicts is not None:
+            with directory.settled(verdicts):
+                return Ledger.replay(kind, blocks, directory)
+    return Ledger.replay(kind, blocks, directory)
+
+
 def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
-    """Parse and fully validate a chain dump; any corruption raises."""
+    """Parse and fully validate a chain dump; any corruption raises.
+
+    A large dump's signatures are checked on up to ``verify_jobs()``
+    processes (see ``_replay_dump``); the result and any error are the same.
+    """
     body, trailer = data[:-32], data[-32:]
     if hash_bytes(body) != trailer:
         raise ChainIntegrityError("dump digest mismatch")
@@ -517,4 +641,4 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
             raise ChainIntegrityError("malformed key table entry: %s" % exc) from exc
     blocks = [block_from_bytes(reader.prefixed(4)) for _ in range(reader.uint(4))]
     reader.finish("blocks")
-    return Ledger.replay(kind, blocks, directory), directory
+    return _replay_dump(kind, blocks, directory), directory

@@ -521,13 +521,22 @@ class LedgerNode:
         self.registry[dev_eui] = Registration(app_key, device_id)
 
     def assign_address(self, dev_eui: bytes, prefix: int) -> bytes:
-        """A registered device's address: the one it has, else the prefix's next slot."""
+        """A registered device's address: the one it has, else the prefix's next free slot."""
         registration = self.registry[dev_eui]
         if registration.dev_addr is None:
             counter = self._addr_counters.get(prefix, 0) + 1
+            while not self._address_free(format_dev_addr(prefix, counter)):
+                counter += 1  # an ABP device holds this one
             registration.dev_addr = format_dev_addr(prefix, counter)
             self._addr_counters[prefix] = counter
         return registration.dev_addr
+
+    def _address_free(self, dev_addr: bytes) -> bool:
+        """No session here and no context on this node's network ledger use ``dev_addr``."""
+        if dev_addr in self.sessions:
+            return False
+        network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
+        return network is None or network.ledger.query_context(dev_addr) is None
 
     def install_session(self, context: SessionContext) -> None:
         """Adopt a registered device's session established out of band (bootstrap)."""
@@ -765,10 +774,7 @@ class NetworkServer(LedgerNode):
     def abp_provision(self, context: SessionContext, device_id: str) -> None:
         """Install an operator-supplied session; address collisions are rejected."""
         # an address not yet committed is in sessions; every other one is on the ledger
-        if (
-            context.dev_addr in self.sessions
-            or self.channels[KIND_NETWORK].ledger.query_context(context.dev_addr) is not None
-        ):
+        if not self._address_free(context.dev_addr):
             raise ValueError("device address %s already in use" % context.dev_addr.hex())
         registration = self.registry.get(context.dev_eui)
         if registration is not None:

@@ -228,6 +228,21 @@ def test_key_directory_verify_memo_is_bounded(monkeypatch):
     assert len(calls) == VERDICT_MEMO_SIZE + 12
 
 
+def test_key_directory_settled_verdicts_answer_only_inside_the_block(monkeypatch):
+    """Settled verdicts are taken as given, remembered, and dropped when the block ends."""
+    directory, sig = _signed_directory()
+    calls = []
+    real = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real(*args))
+    with directory.settled({("gw0", b"one", sig): True, ("gw0", b"two", sig): False}):
+        assert directory.verify("gw0", b"one", sig)  # not its signature, but settled so
+        assert not directory.verify("gw0", b"two", sig)
+        assert not directory.verify("gw0", b"three", sig) and len(calls) == 1
+    assert directory.verify("gw0", b"one", sig) and len(calls) == 1  # now in the memo
+    directory._verdicts.clear()
+    assert not directory.verify("gw0", b"one", sig) and len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # verdicts recorded at sign time
 

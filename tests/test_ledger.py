@@ -1,8 +1,13 @@
 """Chain layer: transactions, blocks, world state, dumps, tamper detection."""
 
+import functools
 import hashlib
+import multiprocessing
+import os
 import random
 import struct
+import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,8 @@ from loraledger.crypto import (
     pk_encrypt,
     sign,
 )
+from loraledger import crypto as crypto_module
+from loraledger import ledger as ledger_module
 from loraledger.cli import main
 from loraledger.ledger import (
     DUMP_MAGIC,
@@ -504,3 +511,185 @@ def test_dump_with_short_public_key_is_invalid(tmp_path, capsys):
         load_chain(path.read_bytes())
     assert main(["ledger", "verify", str(path)]) == 1
     assert capsys.readouterr().out.startswith("INVALID: ")
+
+
+# ---------------------------------------------------------------------------
+# signature checks fanned out over forked processes in load_chain
+
+
+def _load_with_jobs(monkeypatch, data, jobs):
+    """``load_chain`` on ``jobs`` processes at any size: (ledger, directory) or the error text."""
+    monkeypatch.setattr(ledger_module, "PARALLEL_MIN_SIGNATURES", 0)
+    monkeypatch.setattr(ledger_module, "verify_jobs", lambda: jobs)
+    try:
+        return load_chain(data)
+    except ChainIntegrityError as exc:
+        return str(exc)
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def _same_load(monkeypatch, data, jobs=2):
+    """Load serially and fanned out; the two must agree.  Returns the serial outcome."""
+    serial = _load_with_jobs(monkeypatch, data, 1)
+    fanned = _load_with_jobs(monkeypatch, data, jobs)
+    if isinstance(serial, str):
+        assert fanned == serial
+    else:
+        (ledger, directory), (fanned_ledger, fanned_directory) = serial, fanned
+        assert fanned_ledger.blocks == ledger.blocks
+        assert fanned_ledger.world_state == ledger.world_state
+        assert fanned_directory.items() == directory.items()
+        assert dump_chain(fanned_ledger, fanned_directory) == data
+    return serial
+
+
+def _forged(tx: Transaction) -> Transaction:
+    """``tx`` signed by another registered entity's key (gw1's), still claiming its requester."""
+    return replace(tx, signature=sign(keypair("gw1").private_key, tx.signed_span()))
+
+
+def _network_blocks(n_blocks: int, forged_at=(), txs_per_block: int = 2) -> list[Block]:
+    """Linked gw0 network blocks; the last tx of each block in ``forged_at`` is forged."""
+    blocks = []
+    for z in range(n_blocks):
+        txs = [
+            network_tx("gw0", z * txs_per_block + i, t_ms=z * txs_per_block + i)
+            for i in range(txs_per_block)
+        ]
+        if z in forged_at:
+            txs[-1] = _forged(txs[-1])
+        blocks.append(assemble_block(txs, z, z * 1000, blocks[-1] if blocks else None))
+    return blocks
+
+
+def _dump_blocks(blocks: list[Block], directory) -> bytes:
+    ledger = Ledger(KIND_NETWORK)
+    ledger.blocks = list(blocks)  # unvalidated on purpose: dumps carry what they carry
+    return dump_chain(ledger, directory)
+
+
+def _resealed(data: bytes) -> bytes:
+    """``data`` with its trailer digest recomputed over its body."""
+    return data[:-32] + hash_bytes(data[:-32])
+
+
+CHAIN_BLOCKS = _network_blocks(8)
+
+
+def test_load_chain_fanned_out_matches_serial(directory, monkeypatch):
+    data = _dump_blocks(CHAIN_BLOCKS, directory)
+    for jobs in (2, 3):
+        ledger, _ = _same_load(monkeypatch, data, jobs)
+        assert ledger.blocks == CHAIN_BLOCKS
+
+
+@pytest.mark.parametrize("forged_at", [0, 4, 7], ids=["first", "middle", "last"])
+def test_load_chain_forged_signature_gives_the_serial_error(directory, monkeypatch, forged_at):
+    data = _dump_blocks(_network_blocks(8, forged_at={forged_at}), directory)
+    expected = "chain failed validation: block %d rejected at height %d" % (forged_at, forged_at)
+    assert _same_load(monkeypatch, data) == expected
+    assert _same_load(monkeypatch, data, jobs=4) == expected
+
+
+def test_load_chain_earlier_structural_fault_wins_over_later_forgery(directory, monkeypatch):
+    blocks = _network_blocks(8, forged_at={6})
+    blocks[2] = replace(blocks[2], merkle_root=hash_bytes(b"not the root"))
+    data = _dump_blocks(blocks, directory)
+    assert _same_load(monkeypatch, data) == "chain failed validation: block 2 rejected at height 2"
+
+
+def test_load_chain_resealed_signature_flip_gives_the_serial_error(directory, monkeypatch):
+    """A flipped signature byte under a correct trailer: the Merkle check rejects the block."""
+    data = _dump_blocks(CHAIN_BLOCKS, directory)
+    flipped = bytearray(data)
+    flipped[data.index(CHAIN_BLOCKS[5].txs[0].signature) + 10] ^= 0x40
+    message = _same_load(monkeypatch, _resealed(bytes(flipped)))
+    assert message == "chain failed validation: block 5 rejected at height 5"
+
+
+def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypatch, tmp_path):
+    """Across every process of one load, each distinct signature is verified once,
+    and the returned directory keeps no more verdicts than its memo holds."""
+    blocks = _network_blocks(6, txs_per_block=3)
+    again = assemble_block([blocks[1].txs[0]], 6, 7000, blocks[-1])  # a tx on the chain twice
+    data = _dump_blocks(blocks + [again], directory)
+    log = tmp_path / "verified"
+    real_verify = crypto_module.verify
+
+    def logged_verify(public_key, message, signature):
+        with open(log, "ab") as fh:  # appends from forked workers too
+            fh.write(signature.hex().encode("ascii") + b"\n")
+        return real_verify(public_key, message, signature)
+
+    monkeypatch.setattr(crypto_module, "verify", logged_verify)
+    monkeypatch.setattr(crypto_module, "VERDICT_MEMO_SIZE", 4)
+    ledger, loaded = _load_with_jobs(monkeypatch, data, 3)
+    verified = log.read_bytes().splitlines()
+    assert len(verified) == len(set(verified)) == 18
+    assert ledger.height == 7
+    assert len(loaded._verdicts) <= 4
+
+
+def _die_in_last_worker(start, stop):
+    if stop == len(CHAIN_BLOCKS) * 2:  # the slice that ends the chain's checks
+        os._exit(3)
+    return ledger_module._first_failure(*ledger_module._worker_checks, start, stop)
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_load_chain_rechecks_serially_when_a_worker_dies(directory, monkeypatch, jobs):
+    """One worker dies: the others are stopped and the load ends in a serial re-check."""
+    monkeypatch.setattr(ledger_module, "_worker_first_failure", _die_in_last_worker)
+    good = _dump_blocks(CHAIN_BLOCKS, directory)
+    ledger, _ = _load_with_jobs(monkeypatch, good, jobs)
+    assert ledger.blocks == CHAIN_BLOCKS
+    forged = _dump_blocks(_network_blocks(8, forged_at={7}), directory)
+    message = "chain failed validation: block 7 rejected at height 7"
+    assert _load_with_jobs(monkeypatch, forged, jobs) == message
+
+
+def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkeypatch):
+    data = _dump_blocks(CHAIN_BLOCKS, directory)
+    monkeypatch.setattr(ledger_module, "verify_jobs", lambda: 2)
+    monkeypatch.setattr(ledger_module, "_fanned_out_verdicts", None)  # a fan-out would fail
+    assert ledger_module.PARALLEL_MIN_SIGNATURES > 16
+    ledger, _ = load_chain(data)
+    assert ledger.blocks == CHAIN_BLOCKS
+
+
+def test_verify_jobs_is_usable_cpus_up_to_four_and_one_beside_threads():
+    assert 1 <= ledger_module.verify_jobs() <= ledger_module.MAX_VERIFY_JOBS == 4
+    assert ledger_module.verify_jobs() <= len(os.sched_getaffinity(0))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert ledger_module.verify_jobs() == 1
+    finally:
+        release.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@functools.cache
+def _property_blocks(forged_at: frozenset) -> list[Block]:
+    return _network_blocks(6, forged_at=forged_at)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    forged_at=st.frozensets(st.integers(0, 5), max_size=2),
+    flips=st.lists(st.tuples(st.integers(0, 2**32), st.integers(1, 255)), max_size=2),
+)
+def test_load_chain_fanned_out_agrees_with_serial(forged_at, flips):
+    """Forged signatures and trailer-resealed byte flips: serial and fanned-out loads
+    both accept the same chain or both raise the same message."""
+    directory = KeyDirectory()
+    for entity_id, role in (("gw0", ROLE_GATEWAY), ("gw1", ROLE_GATEWAY), ("srv0", ROLE_SERVER)):
+        directory.add(entity_id, generate_keypair(entity_id, 11).public_key, role)
+    data = bytearray(_dump_blocks(_property_blocks(forged_at), directory))
+    for position, mask in flips:
+        data[position % (len(data) - 32)] ^= mask
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _same_load(monkeypatch, _resealed(bytes(data)))

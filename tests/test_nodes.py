@@ -28,6 +28,7 @@ from loraledger.ledger import (
     Transaction,
     assemble_block,
     block_hash,
+    context_metadata,
     make_app_tx,
     make_network_tx,
 )
@@ -844,6 +845,41 @@ def test_abp_device_keeps_its_address_when_it_joins():
     assert device.state == "joined"
     assert device.session.dev_addr == dev_addr
     assert srv0.sessions[dev_addr].context.nwk_s_key == device.session.nwk_s_key
+
+
+@pytest.mark.parametrize("mode", ["traditional", "edge"])
+def test_join_skips_an_address_an_abp_device_holds(mode):
+    """A join gets the prefix's next free slot, not the one an ABP device was given."""
+    world = build_world(make_config(experiment=1, mode=mode))
+    abp, joiner, srv0 = world.devices[0], world.devices[2], world.servers[0]  # both under gw0
+    join_server = world.join_server(world.gateways[0])
+    dev_addr = format_dev_addr(0, 1)  # the slot the allocator would hand out first
+    nwk_s_key, app_s_key = derive_session_keys(
+        abp.app_key, b"\x09\x08\x07", world.config.net_id, b"\x00\x09"
+    )
+    context = SessionContext(
+        dev_eui=abp.dev_eui,
+        app_key=abp.app_key,
+        dev_addr=dev_addr,
+        nwk_s_key=nwk_s_key,
+        dev_nonce=b"\x00\x09",
+        app_nonce=b"\x09\x08\x07",
+    )
+    srv0.abp_provision(context, abp.device_id)
+    abp.install_session(dev_addr, nwk_s_key, app_s_key)
+    # a gateway sees the ABP address once its context commits (edge mode)
+    run_for(world, 3.0)
+    joiner.begin_join()
+    run_for(world, 3.0)
+
+    assert joiner.state == "joined"
+    assert joiner.session.dev_addr == format_dev_addr(0, 2)
+    assert join_server.sessions[joiner.session.dev_addr].context.dev_eui == joiner.dev_eui
+    assert srv0.sessions[dev_addr].context == context
+    for node in world.replicas(KIND_NETWORK):
+        entry = node.ledgers[KIND_NETWORK].query_context(dev_addr)
+        assert entry.requester == srv0.entity_id
+        assert context_metadata(entry.envelope) == (dev_addr, abp.dev_eui)
 
 
 # (device index, DevNonce, signed with the device's own app key?)
