@@ -3,101 +3,9 @@
 The package splits into protocol layers (``crypto``, ``frames``), chain
 machinery (``ledger``, ``consensus``), the deterministic event engine
 (``simnet``), node state machines (``nodes``), and the experiment harness
-(``scenario``, ``metrics``, ``harness``, ``cli``).
+(``scenario``, ``metrics``, ``harness``, ``cli``).  Modules are imported by
+path, such as ``loraledger.ledger``; the package root exports only
+``__version__``.
 """
 
 __version__ = "0.1.0"
-
-from .crypto import (
-    KeyDirectory,
-    KeyPair,
-    derive_session_keys,
-    generate_keypair,
-    hash_bytes,
-    pk_decrypt,
-    pk_encrypt,
-    sign,
-    verify,
-)
-from .frames import (
-    DataFrame,
-    JoinAccept,
-    JoinRequest,
-    build_data_frame,
-    build_join_accept,
-    build_join_request,
-    open_join_accept,
-    parse_frame,
-    serialize_frame,
-)
-from .ledger import (
-    Block,
-    KIND_APPLICATION,
-    KIND_NETWORK,
-    Ledger,
-    SessionContext,
-    Transaction,
-    assemble_block,
-    block_hash,
-    dump_chain,
-    load_chain,
-    make_app_tx,
-    make_network_tx,
-    validate_block,
-)
-from .consensus import BatchConfig, SoloOrderer, VoteRound, consensus_state
-from .simnet import Engine, LatencyModel, Link
-from .nodes import EndDevice, Gateway, NetworkServer
-from .scenario import ScenarioConfig, build_config
-from .harness import RunResult, build_world, compare_modes, run_experiment
-
-__all__ = [
-    "__version__",
-    "KeyDirectory",
-    "KeyPair",
-    "derive_session_keys",
-    "generate_keypair",
-    "hash_bytes",
-    "pk_decrypt",
-    "pk_encrypt",
-    "sign",
-    "verify",
-    "DataFrame",
-    "JoinAccept",
-    "JoinRequest",
-    "build_data_frame",
-    "build_join_accept",
-    "build_join_request",
-    "open_join_accept",
-    "parse_frame",
-    "serialize_frame",
-    "Block",
-    "KIND_APPLICATION",
-    "KIND_NETWORK",
-    "Ledger",
-    "SessionContext",
-    "Transaction",
-    "assemble_block",
-    "block_hash",
-    "dump_chain",
-    "load_chain",
-    "make_app_tx",
-    "make_network_tx",
-    "validate_block",
-    "BatchConfig",
-    "SoloOrderer",
-    "VoteRound",
-    "consensus_state",
-    "Engine",
-    "LatencyModel",
-    "Link",
-    "EndDevice",
-    "Gateway",
-    "NetworkServer",
-    "ScenarioConfig",
-    "build_config",
-    "RunResult",
-    "build_world",
-    "compare_modes",
-    "run_experiment",
-]

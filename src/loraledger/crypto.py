@@ -30,7 +30,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-DIGEST_LEN = 32
 SYM_KEY_LEN = 16
 MIC_LEN = 4
 SIGNATURE_LEN = 64

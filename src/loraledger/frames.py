@@ -11,7 +11,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 
-from .crypto import aes128_decrypt_block, aes128_encrypt_block, aes128_encrypt_blocks, mac32
+from .crypto import (
+    MIC_LEN,
+    aes128_decrypt_block,
+    aes128_encrypt_block,
+    aes128_encrypt_blocks,
+    mac32,
+)
 
 MHDR_JOIN_REQUEST = 0x00
 MHDR_JOIN_ACCEPT = 0x20
@@ -27,12 +33,12 @@ DEV_NONCE_LEN = 2
 APP_NONCE_LEN = 3
 NET_ID_LEN = 3
 DEV_ADDR_LEN = 4
-MIC_LEN = 4
 
 JOIN_REQUEST_LEN = 1 + APP_EUI_LEN + DEV_EUI_LEN + DEV_NONCE_LEN + MIC_LEN  # 23
 JOIN_ACCEPT_LEN = 1 + 16  # mhdr + one encrypted block
 DATA_OVERHEAD = 1 + DEV_ADDR_LEN + 2 + 1 + MIC_LEN  # 12
 MAX_FRM_PAYLOAD = 242
+MAX_FCNT = 0xFFFF  # data-frame counters are 16 bits on the wire
 
 
 class MalformedFrameError(Exception):
@@ -100,7 +106,7 @@ class DataFrame:
     def __post_init__(self) -> None:
         if len(self.dev_addr) != DEV_ADDR_LEN or len(self.mic) != MIC_LEN:
             raise ValueError("data frame field length mismatch")
-        if not 0 <= self.fcnt <= 0xFFFF:
+        if not 0 <= self.fcnt <= MAX_FCNT:
             raise ValueError("frame counter out of range")
         if not 0 <= self.fport <= 0xFF:
             raise ValueError("port out of range")

@@ -40,7 +40,6 @@ from .ledger import (
     KIND_APPLICATION,
     KIND_NETWORK,
     Ledger,
-    SessionContext,
     assemble_block,
     make_network_tx,
 )
@@ -274,10 +273,12 @@ def build_world(config: ScenarioConfig) -> World:
 def bootstrap_sessions(world: World) -> None:
     """Pre-establish sessions for authorized devices and commit them on-chain.
 
-    Keys and nonces come from per-device bootstrap streams, and addresses
-    from the join server's allocator, which hands a gateway's authorized
-    devices (its first ordinals, visited in order) the slots ``ordinal + 1``,
-    so both deployment modes end up with byte-identical device sessions.
+    Keys and nonces come from per-device bootstrap streams.  The join server
+    opens each session as it opens a join's, spending the DevNonce and
+    taking the address from its allocator, which hands a gateway's
+    authorized devices (its first ordinals, visited in order) the slots
+    ``ordinal + 1``, so both deployment modes end up with byte-identical
+    device sessions.
     Blocks are appended to every network replica directly; no simulated
     traffic is involved.
     """
@@ -289,20 +290,11 @@ def bootstrap_sessions(world: World) -> None:
         boot = world.engine.stream("bootstrap:%s" % device.device_id)
         dev_nonce = boot.randbytes(2)
         app_nonce = boot.randbytes(3)
-        dev_addr = creator.assign_address(device.dev_eui, gw.index)
         nwk_s_key, app_s_key = derive_session_keys(
             device.app_key, app_nonce, config.net_id, dev_nonce
         )
-        context = SessionContext(
-            dev_eui=device.dev_eui,
-            app_key=device.app_key,
-            dev_addr=dev_addr,
-            nwk_s_key=nwk_s_key,
-            dev_nonce=dev_nonce,
-            app_nonce=app_nonce,
-        )
-        device.install_session(dev_addr, nwk_s_key, app_s_key)
-        creator.install_session(context)
+        context = creator.open_session(device.dev_eui, dev_nonce, app_nonce, nwk_s_key, gw.index)
+        device.install_session(context.dev_addr, nwk_s_key, app_s_key)
         tx = make_network_tx(world.key_directory, creator.keypair, context, 0, creator.rng)
         creators.setdefault(creator.entity_id, []).append(tx)
 

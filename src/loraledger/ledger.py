@@ -29,6 +29,7 @@ from .crypto import (
     hash_bytes,
     pk_encrypt,
 )
+from .frames import APP_NONCE_LEN, DEV_ADDR_LEN, DEV_EUI_LEN, DEV_NONCE_LEN
 
 KIND_NETWORK = "network"
 KIND_APPLICATION = "application"
@@ -43,12 +44,8 @@ _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 _ROLE_CODES = {"gateway": 0, "server": 1}
 _ROLE_NAMES = {code: role for role, code in _ROLE_CODES.items()}
 
-DEV_EUI_LEN = 8
 APP_KEY_LEN = 16
-DEV_ADDR_LEN = 4
 NWK_S_KEY_LEN = 16
-DEV_NONCE_LEN = 2
-APP_NONCE_LEN = 3
 # SessionContext fields in wire order, with their lengths
 _CONTEXT_LAYOUT = (
     ("dev_eui", DEV_EUI_LEN),

@@ -55,6 +55,7 @@ from .crypto import (
 from .frames import (
     DIR_DOWN,
     DIR_UP,
+    MAX_FCNT,
     MAX_FRM_PAYLOAD,
     DataFrame,
     EncryptedJoinAccept,
@@ -538,19 +539,29 @@ class LedgerNode:
         network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
         return network is None or network.ledger.query_context(dev_addr) is None
 
-    def install_session(self, context: SessionContext) -> None:
-        """Adopt a registered device's session established out of band (bootstrap)."""
-        registration = self.registry[context.dev_eui]
-        registration.spent_nonces.add(context.dev_nonce)
+    def open_session(
+        self, dev_eui: bytes, dev_nonce: bytes, app_nonce: bytes, nwk_s_key: bytes, prefix: int
+    ) -> SessionContext:
+        """Spend a registered device's DevNonce, address it and serve its new session."""
+        registration = self.registry[dev_eui]
+        registration.spent_nonces.add(dev_nonce)
+        context = SessionContext(
+            dev_eui=dev_eui,
+            app_key=registration.app_key,
+            dev_addr=self.assign_address(dev_eui, prefix),
+            nwk_s_key=nwk_s_key,
+            dev_nonce=dev_nonce,
+            app_nonce=app_nonce,
+        )
         self.sessions[context.dev_addr] = NcSession(context, registration.device_id)
+        return context
 
     def receive_key_handover(self, entity_id: str, private_key: bytes) -> None:
         """Out-of-band private-key copy from a failing gateway."""
         self.held_keys[entity_id] = private_key
 
-    def _publish_context(self, context: SessionContext, device_id: str) -> None:
-        """Serve a new session at once and submit its context to the network ledger."""
-        self.sessions[context.dev_addr] = NcSession(context, device_id)
+    def _publish_context(self, context: SessionContext) -> None:
+        """Sign a new session's context and submit it to the network ledger."""
         self.work_units += WU_TX_BUILD
         tx = make_network_tx(self.directory, self.keypair, context, self.now_ms, self.rng)
         self.submit_tx(KIND_NETWORK, tx)
@@ -583,23 +594,16 @@ class LedgerNode:
         ):
             self.filtered_frames += 1
             return
-        registration.spent_nonces.add(frame.dev_nonce)
-        dev_addr = self.assign_address(frame.dev_eui, self._address_prefix(via))
         app_nonce = self.rng.randbytes(3)
         # the application session key is derived only by the device
         nwk_s_key, _ = derive_session_keys(app_key, app_nonce, self.net_id, frame.dev_nonce)
-        context = SessionContext(
-            dev_eui=frame.dev_eui,
-            app_key=app_key,
-            dev_addr=dev_addr,
-            nwk_s_key=nwk_s_key,
-            dev_nonce=frame.dev_nonce,
-            app_nonce=app_nonce,
+        context = self.open_session(
+            frame.dev_eui, frame.dev_nonce, app_nonce, nwk_s_key, self._address_prefix(via)
         )
-        self._publish_context(context, device_id)
+        self._publish_context(context)
         # the accept goes out concurrently with consensus, not after it
         self.work_units += WU_PARSE + WU_MIC
-        accept = build_join_accept(app_key, app_nonce, self.net_id, dev_addr)
+        accept = build_join_accept(app_key, app_nonce, self.net_id, context.dev_addr)
         self.joins_accepted += 1
         self._send_join_accept(via, device_id, accept)
 
@@ -717,9 +721,10 @@ class Gateway(LedgerNode):
     def _on_downlink_data(self, msg: DownlinkData) -> None:
         self.work_units += WU_QUERY
         session = self._session(msg.dev_addr)
-        # a payload no frame can carry is dropped; without a radio route the
-        # frame is built but goes nowhere
-        if session is not None and len(msg.payload) <= MAX_FRM_PAYLOAD:
+        # a counter or payload no frame can carry is dropped; without a radio
+        # route the frame is built but goes nowhere
+        framable = 0 <= msg.fcnt <= MAX_FCNT and len(msg.payload) <= MAX_FRM_PAYLOAD
+        if session is not None and framable:
             self._send_data_down(self.entity_id, session, msg.fcnt, APP_FPORT, msg.payload)
 
     _HANDLERS = {
@@ -779,7 +784,8 @@ class NetworkServer(LedgerNode):
         registration = self.registry.get(context.dev_eui)
         if registration is not None:
             registration.dev_addr = context.dev_addr  # a later join keeps this address
-        self._publish_context(context, device_id)
+        self.sessions[context.dev_addr] = NcSession(context, device_id)
+        self._publish_context(context)
 
     def reserve_fcnt_down(self, dev_addr: bytes) -> int:
         """Hand out the next application downlink counter, kept apart from the NC's ACKs."""
@@ -794,6 +800,10 @@ class NetworkServer(LedgerNode):
         builds and integrity-tags the frame; traditional mode builds the full
         frame here.
         """
+        if not 0 <= fcnt <= MAX_FCNT:
+            raise ValueError("frame counter %d out of range" % fcnt)
+        if len(encrypted_payload) > MAX_FRM_PAYLOAD:
+            raise ValueError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
         self.work_units += WU_QUERY
         if dev_addr[0] >= len(self.gateways):
             raise ValueError("no gateway serves address %s" % dev_addr.hex())
@@ -820,7 +830,6 @@ class NetworkServer(LedgerNode):
 
 BEHAVIOR_JOIN_LOOP = "join-loop"
 BEHAVIOR_UPLINK_LOOP = "uplink-loop"
-BEHAVIOR_IDLE = "idle"
 
 
 @dataclass(frozen=True)
@@ -833,7 +842,7 @@ class DeviceProfile:
     payload_bytes: int = 20
 
     def __post_init__(self) -> None:
-        if self.behavior not in (BEHAVIOR_JOIN_LOOP, BEHAVIOR_UPLINK_LOOP, BEHAVIOR_IDLE):
+        if self.behavior not in (BEHAVIOR_JOIN_LOOP, BEHAVIOR_UPLINK_LOOP):
             raise ValueError("unknown behavior %r" % self.behavior)
         if not 0 < self.interval_lo_us <= self.interval_hi_us:
             raise ValueError("interval bounds must satisfy 0 < lo <= hi")
@@ -908,7 +917,7 @@ class EndDevice:
         self.uplink = link
 
     def install_session(self, dev_addr: bytes, nwk_s_key: bytes, app_s_key: bytes) -> None:
-        """Adopt a session established out of band (bootstrap / provisioning)."""
+        """Adopt a session from a join accept or from out of band (bootstrap, provisioning)."""
         self.session = DeviceSession(dev_addr=dev_addr, nwk_s_key=nwk_s_key, app_s_key=app_s_key)
 
     def self_mint_session(self) -> None:
@@ -960,7 +969,7 @@ class EndDevice:
             self.skipped_sends += 1
             return
         session = self.session
-        if session.fcnt_up > 0xFFFF:
+        if session.fcnt_up > MAX_FCNT:
             self.skipped_sends += 1
             return
         plaintext = self.payload_plaintext(session.fcnt_up)
@@ -1013,9 +1022,7 @@ class EndDevice:
         nwk_s_key, app_s_key = derive_session_keys(
             self.app_key, accept.app_nonce, accept.net_id, join.dev_nonce
         )
-        self.session = DeviceSession(
-            dev_addr=accept.dev_addr, nwk_s_key=nwk_s_key, app_s_key=app_s_key
-        )
+        self.install_session(accept.dev_addr, nwk_s_key, app_s_key)
         self._join = None
         self.engine.cancel(join.timer)
         self.recorder.complete(join.request_id, self.engine.now_us)

@@ -814,7 +814,11 @@ def test_assign_address_keeps_a_device_and_gives_the_next_its_own_slot():
 @pytest.mark.parametrize("mode", ["edge", "traditional"])
 @pytest.mark.parametrize("experiment", [2, 3])
 def test_bootstrap_addresses_are_the_creator_index_slots(mode, experiment):
-    """The allocator gives a gateway's authorized devices the slots ordinal + 1, in order."""
+    """The allocator gives a gateway's authorized devices the slots ordinal + 1, in order.
+
+    The join server opens each bootstrap session as it opens a join's: it
+    spends the DevNonce and shares the device's network session key.
+    """
     world = app_world(mode=mode, experiment=experiment, n_devices=16, n_gateways=4)
     authorized = world.authorized_devices()
     assert len(authorized) == (16 if experiment == 2 else 8)
@@ -822,9 +826,13 @@ def test_bootstrap_addresses_are_the_creator_index_slots(mode, experiment):
         gw, ordinal = world.home(device.index)
         expected = format_dev_addr(gw.index, ordinal + 1)
         assert device.session.dev_addr == expected
-        session = world.join_server(gw).sessions[expected]
+        join_server = world.join_server(gw)
+        session = join_server.sessions[expected]
         assert session.context.dev_eui == device.dev_eui
         assert session.device_id == device.device_id
+        assert session.context.nwk_s_key == device.session.nwk_s_key
+        spent = join_server.registry[device.dev_eui].spent_nonces
+        assert session.context.dev_nonce in spent
 
 
 def test_abp_device_keeps_its_address_when_it_joins():
@@ -1012,16 +1020,45 @@ def test_frame_forward_only_from_a_wired_gateway(sender):
 
 
 @pytest.mark.parametrize(
-    "mode, payload_len",
-    [("traditional", 20), ("edge", MAX_FRM_PAYLOAD + 1)],
-    ids=["gateway-without-sessions", "payload-no-frame-carries"],
+    "mode, fcnt, payload_len",
+    [
+        pytest.param("traditional", 0, 20, id="gateway-without-sessions"),
+        pytest.param("edge", 0, MAX_FRM_PAYLOAD + 1, id="payload-no-frame-carries"),
+        pytest.param("edge", -1, 8, id="counter-below-16-bits-edge"),
+        pytest.param("edge", 0x10000, 8, id="counter-above-16-bits-edge"),
+        pytest.param("traditional", -1, 8, id="counter-below-16-bits-traditional"),
+        pytest.param("traditional", 0x10000, 8, id="counter-above-16-bits-traditional"),
+    ],
 )
-def test_gateway_drops_downlink_data_it_cannot_frame(mode, payload_len):
-    """A traditional gateway serves no sessions, and no frame carries 243 payload bytes."""
+def test_gateway_drops_downlink_data_it_cannot_frame(mode, fcnt, payload_len):
+    """A gateway drops downlink data it has no session for or cannot frame.
+
+    A traditional gateway serves no sessions, and no frame carries 243
+    payload bytes or a counter outside 16 bits.
+    """
     world = app_world(mode=mode)
     device, gw0 = world.devices[0], world.gateways[0]
     payload = b"\x01" * payload_len
-    gw0.handle(DownlinkData(dev_addr=device.session.dev_addr, fcnt=0, payload=payload))
+    gw0.handle(DownlinkData(dev_addr=device.session.dev_addr, fcnt=fcnt, payload=payload))
+    run_for(world, 1.0)
+    assert device.received_downlinks == []
+    assert world.engine.events_processed == 0
+
+
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+@pytest.mark.parametrize(
+    "fcnt, payload_len",
+    [(-1, 8), (0x10000, 8), (0, MAX_FRM_PAYLOAD + 1)],
+    ids=["counter-below-16-bits", "counter-above-16-bits", "payload-no-frame-carries"],
+)
+def test_server_downlink_rejects_what_no_frame_carries(mode, fcnt, payload_len):
+    """The server raises at the call, before it charges work or sends anything."""
+    world = app_world(mode=mode)
+    device, srv0 = world.devices[0], world.servers[0]
+    with pytest.raises(ValueError, match="out of range|exceeds"):
+        srv0.downlink(device.session.dev_addr, b"\x01" * payload_len, fcnt)
+    assert srv0.work_units == 0
+    assert all(link.bytes_sent == 0 for link in world.engine.links.values())
     run_for(world, 1.0)
     assert device.received_downlinks == []
     assert world.engine.events_processed == 0
@@ -1075,8 +1112,9 @@ def test_forged_tx_submit_does_not_sink_the_honest_batch():
 def _wire_messages(world) -> dict:
     """A strategy per wire message type, over pools mixing real and bogus values.
 
-    Integer fields stay within their wire widths; everything else may be
-    outside anything the node expects.
+    Frame counters reach one past each end of their 16-bit wire width, other
+    integer fields stay within theirs, and everything else may be outside
+    anything the node expects.
     """
     device, gw0, srv0 = world.devices[0], world.gateways[0], world.servers[0]
     session = device.session
@@ -1097,7 +1135,7 @@ def _wire_messages(world) -> dict:
     addrs = st.sampled_from(
         [session.dev_addr, format_dev_addr(1, 1), b"\x00\x99\x99\x99", b"\xff" * 4]
     )
-    fcnts = st.integers(0, 0xFFFF)
+    fcnts = st.integers(-1, 0x10000)
 
     rogue = generate_keypair("srv9", world.config.seed)
     signers = (srv0.keypair, gw0.keypair, rogue)
