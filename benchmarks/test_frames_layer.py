@@ -3,9 +3,10 @@
     python3 -m pytest benchmarks --benchmark-only
 
 Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
-a fast wrong answer does not pass.  The frame is an uplink with a 20-byte
-payload, the default reading size; the envelope seals one session context
-with its addr | eui metadata, as a join does.
+a fast wrong answer does not pass.  The data frame is an uplink with a 20-byte
+payload, the default reading size; the join request is the frozen vector of
+tests/test_frames.py; the envelope seals one session context with its
+addr | eui metadata, as a join does.
 """
 
 import random
@@ -20,8 +21,8 @@ from loraledger.crypto import (
 from loraledger.frames import (
     DIR_UP,
     build_data_frame,
+    build_join_request,
     parse_frame,
-    serialize_frame,
     verify_data_mic,
 )
 from loraledger.ledger import SessionContext
@@ -29,8 +30,12 @@ from loraledger.ledger import SessionContext
 NWK_S_KEY = bytes(range(16))
 DEV_ADDR = bytes.fromhex("01000001")
 PAYLOAD = bytes(range(20))
-FRAME = build_data_frame(NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP)
-RAW = serialize_frame(FRAME)
+RAW = build_data_frame(NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP)
+FRAME = parse_frame(RAW)
+APP_KEY = bytes(range(16))
+APP_EUI = bytes.fromhex("1122334455667788")
+DEV_EUI = bytes.fromhex("0102030405060708")
+JOIN_REQUEST_WIRE = "001122334455667788010203040506070801022b0dc1ac"
 
 KEYPAIR = generate_keypair("gw0", 1)
 CONTEXT = SessionContext(
@@ -50,7 +55,12 @@ def test_parse_frame(benchmark):
 
 
 def test_build_data_frame(benchmark):
-    assert benchmark(build_data_frame, NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP) == FRAME
+    assert benchmark(build_data_frame, NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP) == RAW
+
+
+def test_build_join_request(benchmark):
+    raw = benchmark(build_join_request, APP_KEY, APP_EUI, DEV_EUI, b"\x01\x02")
+    assert raw.hex() == JOIN_REQUEST_WIRE
 
 
 def test_verify_data_mic(benchmark):

@@ -11,13 +11,7 @@ import os
 import sys
 import traceback
 
-from .frames import (
-    DataFrame,
-    EncryptedJoinAccept,
-    JoinRequest,
-    MalformedFrameError,
-    parse_frame,
-)
+from .frames import DIR_UP, EncryptedJoinAccept, JoinRequest, MalformedFrameError, parse_frame
 from .harness import compare_modes, report_text, run_experiment
 from .ledger import ChainIntegrityError, load_chain
 from .scenario import ConfigError, build_config, parse_config_file
@@ -132,21 +126,28 @@ def _cmd_frame_decode(args: argparse.Namespace) -> int:
         print("undecodable frame: %s" % exc)
         return 1
     if isinstance(frame, JoinRequest):
-        print("type: join request")
-        print("app_eui: %s" % frame.app_eui.hex())
-        print("dev_eui: %s" % frame.dev_eui.hex())
-        print("dev_nonce: %s" % frame.dev_nonce.hex())
-        print("mic: %s" % frame.mic.hex())
+        fields = {
+            "type": "join request",
+            "app_eui": frame.app_eui.hex(),
+            "dev_eui": frame.dev_eui.hex(),
+            "dev_nonce": frame.dev_nonce.hex(),
+            "mic": frame.mic.hex(),
+        }
     elif isinstance(frame, EncryptedJoinAccept):
-        print("type: join accept (encrypted under the device's root key)")
-        print("cipher: %s" % frame.cipher.hex())
-    elif isinstance(frame, DataFrame):
-        print("type: data %s" % ("uplink" if frame.direction == 0 else "downlink"))
-        print("dev_addr: %s" % frame.dev_addr.hex())
-        print("fcnt: %d" % frame.fcnt)
-        print("fport: %d" % frame.fport)
-        print("payload (%d bytes): %s" % (len(frame.payload), frame.payload.hex()))
-        print("mic: %s" % frame.mic.hex())
+        fields = {
+            "type": "join accept (encrypted under the device's root key)",
+            "cipher": frame.cipher.hex(),
+        }
+    else:
+        fields = {
+            "type": "data %s" % ("uplink" if frame.direction == DIR_UP else "downlink"),
+            "dev_addr": frame.dev_addr.hex(),
+            "fcnt": frame.fcnt,
+            "fport": frame.fport,
+            "payload (%d bytes)" % len(frame.payload): frame.payload.hex(),
+            "mic": frame.mic.hex(),
+        }
+    print(report_text(fields), end="")
     return 0
 
 

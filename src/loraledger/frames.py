@@ -9,7 +9,7 @@ frames.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .crypto import (
     MIC_LEN,
@@ -136,15 +136,16 @@ def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> 
     return bytes([MHDR_JOIN_ACCEPT]) + app_nonce + net_id + dev_addr
 
 
-def _data_mic_input(frame: DataFrame) -> bytes:
-    return _head(frame) + bytes([frame.direction])
+def _data_mic_input(head: bytes, direction: int) -> bytes:
+    return head + bytes([direction])
 
 
 def build_join_request(
     app_key: bytes, app_eui: bytes, dev_eui: bytes, dev_nonce: bytes
-) -> JoinRequest:
-    partial = JoinRequest(app_eui, dev_eui, dev_nonce, mic=bytes(MIC_LEN))
-    return replace(partial, mic=mac32(app_key, _head(partial)))
+) -> bytes:
+    """The wire form; the record is built only to check the fields before any is packed."""
+    head = _head(JoinRequest(app_eui, dev_eui, dev_nonce, bytes(MIC_LEN)))
+    return head + mac32(app_key, head)
 
 
 def verify_join_request(frame: JoinRequest, app_key: bytes) -> bool:
@@ -185,14 +186,14 @@ def build_data_frame(
     fport: int,
     payload: bytes,
     direction: int,
-) -> DataFrame:
-    """Assemble a data frame around an already-encrypted payload."""
-    partial = DataFrame(dev_addr, fcnt, fport, payload, bytes(MIC_LEN), direction)
-    return replace(partial, mic=mac32(nwk_s_key, _data_mic_input(partial)))
+) -> bytes:
+    """The wire form around an already-encrypted payload; the record checks the fields."""
+    head = _head(DataFrame(dev_addr, fcnt, fport, payload, bytes(MIC_LEN), direction))
+    return head + mac32(nwk_s_key, _data_mic_input(head, direction))
 
 
 def verify_data_mic(frame: DataFrame, nwk_s_key: bytes) -> bool:
-    return mac32(nwk_s_key, _data_mic_input(frame)) == frame.mic
+    return mac32(nwk_s_key, _data_mic_input(_head(frame), frame.direction)) == frame.mic
 
 
 def serialize_frame(frame: Frame) -> bytes:

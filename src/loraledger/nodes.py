@@ -46,6 +46,8 @@ from .consensus import (
     make_vote,
 )
 from .crypto import (
+    KEY_LEN,
+    BadKeyError,
     DecryptionError,
     KeyDirectory,
     KeyPair,
@@ -69,7 +71,6 @@ from .frames import (
     decrypt_payload,
     open_join_accept,
     parse_frame,
-    serialize_frame,
     verify_data_mic,
     verify_join_request,
 )
@@ -351,8 +352,10 @@ class LedgerNode:
         self.engine.send(self.routes[peer_id], message, message.wire_size())
 
     def _to_peers(self, channel: Channel, message) -> None:
-        for peer in channel.peers:
-            self._send(peer, message)
+        if channel.peers:  # sized once: a block's size serializes the whole block
+            size = message.wire_size()
+            for peer in channel.peers:
+                self.engine.send(self.routes[peer], message, size)
 
     # -- ordering and commit --
 
@@ -558,6 +561,8 @@ class LedgerNode:
 
     def receive_key_handover(self, entity_id: str, private_key: bytes) -> None:
         """Out-of-band private-key copy from a failing gateway."""
+        if len(private_key) != KEY_LEN:
+            raise BadKeyError("private key must be %d bytes" % KEY_LEN)
         self.held_keys[entity_id] = private_key
 
     def _publish_context(self, context: SessionContext) -> None:
@@ -658,11 +663,10 @@ class LedgerNode:
     ) -> None:
         """Build, integrity-tag and send one downlink data frame (ACK or application)."""
         self.work_units += WU_PARSE + WU_MIC
-        context = session.context
-        frame = build_data_frame(
-            context.nwk_s_key, context.dev_addr, fcnt, fport, payload, DIR_DOWN
+        data = build_data_frame(
+            session.context.nwk_s_key, session.context.dev_addr, fcnt, fport, payload, DIR_DOWN
         )
-        self._downlink(via, session.device_id, serialize_frame(frame))
+        self._downlink(via, session.device_id, data)
 
 
 class Gateway(LedgerNode):
@@ -955,13 +959,12 @@ class EndDevice:
         if self._join is not None or self.uplink is None:
             return
         dev_nonce = self._fresh_dev_nonce()
-        frame = build_join_request(self.app_key, self.app_eui, self.dev_eui, dev_nonce)
+        data = build_join_request(self.app_key, self.app_eui, self.dev_eui, dev_nonce)
         request_id = self.recorder.issue("join", self.device_id, self.engine.now_us)
         timer = self.engine.schedule(
             self.profile.join_timeout_us, self.device_id, TimerJoinTimeout()
         )
         self._join = JoinAttempt(request_id, timer, dev_nonce)
-        data = serialize_frame(frame)
         self.engine.send(self.uplink, data, len(data))
 
     def send_uplink(self) -> None:
@@ -976,13 +979,8 @@ class EndDevice:
         ciphertext = encrypt_payload(
             session.app_s_key, session.dev_addr, session.fcnt_up, DIR_UP, plaintext
         )
-        frame = build_data_frame(
-            session.nwk_s_key,
-            session.dev_addr,
-            session.fcnt_up,
-            APP_FPORT,
-            ciphertext,
-            DIR_UP,
+        data = build_data_frame(
+            session.nwk_s_key, session.dev_addr, session.fcnt_up, APP_FPORT, ciphertext, DIR_UP
         )
         request_id = self.recorder.issue("uplink", self.device_id, self.engine.now_us)
         timer = self.engine.schedule(
@@ -990,7 +988,6 @@ class EndDevice:
         )
         self._pending_uplinks[request_id] = timer
         session.fcnt_up += 1
-        data = serialize_frame(frame)
         self.engine.send(self.uplink, data, len(data))
 
     def payload_plaintext(self, fcnt: int) -> bytes:

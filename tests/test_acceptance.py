@@ -27,7 +27,7 @@ from loraledger.crypto import (
     hash_bytes,
     pk_decrypt,
 )
-from loraledger.frames import DIR_UP, build_data_frame, encrypt_payload, serialize_frame
+from loraledger.frames import DIR_UP, build_data_frame, encrypt_payload
 from loraledger.harness import bootstrap_sessions, build_world, compare_modes, run_experiment
 from loraledger.ledger import (
     ChainIntegrityError,
@@ -330,14 +330,13 @@ def test_criterion_10_security_suite():
     for i in range(120):  # well-formed frames with corrupted integrity tags
         ct = encrypt_payload(session.app_s_key, session.dev_addr, 1000 + i, DIR_UP, b"\xaa" * 20)
         frame = build_data_frame(session.nwk_s_key, session.dev_addr, 1000 + i, 1, ct, DIR_UP)
-        raw = bytearray(serialize_frame(frame))
+        raw = bytearray(frame)
         raw[-1] ^= 0xFF
         engine.send(device.uplink, bytes(raw), len(raw))
         flood += 1
     for i in range(80):  # frames under addresses nobody vouches for
         addr = b"\xff" + struct.pack("<I", i)[:3]
-        frame = build_data_frame(rng.randbytes(16), addr, i, 1, rng.randbytes(20), DIR_UP)
-        raw = serialize_frame(frame)
+        raw = build_data_frame(rng.randbytes(16), addr, i, 1, rng.randbytes(20), DIR_UP)
         engine.send(device.uplink, raw, len(raw))
         flood += 1
     engine.run_until(engine.now_us + 2 * US_PER_S)

@@ -50,8 +50,7 @@ DATA_FRAME_WIRE = "4001000001050001" + PAYLOAD_CT + "f2718895"
 
 
 def test_join_request_frozen_wire():
-    frame = build_join_request(APP_KEY, APP_EUI, DEV_EUI, DEV_NONCE)
-    wire = serialize_frame(frame)
+    wire = build_join_request(APP_KEY, APP_EUI, DEV_EUI, DEV_NONCE)
     assert wire.hex() == JOIN_REQUEST_WIRE
     assert len(wire) == JOIN_REQUEST_LEN
 
@@ -154,8 +153,7 @@ def test_payload_encryption_parameter_sensitivity():
 
 def test_data_frame_frozen_wire():
     ct = bytes.fromhex(PAYLOAD_CT)
-    frame = build_data_frame(NWK_S_KEY, DEV_ADDR, 5, 1, ct, DIR_UP)
-    wire = serialize_frame(frame)
+    wire = build_data_frame(NWK_S_KEY, DEV_ADDR, 5, 1, ct, DIR_UP)
     assert wire.hex() == DATA_FRAME_WIRE
     assert len(wire) == DATA_OVERHEAD + len(ct)
 
@@ -198,22 +196,33 @@ def test_data_frame_mic_covers_every_byte_and_direction():
 
 
 def test_downlink_mhdr():
-    frame = build_data_frame(NWK_S_KEY, DEV_ADDR, 0, 0, b"", DIR_DOWN)
-    wire = serialize_frame(frame)
+    wire = build_data_frame(NWK_S_KEY, DEV_ADDR, 0, 0, b"", DIR_DOWN)
     assert wire[0] == 0x60
     assert len(wire) == DATA_OVERHEAD
     assert verify_data_mic(parse_frame(wire), NWK_S_KEY)
 
 
 def test_empty_payload_allowed_and_bounds_enforced():
+    """Every field is checked before any is packed: ``4s`` would pad or cut silently."""
     build_data_frame(NWK_S_KEY, DEV_ADDR, 0, 0, b"", DIR_UP)
     build_data_frame(NWK_S_KEY, DEV_ADDR, 0, 0, bytes(MAX_FRM_PAYLOAD), DIR_UP)
+    bad_data_fields = [
+        (DEV_ADDR, 0, 0, bytes(MAX_FRM_PAYLOAD + 1), DIR_UP),
+        (DEV_ADDR, -1, 0, b"", DIR_UP),
+        (DEV_ADDR, 0x10000, 0, b"", DIR_UP),
+        (DEV_ADDR, 0, 256, b"", DIR_UP),
+        (DEV_ADDR, 0, -1, b"", DIR_UP),
+        (DEV_ADDR[:3], 0, 0, b"", DIR_UP),
+        (DEV_ADDR + b"\x00", 0, 0, b"", DIR_UP),
+        (DEV_ADDR, 0, 0, b"", 2),
+    ]
+    for fields in bad_data_fields:
+        with pytest.raises(ValueError):
+            build_data_frame(NWK_S_KEY, *fields)
     with pytest.raises(ValueError):
-        build_data_frame(NWK_S_KEY, DEV_ADDR, 0, 0, bytes(MAX_FRM_PAYLOAD + 1), DIR_UP)
+        build_join_request(APP_KEY, APP_EUI, DEV_EUI[:7], DEV_NONCE)
     with pytest.raises(ValueError):
-        build_data_frame(NWK_S_KEY, DEV_ADDR, -1, 0, b"", DIR_UP)
-    with pytest.raises(ValueError):
-        build_data_frame(NWK_S_KEY, DEV_ADDR, 0x10000, 0, b"", DIR_UP)
+        build_join_request(APP_KEY, APP_EUI, DEV_EUI, DEV_NONCE + b"\x00")
 
 
 def test_parse_rejects_malformed():
@@ -230,16 +239,19 @@ def test_parse_rejects_malformed():
 
 
 def test_random_roundtrip_fuzz():
-    """Build/serialize/parse/verify holds for randomized data frames."""
+    """Built wire bytes parse back to the drawn fields, verify, and re-serialize."""
     rng = random.Random(1234)
     for _ in range(200):
         key = rng.randbytes(16)
-        addr = rng.randbytes(4)
-        fcnt = rng.randrange(0x10000)
-        fport = rng.randrange(256)
-        payload = rng.randbytes(rng.randrange(MAX_FRM_PAYLOAD + 1))
-        direction = rng.choice((DIR_UP, DIR_DOWN))
-        frame = build_data_frame(key, addr, fcnt, fport, payload, direction)
-        parsed = parse_frame(serialize_frame(frame))
-        assert parsed == frame
+        fields = dict(
+            dev_addr=rng.randbytes(4),
+            fcnt=rng.randrange(0x10000),
+            fport=rng.randrange(256),
+            payload=rng.randbytes(rng.randrange(MAX_FRM_PAYLOAD + 1)),
+            direction=rng.choice((DIR_UP, DIR_DOWN)),
+        )
+        wire = build_data_frame(key, **fields)
+        parsed = parse_frame(wire)
+        assert {name: getattr(parsed, name) for name in fields} == fields
         assert verify_data_mic(parsed, key)
+        assert serialize_frame(parsed) == wire

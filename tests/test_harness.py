@@ -8,7 +8,7 @@ import pytest
 from loraledger import crypto
 from loraledger.cli import main
 from loraledger.crypto import ROLE_SERVER, KeyDirectory, KeyPair, generate_keypair
-from loraledger.frames import build_join_request, serialize_frame
+from loraledger.frames import DIR_DOWN, build_data_frame, build_join_accept, build_join_request
 from loraledger.harness import (
     bootstrap_sessions,
     build_world,
@@ -505,13 +505,29 @@ def test_cli_ledger_verify(tmp_path, capsys):
 
 
 def test_cli_frame_decode(capsys):
-    raw = serialize_frame(
-        build_join_request(bytes(range(16)), b"\x11" * 8, b"\x22" * 8, b"\x01\x02")
+    key, dev_addr = bytes(range(16)), b"\x01\x00\x00\x01"
+    frames = [
+        build_join_request(key, b"\x11" * 8, b"\x22" * 8, b"\x01\x02"),
+        build_join_accept(key, b"\x01\x02\x03", b"\xaa\xbb\xcc", dev_addr),
+        build_data_frame(key, dev_addr, 3, 1, b"\xab\xcd", DIR_DOWN),
+    ]
+    for raw in frames:
+        assert main(["frame", "decode", raw.hex()]) == 0
+    assert capsys.readouterr().out == (
+        "type: join request\n"
+        "app_eui: 1111111111111111\n"
+        "dev_eui: 2222222222222222\n"
+        "dev_nonce: 0102\n"
+        "mic: 0034d6d8\n"
+        "type: join accept (encrypted under the device's root key)\n"
+        "cipher: 9dd880c3d074487baffc75760a8abda7\n"
+        "type: data downlink\n"
+        "dev_addr: 01000001\n"
+        "fcnt: 3\n"
+        "fport: 1\n"
+        "payload (2 bytes): abcd\n"
+        "mic: aed6eb47\n"
     )
-    assert main(["frame", "decode", raw.hex()]) == 0
-    out = capsys.readouterr().out
-    assert "type: join request" in out
-    assert "dev_eui: " + "22" * 8 in out
 
     assert main(["frame", "decode", "zz"]) == 2
     assert main(["frame", "decode", "00"]) == 1

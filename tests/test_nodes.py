@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loraledger.consensus import make_vote
-from loraledger.crypto import derive_session_keys, generate_keypair, pk_encrypt, sign
+from loraledger.crypto import (
+    BadKeyError,
+    derive_session_keys,
+    generate_keypair,
+    pk_encrypt,
+    sign,
+)
 from loraledger.frames import (
     DIR_DOWN,
     DIR_UP,
@@ -16,7 +22,6 @@ from loraledger.frames import (
     build_data_frame,
     build_join_request,
     encrypt_payload,
-    serialize_frame,
 )
 from loraledger.harness import bootstrap_sessions, build_world
 from loraledger.ledger import (
@@ -121,8 +126,7 @@ def test_edge_join_work_units():
 def test_edge_join_unknown_device_filtered():
     world = build_world(make_config(experiment=1))
     device = world.devices[0]
-    frame = build_join_request(b"\x11" * 16, device.app_eui, b"\xff" * 8, b"\x00\x01")
-    raw = serialize_frame(frame)
+    raw = build_join_request(b"\x11" * 16, device.app_eui, b"\xff" * 8, b"\x00\x01")
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     gw0 = world.gateways[0]
@@ -134,8 +138,7 @@ def test_edge_join_unknown_device_filtered():
 def test_edge_join_bad_mic_filtered():
     world = build_world(make_config(experiment=1))
     device = world.devices[0]
-    frame = build_join_request(b"\x22" * 16, device.app_eui, device.dev_eui, b"\x00\x02")
-    raw = serialize_frame(frame)
+    raw = build_join_request(b"\x22" * 16, device.app_eui, device.dev_eui, b"\x00\x02")
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     gw0 = world.gateways[0]
@@ -153,8 +156,7 @@ def test_edge_join_nonce_replay_filtered():
     run_for(world, 1.0)
     assert device.state == "joined"
     dev_nonce = gw0.sessions[device.session.dev_addr].context.dev_nonce
-    replay = build_join_request(device.app_key, device.app_eui, device.dev_eui, dev_nonce)
-    raw = serialize_frame(replay)
+    raw = build_join_request(device.app_key, device.app_eui, device.dev_eui, dev_nonce)
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     assert gw0.filtered_frames == 1
@@ -190,8 +192,7 @@ def test_traditional_join_roundtrip():
 def test_traditional_join_unknown_device():
     world = build_world(make_config(experiment=1, mode="traditional"))
     device = world.devices[0]
-    frame = build_join_request(b"\x33" * 16, device.app_eui, b"\xee" * 8, b"\x00\x03")
-    raw = serialize_frame(frame)
+    raw = build_join_request(b"\x33" * 16, device.app_eui, b"\xee" * 8, b"\x00\x03")
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     srv0 = world.servers[0]
@@ -277,8 +278,7 @@ def test_edge_uplink_bad_mic_filtered():
     device = world.devices[0]
     session = device.session
     ct = encrypt_payload(session.app_s_key, session.dev_addr, 0, DIR_UP, b"\x00" * 20)
-    frame = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP)
-    raw = bytearray(serialize_frame(frame))
+    raw = bytearray(build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP))
     raw[-1] ^= 0x01
     world.engine.send(device.uplink, bytes(raw), len(raw))
     run_for(world, 1.0)
@@ -295,8 +295,7 @@ def test_edge_uplink_stale_fcnt_filtered():
     session = device.session
     device.send_uplink()  # consumes fcnt 0
     ct = encrypt_payload(session.app_s_key, session.dev_addr, 0, DIR_UP, b"\x11" * 20)
-    dup = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP)
-    raw = serialize_frame(dup)
+    raw = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP)
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     gw0 = world.gateways[0]
@@ -455,29 +454,29 @@ def test_device_rejects_foreign_stale_and_tampered_downlinks():
     session = device.session
     other_addr = b"\x00\x02\x00\x00"
     stray = build_data_frame(session.nwk_s_key, other_addr, 0, 1, b"\x22" * 8, DIR_DOWN)
-    device._on_air_frame(serialize_frame(stray))
+    device._on_air_frame(stray)
     assert device.received_downlinks == []
 
     ct = encrypt_payload(session.app_s_key, session.dev_addr, 3, DIR_DOWN, b"fresh!")
     good = build_data_frame(session.nwk_s_key, session.dev_addr, 3, 1, ct, DIR_DOWN)
-    device._on_air_frame(serialize_frame(good))
+    device._on_air_frame(good)
     assert device.received_downlinks == [b"fresh!"]
     assert (session.last_app_fcnt_down, session.last_fcnt_down) == (3, -1)
 
-    device._on_air_frame(serialize_frame(good))  # application counter replay
+    device._on_air_frame(good)  # application counter replay
     assert device.received_downlinks == [b"fresh!"]
 
     # an ACK below the application counter is still fresh; its replay is not
     device.send_uplink()
     device.send_uplink()
     ack = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 0, b"", DIR_DOWN)
-    device._on_air_frame(serialize_frame(ack))
-    device._on_air_frame(serialize_frame(ack))  # ACK counter replay
+    device._on_air_frame(ack)
+    device._on_air_frame(ack)  # ACK counter replay
     statuses = [r.status for r in world.recorder.by_kind("uplink")]
     assert statuses == ["completed", "inflight"]
     assert (session.last_app_fcnt_down, session.last_fcnt_down) == (3, 0)
 
-    raw = bytearray(serialize_frame(good))
+    raw = bytearray(good)
     raw[5] ^= 0x01
     device._on_air_frame(bytes(raw))  # integrity failure
     assert device.received_downlinks == [b"fresh!"]
@@ -539,19 +538,9 @@ def test_abp_rejects_address_collision():
 
 def test_gateway_key_handover_recovers_ledger_contexts():
     """A peer holding the failed gateway's key can serve its devices from chain."""
-    world = app_world()
+    world = _handover_world()
     device = world.devices[0]
     gw0, gw1 = world.gateways[0], world.gateways[1]
-    engine = world.engine
-    up = engine.add_link(
-        "handover:dev0000->gw1", "dev0000", "gw1", "lora-air", _fixed_air(), loss_rate=0.0
-    )
-    down = engine.add_link(
-        "handover:gw1->dev0000", "gw1", "dev0000", "lora-air", _fixed_air(), loss_rate=0.0
-    )
-    device.attach_uplink(up)
-    gw1.add_coverage(device.dev_eui, device.device_id, down)
-
     device.send_uplink()
     run_for(world, 1.0)
     assert gw1.filtered_frames == 1  # envelope on chain, but sealed for gw0
@@ -566,6 +555,35 @@ def test_gateway_key_handover_recovers_ledger_contexts():
     records = world.recorder.by_kind("uplink")
     assert sorted(r.status for r in records) == ["completed", "inflight"]
     assert len(device._pending_uplinks) == 1
+
+
+def test_malformed_key_handover_raises_at_the_call():
+    """A handover key of the wrong length is refused at once, not when a frame needs it."""
+    world = _handover_world()
+    device = world.devices[0]
+    gw0, gw1 = world.gateways[0], world.gateways[1]
+    with pytest.raises(BadKeyError):
+        gw1.receive_key_handover(gw0.entity_id, gw0.keypair.private_key[:63])
+    assert gw1.held_keys == {}
+    device.send_uplink()
+    run_for(world, 1.0)
+    assert gw1.filtered_frames == 1
+    assert gw1.forwarded_uplinks == 0
+
+
+def _handover_world():
+    """``app_world`` with dev0000 also wired to gw1, whose key cannot open its context."""
+    world = app_world()
+    device, engine = world.devices[0], world.engine
+    up = engine.add_link(
+        "handover:dev0000->gw1", "dev0000", "gw1", "lora-air", _fixed_air(), loss_rate=0.0
+    )
+    down = engine.add_link(
+        "handover:gw1->dev0000", "gw1", "dev0000", "lora-air", _fixed_air(), loss_rate=0.0
+    )
+    device.attach_uplink(up)
+    world.gateways[1].add_coverage(device.dev_eui, device.device_id, down)
+    return world
 
 
 def _fixed_air():
@@ -909,8 +927,7 @@ def test_join_server_accepts_each_fresh_nonce_once_and_keeps_addresses(mode, req
     for index, dev_nonce, right_key in requests:
         device = world.devices[index]
         app_key = device.app_key if right_key else b"\x33" * 16
-        frame = build_join_request(app_key, device.app_eui, device.dev_eui, dev_nonce)
-        raw = serialize_frame(frame)
+        raw = build_join_request(app_key, device.app_eui, device.dev_eui, dev_nonce)
         world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 4.0)
 
@@ -1010,7 +1027,7 @@ def test_frame_forward_only_from_a_wired_gateway(sender):
     uplink = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, b"\x01" * 20, DIR_UP)
     join = build_join_request(device.app_key, device.app_eui, device.dev_eui, b"\x07\x07")
     for frame in (uplink, join):
-        srv0.handle(FrameForward(gateway_id=sender, frame=serialize_frame(frame)))
+        srv0.handle(FrameForward(gateway_id=sender, frame=frame))
     run_for(world, 1.0)
     assert srv0.filtered_frames == 2
     assert (srv0.work_units, srv0.acks_sent, srv0.joins_accepted) == (0, 0, 0)
@@ -1070,7 +1087,7 @@ def test_uplink_with_an_empty_payload_is_filtered(mode):
     world = app_world(mode=mode)
     device, srv0 = world.devices[0], world.servers[0]
     session = device.session
-    raw = serialize_frame(build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, b"", DIR_UP))
+    raw = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, b"", DIR_UP)
     world.engine.send(device.uplink, raw, len(raw))
     srv0.handle(UplinkNotice(dev_addr=session.dev_addr, fcnt=0, payload=b""))
     run_for(world, 4.0)
@@ -1125,7 +1142,7 @@ def _wire_messages(world) -> dict:
         build_data_frame(session.nwk_s_key, session.dev_addr, 1, 1, b"", DIR_UP),
         build_join_request(device.app_key, device.app_eui, device.dev_eui, b"\x00\x07"),
     ]
-    frames = st.sampled_from([serialize_frame(f) for f in real_frames]) | st.binary(max_size=300)
+    frames = st.sampled_from(real_frames) | st.binary(max_size=300)
     payloads = st.sampled_from([b"", ct]) | st.binary(max_size=300)
     ids = st.sampled_from(
         [node.entity_id for node in world.gateways + world.servers]
