@@ -499,15 +499,12 @@ MAX_VERIFY_JOBS = 4
 # one signature check: (requester, signed span, signature)
 _Check = tuple[str, bytes, bytes]
 
-# (directory, signature checks) a forked worker received when it started
-_worker_checks: tuple[KeyDirectory, list[_Check]] | None = None
-
 
 def verify_jobs() -> int:
     """Processes ``load_chain`` checks signatures on: usable CPUs, at most
     ``MAX_VERIFY_JOBS``; 1 where processes cannot be forked, or where this
     one runs other threads, which could hold a lock a forked child needs."""
-    import multiprocessing  # here and below: only a large dump needs the pool modules
+    import multiprocessing  # here and below: only a large dump needs it
     import threading
 
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
@@ -519,67 +516,48 @@ def verify_jobs() -> int:
     return min(cpus, MAX_VERIFY_JOBS)
 
 
-def _first_failure(
-    directory: KeyDirectory, checks: list[_Check], start: int, stop: int
-) -> int | None:
-    """Offset from ``start`` of the first signature check in [start, stop) that fails."""
-    for position in range(start, stop):
-        if not directory.verify(*checks[position]):
-            return position - start
-    return None
+def _verdict_bytes(directory: KeyDirectory, checks: list[_Check], start: int, stop: int) -> bytes:
+    """One byte per signature check in [start, stop): 1 if it verifies, else 0."""
+    return bytes(directory.verify(*check) for check in checks[start:stop])
 
 
-def _receive_checks(directory: KeyDirectory, checks: list[_Check]) -> None:
-    global _worker_checks
-    _worker_checks = directory, checks
-
-
-def _worker_first_failure(start: int, stop: int) -> int | None:
-    return _first_failure(*_worker_checks, start, stop)
-
-
-def _fanned_out_verdicts(
-    directory: KeyDirectory, checks: list[_Check], jobs: int
-) -> dict[_Check, bool] | None:
-    """Verdicts of ``checks`` up to the first that fails, over ``jobs`` processes.
+def _fanned_out_verdicts(directory: KeyDirectory, checks: list[_Check], jobs: int) -> bytes | None:
+    """``_verdict_bytes`` over all of ``checks``, on ``jobs`` processes.
 
     ``checks`` is cut into ``jobs`` contiguous slices; this process checks the
-    first and forked workers the others.  A forked worker's start arguments
-    are not pickled, so workers get the checks through the fork and only
-    slice bounds and offsets cross a pipe.  A replay stops at the first
-    failing check, so it never asks for a later verdict.  None when a worker
-    died.
+    first and a forked worker each other one.  A forked worker's arguments are
+    not pickled, so the checks reach it through the fork, and only its
+    verdict bytes cross its one-way pipe.  None when a worker or a pipe could
+    not be made or a worker died; no worker outlives the call.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
+    def send_verdicts(send, start: int, stop: int) -> None:
+        send.send_bytes(_verdict_bytes(directory, checks, start, stop))
+
+    context = multiprocessing.get_context("fork")
     bounds = [len(checks) * job // jobs for job in range(jobs + 1)]
+    receivers, workers = [], []
     try:
-        # all workers fork before the pool starts its thread; leaving the
-        # block joins them, on a raise too
-        with ProcessPoolExecutor(
-            jobs - 1,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_receive_checks,
-            initargs=(directory, checks),
-        ) as pool:
-            futures = [
-                pool.submit(_worker_first_failure, start, stop)
-                for start, stop in zip(bounds[1:], bounds[2:])
-            ]
-            failures = [_first_failure(directory, checks, bounds[0], bounds[1])]
-            failures += [future.result() for future in futures]
-    except BrokenProcessPool:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            receive, send = context.Pipe(duplex=False)
+            receivers.append(receive)
+            worker = context.Process(target=send_verdicts, args=(send, start, stop))
+            # only the worker keeps a send end open, so its death reads as EOFError
+            with send:
+                worker.start()
+            workers.append(worker)
+        verdicts = _verdict_bytes(directory, checks, bounds[0], bounds[1])
+        return verdicts + b"".join(receive.recv_bytes() for receive in receivers)
+    except (OSError, EOFError):
         return None
-    first = next(
-        (start + offset for start, offset in zip(bounds, failures) if offset is not None),
-        len(checks),
-    )
-    verdicts = dict.fromkeys(checks[:first], True)
-    if first < len(checks):
-        verdicts[checks[first]] = False
-    return verdicts
+    finally:
+        for worker in workers:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+        for receive in receivers:
+            receive.close()
 
 
 def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Ledger:
@@ -587,7 +565,7 @@ def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Led
     processes when there are at least ``PARALLEL_MIN_SIGNATURES``.
 
     The replay stays the one verdict: it answers each signature from the
-    checks made ahead, and re-checks serially if a worker died.
+    checks made ahead, and re-checks serially if the checks could not be made.
     """
     signatures = sum(len(block.txs) for block in blocks)
     jobs = verify_jobs() if signatures >= PARALLEL_MIN_SIGNATURES else 1
@@ -603,7 +581,7 @@ def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Led
         )
         verdicts = _fanned_out_verdicts(directory, checks, jobs) if checks else None
         if verdicts is not None:
-            with directory.settled(verdicts):
+            with directory.settled(dict(zip(checks, map(bool, verdicts)))):
                 return Ledger.replay(kind, blocks, directory)
     return Ledger.replay(kind, blocks, directory)
 

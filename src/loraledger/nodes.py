@@ -55,6 +55,8 @@ from .crypto import (
     pk_decrypt,
 )
 from .frames import (
+    DEV_ADDR_LEN,
+    DEV_NONCE_LEN,
     DIR_DOWN,
     DIR_UP,
     MAX_FCNT,
@@ -804,6 +806,8 @@ class NetworkServer(LedgerNode):
         builds and integrity-tags the frame; traditional mode builds the full
         frame here.
         """
+        if len(dev_addr) != DEV_ADDR_LEN:
+            raise ValueError("device address must be %d bytes" % DEV_ADDR_LEN)
         if not 0 <= fcnt <= MAX_FCNT:
             raise ValueError("frame counter %d out of range" % fcnt)
         if len(encrypted_payload) > MAX_FRM_PAYLOAD:
@@ -957,6 +961,9 @@ class EndDevice:
 
     def begin_join(self) -> None:
         if self._join is not None or self.uplink is None:
+            return
+        if len(self._used_dev_nonces) == 1 << 8 * DEV_NONCE_LEN:  # every nonce is spent
+            self.skipped_sends += 1
             return
         dev_nonce = self._fresh_dev_nonce()
         data = build_join_request(self.app_key, self.app_eui, self.dev_eui, dev_nonce)

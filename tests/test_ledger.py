@@ -1,8 +1,10 @@
 """Chain layer: transactions, blocks, world state, dumps, tamper detection."""
 
+import errno
 import functools
 import hashlib
 import multiprocessing
+import multiprocessing.popen_fork
 import os
 import random
 import struct
@@ -631,22 +633,47 @@ def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypat
     assert len(loaded._verdicts) <= 4
 
 
-def _die_in_last_worker(start, stop):
-    if stop == len(CHAIN_BLOCKS) * 2:  # the slice that ends the chain's checks
-        os._exit(3)
-    return ledger_module._first_failure(*ledger_module._worker_checks, start, stop)
-
-
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_load_chain_rechecks_serially_when_a_worker_dies(directory, monkeypatch, jobs):
     """One worker dies: the others are stopped and the load ends in a serial re-check."""
-    monkeypatch.setattr(ledger_module, "_worker_first_failure", _die_in_last_worker)
+    real_verdict_bytes = ledger_module._verdict_bytes
+
+    def die_in_last_worker(directory, checks, start, stop):
+        if stop == len(checks):  # the slice that ends the chain's checks
+            os._exit(3)
+        return real_verdict_bytes(directory, checks, start, stop)
+
+    monkeypatch.setattr(ledger_module, "_verdict_bytes", die_in_last_worker)
     good = _dump_blocks(CHAIN_BLOCKS, directory)
     ledger, _ = _load_with_jobs(monkeypatch, good, jobs)
     assert ledger.blocks == CHAIN_BLOCKS
     forged = _dump_blocks(_network_blocks(8, forged_at={7}), directory)
     message = "chain failed validation: block 7 rejected at height 7"
     assert _load_with_jobs(monkeypatch, forged, jobs) == message
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["first-worker", "second-worker"])
+def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch, failing):
+    """A fork that fails with EAGAIN at the first or second of two workers: any
+    started worker is stopped and the load ends in a serial re-check."""
+    real_launch = multiprocessing.popen_fork.Popen._launch
+    launches = []
+
+    def launch(self, process_obj):
+        launches.append(process_obj)
+        if len(launches) == failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_launch(self, process_obj)
+
+    monkeypatch.setattr(multiprocessing.popen_fork.Popen, "_launch", launch)
+    ledger, _ = _same_load(monkeypatch, _dump_blocks(CHAIN_BLOCKS, directory), jobs=3)
+    assert ledger.blocks == CHAIN_BLOCKS
+    assert len(launches) == failing
+    launches.clear()
+    forged = _dump_blocks(_network_blocks(8, forged_at={7}), directory)
+    message = "chain failed validation: block 7 rejected at height 7"
+    assert _same_load(monkeypatch, forged, jobs=3) == message
+    assert len(launches) == failing
 
 
 def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from loraledger.crypto import (
     sign,
 )
 from loraledger.frames import (
+    DEV_ADDR_LEN,
     DIR_DOWN,
     DIR_UP,
     MAX_FRM_PAYLOAD,
@@ -372,6 +374,20 @@ def test_device_stops_at_counter_exhaustion():
     device.send_uplink()
     assert device.skipped_sends == 1
     assert world.recorder.by_kind("uplink") == []
+
+
+def test_device_skips_a_join_once_every_dev_nonce_is_spent():
+    """With all 65,536 DevNonces used, a join returns at once instead of drawing forever."""
+    world = build_world(make_config(experiment=1))
+    device = world.devices[0]
+    device._used_dev_nonces.update(struct.pack("<H", n) for n in range(0x10000))
+    joiner = threading.Thread(target=device.begin_join, daemon=True)
+    joiner.start()
+    joiner.join(timeout=5)
+    assert not joiner.is_alive()
+    assert world.recorder.by_kind("join") == []
+    assert device.state == "idle"
+    assert device.skipped_sends == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1064,16 +1080,28 @@ def test_gateway_drops_downlink_data_it_cannot_frame(mode, fcnt, payload_len):
 
 @pytest.mark.parametrize("mode", ["edge", "traditional"])
 @pytest.mark.parametrize(
-    "fcnt, payload_len",
-    [(-1, 8), (0x10000, 8), (0, MAX_FRM_PAYLOAD + 1)],
-    ids=["counter-below-16-bits", "counter-above-16-bits", "payload-no-frame-carries"],
+    "addr_len, fcnt, payload_len",
+    [
+        (DEV_ADDR_LEN, -1, 8),
+        (DEV_ADDR_LEN, 0x10000, 8),
+        (DEV_ADDR_LEN, 0, MAX_FRM_PAYLOAD + 1),
+        (0, 0, 8),
+        (3, 0, 8),
+    ],
+    ids=[
+        "counter-below-16-bits",
+        "counter-above-16-bits",
+        "payload-no-frame-carries",
+        "empty-address",
+        "three-byte-address",
+    ],
 )
-def test_server_downlink_rejects_what_no_frame_carries(mode, fcnt, payload_len):
+def test_server_downlink_rejects_what_no_frame_carries(mode, addr_len, fcnt, payload_len):
     """The server raises at the call, before it charges work or sends anything."""
     world = app_world(mode=mode)
     device, srv0 = world.devices[0], world.servers[0]
-    with pytest.raises(ValueError, match="out of range|exceeds"):
-        srv0.downlink(device.session.dev_addr, b"\x01" * payload_len, fcnt)
+    with pytest.raises(ValueError, match="out of range|exceeds|address must be"):
+        srv0.downlink(device.session.dev_addr[:addr_len], b"\x01" * payload_len, fcnt)
     assert srv0.work_units == 0
     assert all(link.bytes_sent == 0 for link in world.engine.links.values())
     run_for(world, 1.0)
