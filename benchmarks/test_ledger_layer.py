@@ -10,6 +10,7 @@ the chain 8 such blocks; the chain whose load fans out holds just over
 
 import random
 import struct
+from dataclasses import replace
 
 from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, generate_keypair, hash_bytes
 from loraledger.ledger import (
@@ -103,18 +104,28 @@ def test_assemble_block(benchmark):
     assert block.prev_hash == block_hash(GENESIS)
 
 
+def _fresh_next():
+    # a copy of NEXT that remembers no verdict; its signatures' verdicts are
+    # in the directory's memo, and GENESIS remembers its digest
+    return (replace(NEXT), GENESIS, DIRECTORY, KIND_NETWORK), {}
+
+
 def test_validate_block_warm(benchmark):
-    # every signature of NEXT is already in the directory's memo
+    assert benchmark.pedantic(validate_block, setup=_fresh_next, rounds=200)
+
+
+def test_validate_block_accepted(benchmark):
+    # NEXT was appended to CHAIN, so it remembers that DIRECTORY accepted its body
     assert benchmark(validate_block, NEXT, GENESIS, DIRECTORY, KIND_NETWORK)
 
 
 def _fresh_ledger():
-    return (Ledger(KIND_NETWORK),), {}
+    return (Ledger(KIND_NETWORK), replace(GENESIS)), {}
 
 
 def test_append_block(benchmark):
-    def append(ledger):
-        ledger.append_block(GENESIS, DIRECTORY)
+    def append(ledger, block):
+        ledger.append_block(block, DIRECTORY)
         return ledger
 
     ledger = benchmark.pedantic(append, setup=_fresh_ledger, rounds=200)

@@ -297,6 +297,11 @@ class KeyDirectory:
     and ``verify`` records each verdict it computes, so every replica of the
     world validates the same blocks without verifying a signature again.
     Registrations are final, so a verdict never goes stale.
+
+    ``ledger.validate_body`` also remembers, on each block it accepts, the
+    directory object it accepted the block under.  That cannot go stale
+    either: entries are only added, never replaced or removed, so every
+    check a body once passed under a directory passes again.
     """
 
     def __init__(self) -> None:

@@ -78,6 +78,9 @@ def _prefixed(size: int, data: bytes) -> bytes:
 
 # little-endian unsigned integers by width in bytes
 _UINTS = {size: struct.Struct("<" + code) for size, code in zip((1, 2, 4, 8), "BHIQ")}
+# the longest field a 2- or 4-byte length prefix can encode
+_U16_MAX = 2**16 - 1
+_U32_MAX = 2**32 - 1
 
 
 class _Reader:
@@ -159,12 +162,14 @@ class Transaction:
     payload: bytes
 
     def __post_init__(self) -> None:
+        if len(self.requester.encode("utf-8")) > _U16_MAX:
+            raise ValueError("requester id must encode to at most %d bytes" % _U16_MAX)
         if len(self.signature) != SIGNATURE_LEN:
             raise ValueError("signature must be %d bytes" % SIGNATURE_LEN)
         if not 0 <= self.timestamp_ms < 2**64:
             raise ValueError("timestamp must be within 0..2**64-1")
-        if not self.payload:
-            raise ValueError("transaction payload must be non-empty")
+        if not 0 < len(self.payload) <= _U32_MAX:
+            raise ValueError("transaction payload must hold 1..%d bytes" % _U32_MAX)
 
     def signed_span(self) -> bytes:
         return _signed_span(self.timestamp_ms, self.payload)
@@ -270,6 +275,8 @@ class Block:
     def __post_init__(self) -> None:
         if not (0 <= self.zeta < 2**64 and 0 <= self.tau_ms < 2**64):
             raise ValueError("block index and timestamp must be within 0..2**64-1")
+        if len(self.merkle_root) > _U16_MAX:
+            raise ValueError("merkle root must be at most %d bytes" % _U16_MAX)
         if len(self.prev_hash) != 32:
             raise ValueError("prev hash must be 32 bytes")
         if not self.txs:
@@ -289,8 +296,17 @@ class Block:
 
 
 def block_hash(block: Block) -> bytes:
-    """Digest over index | header | body; this is what links and votes commit to."""
-    return hash_bytes(block.to_bytes())
+    """Digest over index | header | body; this is what links and votes commit to.
+
+    Worked out once per block object and kept on it, outside the dataclass
+    fields, so equality, ``repr``, ``replace`` and the wire bytes ignore it.
+    A frozen block's bytes never change, so neither does its digest.
+    """
+    digest = block.__dict__.get("_digest")
+    if digest is None:
+        digest = hash_bytes(block.to_bytes())
+        object.__setattr__(block, "_digest", digest)
+    return digest
 
 
 def block_from_bytes(data: bytes) -> Block:
@@ -345,6 +361,9 @@ def validate_block(
     and a chain dump loads exactly when it holds.  It checks that the index
     increments from the predecessor (0 at genesis) and prev_hash matches the
     serialized predecessor (all-zero at genesis), then ``validate_body``.
+    The index and link depend on the chain position, so they are checked on
+    every call; the predecessor's digest and an accepted body are remembered
+    on the block objects (``block_hash``, ``validate_body``).
     """
     if kind not in _KIND_CODES:
         raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
@@ -364,12 +383,26 @@ def validate_body(block: Block, key_directory: KeyDirectory, kind: str) -> bool:
 
     The Merkle root recomputes from the tx signatures, and ``validate_tx``
     accepts every tx.  A block failing it can never be appended at any height.
+
+    An acceptance is remembered on the block, with the directory object
+    itself (never its ``id``, which can be reused) and the kind, so the
+    replicas of one world check a shared block's body once.  It cannot go
+    stale: registrations are add-only and final, signatures are
+    deterministic and ``context_metadata`` is pure, so a body accepted under
+    a directory stays accepted.  A rejection is not remembered, because a
+    requester registered later can make the same body valid.
     """
     if kind not in _KIND_CODES:
         raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
+    accepted = block.__dict__.get("_accepted")
+    if accepted is not None and accepted[0] is key_directory and accepted[1] == kind:
+        return True
     if block.merkle_root != build_merkle([tx.signature for tx in block.txs]):
         return False
-    return all(validate_tx(tx, key_directory, kind) for tx in block.txs)
+    if not all(validate_tx(tx, key_directory, kind) for tx in block.txs):
+        return False
+    object.__setattr__(block, "_accepted", (key_directory, kind))
+    return True
 
 
 def validate_tx(tx: Transaction, key_directory: KeyDirectory, kind: str) -> bool:

@@ -426,18 +426,18 @@ class LedgerNode:
             return
         if block.zeta < ledger.height:
             return  # stale duplicate of something already on chain
-        try:
-            ledger.append_block(block, self.directory)
-        except InvalidBlockError:
-            self.invalid_blocks += 1
-            return
-        # a failed round's proposal for this height can never commit now
-        for digest, proposal in list(channel.proposals.items()):
-            if proposal.zeta < ledger.height:
-                del channel.proposals[digest]
-        successor = channel.early.pop(ledger.height, None)
-        if successor is not None:
-            self._commit_block(channel, successor)
+        # a loop, not a recursion: any number of held successors may follow
+        while block is not None:
+            try:
+                ledger.append_block(block, self.directory)
+            except InvalidBlockError:
+                self.invalid_blocks += 1
+                return
+            # a failed round's proposal for this height can never commit now
+            for digest, proposal in list(channel.proposals.items()):
+                if proposal.zeta < ledger.height:
+                    del channel.proposals[digest]
+            block = channel.early.pop(ledger.height, None)
 
     def _settle_round(self, channel: Channel) -> None:
         vote_round, block = channel.round

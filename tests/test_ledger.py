@@ -289,6 +289,46 @@ def test_app_chain_rejects_gateway_requesters(directory):
     assert validate_block(gw_context, None, directory, KIND_NETWORK)
 
 
+def test_accepted_body_is_checked_again_under_another_directory_or_kind(directory):
+    """A block remembers an acceptance only for the directory object and kind it was made under."""
+    block = assemble_block([network_tx("gw0", 0)], 0, 10, None)
+    assert validate_body(block, directory, KIND_NETWORK)
+    assert not validate_body(block, directory, KIND_APPLICATION)  # a gateway wrote it
+    assert not validate_body(block, KeyDirectory(), KIND_NETWORK)  # gw0 unregistered there
+    impostor = KeyDirectory()
+    impostor.add("gw0", keypair("gw1").public_key, ROLE_GATEWAY)  # another key under gw0's id
+    assert not validate_block(block, None, impostor, KIND_NETWORK)
+    assert validate_block(block, None, directory, KIND_NETWORK)
+
+
+def test_rejected_body_is_accepted_once_its_requester_is_registered():
+    """No rejection is remembered: registering the requester makes the same block valid."""
+    directory = KeyDirectory()
+    block = assemble_block([network_tx("gw0", 0)], 0, 10, None)
+    assert not validate_body(block, directory, KIND_NETWORK)
+    assert not validate_block(block, None, directory, KIND_NETWORK)
+    directory.add("gw0", keypair("gw0").public_key, ROLE_GATEWAY)
+    assert validate_body(block, directory, KIND_NETWORK)
+    assert validate_block(block, None, directory, KIND_NETWORK)
+
+
+def test_block_hash_is_the_digest_of_the_bytes_worked_out_once_per_block(
+    directory, monkeypatch
+):
+    block = assemble_block([network_tx("gw0", 0)], 0, 10, None)
+    digest = block_hash(block)
+    assert digest == hash_bytes(block.to_bytes())
+    assert validate_body(block, directory, KIND_NETWORK)
+    with monkeypatch.context() as patched:
+        patched.setattr(Block, "to_bytes", None)  # hashing again would serialize again
+        assert block_hash(block) is digest
+    later = replace(block, tau_ms=11)
+    assert block_hash(later) == hash_bytes(later.to_bytes()) != digest
+    twin = replace(block)  # remembers nothing, and compares and prints the same
+    assert twin == block and repr(twin) == repr(block)
+    assert twin.to_bytes() == block.to_bytes() and block_hash(twin) == digest
+
+
 def test_empty_block_forbidden():
     with pytest.raises(ValueError):
         assemble_block([], 0, 0, None)
@@ -307,6 +347,39 @@ def test_constructors_reject_integers_no_u64_encoding_holds(zeta, tau_ms, timest
     with pytest.raises(ValueError):
         tx = Transaction("srv0", bytes(64), timestamp_ms, b"payload")
         Block(zeta, tau_ms, b"", GENESIS_PREV_HASH, (tx,))
+
+
+class _FourGiB(bytes):
+    """A one-byte payload that reports 2**32 bytes; a real one would take 4 GiB."""
+
+    def __len__(self) -> int:
+        return 2**32
+
+
+@pytest.mark.parametrize(
+    "field, too_long, longest",
+    [
+        # 2**15 two-byte characters: 2**16 bytes, one past the 2-byte prefix
+        ("requester", "\u00fc" * 2**15, "\u00fc" * (2**15 - 1) + "a"),
+        ("merkle_root", bytes(2**16), bytes(2**16 - 1)),
+        ("payload", _FourGiB(b"x"), None),
+    ],
+    ids=["requester", "merkle_root", "payload"],
+)
+def test_constructors_reject_fields_no_length_prefix_holds(field, too_long, longest):
+    """A field longer than its length prefix can encode fails at construction,
+    not when a replica hashes the block; the longest that fits round-trips."""
+
+    def build(value):
+        fields = {"requester": "srv0", "merkle_root": b"", "payload": b"payload", field: value}
+        tx = Transaction(fields["requester"], bytes(64), 0, fields["payload"])
+        return Block(0, 0, fields["merkle_root"], GENESIS_PREV_HASH, (tx,))
+
+    with pytest.raises(ValueError):
+        build(too_long)
+    if longest is not None:
+        block = build(longest)
+        assert block_from_bytes(block.to_bytes()) == block
 
 
 def test_ledger_append_and_world_state(directory):
@@ -720,3 +793,47 @@ def test_load_chain_fanned_out_agrees_with_serial(forged_at, flips):
         data[position % (len(data) - 32)] ^= mask
     with pytest.MonkeyPatch.context() as monkeypatch:
         _same_load(monkeypatch, _resealed(bytes(data)))
+
+
+# a directory and blocks that live across examples, so the memos on them do too
+MEMO_DIRECTORY = KeyDirectory()
+for _entity_id, _role in (("gw0", ROLE_GATEWAY), ("gw1", ROLE_GATEWAY), ("srv0", ROLE_SERVER)):
+    MEMO_DIRECTORY.add(_entity_id, keypair(_entity_id).public_key, _role)
+_MEMO_GENESIS = assemble_block([network_tx("gw0", 0), network_tx("gw1", 1)], 0, 10, None)
+_MEMO_NEXT = assemble_block([network_tx("gw0", 2)], 1, 20, _MEMO_GENESIS)
+MEMO_BLOCKS = [
+    _MEMO_GENESIS,
+    _MEMO_NEXT,
+    assemble_block([_forged(network_tx("gw0", 3))], 1, 20, _MEMO_GENESIS),
+    replace(_MEMO_NEXT, merkle_root=hash_bytes(b"not the root")),
+    assemble_block([network_tx("ghost", 4)], 1, 20, _MEMO_GENESIS),  # unregistered
+    assemble_block([make_app_tx(SIGNER, keypair("srv0"), b"data", 5)], 1, 20, _MEMO_GENESIS),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, len(MEMO_BLOCKS) - 1),
+            st.none() | st.integers(0, len(MEMO_BLOCKS) - 1),
+            st.sampled_from([KIND_NETWORK, KIND_APPLICATION]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_remembered_verdicts_match_fresh_copies(calls):
+    """Repeated ``validate_block`` and ``validate_body`` calls on the same valid,
+    forged and mis-rooted blocks, in any order, give a fresh copy's verdict."""
+    for index, prev_index, kind, whole in calls:
+        block, fresh = MEMO_BLOCKS[index], replace(MEMO_BLOCKS[index])
+        if whole:
+            prev = None if prev_index is None else MEMO_BLOCKS[prev_index]
+            fresh_prev = None if prev is None else replace(prev)
+            verdict = validate_block(block, prev, MEMO_DIRECTORY, kind)
+            assert verdict == validate_block(fresh, fresh_prev, MEMO_DIRECTORY, kind)
+        else:
+            verdict = validate_body(block, MEMO_DIRECTORY, kind)
+            assert verdict == validate_body(fresh, MEMO_DIRECTORY, kind)

@@ -1026,6 +1026,21 @@ def test_blocks_ahead_of_the_chain_are_validated_before_held():
     assert srv1.invalid_blocks == 50
 
 
+def test_a_long_chain_announced_in_reverse_commits_whole():
+    """Held successors commit in a loop, so no chain length reaches the recursion limit."""
+    world = app_world()
+    host, srv1 = world.servers[0], world.servers[1]
+    blocks = []
+    for zeta in range(1200):
+        tx = make_app_tx(world.key_directory, host.keypair, b"reading %d" % zeta, zeta)
+        blocks.append(assemble_block([tx], zeta, zeta, blocks[-1] if blocks else None))
+    for block in reversed(blocks):
+        srv1.handle(BlockAnnounce(channel=KIND_APPLICATION, block=block))
+    assert srv1.ledgers[KIND_APPLICATION].height == 1200
+    assert srv1.channels[KIND_APPLICATION].early == {}
+    assert srv1.invalid_blocks == 0
+
+
 # ---------------------------------------------------------------------------
 # hostile backhaul and radio input
 
