@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure (corrupt chain, undecodable frame,
 internal error), 2 unusable arguments or configuration.
+
+Only ``run`` and ``frame decode`` import the harness, and with it the
+simulator; ``ledger verify`` loads the chain layers alone.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import sys
 import traceback
 
 from .frames import DIR_UP, EncryptedJoinAccept, JoinRequest, MalformedFrameError, parse_frame
-from .harness import compare_modes, report_text, run_experiment
 from .ledger import ChainIntegrityError, load_chain
 from .scenario import ConfigError, build_config, parse_config_file
 
@@ -70,6 +72,8 @@ def _check_out_dir(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .harness import compare_modes, report_text, run_experiment
+
     _check_out_dir(args.out)
     file_overrides = parse_config_file(args.config_file) if args.config_file else {}
     flag_overrides = {
@@ -115,6 +119,8 @@ def _cmd_ledger_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_frame_decode(args: argparse.Namespace) -> int:
+    from .harness import report_text
+
     try:
         data = bytes.fromhex(args.hex)
     except ValueError:

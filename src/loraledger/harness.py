@@ -73,6 +73,7 @@ from .simnet import (
     LINK_CLASS_BACKHAUL,
     US_PER_MS,
     US_PER_S,
+    named_stream,
 )
 
 DRAIN_GRACE_S = 10
@@ -273,7 +274,8 @@ def build_world(config: ScenarioConfig) -> World:
 def bootstrap_sessions(world: World) -> None:
     """Pre-establish sessions for authorized devices and commit them on-chain.
 
-    Keys and nonces come from per-device bootstrap streams.  The join server
+    Keys and nonces come from per-device ``bootstrap:<device>`` streams,
+    seeded as the engine seeds its own but not kept once drawn.  The join server
     opens each session as it opens a join's, spending the DevNonce and
     taking the address from its allocator, which hands a gateway's
     authorized devices (its first ordinals, visited in order) the slots
@@ -287,7 +289,7 @@ def bootstrap_sessions(world: World) -> None:
     for device in world.authorized_devices():
         gw, _ = world.home(device.index)
         creator = world.join_server(gw)
-        boot = world.engine.stream("bootstrap:%s" % device.device_id)
+        boot = named_stream(world.engine.seed, "bootstrap:%s" % device.device_id)
         dev_nonce = boot.randbytes(2)
         app_nonce = boot.randbytes(3)
         nwk_s_key, app_s_key = derive_session_keys(

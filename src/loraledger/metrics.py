@@ -19,7 +19,7 @@ STATUS_COMPLETED = "completed"
 STATUS_FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     request_id: int
     kind: str  # "join" | "uplink"

@@ -33,7 +33,6 @@ not charged.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .consensus import (
@@ -909,7 +908,7 @@ class EndDevice:
         self.received_downlinks: list[bytes] = []
         self.skipped_sends = 0
         self._used_dev_nonces: set[bytes] = set()
-        self._pending_uplinks: "OrderedDict[int, int]" = OrderedDict()
+        self._pending_uplinks: dict[int, int] = {}  # request id -> timeout timer, oldest first
         engine.register(device_id, self.handle)
 
     @property
@@ -1057,9 +1056,10 @@ class EndDevice:
             if frame.fcnt <= session.last_fcnt_down:
                 return
             session.last_fcnt_down = frame.fcnt
-            # an ACK settles the oldest outstanding uplink
+            # an ACK settles the newest outstanding uplink (LoRaWAN 1.0.3
+            # section 4.3.1.2); older ones time out as failures
             if self._pending_uplinks:
-                request_id, timer = self._pending_uplinks.popitem(last=False)
+                request_id, timer = self._pending_uplinks.popitem()
                 self.engine.cancel(timer)
                 self.recorder.complete(request_id, self.engine.now_us)
             return

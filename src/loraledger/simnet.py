@@ -4,7 +4,10 @@ Time is an integer microsecond counter.  Events are totally ordered by
 (fire_at, sequence number), so identical (scenario, seed) pairs replay the
 same trace byte for byte.  Named random streams keep independent concerns
 (per-device behavior, per-link loss and latency, per-node nonce draws) from
-perturbing each other's draw sequences.
+perturbing each other's draw sequences.  A stream's state depends only on
+the seed and its name, never on when it is made, so the engine makes one on
+its first draw: a link with no loss and a fixed latency never draws and
+holds none.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ US_PER_S = 1_000_000
 
 LINK_CLASS_AIR = "lora-air"
 LINK_CLASS_BACKHAUL = "backhaul"
+
+
+def named_stream(seed: int, name: str) -> Random:
+    """A fresh random stream whose draws depend only on ``seed`` and ``name``."""
+    return Random("%d:%s" % (seed, name))
 
 
 class CausalityError(Exception):
@@ -58,7 +66,8 @@ class Link:
     """Directed point-to-point pipe with loss, latency, and byte accounting.
 
     bytes_sent counts offered bytes, lost messages included; delivered and
-    lost always sum to offered.
+    lost always sum to offered.  The loss and latency stream is the engine's
+    ``link:<name>`` stream, made when the link first draws from it.
     """
 
     def __init__(
@@ -69,7 +78,7 @@ class Link:
         link_class: str,
         latency: LatencyModel,
         loss_rate: float,
-        rng: Random,
+        engine: "Engine",
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss rate must be within [0, 1]")
@@ -79,11 +88,18 @@ class Link:
         self.link_class = link_class
         self.latency = latency
         self.loss_rate = loss_rate
-        self.rng = rng
+        self._engine = engine
+        self._rng: Random | None = None
         self.offered_msgs = 0
         self.delivered_msgs = 0
         self.lost_msgs = 0
         self.bytes_sent = 0
+
+    @property
+    def rng(self) -> Random:
+        if self._rng is None:
+            self._rng = self._engine.stream("link:%s" % self.name)
+        return self._rng
 
 
 class Engine:
@@ -103,7 +119,7 @@ class Engine:
     def stream(self, name: str) -> Random:
         """Named deterministic random stream, stable across runs of one seed."""
         if name not in self._streams:
-            self._streams[name] = Random("%d:%s" % (self.seed, name))
+            self._streams[name] = named_stream(self.seed, name)
         return self._streams[name]
 
     def register(self, node_id: str, handler: Callable[[Any], None]) -> None:
@@ -141,7 +157,7 @@ class Engine:
             link_class=link_class,
             latency=latency,
             loss_rate=loss_rate,
-            rng=self.stream("link:%s" % name),
+            engine=self,
         )
         self.links[name] = link
         return link
@@ -156,7 +172,10 @@ class Engine:
             link.lost_msgs += 1
             return
         link.delivered_msgs += 1
-        self.schedule(link.latency.draw(link.rng), link.dst, payload)
+        latency = link.latency
+        # a fixed delay draws nothing, so it leaves the link's stream unmade
+        delay_us = latency.lo_us if latency.kind == "fixed" else latency.draw(link.rng)
+        self.schedule(delay_us, link.dst, payload)
 
     def run_until(self, t_end_us: int) -> None:
         """Process every event with fire_at <= t_end_us, then land on t_end_us."""

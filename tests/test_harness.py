@@ -4,10 +4,18 @@ import csv
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loraledger import crypto
 from loraledger.cli import main
-from loraledger.crypto import ROLE_SERVER, KeyDirectory, KeyPair, generate_keypair
+from loraledger.crypto import (
+    ROLE_SERVER,
+    KeyDirectory,
+    KeyPair,
+    derive_session_keys,
+    generate_keypair,
+)
 from loraledger.frames import DIR_DOWN, build_data_frame, build_join_accept, build_join_request
 from loraledger.harness import (
     bootstrap_sessions,
@@ -27,6 +35,7 @@ from loraledger.ledger import (
 )
 from loraledger.metrics import (
     MetricsRecorder,
+    RequestRecord,
     latency_stats,
     percentile,
     write_links_csv,
@@ -68,6 +77,15 @@ def test_latency_stats_empty():
     stats = latency_stats([])
     assert stats["issued"] == 0
     assert stats["mean_ms"] is None
+
+
+def test_request_records_are_slotted():
+    rec = MetricsRecorder()
+    rec.complete(rec.issue("uplink", "dev0000", 0), 800_000)
+    record = rec.records[0]
+    assert isinstance(record, RequestRecord)
+    assert not hasattr(record, "__dict__")
+    assert record.latency_us == 800_000
 
 
 def test_percentile_nearest_rank():
@@ -147,6 +165,19 @@ def test_bootstrap_sessions_identical_across_modes():
         assert dev_e.session.app_s_key == dev_t.session.app_s_key
 
 
+def test_bootstrap_keys_are_drawn_from_unkept_device_streams():
+    """Each device's nonces are the engine's ``bootstrap:<device>`` draws; no stream stays."""
+    config = config_for(experiment=2, n_devices=8, seed=11, duration_s=60)
+    world = build_world(config)
+    bootstrap_sessions(world)
+    for device in world.devices:
+        boot = Engine(config.seed).stream("bootstrap:%s" % device.device_id)
+        dev_nonce, app_nonce = boot.randbytes(2), boot.randbytes(3)
+        keys = derive_session_keys(device.app_key, app_nonce, config.net_id, dev_nonce)
+        assert (device.session.nwk_s_key, device.session.app_s_key) == keys
+    assert not [name for name in world.engine._streams if name.startswith("bootstrap:")]
+
+
 def test_bootstrap_respects_authorization_split():
     world = build_world(config_for(experiment=3, n_devices=8, seed=2, duration_s=60))
     bootstrap_sessions(world)
@@ -182,6 +213,60 @@ def test_mixed_trust_comparison():
     assert trad["filtered.servers_total"] > 0
     assert edge["filtered.servers_total"] == 0
     assert sum(edge["filtered.gw%d" % k] for k in range(4)) > 0
+
+
+def test_a_world_holds_streams_only_for_what_draws():
+    """Every device and node stream, and a link's only once the link drew from it."""
+    result = run_experiment(
+        config_for(experiment=3, n_devices=8, seed=6, duration_s=60, severed_gateways=(1,))
+    )
+    world = result.world
+    links = world.engine.links.values()
+    drew = {
+        "link:" + link.name
+        for link in links
+        if link.offered_msgs and (link.loss_rate > 0.0 or link.latency.kind == "uniform")
+    }
+    assert set(world.engine._streams) == (
+        {"device:" + device.device_id for device in world.devices}
+        | {"node:" + node.entity_id for node in world.gateways + world.servers}
+        | drew
+    )
+    # a severed device's uplink drew a loss per frame; air links without loss drew nothing
+    assert "link:dev0001->gw1" in drew
+    assert any(link.offered_msgs and "link:" + link.name not in drew for link in links)
+
+
+def _completed_uplink_latencies(**overrides) -> list[int]:
+    records = run_experiment(config_for(experiment=2, **overrides)).world.recorder
+    return [r.latency_us for r in records.by_kind("uplink") if r.status == "completed"]
+
+
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+def test_an_ack_under_air_loss_settles_its_own_uplink(mode):
+    """The smallest run where a lost frame once made later ACKs settle older uplinks."""
+    kwargs = dict(mode=mode, n_gateways=1, n_devices=1, seed=1, duration_s=90)
+    clean = run_experiment(config_for(experiment=2, loss_rate=0.0, **kwargs)).summary
+    lossy = run_experiment(config_for(experiment=2, loss_rate=0.05, **kwargs)).summary
+    counts = [lossy["uplink." + key] for key in ("issued", "completed", "failed", "inflight")]
+    assert counts == [6, 5, 1, 0]
+    assert lossy["uplink.max_ms"] == clean["uplink.max_ms"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(loss_rate=st.floats(0.0, 0.5), seed=st.integers(0, 2**16))
+def test_no_uplink_under_loss_outlasts_the_loss_free_run(loss_rate, seed):
+    """A completed uplink takes no longer than the slowest one without loss.
+
+    Each of the four gateways serves one device, so its backhaul links carry
+    that device's frames in order and a lossy run's delays are a prefix of
+    the loss-free run's.
+    """
+    for mode in ("edge", "traditional"):
+        kwargs = dict(mode=mode, n_devices=4, seed=seed, duration_s=120)
+        ceiling = max(_completed_uplink_latencies(loss_rate=0.0, **kwargs))
+        lossy = _completed_uplink_latencies(loss_rate=loss_rate, **kwargs)
+        assert max(lossy, default=0) <= ceiling
 
 
 def test_severed_gateway_isolates_its_devices():

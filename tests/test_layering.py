@@ -1,28 +1,43 @@
-"""Module layering: the lower layers import without the node and harness layers."""
+"""Module layering: the lower layers import without the node and harness layers,
+and ``ledger verify`` runs on the chain layers alone."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import loraledger
+from loraledger.crypto import ROLE_SERVER, KeyDirectory, generate_keypair
+from loraledger.ledger import (
+    KIND_NETWORK,
+    Ledger,
+    SessionContext,
+    assemble_block,
+    dump_chain,
+    make_network_tx,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(loraledger.__file__)))
 
 
-def loaded_after_import(module: str) -> set[str]:
-    """The ``loraledger`` modules a fresh interpreter holds after importing ``module``."""
+def loaded_after(code: str) -> set[str]:
+    """The ``loraledger`` modules a fresh interpreter holds after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     script = (
-        "import sys, %s\n"
-        "print(' '.join(n for n in sys.modules if n.split('.')[0] == 'loraledger'))" % module
+        "import sys\n%s\n"
+        "print(' '.join(n for n in sys.modules if n.split('.')[0] == 'loraledger'))" % code
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    return set(out.stdout.split())
+    return set(out.stdout.splitlines()[-1].split())  # ``code`` may print lines before
+
+
+def loaded_after_import(module: str) -> set[str]:
+    return loaded_after("import %s" % module)
 
 
 def test_the_package_root_loads_no_module():
@@ -36,3 +51,29 @@ def test_a_lower_layer_loads_neither_nodes_nor_harness(layer):
     loaded = loaded_after_import("loraledger." + layer)
     assert "loraledger." + layer in loaded
     assert not loaded & {"loraledger.nodes", "loraledger.harness"}
+
+
+def test_ledger_verify_loads_only_the_chain_layers(tmp_path):
+    directory = KeyDirectory()
+    keypair = generate_keypair("srv0", 1)
+    directory.add("srv0", keypair.public_key, ROLE_SERVER)
+    context = SessionContext(
+        dev_eui=b"\x01" * 8,
+        app_key=bytes(16),
+        dev_addr=b"\x00\x01\x00\x00",
+        nwk_s_key=bytes(16),
+        dev_nonce=b"\x00\x01",
+        app_nonce=b"\x00\x00\x01",
+    )
+    ledger = Ledger(KIND_NETWORK)
+    tx = make_network_tx(directory, keypair, context, 0, random.Random(1))
+    ledger.append_block(assemble_block([tx], 0, 0, None), directory)
+    path = tmp_path / "network.chain"
+    path.write_bytes(dump_chain(ledger, directory))
+
+    loaded = loaded_after(
+        "from loraledger import cli\nassert cli.main(['ledger', 'verify', %r]) == 0" % str(path)
+    )
+    assert "loraledger.ledger" in loaded
+    layers = {"nodes", "harness", "simnet", "metrics"}
+    assert not loaded & {"loraledger." + layer for layer in layers}

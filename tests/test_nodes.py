@@ -344,7 +344,7 @@ def test_traditional_unknown_address_reaches_server():
     assert world.engine.links["gw0->srv0"].bytes_sent == 43
 
 
-def test_ack_settles_oldest_pending_uplink():
+def test_two_acks_settle_both_pending_uplinks():
     world = app_world()
     device = world.devices[0]
     device.send_uplink()
@@ -489,7 +489,7 @@ def test_device_rejects_foreign_stale_and_tampered_downlinks():
     device._on_air_frame(ack)
     device._on_air_frame(ack)  # ACK counter replay
     statuses = [r.status for r in world.recorder.by_kind("uplink")]
-    assert statuses == ["completed", "inflight"]
+    assert statuses == ["inflight", "completed"]  # the ACK settles the newest
     assert (session.last_app_fcnt_down, session.last_fcnt_down) == (3, 0)
 
     raw = bytearray(good)
@@ -615,7 +615,10 @@ SCAN_SKIP = (Engine,)
 
 
 def _collect_bytes(root):
-    """Every bytes object reachable through plain containers and our objects."""
+    """Every bytes object reachable through plain containers and our objects.
+
+    An object's attributes are read from its ``__dict__`` and its slots.
+    """
     seen, found, stack = set(), [], [root]
     while stack:
         obj = stack.pop()
@@ -632,7 +635,11 @@ def _collect_bytes(root):
         elif isinstance(obj, SCAN_SKIP):
             continue
         elif type(obj).__module__.startswith("loraledger"):
-            stack.extend(vars(obj).values())
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for name in vars(cls).get("__slots__", ()):
+                    if hasattr(obj, name):
+                        stack.append(getattr(obj, name))
     return found
 
 

@@ -1,6 +1,10 @@
 """Event engine: determinism, ordering, links, loss accounting."""
 
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loraledger.simnet import (
     CausalityError,
@@ -8,6 +12,7 @@ from loraledger.simnet import (
     LINK_CLASS_AIR,
     LatencyModel,
     US_PER_S,
+    named_stream,
 )
 
 
@@ -204,3 +209,67 @@ def test_full_trace_determinism():
     third = run(6)
     assert first == second
     assert first != third
+
+
+def test_named_stream_draws_as_the_engine_stream_of_its_name():
+    engine = Engine(7)
+    fresh = named_stream(7, "alpha")
+    assert [fresh.random() for _ in range(5)] == [engine.stream("alpha").random() for _ in range(5)]
+
+
+LINK_SPECS = {
+    "fixed": LatencyModel.fixed(250),
+    "uniform": LatencyModel.uniform(100, 900),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    specs=st.lists(
+        st.tuples(st.sampled_from(sorted(LINK_SPECS)), st.sampled_from((0.0, 0.3, 1.0))),
+        min_size=1,
+        max_size=3,
+    ),
+    steps=st.lists(st.integers(-1, 2), max_size=40),
+)
+def test_link_draws_follow_its_named_stream_whenever_made(seed, specs, steps):
+    """Outcomes and delays are the link's own seeded draws, in send order.
+
+    A step of -1 draws from another stream first, so a link's first draw may
+    come after any number of other draws; each other step sends on link
+    ``step % len(specs)``.
+    """
+    engine = Engine(seed)
+    delivered: dict[tuple, int] = {}  # (link name, send number) -> delivery time
+    engine.register("dst", lambda sent: delivered.__setitem__(sent, engine.now_us))
+    links = [
+        engine.add_link("l%d" % n, "src", "dst", LINK_CLASS_AIR, LINK_SPECS[kind], loss)
+        for n, (kind, loss) in enumerate(specs)
+    ]
+    sends = {link.name: 0 for link in links}
+    for step in steps:
+        if step < 0:
+            engine.stream("other").random()
+            continue
+        link = links[step % len(links)]
+        engine.send(link, (link.name, sends[link.name]), 1)
+        sends[link.name] += 1
+    engine.run_until(US_PER_S)
+
+    for link, (kind, loss) in zip(links, specs):
+        rng = Random("%d:link:%s" % (seed, link.name))
+        expected = []
+        for _ in range(sends[link.name]):
+            if loss > 0.0 and rng.random() < loss:
+                expected.append("lost")
+            elif kind == "fixed":
+                expected.append(link.latency.lo_us)
+            else:
+                expected.append(rng.randint(link.latency.lo_us, link.latency.hi_us))
+        got = [delivered.get((link.name, k), "lost") for k in range(sends[link.name])]
+        assert got == expected
+        # a loss draw on every send, a delay draw on every uniform delivery
+        delivered_any = expected.count("lost") < len(expected)
+        drew = bool(expected) and (loss > 0.0 or (kind == "uniform" and delivered_any))
+        assert ("link:%s" % link.name in engine._streams) == drew
