@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 runtime failure (corrupt chain, undecodable frame,
 internal error), 2 unusable arguments or configuration.
 
-Only ``run`` and ``frame decode`` import the harness, and with it the
-simulator; ``ledger verify`` loads the chain layers alone.
+Only ``run`` imports the harness, and with it the simulator; ``frame decode``
+adds only ``metrics`` for its output, and ``ledger verify`` loads the chain
+layers alone.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def _check_out_dir(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .harness import compare_modes, report_text, run_experiment
+    from .harness import compare_modes, run_experiment
+    from .metrics import report_text
 
     _check_out_dir(args.out)
     file_overrides = parse_config_file(args.config_file) if args.config_file else {}
@@ -119,7 +121,7 @@ def _cmd_ledger_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_frame_decode(args: argparse.Namespace) -> int:
-    from .harness import report_text
+    from .metrics import report_text
 
     try:
         data = bytes.fromhex(args.hex)

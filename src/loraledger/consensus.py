@@ -1,17 +1,32 @@
-"""Ordering and commit rules: solo batch cutting plus threshold vote rounds.
+"""Ordering and commit: solo batch cutting, threshold vote rounds, and the replica.
 
 The orderer cuts a batch when it reaches the maximum message count or when a
 timer fires at least batch_timeout after the first transaction of the batch
 arrived; empty batches are never cut.  A vote round commits a block once at
 least 2p+1 voters returned an identical "valid" verdict, and fails as soon as
 the votes still outstanding cannot reach that threshold.
+
+``Replica`` is one maintainer's side of the protocol over every channel it
+keeps: it orders on the channel's orderer host, proposes, votes and commits.
+It does no I/O itself; a subclass supplies the clock and the transport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .crypto import KeyDirectory
+from .ledger import (
+    Block,
+    InvalidBlockError,
+    Ledger,
+    Transaction,
+    assemble_block,
+    block_hash,
+    validate_block,
+    validate_body,
+    validate_tx,
+)
 
 COMMITTED = "committed"
 PENDING = "pending"
@@ -168,3 +183,276 @@ class VoteRound:
         return consensus_state(
             len(self.voters), self.p, self.valid_count, invalid, len(self._unreachable)
         )
+
+
+# ---------------------------------------------------------------------------
+# consensus messages (sizes documented in docs/wire.md)
+
+
+@dataclass(frozen=True)
+class TxSubmit:
+    channel: str
+    tx: Transaction
+
+    def wire_size(self) -> int:
+        return 1 + 1 + 2 + len(self.tx.to_bytes())
+
+
+@dataclass(frozen=True)
+class BlockAnnounce:
+    channel: str
+    block: Block
+
+    def wire_size(self) -> int:
+        return 1 + 1 + 4 + len(self.block.to_bytes())
+
+
+@dataclass(frozen=True)
+class BlockProposal:
+    channel: str
+    proposer: str
+    block: Block
+
+    def wire_size(self) -> int:
+        return 1 + 1 + 2 + len(self.proposer.encode("utf-8")) + 4 + len(self.block.to_bytes())
+
+
+@dataclass(frozen=True)
+class VoteMessage:
+    channel: str
+    voter: str
+    block_hash: bytes
+    verdict: bool
+    signature: bytes
+
+    def wire_size(self) -> int:
+        return 1 + 1 + 2 + len(self.voter.encode("utf-8")) + 32 + 1 + 64
+
+
+@dataclass(frozen=True)
+class CommitNotice:
+    channel: str
+    block_hash: bytes
+
+    def wire_size(self) -> int:
+        return 1 + 1 + 32
+
+
+@dataclass(frozen=True)
+class OrdererTick:
+    """A timer a replica sets for its own orderer; it never crosses the wire."""
+
+    channel: str
+
+
+@dataclass(eq=False)
+class Channel:
+    """One channel as a replica keeps it: its ledger replica and consensus state."""
+
+    name: str
+    ledger: Ledger
+    peers: tuple[str, ...]  # the channel's other maintainers
+    orderer: SoloOrderer | None = None  # set on the channel's orderer host only
+    # proposer side: the one open round, with its block
+    round: tuple[VoteRound, Block] | None = None
+    queued: list = field(default_factory=list)  # batches cut while a round is open
+    # backhaul messages are not FIFO, so tolerate reordered deliveries
+    early: dict[int, Block] = field(default_factory=dict)  # above the chain, by height
+    proposals: dict[bytes, Block] = field(default_factory=dict)  # voter side, by block hash
+    commit_wanted: set[bytes] = field(default_factory=set)  # notices that beat their proposal
+
+
+class Replica:
+    """One maintainer's ordering and commit state, over every channel it keeps.
+
+    It builds a ``Channel`` for each channel whose maintainers name it, with
+    a ``SoloOrderer`` where it is the orderer host.  A subclass supplies the
+    clock and transport: ``now_ms``, ``_send(peer, message)``,
+    ``_to_peers(channel, message)`` and ``_set_timer(at_ms, tick)``, which
+    hands ``tick`` back to the ``_HANDLERS`` table at ``at_ms``.
+    """
+
+    def __init__(
+        self, entity_id: str, keypair, key_directory: KeyDirectory, consensus: ConsensusConfig
+    ) -> None:
+        self.entity_id = entity_id
+        self.keypair = keypair
+        self.directory = key_directory
+        self.consensus = consensus
+        self.channels: dict[str, Channel] = {}
+        for name, maintainers in consensus.maintainers.items():
+            if entity_id in maintainers:
+                hosted = consensus.orderer_hosts[name] == entity_id
+                self.channels[name] = Channel(
+                    name,
+                    Ledger(name),
+                    tuple(m for m in maintainers if m != entity_id),
+                    SoloOrderer(consensus.batch) if hosted else None,
+                )
+        self.invalid_blocks = 0
+        self.failed_rounds = 0
+        self.rejected_votes = 0
+
+    @property
+    def ledgers(self) -> dict[str, Ledger]:
+        """Each kept channel's ledger replica, by channel name."""
+        return {name: channel.ledger for name, channel in self.channels.items()}
+
+    def submit_tx(self, channel: str, tx: Transaction) -> None:
+        host = self.consensus.orderer_hosts[channel]
+        if host == self.entity_id:
+            self._orderer_submit(self.channels[channel], tx)
+        else:
+            self._send(host, TxSubmit(channel=channel, tx=tx))
+
+    def _orderer_submit(self, channel: Channel, tx: Transaction) -> None:
+        orderer = channel.orderer
+        started_batch = orderer.pending_count == 0
+        batch = orderer.submit(tx, self.now_ms)
+        if batch is not None:
+            self._propose(channel, batch)
+        elif started_batch:
+            self._set_timer(orderer.deadline_ms, OrdererTick(channel.name))
+
+    def _on_orderer_tick(self, tick: OrdererTick) -> None:
+        channel = self.channels[tick.channel]  # a timer this replica set for its own orderer
+        batch = channel.orderer.on_timer(self.now_ms)
+        if batch is not None:
+            self._propose(channel, batch)
+
+    def _on_tx_submit(self, msg: TxSubmit) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is None or channel.orderer is None:
+            return  # this replica does not order the channel
+        # judge a peer's transaction on its own, so a bad one cannot sink its batch
+        if validate_tx(msg.tx, self.directory, channel.name):
+            self._orderer_submit(channel, msg.tx)
+
+    def _propose(self, channel: Channel, batch: list) -> None:
+        if channel.round is not None:
+            # one outstanding proposal per channel keeps block heights linear
+            channel.queued.append(batch)
+            return
+        ledger = channel.ledger
+        block = assemble_block(batch, ledger.height, self.now_ms, ledger.tip)
+        if self.consensus.mode == "solo":
+            self._commit_block(channel, block)
+            self._to_peers(channel, BlockAnnounce(channel=channel.name, block=block))
+            return
+        digest = block_hash(block)
+        voters = self.consensus.maintainers[channel.name]
+        vote_round = VoteRound(digest, voters, self.consensus.p, self.directory)
+        channel.round = (vote_round, block)
+        verdict = validate_block(block, ledger.tip, self.directory, channel.name)
+        signature = make_vote(self.directory, self.keypair, digest, verdict)
+        vote_round.collect_vote(self.entity_id, verdict, signature)
+        self._to_peers(
+            channel, BlockProposal(channel=channel.name, proposer=self.entity_id, block=block)
+        )
+        self._settle_round(channel)
+
+    def _commit_block(self, channel: Channel, block: Block) -> None:
+        ledger = channel.ledger
+        if block.zeta > ledger.height:
+            # hold only a block that could ever be appended
+            if validate_body(block, self.directory, channel.name):
+                channel.early[block.zeta] = block
+            else:
+                self.invalid_blocks += 1
+            return
+        if block.zeta < ledger.height:
+            return  # stale duplicate of something already on chain
+        # a loop, not a recursion: any number of held successors may follow
+        while block is not None:
+            try:
+                ledger.append_block(block, self.directory)
+            except InvalidBlockError:
+                self.invalid_blocks += 1
+                return
+            # a failed round's proposal for this height can never commit now
+            for digest, proposal in list(channel.proposals.items()):
+                if proposal.zeta < ledger.height:
+                    del channel.proposals[digest]
+            block = channel.early.pop(ledger.height, None)
+
+    def _settle_round(self, channel: Channel) -> None:
+        vote_round, block = channel.round
+        state = vote_round.check()
+        if state == COMMITTED:
+            channel.round = None
+            self._commit_block(channel, block)
+            notice = CommitNotice(channel=channel.name, block_hash=vote_round.block_hash)
+            self._to_peers(channel, notice)
+        elif state == FAILED:
+            channel.round = None
+            self.failed_rounds += 1
+        else:
+            return
+        if channel.queued:
+            self._propose(channel, channel.queued.pop(0))
+
+    def _on_announce(self, msg: BlockAnnounce) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is None:
+            self.invalid_blocks += 1  # a block for a channel this replica does not keep
+        else:
+            self._commit_block(channel, msg.block)
+
+    def _on_proposal(self, msg: BlockProposal) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is None or msg.proposer not in channel.peers:
+            self.invalid_blocks += 1  # only another maintainer of a kept channel may propose
+            return
+        digest = block_hash(msg.block)
+        verdict = validate_block(msg.block, channel.ledger.tip, self.directory, channel.name)
+        self._send(
+            msg.proposer,
+            VoteMessage(
+                channel=channel.name,
+                voter=self.entity_id,
+                block_hash=digest,
+                verdict=verdict,
+                signature=make_vote(self.directory, self.keypair, digest, verdict),
+            ),
+        )
+        if digest in channel.commit_wanted:
+            # the commit notice overtook this proposal on the backhaul
+            channel.commit_wanted.discard(digest)
+            self._commit_block(channel, msg.block)
+        elif verdict or validate_body(msg.block, self.directory, channel.name):
+            # hold only a block that could commit; a lagging voter may vote
+            # against one that is valid at its height and see it commit later
+            channel.proposals[digest] = msg.block
+
+    def _on_vote(self, msg: VoteMessage) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is None or channel.round is None:
+            return  # no open round: it has settled, or the channel is not kept here
+        vote_round = channel.round[0]
+        if vote_round.block_hash != msg.block_hash:
+            return  # a vote on an earlier round's block
+        try:
+            vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
+        except VoteRejectedError:
+            self.rejected_votes += 1
+        self._settle_round(channel)
+
+    def _on_commit_notice(self, msg: CommitNotice) -> None:
+        channel = self.channels.get(msg.channel)
+        if channel is None:
+            return
+        block = channel.proposals.pop(msg.block_hash, None)
+        if block is not None:
+            self._commit_block(channel, block)
+        else:
+            channel.commit_wanted.add(msg.block_hash)
+
+    # consensus payload type -> handler(replica, payload); subclasses extend it
+    _HANDLERS = {
+        OrdererTick: _on_orderer_tick,
+        TxSubmit: _on_tx_submit,
+        BlockAnnounce: _on_announce,
+        BlockProposal: _on_proposal,
+        VoteMessage: _on_vote,
+        CommitNotice: _on_commit_notice,
+    }

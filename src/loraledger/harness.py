@@ -36,16 +36,11 @@ from .crypto import (
     hash_bytes,
 )
 from .consensus import BatchConfig, ConsensusConfig
-from .ledger import (
-    KIND_APPLICATION,
-    KIND_NETWORK,
-    Ledger,
-    assemble_block,
-    make_network_tx,
-)
+from .ledger import KIND_APPLICATION, KIND_NETWORK, assemble_block, make_network_tx
 from .metrics import (
     MetricsRecorder,
     latency_stats,
+    report_text,
     write_links_csv,
     write_requests_csv,
 )
@@ -187,11 +182,6 @@ def build_world(config: ScenarioConfig) -> World:
     ]
     servers = [NetworkServer(e, k, keypair=keypairs[e], **common) for k, e in enumerate(srv_ids)]
     infra = {node.entity_id: node for node in gateways + servers}
-    for channel, maintainers in consensus.maintainers.items():
-        for entity_id in maintainers:
-            infra[entity_id].attach_ledger(channel, Ledger(channel))
-    for channel, host in consensus.orderer_hosts.items():
-        infra[host].host_orderer(channel)
 
     # full backhaul mesh among infrastructure nodes
     backhaul_lo_us = config.backhaul_latency_ms[0] * US_PER_MS
@@ -442,22 +432,6 @@ class RunResult:
         )
         with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write(report_text(self.summary))
-
-
-def format_value(value) -> str:
-    """One summary or comparison value as the result files and the CLI print it."""
-    if value is None:
-        return "n/a"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.3f" % value
-    return str(value)
-
-
-def report_text(values: dict) -> str:
-    """One ``key: value`` line per entry, as the result files and the CLI print them."""
-    return "".join("%s: %s\n" % (key, format_value(value)) for key, value in values.items())
 
 
 def run_experiment(config: ScenarioConfig) -> RunResult:

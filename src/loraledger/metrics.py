@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .simnet import Link
+if TYPE_CHECKING:
+    from .simnet import Link
 
 STATUS_INFLIGHT = "inflight"
 STATUS_COMPLETED = "completed"
@@ -127,3 +129,19 @@ def write_links_csv(path: str, links: list[Link]) -> None:
                     link.bytes_sent,
                 ]
             )
+
+
+def format_value(value) -> str:
+    """One summary or comparison value as the result files and the CLI print it."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.3f" % value
+    return str(value)
+
+
+def report_text(values: dict) -> str:
+    """One ``key: value`` line per entry, as the result files and the CLI print them."""
+    return "".join("%s: %s\n" % (key, format_value(value)) for key, value in values.items())

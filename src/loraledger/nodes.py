@@ -1,5 +1,9 @@
 """Node state machines: end devices, gateways, and network servers.
 
+Gateways and servers are ``consensus.Replica`` subclasses: the ordering and
+commit protocol lives there, and ``LedgerNode`` gives it the engine's clock,
+backhaul routes and timers.
+
 Two deployment modes share these classes.  The join server (JS), which
 answers joins, and the network controller (NC), which verifies and ACKs
 uplinks, exist once, on ``LedgerNode``, and run on whichever node hosts them:
@@ -35,15 +39,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .consensus import (
-    COMMITTED,
-    FAILED,
-    ConsensusConfig,
-    SoloOrderer,
-    VoteRejectedError,
-    VoteRound,
-    make_vote,
-)
+from .consensus import Channel, ConsensusConfig, Replica
 from .crypto import (
     KEY_LEN,
     BadKeyError,
@@ -75,22 +71,7 @@ from .frames import (
     verify_data_mic,
     verify_join_request,
 )
-from .ledger import (
-    KIND_APPLICATION,
-    KIND_NETWORK,
-    Block,
-    InvalidBlockError,
-    Ledger,
-    SessionContext,
-    Transaction,
-    assemble_block,
-    block_hash,
-    make_app_tx,
-    make_network_tx,
-    validate_block,
-    validate_body,
-    validate_tx,
-)
+from .ledger import KIND_APPLICATION, KIND_NETWORK, SessionContext, make_app_tx, make_network_tx
 from .simnet import Engine, Link, US_PER_MS
 
 MODE_EDGE = "edge"
@@ -158,62 +139,8 @@ class DownlinkFrameForward:
         return 1 + 8 + 2 + len(self.frame)
 
 
-@dataclass(frozen=True)
-class TxSubmit:
-    channel: str
-    tx: Transaction
-
-    def wire_size(self) -> int:
-        return 1 + 1 + 2 + len(self.tx.to_bytes())
-
-
-@dataclass(frozen=True)
-class BlockAnnounce:
-    channel: str
-    block: Block
-
-    def wire_size(self) -> int:
-        return 1 + 1 + 4 + len(self.block.to_bytes())
-
-
-@dataclass(frozen=True)
-class BlockProposal:
-    channel: str
-    proposer: str
-    block: Block
-
-    def wire_size(self) -> int:
-        return 1 + 1 + 2 + len(self.proposer.encode("utf-8")) + 4 + len(self.block.to_bytes())
-
-
-@dataclass(frozen=True)
-class VoteMessage:
-    channel: str
-    voter: str
-    block_hash: bytes
-    verdict: bool
-    signature: bytes
-
-    def wire_size(self) -> int:
-        return 1 + 1 + 2 + len(self.voter.encode("utf-8")) + 32 + 1 + 64
-
-
-@dataclass(frozen=True)
-class CommitNotice:
-    channel: str
-    block_hash: bytes
-
-    def wire_size(self) -> int:
-        return 1 + 1 + 32
-
-
 # ---------------------------------------------------------------------------
 # timers
-
-
-@dataclass(frozen=True)
-class OrdererTick:
-    channel: str
 
 
 @dataclass(frozen=True)
@@ -268,28 +195,12 @@ class NcSession:
     next_fcnt_down: int = 0  # counts the NC's ACKs only; see docs/wire.md
 
 
-@dataclass(eq=False)
-class Channel:
-    """One channel as a node keeps it: its ledger replica and consensus state."""
+class LedgerNode(Replica):
+    """A gateway or server: a consensus replica on the engine, plus the JS and NC.
 
-    name: str
-    ledger: Ledger
-    peers: tuple[str, ...]  # the channel's other maintainers
-    orderer: SoloOrderer | None = None  # set on the channel's orderer host only
-    # proposer side: the one open round, with its block
-    round: tuple[VoteRound, Block] | None = None
-    queued: list = field(default_factory=list)  # batches cut while a round is open
-    # backhaul messages are not FIFO, so tolerate reordered deliveries
-    early: dict[int, Block] = field(default_factory=dict)  # above the chain, by height
-    proposals: dict[bytes, Block] = field(default_factory=dict)  # voter side, by block hash
-    commit_wanted: set[bytes] = field(default_factory=set)  # notices that beat their proposal
-
-
-class LedgerNode:
-    """A gateway or server: ledger replicas and consensus, plus the JS and NC.
-
-    The join server and network controller run on the node that hosts them in
-    the deployment mode.  Subclasses supply the steps where the modes differ:
+    It gives the replica its clock, backhaul routes and timers.  The join
+    server and network controller run on the node that hosts them in the
+    deployment mode.  Subclasses supply the steps where the modes differ:
     ``_address_prefix``, ``_downlink`` and ``_ingest``.
     """
 
@@ -304,21 +215,14 @@ class LedgerNode:
         consensus: ConsensusConfig,
         net_id: bytes,
     ) -> None:
-        self.entity_id = entity_id
+        super().__init__(entity_id, keypair, key_directory, consensus)
         self.index = index
         self.mode = mode
-        self.keypair = keypair
         self.engine = engine
-        self.directory = key_directory
-        self.consensus = consensus
         self.net_id = net_id
         self.rng = engine.stream("node:%s" % entity_id)
         self.routes: dict[str, Link] = {}
-        self.channels: dict[str, Channel] = {}
         self.work_units = 0
-        self.invalid_blocks = 0
-        self.failed_rounds = 0
-        self.rejected_votes = 0
         # join server and network controller state
         self.registry: dict[bytes, Registration] = {}  # by device EUI
         self._addr_counters: dict[int, int] = {}  # last address counter, by prefix
@@ -337,18 +241,6 @@ class LedgerNode:
     def attach_route(self, peer_id: str, link: Link) -> None:
         self.routes[peer_id] = link
 
-    @property
-    def ledgers(self) -> dict[str, Ledger]:
-        """Each kept channel's ledger replica, by channel name."""
-        return {name: channel.ledger for name, channel in self.channels.items()}
-
-    def attach_ledger(self, channel: str, ledger: Ledger) -> None:
-        peers = tuple(m for m in self.consensus.maintainers[channel] if m != self.entity_id)
-        self.channels[channel] = Channel(channel, ledger, peers)
-
-    def host_orderer(self, channel: str) -> None:
-        self.channels[channel].orderer = SoloOrderer(self.consensus.batch)
-
     def _send(self, peer_id: str, message) -> None:
         self.engine.send(self.routes[peer_id], message, message.wire_size())
 
@@ -358,167 +250,9 @@ class LedgerNode:
             for peer in channel.peers:
                 self.engine.send(self.routes[peer], message, size)
 
-    # -- ordering and commit --
-
-    def submit_tx(self, channel: str, tx: Transaction) -> None:
-        host = self.consensus.orderer_hosts[channel]
-        if host == self.entity_id:
-            self._orderer_submit(self.channels[channel], tx)
-        else:
-            self._send(host, TxSubmit(channel=channel, tx=tx))
-
-    def _orderer_submit(self, channel: Channel, tx: Transaction) -> None:
-        orderer = channel.orderer
-        started_batch = orderer.pending_count == 0
-        batch = orderer.submit(tx, self.now_ms)
-        if batch is not None:
-            self._propose(channel, batch)
-        elif started_batch:
-            delay_us = orderer.deadline_ms * US_PER_MS - self.engine.now_us
-            self.engine.schedule(max(delay_us, 0), self.entity_id, OrdererTick(channel.name))
-
-    def _on_orderer_tick(self, tick: OrdererTick) -> None:
-        channel = self.channels[tick.channel]  # a timer this node set for its own orderer
-        batch = channel.orderer.on_timer(self.now_ms)
-        if batch is not None:
-            self._propose(channel, batch)
-
-    def _on_tx_submit(self, msg: TxSubmit) -> None:
-        channel = self.channels.get(msg.channel)
-        if channel is None or channel.orderer is None:
-            return  # this node does not order the channel
-        # judge a peer's transaction on its own, so a bad one cannot sink its batch
-        if validate_tx(msg.tx, self.directory, channel.name):
-            self._orderer_submit(channel, msg.tx)
-
-    def _propose(self, channel: Channel, batch: list) -> None:
-        if channel.round is not None:
-            # one outstanding proposal per channel keeps block heights linear
-            channel.queued.append(batch)
-            return
-        ledger = channel.ledger
-        block = assemble_block(batch, ledger.height, self.now_ms, ledger.tip)
-        if self.consensus.mode == "solo":
-            self._commit_block(channel, block)
-            self._to_peers(channel, BlockAnnounce(channel=channel.name, block=block))
-            return
-        digest = block_hash(block)
-        voters = self.consensus.maintainers[channel.name]
-        vote_round = VoteRound(digest, voters, self.consensus.p, self.directory)
-        channel.round = (vote_round, block)
-        verdict = validate_block(block, ledger.tip, self.directory, channel.name)
-        signature = make_vote(self.directory, self.keypair, digest, verdict)
-        vote_round.collect_vote(self.entity_id, verdict, signature)
-        self._to_peers(
-            channel, BlockProposal(channel=channel.name, proposer=self.entity_id, block=block)
-        )
-        self._settle_round(channel)
-
-    def _commit_block(self, channel: Channel, block: Block) -> None:
-        ledger = channel.ledger
-        if block.zeta > ledger.height:
-            # hold only a block that could ever be appended
-            if validate_body(block, self.directory, channel.name):
-                channel.early[block.zeta] = block
-            else:
-                self.invalid_blocks += 1
-            return
-        if block.zeta < ledger.height:
-            return  # stale duplicate of something already on chain
-        # a loop, not a recursion: any number of held successors may follow
-        while block is not None:
-            try:
-                ledger.append_block(block, self.directory)
-            except InvalidBlockError:
-                self.invalid_blocks += 1
-                return
-            # a failed round's proposal for this height can never commit now
-            for digest, proposal in list(channel.proposals.items()):
-                if proposal.zeta < ledger.height:
-                    del channel.proposals[digest]
-            block = channel.early.pop(ledger.height, None)
-
-    def _settle_round(self, channel: Channel) -> None:
-        vote_round, block = channel.round
-        state = vote_round.check()
-        if state == COMMITTED:
-            channel.round = None
-            self._commit_block(channel, block)
-            notice = CommitNotice(channel=channel.name, block_hash=vote_round.block_hash)
-            self._to_peers(channel, notice)
-        elif state == FAILED:
-            channel.round = None
-            self.failed_rounds += 1
-        else:
-            return
-        if channel.queued:
-            self._propose(channel, channel.queued.pop(0))
-
-    def _on_announce(self, msg: BlockAnnounce) -> None:
-        channel = self.channels.get(msg.channel)
-        if channel is None:
-            self.invalid_blocks += 1  # a block for a channel this node does not keep
-        else:
-            self._commit_block(channel, msg.block)
-
-    def _on_proposal(self, msg: BlockProposal) -> None:
-        channel = self.channels.get(msg.channel)
-        if channel is None or msg.proposer not in channel.peers:
-            self.invalid_blocks += 1  # only another maintainer of a kept channel may propose
-            return
-        digest = block_hash(msg.block)
-        verdict = validate_block(msg.block, channel.ledger.tip, self.directory, channel.name)
-        self._send(
-            msg.proposer,
-            VoteMessage(
-                channel=channel.name,
-                voter=self.entity_id,
-                block_hash=digest,
-                verdict=verdict,
-                signature=make_vote(self.directory, self.keypair, digest, verdict),
-            ),
-        )
-        if digest in channel.commit_wanted:
-            # the commit notice overtook this proposal on the backhaul
-            channel.commit_wanted.discard(digest)
-            self._commit_block(channel, msg.block)
-        elif verdict or validate_body(msg.block, self.directory, channel.name):
-            # hold only a block that could commit; a lagging voter may vote
-            # against one that is valid at its height and see it commit later
-            channel.proposals[digest] = msg.block
-
-    def _on_vote(self, msg: VoteMessage) -> None:
-        channel = self.channels.get(msg.channel)
-        if channel is None or channel.round is None:
-            return  # no open round: it has settled, or the channel is not kept here
-        vote_round = channel.round[0]
-        if vote_round.block_hash != msg.block_hash:
-            return  # a vote on an earlier round's block
-        try:
-            vote_round.collect_vote(msg.voter, msg.verdict, msg.signature)
-        except VoteRejectedError:
-            self.rejected_votes += 1
-        self._settle_round(channel)
-
-    def _on_commit_notice(self, msg: CommitNotice) -> None:
-        channel = self.channels.get(msg.channel)
-        if channel is None:
-            return
-        block = channel.proposals.pop(msg.block_hash, None)
-        if block is not None:
-            self._commit_block(channel, block)
-        else:
-            channel.commit_wanted.add(msg.block_hash)
-
-    # consensus-plane payload type -> handler(node, payload); subclasses extend it
-    _HANDLERS = {
-        OrdererTick: _on_orderer_tick,
-        TxSubmit: _on_tx_submit,
-        BlockAnnounce: _on_announce,
-        BlockProposal: _on_proposal,
-        VoteMessage: _on_vote,
-        CommitNotice: _on_commit_notice,
-    }
+    def _set_timer(self, at_ms: int, tick) -> None:
+        delay_us = at_ms * US_PER_MS - self.engine.now_us
+        self.engine.schedule(max(delay_us, 0), self.entity_id, tick)
 
     # -- join server and network controller --
 
@@ -736,7 +470,7 @@ class Gateway(LedgerNode):
         bytes: _on_air_frame,
         DownlinkData: _on_downlink_data,
         DownlinkFrameForward: lambda gateway, msg: gateway._transmit(msg.device_id, msg.frame),
-        **LedgerNode._HANDLERS,
+        **Replica._HANDLERS,
     }
 
 
@@ -776,7 +510,7 @@ class NetworkServer(LedgerNode):
     _HANDLERS = {
         UplinkNotice: _ingest,
         FrameForward: _on_frame_forward,
-        **LedgerNode._HANDLERS,
+        **Replica._HANDLERS,
     }
 
     # -- operator-facing operations --

@@ -1,15 +1,19 @@
-"""Ordering and commit rules: batch cutting and threshold voting."""
+"""Ordering and commit rules: batch cutting, threshold voting, and bare replicas."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loraledger.consensus import (
     BatchConfig,
     COMMITTED,
+    ConsensusConfig,
     FAILED,
     PENDING,
+    Replica,
     SoloOrderer,
     VoteRejectedError,
     VoteRound,
@@ -18,6 +22,7 @@ from loraledger.consensus import (
     vote_message,
 )
 from loraledger.crypto import KeyDirectory, ROLE_SERVER, generate_keypair
+from loraledger.ledger import KIND_APPLICATION, make_app_tx
 
 
 class FakeTx:
@@ -179,8 +184,7 @@ def test_consensus_state_input_validation():
 # -- signed vote rounds --
 
 
-@pytest.fixture
-def voters():
+def four_servers():
     directory = KeyDirectory()
     keypairs = {}
     for n in range(4):
@@ -189,6 +193,11 @@ def voters():
         keypairs[entity_id] = kp
         directory.add(entity_id, kp.public_key, ROLE_SERVER)
     return directory, keypairs
+
+
+@pytest.fixture
+def voters():
+    return four_servers()
 
 
 def test_vote_message_layout():
@@ -255,3 +264,84 @@ def test_vote_round_rejects_duplicate_voters(voters):
     directory, _ = voters
     with pytest.raises(ValueError):
         VoteRound(bytes(32), ("srv0", "srv0"), 0, directory)
+
+
+# -- replicas without an engine --
+
+
+class BareReplica(Replica):
+    """Sends go to one shared pending list; timers are only recorded."""
+
+    def __init__(self, entity_id, keypair, directory, consensus, net):
+        super().__init__(entity_id, keypair, directory, consensus)
+        self.net = net
+        self.ticks = []  # (at_ms, tick), in the order they were set
+
+    now_ms = property(lambda self: self.net["now_ms"])
+
+    def _send(self, peer, message):
+        self.net["pending"].append((peer, message))
+
+    def _to_peers(self, channel, message):
+        self.net["pending"].extend((peer, message) for peer in channel.peers)
+
+    def _set_timer(self, at_ms, tick):
+        self.ticks.append((at_ms, tick))
+
+
+def deliver(replica, message):
+    Replica._HANDLERS[type(message)](replica, message)
+
+
+@pytest.mark.parametrize("mode, p", [("pbft", 1), ("solo", 0)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_replicas_agree_on_a_prefix_under_any_delivery_order(mode, p, data):
+    """Four replicas, drawn submits, deliveries and clock steps, then a drain: no
+    replica's chain forks from the longest, and no transaction is on it twice."""
+    directory, keypairs = four_servers()
+    ids = sorted(keypairs)
+    consensus = ConsensusConfig(
+        mode=mode,
+        p=p,
+        batch=BatchConfig(1000, data.draw(st.integers(1, 4), label="max_message_count")),
+        orderer_hosts={KIND_APPLICATION: ids[0]},
+        maintainers={KIND_APPLICATION: tuple(ids)},
+    )
+    net = {"now_ms": 0, "pending": []}
+    replicas = {e: BareReplica(e, keypairs[e], directory, consensus, net) for e in ids}
+
+    def deliver_one():
+        index = data.draw(st.integers(0, len(net["pending"]) - 1), label="deliver")
+        peer, message = net["pending"].pop(index)
+        deliver(replicas[peer], message)
+
+    def advance(ms):
+        net["now_ms"] += ms
+        for replica in replicas.values():
+            due = [tick for at_ms, tick in replica.ticks if at_ms <= net["now_ms"]]
+            replica.ticks = [t for t in replica.ticks if t[0] > net["now_ms"]]
+            for tick in due:
+                deliver(replica, tick)
+
+    for n in range(data.draw(st.integers(1, 40), label="steps")):
+        step = data.draw(st.sampled_from(["submit", "deliver", "clock"]))
+        if step == "submit":
+            replica = replicas[data.draw(st.sampled_from(ids), label="submitter")]
+            # a distinct payload, so no transaction is submitted twice
+            tx = make_app_tx(directory, replica.keypair, b"tx%d" % n, net["now_ms"])
+            replica.submit_tx(KIND_APPLICATION, tx)
+        elif step == "deliver" and net["pending"]:
+            deliver_one()
+        elif step == "clock":
+            advance(data.draw(st.integers(0, 1500), label="ms"))
+    while net["pending"] or any(replica.ticks for replica in replicas.values()):
+        while net["pending"]:
+            deliver_one()
+        advance(1000)
+    chains = [replica.ledgers[KIND_APPLICATION].blocks for replica in replicas.values()]
+    longest = max(chains, key=len)
+    for chain in chains:
+        assert chain == longest[: len(chain)]
+    signatures = [tx.signature for block in longest for tx in block.txs]
+    assert len(signatures) == len(set(signatures))

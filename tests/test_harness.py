@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loraledger import crypto
 from loraledger.cli import main
+from loraledger.consensus import BlockAnnounce
 from loraledger.crypto import (
     ROLE_SERVER,
     KeyDirectory,
@@ -41,7 +42,6 @@ from loraledger.metrics import (
     write_links_csv,
     write_requests_csv,
 )
-from loraledger.nodes import BlockAnnounce
 from loraledger.scenario import ConfigError, build_config, parse_config_file
 from loraledger.simnet import Engine, LatencyModel, US_PER_S
 

@@ -1,5 +1,6 @@
-"""Module layering: the lower layers import without the node and harness layers,
-and ``ledger verify`` runs on the chain layers alone."""
+"""Module layering: the lower layers import without the node and harness layers
+and, but for the engine itself, without the engine; ``frame decode`` runs
+without the simulator, and ``ledger verify`` on the chain layers alone."""
 
 import os
 import random
@@ -51,6 +52,18 @@ def test_a_lower_layer_loads_neither_nodes_nor_harness(layer):
     loaded = loaded_after_import("loraledger." + layer)
     assert "loraledger." + layer in loaded
     assert not loaded & {"loraledger.nodes", "loraledger.harness"}
+    if layer != "simnet":
+        # the consensus replica and the report writers run without the engine
+        assert "loraledger.simnet" not in loaded
+
+
+def test_frame_decode_loads_no_simulator():
+    loaded = loaded_after(
+        "from loraledger import cli\n"
+        "assert cli.main(['frame', 'decode', '40010000010500010101010145b24721']) == 0"
+    )
+    assert "loraledger.metrics" in loaded
+    assert not loaded & {"loraledger.nodes", "loraledger.harness", "loraledger.simnet"}
 
 
 def test_ledger_verify_loads_only_the_chain_layers(tmp_path):

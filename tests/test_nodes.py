@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loraledger.consensus import make_vote
+from loraledger.consensus import (
+    BlockAnnounce,
+    BlockProposal,
+    CommitNotice,
+    OrdererTick,
+    TxSubmit,
+    VoteMessage,
+    make_vote,
+)
 from loraledger.crypto import (
     BadKeyError,
     derive_session_keys,
@@ -40,16 +48,10 @@ from loraledger.ledger import (
     make_network_tx,
 )
 from loraledger.nodes import (
-    BlockAnnounce,
-    BlockProposal,
-    CommitNotice,
     DownlinkData,
     DownlinkFrameForward,
     FrameForward,
-    OrdererTick,
-    TxSubmit,
     UplinkNotice,
-    VoteMessage,
     format_dev_addr,
 )
 from loraledger.scenario import ConfigError, build_config

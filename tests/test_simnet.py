@@ -26,8 +26,6 @@ def test_streams_are_memoized_and_independent():
     again = Engine(7).stream("alpha")
     assert [a.random() for _ in range(5)] == [again.random() for _ in range(5)]
     # different seed diverges
-    other = Engine(8).stream("alpha")
-    assert [engine.stream("gamma").random()] != [other.random()] or True  # smoke
     assert Engine(7).stream("beta").random() != Engine(8).stream("beta").random()
 
 
