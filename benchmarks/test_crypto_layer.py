@@ -32,6 +32,13 @@ FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 
 def test_sign(benchmark):
+    """``sign`` as the program runs it: on libsodium where it loads."""
+    assert benchmark(sign, KEYPAIR.private_key, MESSAGE) == SIGNATURE
+
+
+def test_sign_reference(benchmark, monkeypatch):
+    """``sign`` on the ``cryptography`` signer, which runs where libsodium does not load."""
+    monkeypatch.setattr(crypto, "_sodium_signer", lambda: None)
     assert benchmark(sign, KEYPAIR.private_key, MESSAGE) == SIGNATURE
 
 

@@ -4,6 +4,13 @@ Every operation is deterministic given its inputs; randomness is always
 supplied by the caller as a seeded ``random.Random`` so that simulation runs
 replay byte-identically.  Key pairs bundle a signing key and an encryption
 key; both public/private halves travel as opaque byte strings.
+
+``sign`` makes Ed25519 signatures with the system's libsodium where that
+shared library loads (through ``ctypes``, on the first ``sign``), and with
+``cryptography`` elsewhere; libsodium is not required.  Ed25519 signing is
+deterministic (RFC 8032), so both return the same bytes for the same key and
+message.  Every other operation, verification included, runs on
+``cryptography``, so a signature's verdict never depends on the host.
 """
 
 from __future__ import annotations
@@ -116,10 +123,68 @@ def _signing_public(seed: bytes) -> bytes:
     )
 
 
+#: sonames of libsodium tried in order; the first that loads and initialises signs
+_SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so")
+
+
+@functools.cache
+def _sodium_signer():
+    """libsodium's Ed25519 signer as ``signer(seed, message) -> signature``.
+
+    ``None`` where no listed soname loads or ``sodium_init`` fails.  Loaded
+    once, on the first call, so a process that never signs (``ledger
+    verify``) imports neither ``ctypes`` nor the library.
+    """
+    from ctypes import CDLL, c_char_p, c_int, c_ulonglong, c_void_p, create_string_buffer
+
+    for soname in _SODIUM_SONAMES:
+        try:
+            lib = CDLL(soname)
+            break
+        except OSError:
+            continue
+    else:
+        return None
+    lib.sodium_init.argtypes = []
+    lib.sodium_init.restype = c_int
+    if lib.sodium_init() < 0:
+        return None
+    seed_keypair = lib.crypto_sign_seed_keypair
+    seed_keypair.argtypes = [c_char_p, c_char_p, c_char_p]
+    seed_keypair.restype = c_int
+    sign_detached = lib.crypto_sign_detached
+    sign_detached.argtypes = [c_char_p, c_void_p, c_char_p, c_ulonglong, c_char_p]
+    sign_detached.restype = c_int
+
+    @functools.lru_cache(maxsize=256)
+    def secret_key(seed: bytes) -> bytes:
+        """libsodium's 64-byte secret key: the seed followed by its public key."""
+        public, secret = create_string_buffer(_KEY_HALF), create_string_buffer(2 * _KEY_HALF)
+        if seed_keypair(public, secret, seed) != 0:
+            raise CryptoError("libsodium could not derive an Ed25519 key from the seed")
+        return secret.raw
+
+    def signer(seed: bytes, message: bytes) -> bytes:
+        signature = create_string_buffer(SIGNATURE_LEN)
+        if sign_detached(signature, None, message, len(message), secret_key(seed)) != 0:
+            raise CryptoError("libsodium failed to sign")
+        return signature.raw
+
+    return signer
+
+
 def sign(private_key: bytes, message: bytes) -> bytes:
-    """Sign a message; 64-byte signature, deterministic for a fixed key."""
+    """Sign a message; 64-byte signature, deterministic for a fixed key.
+
+    Signs with libsodium's ``crypto_sign_detached`` where the library loads
+    (the faster of the two), else with ``cryptography``.  Both implement RFC
+    8032's deterministic Ed25519, so the bytes are the same either way.
+    """
     seed, _ = _split_private(private_key)
-    return _signing_key(seed).sign(message)
+    signer = _sodium_signer()
+    if signer is None:
+        return _signing_key(seed).sign(message)
+    return signer(seed, message)
 
 
 def verify(public_key: bytes | Ed25519PublicKey, message: bytes, signature: bytes) -> bool:

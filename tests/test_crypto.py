@@ -1,7 +1,9 @@
 """Primitive layer: keys, signatures, envelopes, MACs, key derivation."""
 
+import ctypes
 import itertools
 import random
+import types
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from loraledger import crypto
 from loraledger.crypto import (
+    CryptoError,
     DecryptionError,
     ENVELOPE_OVERHEAD,
     KeyDirectory,
@@ -72,6 +75,111 @@ def test_sign_verify():
 def test_signature_deterministic():
     kp = generate_keypair("gw0", 1)
     assert sign(kp.private_key, b"x") == sign(kp.private_key, b"x")
+
+
+# RFC 8032 section 7.1, TEST 1 and TEST 2: (seed, message, signature), in hex
+RFC8032_VECTORS = {
+    "test1": (
+        "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+        "",
+        "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065"
+        "224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
+    ),
+    "test2": (
+        "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+        "72",
+        "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+        "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
+    ),
+}
+SODIUM_ABSENT = "libsodium does not load here (tried %s): only the cryptography signer runs" % (
+    ", ".join(crypto._SODIUM_SONAMES)
+)
+
+
+def _sign_vector(name: str) -> tuple[bytes, str]:
+    """``sign``'s output on an RFC 8032 vector, and the signature the RFC gives."""
+    seed, message, signature = RFC8032_VECTORS[name]
+    return sign(bytes.fromhex(seed) + bytes(32), bytes.fromhex(message)), signature
+
+
+@pytest.fixture(params=["libsodium", "cryptography"])
+def signer(request, monkeypatch):
+    """Run ``sign`` on libsodium, or on ``cryptography`` by making the loader find no library."""
+    if request.param == "libsodium":
+        if crypto._sodium_signer() is None:
+            pytest.skip(SODIUM_ABSENT)
+        monkeypatch.setattr(crypto, "_signing_key", None)  # so a cryptography signature fails
+    else:
+        monkeypatch.setattr(crypto, "_sodium_signer", lambda: None)
+    return request.param
+
+
+@pytest.mark.parametrize("vector", sorted(RFC8032_VECTORS))
+def test_sign_matches_rfc8032_on_either_signer(signer, vector):
+    signature, expected = _sign_vector(vector)
+    assert signature.hex() == expected
+
+
+@pytest.mark.skipif(crypto._sodium_signer() is None, reason=SODIUM_ABSENT)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=600))
+def test_libsodium_and_cryptography_sign_the_same_bytes(seed, message):
+    """``KeyDirectory.sign`` skips the verify of its own signatures: sound only if this holds."""
+    private_key = seed + bytes(32)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "_sodium_signer", lambda: None)
+        reference = sign(private_key, message)
+    assert sign(private_key, message) == reference
+
+
+def _stand_in_sodium(init=0, keypair=0, detached=0):
+    """A ``CDLL`` stand-in whose three functions only return the given codes."""
+
+    def load(name):
+        codes = {
+            "sodium_init": init,
+            "crypto_sign_seed_keypair": keypair,
+            "crypto_sign_detached": detached,
+        }
+        return types.SimpleNamespace(
+            **{symbol: (lambda *args, code=code: code) for symbol, code in codes.items()}
+        )
+
+    return load
+
+
+def _not_found(name):
+    raise OSError("%s: cannot open shared object file" % name)
+
+
+@pytest.fixture
+def reload_signer(monkeypatch):
+    """Clear the memoized loader so the next ``sign`` loads again, and once more after."""
+    crypto._sodium_signer.cache_clear()
+    yield lambda load: monkeypatch.setattr(ctypes, "CDLL", load)
+    crypto._sodium_signer.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "load", [_not_found, _stand_in_sodium(init=-1)], ids=["not-found", "init-fails"]
+)
+def test_sign_falls_back_to_cryptography_without_a_usable_libsodium(reload_signer, load):
+    reload_signer(load)
+    signature, expected = _sign_vector("test2")
+    assert signature.hex() == expected
+    assert crypto._sodium_signer() is None
+
+
+@pytest.mark.parametrize(
+    "load",
+    [_stand_in_sodium(keypair=-1), _stand_in_sodium(detached=-1)],
+    ids=["keypair-fails", "sign-fails"],
+)
+def test_sign_raises_rather_than_return_a_failed_libsodium_signature(reload_signer, load):
+    reload_signer(load)
+    with pytest.raises(CryptoError):
+        sign(generate_keypair("gw0", 1).private_key, b"hello")
 
 
 def test_envelope_roundtrip_and_overhead():

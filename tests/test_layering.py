@@ -23,13 +23,13 @@ from loraledger.ledger import (
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(loraledger.__file__)))
 
 
-def loaded_after(code: str) -> set[str]:
-    """The ``loraledger`` modules a fresh interpreter holds after running ``code``."""
+def loaded_after(code: str, packages: tuple[str, ...] = ("loraledger",)) -> set[str]:
+    """The modules of ``packages`` a fresh interpreter holds after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     script = (
         "import sys\n%s\n"
-        "print(' '.join(n for n in sys.modules if n.split('.')[0] == 'loraledger'))" % code
+        "print(' '.join(n for n in sys.modules if n.split('.')[0] in %r))" % (code, packages)
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
@@ -66,7 +66,8 @@ def test_frame_decode_loads_no_simulator():
     assert not loaded & {"loraledger.nodes", "loraledger.harness", "loraledger.simnet"}
 
 
-def test_ledger_verify_loads_only_the_chain_layers(tmp_path):
+def write_network_chain(tmp_path) -> str:
+    """Dump a one-block network chain signed by ``srv0``; returns its path."""
     directory = KeyDirectory()
     keypair = generate_keypair("srv0", 1)
     directory.add("srv0", keypair.public_key, ROLE_SERVER)
@@ -83,10 +84,38 @@ def test_ledger_verify_loads_only_the_chain_layers(tmp_path):
     ledger.append_block(assemble_block([tx], 0, 0, None), directory)
     path = tmp_path / "network.chain"
     path.write_bytes(dump_chain(ledger, directory))
+    return str(path)
 
+
+def test_ledger_verify_loads_only_the_chain_layers(tmp_path):
     loaded = loaded_after(
-        "from loraledger import cli\nassert cli.main(['ledger', 'verify', %r]) == 0" % str(path)
+        "from loraledger import cli\nassert cli.main(['ledger', 'verify', %r]) == 0"
+        % write_network_chain(tmp_path)
     )
     assert "loraledger.ledger" in loaded
     layers = {"nodes", "harness", "simnet", "metrics"}
     assert not loaded & {"loraledger." + layer for layer in layers}
+
+
+VERIFY = "from loraledger import cli\nassert cli.main(['ledger', 'verify', CHAIN]) == 0"
+DECODE = (
+    "from loraledger import cli\n"
+    "assert cli.main(['frame', 'decode', '40010000010500010101010145b24721']) == 0"
+)
+SIGN = "from loraledger import crypto\ncrypto.sign(bytes(64), b'')"
+
+
+@pytest.mark.parametrize(
+    "code, signs",
+    [(VERIFY, False), (DECODE, False), (SIGN, True)],
+    ids=["ledger-verify", "frame-decode", "sign"],
+)
+def test_only_signing_loads_the_libsodium_signer(tmp_path, code, signs):
+    """``crypto.sign`` loads ``ctypes`` (and libsodium) on its first call, never on import.
+
+    ``ledger verify`` and ``frame decode`` never sign, so their processes, and
+    the ``chain_verify_s`` the benchmark times, load no signer.
+    """
+    chain = "CHAIN = %r\n" % write_network_chain(tmp_path)
+    loaded = loaded_after(chain + code, packages=("loraledger", "ctypes"))
+    assert ("ctypes" in loaded) is signs
