@@ -38,11 +38,18 @@ def test_sign(benchmark):
 
 def test_sign_reference(benchmark, monkeypatch):
     """``sign`` on the ``cryptography`` signer, which runs where libsodium does not load."""
-    monkeypatch.setattr(crypto, "_sodium_signer", lambda: None)
+    monkeypatch.setattr(crypto, "_sodium", lambda: None)
     assert benchmark(sign, KEYPAIR.private_key, MESSAGE) == SIGNATURE
 
 
 def test_verify(benchmark):
+    """``verify`` as the program runs it: accepted by libsodium where it loads."""
+    assert benchmark(crypto.verify, KEYPAIR.public_key, MESSAGE, SIGNATURE)
+
+
+def test_verify_reference(benchmark, monkeypatch):
+    """``verify`` on ``cryptography`` alone, which runs where libsodium does not load."""
+    monkeypatch.setattr(crypto, "_sodium", lambda: None)
     assert benchmark(crypto.verify, KEYPAIR.public_key, MESSAGE, SIGNATURE)
 
 

@@ -523,8 +523,10 @@ def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
 
 
 #: a dump with fewer signatures is verified in one process.  On a 2-vCPU VM,
-#: two processes took as long as one over 1024 signatures (0.21 s) and 36%
-#: less over 2048; starting a worker alone costs about 8 ms, or 40 verifies
+#: with libsodium accepting, two processes took 15% less time than one over
+#: 1024 signatures (0.121 s serial) and 27% less over 4096, but 50% more over
+#: 768 (medians of 9 to 15 alternating loads); starting and joining a worker
+#: costs 3 to 5 ms, or 30 to 50 verifies
 PARALLEL_MIN_SIGNATURES = 1024
 #: most processes, the loading one included, that check one dump's signatures
 MAX_VERIFY_JOBS = 4

@@ -1,18 +1,22 @@
 """Primitive layer: keys, signatures, envelopes, MACs, key derivation."""
 
 import ctypes
+import hashlib
 import itertools
 import random
 import types
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.cmac import CMAC
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loraledger import crypto
 from loraledger.crypto import (
+    BadKeyError,
     CryptoError,
     DecryptionError,
     ENVELOPE_OVERHEAD,
@@ -77,41 +81,49 @@ def test_signature_deterministic():
     assert sign(kp.private_key, b"x") == sign(kp.private_key, b"x")
 
 
-# RFC 8032 section 7.1, TEST 1 and TEST 2: (seed, message, signature), in hex
+# RFC 8032 section 7.1, TEST 1 and TEST 2: (seed, public key, message, signature), in hex
 RFC8032_VECTORS = {
     "test1": (
         "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
         "",
         "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065"
         "224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
     ),
     "test2": (
         "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+        "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
         "72",
         "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
         "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
     ),
 }
-SODIUM_ABSENT = "libsodium does not load here (tried %s): only the cryptography signer runs" % (
+SODIUM_ABSENT = "libsodium does not load here (tried %s): only cryptography signs and verifies" % (
     ", ".join(crypto._SODIUM_SONAMES)
 )
 
 
+def _vector(name: str) -> tuple[bytes, bytes, bytes, bytes]:
+    """An RFC 8032 vector as bytes: (seed, public key bundle, message, signature)."""
+    seed, public, message, signature = map(bytes.fromhex, RFC8032_VECTORS[name])
+    return seed, public + bytes(32), message, signature
+
+
 def _sign_vector(name: str) -> tuple[bytes, str]:
     """``sign``'s output on an RFC 8032 vector, and the signature the RFC gives."""
-    seed, message, signature = RFC8032_VECTORS[name]
-    return sign(bytes.fromhex(seed) + bytes(32), bytes.fromhex(message)), signature
+    seed, _, message, signature = _vector(name)
+    return sign(seed + bytes(32), message), signature.hex()
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])
 def signer(request, monkeypatch):
     """Run ``sign`` on libsodium, or on ``cryptography`` by making the loader find no library."""
     if request.param == "libsodium":
-        if crypto._sodium_signer() is None:
+        if crypto._sodium() is None:
             pytest.skip(SODIUM_ABSENT)
         monkeypatch.setattr(crypto, "_signing_key", None)  # so a cryptography signature fails
     else:
-        monkeypatch.setattr(crypto, "_sodium_signer", lambda: None)
+        monkeypatch.setattr(crypto, "_sodium", lambda: None)
     return request.param
 
 
@@ -121,29 +133,41 @@ def test_sign_matches_rfc8032_on_either_signer(signer, vector):
     assert signature.hex() == expected
 
 
-@pytest.mark.skipif(crypto._sodium_signer() is None, reason=SODIUM_ABSENT)
+@pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
 @settings(max_examples=200, deadline=None)
 @given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=600))
 def test_libsodium_and_cryptography_sign_the_same_bytes(seed, message):
     """``KeyDirectory.sign`` skips the verify of its own signatures: sound only if this holds."""
     private_key = seed + bytes(32)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crypto, "_sodium_signer", lambda: None)
+        patch.setattr(crypto, "_sodium", lambda: None)
         reference = sign(private_key, message)
     assert sign(private_key, message) == reference
 
 
-def _stand_in_sodium(init=0, keypair=0, detached=0):
-    """A ``CDLL`` stand-in whose three functions only return the given codes."""
+def _stand_in_sodium(init=0, keypair=0, detached=0, verify=0, calls=None):
+    """A ``CDLL`` stand-in whose functions only return the given codes.
+
+    Each call is appended to ``calls``, when given, as (symbol, args).
+    """
+    codes = {
+        "sodium_init": init,
+        "crypto_sign_seed_keypair": keypair,
+        "crypto_sign_detached": detached,
+        "crypto_sign_verify_detached": verify,
+    }
+
+    def function(symbol, code):
+        def call(*args):
+            if calls is not None:
+                calls.append((symbol, args))
+            return code
+
+        return call
 
     def load(name):
-        codes = {
-            "sodium_init": init,
-            "crypto_sign_seed_keypair": keypair,
-            "crypto_sign_detached": detached,
-        }
         return types.SimpleNamespace(
-            **{symbol: (lambda *args, code=code: code) for symbol, code in codes.items()}
+            **{symbol: function(symbol, code) for symbol, code in codes.items()}
         )
 
     return load
@@ -154,21 +178,22 @@ def _not_found(name):
 
 
 @pytest.fixture
-def reload_signer(monkeypatch):
-    """Clear the memoized loader so the next ``sign`` loads again, and once more after."""
-    crypto._sodium_signer.cache_clear()
+def reload_sodium(monkeypatch):
+    """Clear the memoized loader so that the next ``sign`` or ``verify`` loads
+    again, and once more after the test."""
+    crypto._sodium.cache_clear()
     yield lambda load: monkeypatch.setattr(ctypes, "CDLL", load)
-    crypto._sodium_signer.cache_clear()
+    crypto._sodium.cache_clear()
 
 
 @pytest.mark.parametrize(
     "load", [_not_found, _stand_in_sodium(init=-1)], ids=["not-found", "init-fails"]
 )
-def test_sign_falls_back_to_cryptography_without_a_usable_libsodium(reload_signer, load):
-    reload_signer(load)
+def test_sign_falls_back_to_cryptography_without_a_usable_libsodium(reload_sodium, load):
+    reload_sodium(load)
     signature, expected = _sign_vector("test2")
     assert signature.hex() == expected
-    assert crypto._sodium_signer() is None
+    assert crypto._sodium() is None
 
 
 @pytest.mark.parametrize(
@@ -176,10 +201,155 @@ def test_sign_falls_back_to_cryptography_without_a_usable_libsodium(reload_signe
     [_stand_in_sodium(keypair=-1), _stand_in_sodium(detached=-1)],
     ids=["keypair-fails", "sign-fails"],
 )
-def test_sign_raises_rather_than_return_a_failed_libsodium_signature(reload_signer, load):
-    reload_signer(load)
+def test_sign_raises_rather_than_return_a_failed_libsodium_signature(reload_sodium, load):
+    reload_sodium(load)
     with pytest.raises(CryptoError):
         sign(generate_keypair("gw0", 1).private_key, b"hello")
+
+
+# ---------------------------------------------------------------------------
+# verify gives cryptography's verdict on every host
+
+#: order of the Ed25519 base point
+L = 2**252 + 27742317777372353535851937790883648493
+#: the encoding of the identity point (x = 0, y = 1)
+IDENTITY = b"\x01" + bytes(31)
+
+
+@pytest.fixture(params=["libsodium", "absent", "failing"])
+def host(request, reload_sodium):
+    """``verify`` with libsodium loaded, not loading, or replaced by a stand-in
+    that loads but whose every Ed25519 function returns -1.
+
+    Returns the host's name and the stand-in's calls (none elsewhere).
+    """
+    calls = []
+    if request.param == "libsodium":
+        if crypto._sodium() is None:
+            pytest.skip(SODIUM_ABSENT)
+    elif request.param == "absent":
+        reload_sodium(_not_found)
+    else:
+        reload_sodium(_stand_in_sodium(keypair=-1, detached=-1, verify=-1, calls=calls))
+    return types.SimpleNamespace(name=request.param, calls=calls)
+
+
+def reference_verdict(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """``cryptography``'s verdict alone: the one ``verify`` must give on every host."""
+    if len(signature) != crypto.SIGNATURE_LEN:
+        return False
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(signature, message)
+    except InvalidSignature:
+        return False
+    return True
+
+
+def _c_verifies(calls) -> int:
+    return sum(symbol == "crypto_sign_verify_detached" for symbol, _ in calls)
+
+
+def _assert_reference_verdict(public_key, message, signature, expected):
+    assert reference_verdict(public_key, message, signature) is expected
+    assert verify(public_key, message, signature) is expected
+
+
+@pytest.mark.parametrize("vector", sorted(RFC8032_VECTORS))
+def test_verify_matches_cryptography_on_rfc8032(host, vector):
+    seed, public_key, message, signature = _vector(vector)
+    assert crypto._signing_public(seed) == public_key[:32]
+    _assert_reference_verdict(public_key, message, signature, True)
+    _assert_reference_verdict(public_key, message + b"\x00", signature, False)
+    # the failing stand-in was asked, and cryptography overruled its refusal
+    assert _c_verifies(host.calls) == (2 if host.name == "failing" else 0)
+
+
+def test_verify_refuses_a_non_canonical_s_on_every_host(host):
+    _, public_key, message, signature = _vector("test1")
+    s_plus_l = (int.from_bytes(signature[32:], "little") + L).to_bytes(32, "little")
+    _assert_reference_verdict(public_key, message, signature[:32] + s_plus_l, False)
+
+
+def _identity_r_signature(seed: bytes, message: bytes) -> bytes:
+    """R = identity, S = h·a: [S]B − [h]A is the identity, whose encoding is R.
+
+    Only the key's owner can make it (it needs the secret scalar a).  A
+    cofactorless verifier that compares encodings accepts it; libsodium
+    refuses it for its small-order R.
+    """
+    a = int.from_bytes(hashlib.sha512(seed).digest()[:32], "little")
+    a = a & ((1 << 254) - 8) | (1 << 254)  # RFC 8032 clamping
+    digest = hashlib.sha512(IDENTITY + crypto._signing_public(seed) + message).digest()
+    h = int.from_bytes(digest, "little") % L
+    return IDENTITY + (h * a % L).to_bytes(32, "little")
+
+
+def test_verify_accepts_an_identity_r_that_libsodium_refuses(host):
+    seed, public_key, message, _ = _vector("test2")
+    signature = _identity_r_signature(seed, message)
+    _assert_reference_verdict(public_key, message, signature, True)
+    if host.name == "libsodium":
+        assert not crypto._sodium().accepts(public_key[:32], message, signature)
+
+
+@pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
+def test_libsodium_accepts_without_a_cryptography_verify(monkeypatch):
+    _, public_key, message, signature = _vector("test2")
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", None)  # so a cryptography verify fails
+    assert verify(public_key, message, signature)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    message=st.binary(min_size=1, max_size=200),
+    target=st.sampled_from(["none", "R", "S", "A", "message"]),
+    bit=st.integers(0, 255),
+)
+def test_verify_matches_cryptography_on_flipped_bytes(host, seed, message, target, bit):
+    """An honest signature, or one with one bit flipped in R, S, the key or the message."""
+    signature = crypto._signing_key(seed).sign(message)
+    fields = {
+        "R": bytearray(signature[:32]),
+        "S": bytearray(signature[32:]),
+        "A": bytearray(crypto._signing_public(seed)),
+        "message": bytearray(message),
+    }
+    if target != "none":
+        field = fields[target]
+        bit %= 8 * len(field)
+        field[bit // 8] ^= 1 << (bit % 8)
+    public_key = bytes(fields["A"]) + bytes(32)
+    message, signature = bytes(fields["message"]), bytes(fields["R"] + fields["S"])
+    expected = reference_verdict(public_key, message, signature)
+    assert verify(public_key, message, signature) is expected
+
+
+def test_verify_matches_cryptography_on_bytes_like_input(host):
+    """ctypes takes only ``bytes``; anything else goes on to ``cryptography``."""
+    _, public_key, message, signature = _vector("test2")
+    _assert_reference_verdict(public_key, bytearray(message), memoryview(signature), True)
+    _assert_reference_verdict(public_key, bytearray(message), signature[:-1] + b"\x01", False)
+    for check in (reference_verdict, verify):
+        with pytest.raises(TypeError):  # cryptography takes a key only as bytes
+            check(bytearray(public_key), message, signature)
+
+
+@pytest.mark.parametrize("length", [63, 65])
+def test_verify_refuses_a_signature_of_the_wrong_length_before_any_c_call(host, length):
+    _, public_key, message, signature = _vector("test2")
+    _assert_reference_verdict(public_key, message, (signature + signature)[:length], False)
+    assert _c_verifies(host.calls) == 0
+
+
+@pytest.mark.parametrize("length", [0, 31, 32, 33, 63, 65])
+def test_verify_raises_on_a_key_of_the_wrong_length_before_any_c_call(host, length):
+    _, public_key, message, signature = _vector("test2")
+    with pytest.raises(BadKeyError):
+        verify((public_key + public_key)[:length], message, signature)
+    assert _c_verifies(host.calls) == 0
 
 
 def test_envelope_roundtrip_and_overhead():
@@ -279,6 +449,39 @@ def test_key_directory():
         directory.public_key("ghost")
     with pytest.raises(ValueError):
         directory.add("gw0", gw.public_key, ROLE_GATEWAY)
+
+
+P = 2**255 - 19
+#: y of the Ed25519 points of order 8, as in libsodium's blocklist
+Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+
+
+def _small_order_encodings() -> list[bytes]:
+    """Every verify key that encodes a point of order dividing 8: each such y
+    mod p, also as y + p where that fits in 255 bits, with either sign bit."""
+    return [
+        (value | sign).to_bytes(32, "little")
+        for y in (0, 1, P - 1, Y8, P - Y8)
+        for value in (y, y + P)
+        if value < 2**255
+        for sign in (0, 1 << 255)
+    ]
+
+
+def test_key_directory_refuses_small_order_keys():
+    d = -121665 * pow(121666, -1, P) % P
+    assert (d * Y8**4 + 2 * Y8**2 - 1) % P == 0  # doubling y8's point gives y = 0, order 4
+    encodings = _small_order_encodings()
+    assert len(encodings) == 14
+    directory = KeyDirectory()
+    for encoding in encodings:
+        with pytest.raises(BadKeyError):
+            directory.add("gw0", encoding + bytes(32), ROLE_GATEWAY)
+    assert "gw0" not in directory
+    # what the refusal keeps out: under the identity key, R = identity, S = 0
+    # verifies for every message
+    forgery = IDENTITY + bytes(32)
+    assert all(verify(IDENTITY + bytes(32), m, forgery) for m in (b"", b"pay", b"vote"))
 
 
 def _world_directory() -> KeyDirectory:

@@ -106,16 +106,20 @@ SIGN = "from loraledger import crypto\ncrypto.sign(bytes(64), b'')"
 
 
 @pytest.mark.parametrize(
-    "code, signs",
-    [(VERIFY, False), (DECODE, False), (SIGN, True)],
+    "code, loads",
+    [(VERIFY, True), (DECODE, False), (SIGN, True)],
     ids=["ledger-verify", "frame-decode", "sign"],
 )
-def test_only_signing_loads_the_libsodium_signer(tmp_path, code, signs):
-    """``crypto.sign`` loads ``ctypes`` (and libsodium) on its first call, never on import.
+def test_only_signing_loads_the_libsodium_signer(tmp_path, code, loads):
+    """libsodium (and ``ctypes``) load on the first ``crypto.sign`` or
+    ``crypto.verify``, never on import.
 
-    ``ledger verify`` and ``frame decode`` never sign, so their processes, and
-    the ``chain_verify_s`` the benchmark times, load no signer.
+    ``frame decode`` neither signs nor verifies, so its process loads
+    neither.  ``ledger verify`` accepts signatures through libsodium, but
+    ``cryptography`` decides every rejection, so no verdict depends on the
+    host: ``tests/test_crypto.py``'s verdict tests hold that on a host where
+    the library loads, where it does not, and where it refuses every call.
     """
     chain = "CHAIN = %r\n" % write_network_chain(tmp_path)
     loaded = loaded_after(chain + code, packages=("loraledger", "ctypes"))
-    assert ("ctypes" in loaded) is signs
+    assert ("ctypes" in loaded) is loads

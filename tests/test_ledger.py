@@ -574,18 +574,29 @@ def test_dump_truncation_and_garbage_detected(directory):
         load_chain(data + b"\x00")  # trailing junk
 
 
-def test_dump_with_short_public_key_is_invalid(tmp_path, capsys):
-    """A key table entry of the wrong length, under a correct trailer, is corruption."""
+def _assert_key_table_refused(tmp_path, capsys, public_key: bytes) -> None:
+    """A dump of one key table entry (gw0's key) and no block, under a correct
+    trailer, is corruption to ``load_chain`` and to ``ledger verify``."""
     ident = b"gw0"
     body = DUMP_MAGIC + struct.pack("<HBI", DUMP_VERSION, 0, 1)
-    body += struct.pack("<H", len(ident)) + ident + struct.pack("<BH", 0, 10) + bytes(10)
+    body += struct.pack("<H", len(ident)) + ident
+    body += struct.pack("<BH", 0, len(public_key)) + public_key
     body += struct.pack("<I", 0)
-    path = tmp_path / "short-key.chain"
+    path = tmp_path / "key-table.chain"
     path.write_bytes(body + hash_bytes(body))
     with pytest.raises(ChainIntegrityError):
         load_chain(path.read_bytes())
     assert main(["ledger", "verify", str(path)]) == 1
     assert capsys.readouterr().out.startswith("INVALID: ")
+
+
+def test_dump_with_short_public_key_is_invalid(tmp_path, capsys):
+    _assert_key_table_refused(tmp_path, capsys, bytes(10))
+
+
+def test_dump_with_small_order_public_key_is_invalid(tmp_path, capsys):
+    """The identity key, under which R = identity, S = 0 verifies for any message."""
+    _assert_key_table_refused(tmp_path, capsys, b"\x01" + bytes(63))
 
 
 # ---------------------------------------------------------------------------
