@@ -7,13 +7,15 @@ a fast wrong answer does not pass.  A vote round has 4 voters and p = 1, as
 the PBFT workload does; each round gets a fresh key directory, so every vote
 signature is verified, as on the proposer, which checks each vote once.
 The PBFT round runs the same quorum through the nodes: proposal, votes and
-commit notices over the simulated backhaul, one transaction per block.
+commit notices over the simulated backhaul, one transaction per block.  The
+announced block holds 67 transactions, the average block of the mixed-trust
+workload; its size comes from field lengths, without serializing the block.
 """
 
-from loraledger.consensus import COMMITTED, VoteRound, make_vote
+from loraledger.consensus import COMMITTED, BlockAnnounce, VoteRound, make_vote
 from loraledger.crypto import KeyDirectory, ROLE_SERVER, generate_keypair, hash_bytes
 from loraledger.harness import build_world
-from loraledger.ledger import KIND_APPLICATION, make_app_tx
+from loraledger.ledger import KIND_APPLICATION, assemble_block, make_app_tx
 from loraledger.scenario import build_config
 from loraledger.simnet import US_PER_S, Engine
 
@@ -24,6 +26,12 @@ DIGEST = hash_bytes(b"block")
 VOTES = [(kp.entity_id, make_vote(KeyDirectory(), kp, DIGEST, True)) for kp in KEYPAIRS]
 N_EVENTS = 10_000
 PBFT_ROUNDS = 20
+ANNOUNCE = BlockAnnounce(
+    channel=KIND_APPLICATION,
+    block=assemble_block(
+        [make_app_tx(KeyDirectory(), KEYPAIRS[0], bytes(20), n) for n in range(67)], 0, 1, None
+    ),
+)
 
 
 def _fresh_round():
@@ -40,6 +48,10 @@ def test_vote_round_collect_and_check(benchmark):
         return vote_round.check()
 
     assert benchmark.pedantic(collect_and_check, setup=_fresh_round, rounds=50) == COMMITTED
+
+
+def test_block_announce_wire_size(benchmark):
+    assert benchmark(ANNOUNCE.wire_size) == 1 + 1 + 4 + len(ANNOUNCE.block.to_bytes())
 
 
 def _fresh_engine():

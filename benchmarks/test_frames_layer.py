@@ -6,7 +6,10 @@ Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
 a fast wrong answer does not pass.  The data frame is an uplink with a 20-byte
 payload, the default reading size; the join request is the frozen vector of
 tests/test_frames.py; the envelope seals one session context with its
-addr | eui metadata, as a join does.
+addr | eui metadata, as a join does.  The uplink round trip is the frame work
+of one confirmed reading: the device encrypts and builds the uplink, the
+gateway parses and MIC-checks it and builds the ACK, and the device parses
+and MIC-checks the ACK.
 """
 
 import random
@@ -19,15 +22,18 @@ from loraledger.crypto import (
     pk_encrypt,
 )
 from loraledger.frames import (
+    DIR_DOWN,
     DIR_UP,
     build_data_frame,
     build_join_request,
+    encrypt_payload,
     parse_frame,
     verify_data_mic,
 )
 from loraledger.ledger import SessionContext
 
 NWK_S_KEY = bytes(range(16))
+APP_S_KEY = bytes(range(16, 32))
 DEV_ADDR = bytes.fromhex("01000001")
 PAYLOAD = bytes(range(20))
 RAW = build_data_frame(NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP)
@@ -56,6 +62,20 @@ def test_parse_frame(benchmark):
 
 def test_build_data_frame(benchmark):
     assert benchmark(build_data_frame, NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP) == RAW
+
+
+def test_uplink_round_trip(benchmark):
+    def round_trip(fcnt):
+        ciphertext = encrypt_payload(APP_S_KEY, DEV_ADDR, fcnt, DIR_UP, PAYLOAD)
+        uplink = parse_frame(build_data_frame(NWK_S_KEY, DEV_ADDR, fcnt, 1, ciphertext, DIR_UP))
+        if not verify_data_mic(uplink, NWK_S_KEY):
+            return None
+        ack = parse_frame(build_data_frame(NWK_S_KEY, uplink.dev_addr, fcnt, 0, b"", DIR_DOWN))
+        return uplink.payload, verify_data_mic(ack, NWK_S_KEY)
+
+    ciphertext, acked = benchmark(round_trip, 7)
+    assert acked
+    assert encrypt_payload(APP_S_KEY, DEV_ADDR, 7, DIR_UP, ciphertext) == PAYLOAD
 
 
 def test_build_join_request(benchmark):

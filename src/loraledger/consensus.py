@@ -195,7 +195,7 @@ class TxSubmit:
     tx: Transaction
 
     def wire_size(self) -> int:
-        return 1 + 1 + 2 + len(self.tx.to_bytes())
+        return 1 + 1 + 2 + self.tx.wire_len()
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ class BlockAnnounce:
     block: Block
 
     def wire_size(self) -> int:
-        return 1 + 1 + 4 + len(self.block.to_bytes())
+        return 1 + 1 + 4 + self.block.wire_len()
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class BlockProposal:
     block: Block
 
     def wire_size(self) -> int:
-        return 1 + 1 + 2 + len(self.proposer.encode("utf-8")) + 4 + len(self.block.to_bytes())
+        return 1 + 1 + 2 + len(self.proposer.encode("utf-8")) + 4 + self.block.wire_len()
 
 
 @dataclass(frozen=True)

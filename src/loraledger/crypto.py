@@ -191,6 +191,8 @@ def _sodium() -> _Sodium | None:
         return secret.raw
 
     def signer(seed: bytes, message: bytes) -> bytes:
+        # ctypes takes only ``bytes``; ``cryptography`` signs any bytes-like message
+        message = memoryview(message).tobytes()
         signature = create_string_buffer(SIGNATURE_LEN)
         if sign_detached(signature, None, message, len(message), secret_key(seed)) != 0:
             raise CryptoError("libsodium failed to sign")

@@ -104,29 +104,43 @@ class DataFrame:
     direction: int
 
     def __post_init__(self) -> None:
-        if len(self.dev_addr) != DEV_ADDR_LEN or len(self.mic) != MIC_LEN:
-            raise ValueError("data frame field length mismatch")
-        if not 0 <= self.fcnt <= MAX_FCNT:
-            raise ValueError("frame counter out of range")
-        if not 0 <= self.fport <= 0xFF:
-            raise ValueError("port out of range")
-        if len(self.payload) > MAX_FRM_PAYLOAD:
-            raise ValueError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
-        if self.direction not in (DIR_UP, DIR_DOWN):
-            raise ValueError("direction must be 0 (up) or 1 (down)")
+        _check_data_fields(
+            self.dev_addr, self.fcnt, self.fport, self.payload, self.mic, self.direction
+        )
+
+
+def _check_data_fields(
+    dev_addr: bytes, fcnt: int, fport: int, payload: bytes, mic: bytes, direction: int
+) -> None:
+    """The data frame field checks, shared by ``DataFrame`` and ``build_data_frame``."""
+    if len(dev_addr) != DEV_ADDR_LEN or len(mic) != MIC_LEN:
+        raise ValueError("data frame field length mismatch")
+    if not 0 <= fcnt <= MAX_FCNT:
+        raise ValueError("frame counter out of range")
+    if not 0 <= fport <= 0xFF:
+        raise ValueError("port out of range")
+    if len(payload) > MAX_FRM_PAYLOAD:
+        raise ValueError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
+    if direction not in (DIR_UP, DIR_DOWN):
+        raise ValueError("direction must be 0 (up) or 1 (down)")
 
 
 Frame = JoinRequest | EncryptedJoinAccept | DataFrame
 
 
 _DATA_HEAD = struct.Struct("<B4sHB")  # mhdr | dev_addr | fcnt | fport
+_NO_MIC = bytes(MIC_LEN)  # stands in for the MIC while a builder checks the fields
+
+
+def _data_head(dev_addr: bytes, fcnt: int, fport: int, payload: bytes, direction: int) -> bytes:
+    mhdr = MHDR_DATA_UP if direction == DIR_UP else MHDR_DATA_DOWN
+    return _DATA_HEAD.pack(mhdr, dev_addr, fcnt, fport) + payload
 
 
 def _head(frame: Frame) -> bytes:
     """Every wire byte of a join request or data frame that precedes its MIC."""
     if isinstance(frame, DataFrame):
-        mhdr = MHDR_DATA_UP if frame.direction == DIR_UP else MHDR_DATA_DOWN
-        return _DATA_HEAD.pack(mhdr, frame.dev_addr, frame.fcnt, frame.fport) + frame.payload
+        return _data_head(frame.dev_addr, frame.fcnt, frame.fport, frame.payload, frame.direction)
     if isinstance(frame, JoinRequest):
         return bytes([MHDR_JOIN_REQUEST]) + frame.app_eui + frame.dev_eui + frame.dev_nonce
     raise TypeError("not a frame: %r" % (frame,))
@@ -187,13 +201,19 @@ def build_data_frame(
     payload: bytes,
     direction: int,
 ) -> bytes:
-    """The wire form around an already-encrypted payload; the record checks the fields."""
-    head = _head(DataFrame(dev_addr, fcnt, fport, payload, bytes(MIC_LEN), direction))
+    """The wire form around an already-encrypted payload.
+
+    Checks the fields as ``DataFrame`` does, with the same errors, and packs
+    them without building the record.
+    """
+    _check_data_fields(dev_addr, fcnt, fport, payload, _NO_MIC, direction)
+    head = _data_head(dev_addr, fcnt, fport, payload, direction)
     return head + mac32(nwk_s_key, _data_mic_input(head, direction))
 
 
 def verify_data_mic(frame: DataFrame, nwk_s_key: bytes) -> bool:
-    return mac32(nwk_s_key, _data_mic_input(_head(frame), frame.direction)) == frame.mic
+    head = _data_head(frame.dev_addr, frame.fcnt, frame.fport, frame.payload, frame.direction)
+    return mac32(nwk_s_key, _data_mic_input(head, frame.direction)) == frame.mic
 
 
 def serialize_frame(frame: Frame) -> bytes:
@@ -223,15 +243,29 @@ def parse_frame(data: bytes) -> Frame:
         if len(data) > DATA_OVERHEAD + MAX_FRM_PAYLOAD:
             raise MalformedFrameError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
         _, dev_addr, fcnt, fport = _DATA_HEAD.unpack_from(data)
-        return DataFrame(
-            dev_addr=dev_addr,
-            fcnt=fcnt,
-            fport=fport,
-            payload=data[8:-4],
-            mic=data[-4:],
-            direction=DIR_UP if mhdr == MHDR_DATA_UP else DIR_DOWN,
-        )
+        direction = DIR_UP if mhdr == MHDR_DATA_UP else DIR_DOWN
+        return _parsed_data_frame(dev_addr, fcnt, fport, data[8:-4], data[-4:], direction)
     raise MalformedFrameError("unknown frame type 0x%02x" % mhdr)
+
+
+def _parsed_data_frame(
+    dev_addr: bytes, fcnt: int, fport: int, payload: bytes, mic: bytes, direction: int
+) -> DataFrame:
+    """A ``DataFrame`` of fields the wire layout already bounds; skips ``__post_init__``.
+
+    ``parse_frame`` reads a 4-byte address, a 16-bit counter, an 8-bit port,
+    a 4-byte MIC and a direction from the MHDR, and has checked the payload
+    length, so every check ``DataFrame`` would make holds already.
+    """
+    frame = object.__new__(DataFrame)
+    fields = frame.__dict__
+    fields["dev_addr"] = dev_addr
+    fields["fcnt"] = fcnt
+    fields["fport"] = fport
+    fields["payload"] = payload
+    fields["mic"] = mic
+    fields["direction"] = direction
+    return frame
 
 
 def encrypt_payload(

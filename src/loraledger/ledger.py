@@ -174,6 +174,11 @@ class Transaction:
     def signed_span(self) -> bytes:
         return _signed_span(self.timestamp_ms, self.payload)
 
+    def wire_len(self) -> int:
+        """``len(self.to_bytes())``, from the field lengths alone."""
+        requester = len(self.requester.encode("utf-8"))
+        return 2 + requester + 2 + len(self.signature) + 8 + 4 + len(self.payload)
+
     def to_bytes(self) -> bytes:
         return b"".join(
             (
@@ -281,6 +286,11 @@ class Block:
             raise ValueError("prev hash must be 32 bytes")
         if not self.txs:
             raise ValueError("block body must hold at least one transaction")
+
+    def wire_len(self) -> int:
+        """``len(self.to_bytes())``, from the field lengths alone."""
+        body = sum(tx.wire_len() for tx in self.txs)
+        return 8 + 8 + 2 + len(self.merkle_root) + len(self.prev_hash) + 4 + body
 
     def to_bytes(self) -> bytes:
         return b"".join(

@@ -148,6 +148,10 @@ class TimerNextAction:
     pass
 
 
+# the timer holds no fields, so every device schedules this one
+_NEXT_ACTION = TimerNextAction()
+
+
 @dataclass(frozen=True)
 class TimerJoinTimeout:
     pass
@@ -667,7 +671,7 @@ class EndDevice:
         self.install_session(dev_addr, self.rng.randbytes(16), self.rng.randbytes(16))
 
     def start(self, initial_delay_us: int) -> None:
-        self.engine.schedule(initial_delay_us, self.device_id, TimerNextAction())
+        self.engine.schedule(initial_delay_us, self.device_id, _NEXT_ACTION)
 
     # -- behavior --
 
@@ -683,7 +687,7 @@ class EndDevice:
             self.begin_join()
         elif self.profile.behavior == BEHAVIOR_UPLINK_LOOP:
             self.send_uplink()
-            self.engine.schedule(self._draw_interval_us(), self.device_id, TimerNextAction())
+            self.engine.schedule(self._draw_interval_us(), self.device_id, _NEXT_ACTION)
 
     def _fresh_dev_nonce(self) -> bytes:
         while True:
@@ -764,7 +768,7 @@ class EndDevice:
         self.engine.cancel(join.timer)
         self.recorder.complete(join.request_id, self.engine.now_us)
         if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
-            self.engine.schedule(self._draw_interval_us(), self.device_id, TimerNextAction())
+            self.engine.schedule(self._draw_interval_us(), self.device_id, _NEXT_ACTION)
 
     def _on_join_timeout(self) -> None:
         # an accepted join cancels its timer and no join opens while one is
@@ -772,7 +776,7 @@ class EndDevice:
         join, self._join = self._join, None
         self.recorder.fail(join.request_id, self.engine.now_us)
         if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
-            self.engine.schedule(self._draw_interval_us(), self.device_id, TimerNextAction())
+            self.engine.schedule(self._draw_interval_us(), self.device_id, _NEXT_ACTION)
 
     def _on_uplink_timeout(self, request_id: int) -> None:
         timer = self._pending_uplinks.pop(request_id, None)

@@ -175,22 +175,32 @@ class Engine:
         latency = link.latency
         # a fixed delay draws nothing, so it leaves the link's stream unmade
         delay_us = latency.lo_us if latency.kind == "fixed" else latency.draw(link.rng)
-        self.schedule(delay_us, link.dst, payload)
+        # as ``schedule`` would, minus its check: a latency model is never negative
+        heapq.heappush(self._heap, (self.now_us + delay_us, next(self._seq), link.dst, payload))
 
     def run_until(self, t_end_us: int) -> None:
-        """Process every event with fire_at <= t_end_us, then land on t_end_us."""
+        """Process every event with fire_at <= t_end_us, then land on t_end_us.
+
+        An event whose handler raises is counted, and the next call goes on
+        with the events still on the heap.
+        """
         if t_end_us < self.now_us:
             raise CausalityError("cannot run backwards to t=%d" % t_end_us)
-        while self._heap and self._heap[0][0] <= t_end_us:
-            fire_at, seq, target, payload = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            self.now_us = fire_at
-            try:
-                handler = self._handlers[target]
-            except KeyError:
-                raise RuntimeError("event addressed to unknown node %r" % target) from None
-            self.events_processed += 1
-            handler(payload)
+        heap, pop, handlers, cancelled = self._heap, heapq.heappop, self._handlers, self._cancelled
+        processed = 0
+        try:
+            while heap and heap[0][0] <= t_end_us:
+                fire_at, seq, target, payload = pop(heap)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                self.now_us = fire_at
+                try:
+                    handler = handlers[target]
+                except KeyError:
+                    raise RuntimeError("event addressed to unknown node %r" % target) from None
+                processed += 1
+                handler(payload)
+        finally:
+            self.events_processed += processed
         self.now_us = t_end_us

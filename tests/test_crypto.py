@@ -133,6 +133,16 @@ def test_sign_matches_rfc8032_on_either_signer(signer, vector):
     assert signature.hex() == expected
 
 
+def test_sign_takes_bytes_like_messages_on_either_signer(signer):
+    """libsodium is handed a copy as ``bytes``: ctypes refuses anything else."""
+    seed, _, message, expected = _vector("test2")
+    private_key = seed + bytes(32)
+    for bytes_like in (bytearray(message), memoryview(message), memoryview(b"_" + message)[1:]):
+        assert sign(private_key, bytes_like) == expected
+    with pytest.raises(TypeError):  # not ``bytes(2)``, which would sign two zero bytes
+        sign(private_key, 2)
+
+
 @pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
 @settings(max_examples=200, deadline=None)
 @given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=600))

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -255,3 +256,57 @@ def test_random_roundtrip_fuzz():
         assert {name: getattr(parsed, name) for name in fields} == fields
         assert verify_data_mic(parsed, key)
         assert serialize_frame(parsed) == wire
+
+
+GOOD_DATA_FIELDS = dict(dev_addr=DEV_ADDR, fcnt=5, fport=1, payload=b"", direction=DIR_UP)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(dev_addr=DEV_ADDR[:3]),
+        dict(dev_addr=DEV_ADDR + b"\x00"),
+        dict(fcnt=-1),
+        dict(fcnt=0x10000),
+        dict(fport=256),
+        dict(payload=bytes(MAX_FRM_PAYLOAD + 1)),
+        dict(direction=2),
+    ],
+    ids=["addr-3", "addr-5", "fcnt-neg", "fcnt-17bit", "fport-256", "payload-243", "dir-2"],
+)
+def test_build_data_frame_raises_what_the_record_raises(bad):
+    """The builder checks without a record; its errors must read as the record's."""
+    fields = {**GOOD_DATA_FIELDS, **bad}
+    with pytest.raises(ValueError) as from_record:
+        DataFrame(mic=bytes(4), **fields)
+    with pytest.raises(ValueError) as from_builder:
+        build_data_frame(NWK_S_KEY, **fields)
+    assert str(from_builder.value) == str(from_record.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    dev_addr=st.binary(min_size=4, max_size=4),
+    fcnt=st.integers(0, 0xFFFF),
+    fport=st.integers(0, 0xFF),
+    payload=st.binary(max_size=MAX_FRM_PAYLOAD),
+    direction=st.sampled_from([DIR_UP, DIR_DOWN]),
+    mic=st.one_of(st.none(), st.binary(min_size=4, max_size=4)),
+)
+def test_parsed_data_frame_is_the_checked_record(
+    key, dev_addr, fcnt, fport, payload, direction, mic
+):
+    """``parse_frame`` skips the record's checks; what it returns must not tell."""
+    fields = dict(dev_addr=dev_addr, fcnt=fcnt, fport=fport, payload=payload, direction=direction)
+    data = build_data_frame(key, **fields)
+    if mic is not None:  # a drawn MIC, so the verdicts compared are sometimes False
+        data = data[:-4] + mic
+    parsed = parse_frame(data)
+    record = DataFrame(mic=data[-4:], **fields)
+    assert type(parsed) is DataFrame
+    assert parsed == record and hash(parsed) == hash(record) and repr(parsed) == repr(record)
+    assert serialize_frame(parsed) == data
+    assert verify_data_mic(parsed, key) is verify_data_mic(record, key)
+    with pytest.raises(FrozenInstanceError):
+        parsed.fcnt = 0

@@ -994,6 +994,40 @@ def test_backhaul_message_wire_sizes():
     assert DownlinkData(dev_addr=addr, fcnt=0, payload=b"x" * 20).wire_size() == 29
     assert DownlinkFrameForward(frame=b"\x00" * 17, device_id="dev0000").wire_size() == 28
     assert CommitNotice(channel="network", block_hash=b"\x00" * 32).wire_size() == 34
+    # a 104-byte transaction (4-byte requester, 20-byte payload) in a 294-byte block
+    tx = Transaction(requester="srv0", signature=bytes(64), timestamp_ms=1, payload=b"x" * 20)
+    block = Block(zeta=3, tau_ms=1, merkle_root=bytes(32), prev_hash=bytes(32), txs=(tx, tx))
+    assert TxSubmit(channel="application", tx=tx).wire_size() == 108
+    assert BlockAnnounce(channel="application", block=block).wire_size() == 300
+    assert BlockProposal(channel="application", proposer="srv1", block=block).wire_size() == 306
+
+
+@st.composite
+def _transactions(draw):
+    return Transaction(
+        requester=draw(st.text(st.sampled_from("aZ0-é€节🛰"), max_size=12)),
+        signature=draw(st.binary(min_size=64, max_size=64)),
+        timestamp_ms=draw(st.integers(0, 2**64 - 1)),
+        payload=draw(st.binary(min_size=1, max_size=600)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    txs=st.lists(_transactions(), min_size=1, max_size=5),
+    merkle_root=st.binary(max_size=64),
+    proposer=st.text(st.sampled_from("s1é€🛰"), max_size=6),
+)
+def test_wire_lengths_are_the_serialized_lengths(txs, merkle_root, proposer):
+    """Message sizes come from field lengths; they must be what serializing gives."""
+    block = Block(zeta=7, tau_ms=9, merkle_root=merkle_root, prev_hash=bytes(32), txs=tuple(txs))
+    for tx in txs:
+        assert tx.wire_len() == len(tx.to_bytes())
+        assert TxSubmit(channel="c", tx=tx).wire_size() == 4 + len(tx.to_bytes())
+    assert block.wire_len() == len(block.to_bytes())
+    assert BlockAnnounce(channel="c", block=block).wire_size() == 6 + len(block.to_bytes())
+    proposal = BlockProposal(channel="c", proposer=proposer, block=block)
+    assert proposal.wire_size() == 8 + len(proposer.encode("utf-8")) + len(block.to_bytes())
 
 
 def test_block_from_unregistered_requester_counts_as_invalid():

@@ -90,6 +90,45 @@ def test_cancel_suppresses_event():
     engine.run_until(100)
     assert log == ["keep"]
     assert keep != drop
+    assert engine.events_processed == 1  # a cancelled event is not counted
+
+
+def test_send_and_schedule_due_at_one_microsecond_fire_in_call_order():
+    """``send`` pushes onto the heap itself, from the same counter as ``schedule``."""
+    engine = Engine(0)
+    log = []
+    engine.register("dst", log.append)
+    link = engine.add_link("a->b", "src", "dst", LINK_CLASS_AIR, LatencyModel.fixed(50))
+    engine.schedule(50, "dst", "scheduled first")
+    engine.send(link, "sent second", 1)
+    engine.schedule(50, "dst", "scheduled third")
+    engine.send(link, "sent fourth", 1)
+    engine.run_until(50)
+    assert log == ["scheduled first", "sent second", "scheduled third", "sent fourth"]
+
+
+def test_a_raising_handler_is_counted_and_the_next_run_goes_on():
+    engine = Engine(0)
+    log = []
+
+    def handler(payload):
+        if payload == "boom":
+            raise ValueError("handler failed")
+        log.append((engine.now_us, payload))
+
+    engine.register("n", handler)
+    engine.schedule(10, "n", "before")
+    engine.schedule(20, "n", "boom")
+    engine.schedule(30, "n", "after")
+    with pytest.raises(ValueError, match="handler failed"):
+        engine.run_until(100)
+    assert log == [(10, "before")]
+    assert engine.events_processed == 2
+    assert engine.now_us == 20
+    engine.run_until(100)
+    assert log == [(10, "before"), (30, "after")]
+    assert engine.events_processed == 3
+    assert engine.now_us == 100
 
 
 def test_unknown_target_raises():
