@@ -154,6 +154,6 @@ def test_load_chain(benchmark):
 
 
 def test_load_chain_fanned_out(benchmark):
-    # signatures checked on verify_jobs() processes: one on a host with one usable CPU
+    # signatures checked on verify_jobs() threads: one without libsodium or a second CPU
     assert len(LONG_CHAIN.blocks) * TXS_PER_BLOCK >= PARALLEL_MIN_SIGNATURES
     _check_load(benchmark(load_chain, LONG_DUMP), LONG_CHAIN)

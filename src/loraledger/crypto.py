@@ -28,7 +28,7 @@ from random import Random
 from typing import Callable, NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -97,9 +97,7 @@ def generate_keypair(entity_id: str, seed: int) -> KeyPair:
     enc_seed = hashlib.sha256(b"keygen.encrypt\x00" + entity_id.encode("utf-8") + base).digest()
     sign_key = Ed25519PrivateKey.from_private_bytes(sign_seed)
     enc_key = X25519PrivateKey.from_private_bytes(enc_seed)
-    raw = serialization.Encoding.Raw
-    pub = sign_key.public_key().public_bytes(raw, serialization.PublicFormat.Raw)
-    pub += enc_key.public_key().public_bytes(raw, serialization.PublicFormat.Raw)
+    pub = sign_key.public_key().public_bytes_raw() + enc_key.public_key().public_bytes_raw()
     return KeyPair(entity_id=entity_id, public_key=pub, private_key=sign_seed + enc_seed)
 
 
@@ -123,9 +121,7 @@ def _signing_key(seed: bytes) -> Ed25519PrivateKey:
 @functools.lru_cache(maxsize=256)
 def _signing_public(seed: bytes) -> bytes:
     """The raw Ed25519 public key that signatures made with ``seed`` verify under."""
-    return _signing_key(seed).public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    return _signing_key(seed).public_key().public_bytes_raw()
 
 
 #: sonames of libsodium tried in order; the first that loads and initialises is used
@@ -143,7 +139,8 @@ class _Sodium(NamedTuple):
 
 @functools.cache
 def _sodium() -> _Sodium | None:
-    """The system's libsodium, loaded once, on the first ``sign`` or ``verify``.
+    """The system's libsodium, loaded once, on the first ``sign``, ``verify`` or
+    ``uses_libsodium``.
 
     ``None`` where no listed soname loads or ``sodium_init`` fails.  A process
     that neither signs nor verifies (``frame decode``) imports neither
@@ -172,9 +169,6 @@ def _sodium() -> _Sodium | None:
     lib.sodium_init.restype = c_int
     if lib.sodium_init() < 0:
         return None
-    seed_keypair = lib.crypto_sign_seed_keypair
-    seed_keypair.argtypes = [c_char_p, c_char_p, c_char_p]
-    seed_keypair.restype = c_int
     sign_detached = lib.crypto_sign_detached
     sign_detached.argtypes = [c_char_p, c_void_p, c_char_p, c_ulonglong, c_char_p]
     sign_detached.restype = c_int
@@ -182,19 +176,13 @@ def _sodium() -> _Sodium | None:
     verify_detached.argtypes = [c_char_p, c_char_p, c_ulonglong, c_char_p]
     verify_detached.restype = c_int
 
-    @functools.lru_cache(maxsize=256)
-    def secret_key(seed: bytes) -> bytes:
-        """libsodium's 64-byte secret key: the seed followed by its public key."""
-        public, secret = create_string_buffer(_KEY_HALF), create_string_buffer(2 * _KEY_HALF)
-        if seed_keypair(public, secret, seed) != 0:
-            raise CryptoError("libsodium could not derive an Ed25519 key from the seed")
-        return secret.raw
-
     def signer(seed: bytes, message: bytes) -> bytes:
         # ctypes takes only ``bytes``; ``cryptography`` signs any bytes-like message
         message = memoryview(message).tobytes()
         signature = create_string_buffer(SIGNATURE_LEN)
-        if sign_detached(signature, None, message, len(message), secret_key(seed)) != 0:
+        # libsodium's 64-byte secret key is the seed followed by its public key
+        secret_key = seed + _signing_public(seed)
+        if sign_detached(signature, None, message, len(message), secret_key) != 0:
             raise CryptoError("libsodium failed to sign")
         return signature.raw
 
@@ -205,6 +193,15 @@ def _sodium() -> _Sodium | None:
             return False
 
     return _Sodium(signer, accepts)
+
+
+def uses_libsodium() -> bool:
+    """Whether ``sign`` and ``verify`` run on libsodium here, loading it if need be.
+
+    libsodium's calls release the GIL (``ctypes.CDLL``), so threads verify
+    side by side; ``cryptography``'s Ed25519 calls hold it.
+    """
+    return _sodium() is not None
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
@@ -267,9 +264,7 @@ def pk_encrypt(public_key: bytes, data: bytes, rng: Random, aad: bytes = b"") ->
         raise ValueError("associated data too long")
     _, recipient_enc = _split_public(public_key)
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(_KEY_HALF))
-    eph_pub = eph.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    eph_pub = eph.public_key().public_bytes_raw()
     shared = eph.exchange(X25519PublicKey.from_public_bytes(recipient_enc))
     key = _envelope_key(shared, eph_pub, recipient_enc)
     nonce = rng.randbytes(_ENVELOPE_NONCE_LEN)
@@ -300,9 +295,7 @@ def pk_decrypt(private_key: bytes, envelope: bytes) -> bytes:
     if len(sealed) < _ENVELOPE_TAG_LEN:
         raise DecryptionError("envelope truncated before tag")
     own = X25519PrivateKey.from_private_bytes(enc_scalar)
-    recipient_pub = own.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    recipient_pub = own.public_key().public_bytes_raw()
     try:
         shared = own.exchange(X25519PublicKey.from_public_bytes(eph_pub))
     except ValueError as exc:
@@ -468,8 +461,8 @@ class KeyDirectory:
     def settled(self, verdicts: dict[tuple[str, bytes, bytes], bool]):
         """Inside the block, ``verify`` answers the exact bytes in ``verdicts`` from them.
 
-        For verdicts computed out of this process (``ledger.load_chain``'s
-        workers); each is remembered as if verified here, in the bounded memo.
+        For verdicts computed ahead of a replay (on ``ledger.load_chain``'s
+        threads); each is remembered as if verified here, in the bounded memo.
         """
         self._settled = verdicts
         try:

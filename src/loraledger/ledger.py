@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from random import Random
 
+from . import crypto
 from .crypto import (
     CryptoError,
     DecryptionError,
@@ -532,13 +534,13 @@ def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
     return b"".join(parts)
 
 
-#: a dump with fewer signatures is verified in one process.  On a 2-vCPU VM,
-#: with libsodium accepting, two processes took 15% less time than one over
-#: 1024 signatures (0.121 s serial) and 27% less over 4096, but 50% more over
-#: 768 (medians of 9 to 15 alternating loads); starting and joining a worker
-#: costs 3 to 5 ms, or 30 to 50 verifies
+#: a dump with fewer signatures is verified on one thread.  On a 2-vCPU VM,
+#: with libsodium accepting, two threads took 4 to 41% less time than one over
+#: 1024 signatures (0.09 to 0.12 s serial) and 31 to 39% less over 4096, but
+#: from 39% less to 6% more over 768 (medians of 11 alternating loads, three
+#: series): the two vCPUs do not always run at once
 PARALLEL_MIN_SIGNATURES = 1024
-#: most processes, the loading one included, that check one dump's signatures
+#: most threads, the loading one included, that check one dump's signatures
 MAX_VERIFY_JOBS = 4
 
 # one signature check: (requester, signed span, signature)
@@ -546,13 +548,10 @@ _Check = tuple[str, bytes, bytes]
 
 
 def verify_jobs() -> int:
-    """Processes ``load_chain`` checks signatures on: usable CPUs, at most
-    ``MAX_VERIFY_JOBS``; 1 where processes cannot be forked, or where this
-    one runs other threads, which could hold a lock a forked child needs."""
-    import multiprocessing  # here and below: only a large dump needs it
-    import threading
-
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+    """Threads ``load_chain`` checks signatures on: usable CPUs, at most
+    ``MAX_VERIFY_JOBS``; 1 without libsodium, as ``cryptography``'s verify
+    holds the GIL and threads would only take turns."""
+    if not crypto.uses_libsodium():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -561,53 +560,44 @@ def verify_jobs() -> int:
     return min(cpus, MAX_VERIFY_JOBS)
 
 
-def _verdict_bytes(directory: KeyDirectory, checks: list[_Check], start: int, stop: int) -> bytes:
-    """One byte per signature check in [start, stop): 1 if it verifies, else 0."""
-    return bytes(directory.verify(*check) for check in checks[start:stop])
+def _fanned_out_verdicts(
+    directory: KeyDirectory, checks: list[_Check], jobs: int
+) -> list[bool] | None:
+    """``crypto.verify``'s verdict on each of ``checks``, on ``jobs`` threads.
 
-
-def _fanned_out_verdicts(directory: KeyDirectory, checks: list[_Check], jobs: int) -> bytes | None:
-    """``_verdict_bytes`` over all of ``checks``, on ``jobs`` processes.
-
-    ``checks`` is cut into ``jobs`` contiguous slices; this process checks the
-    first and a forked worker each other one.  A forked worker's arguments are
-    not pickled, so the checks reach it through the fork, and only its
-    verdict bytes cross its one-way pipe.  None when a worker or a pipe could
-    not be made or a worker died; no worker outlives the call.
+    ``checks`` is cut into ``jobs`` contiguous slices; this thread checks the
+    first and a started thread each other one.  They call ``crypto.verify``,
+    whose libsodium path releases the GIL, and not ``KeyDirectory.verify``,
+    whose memo is not thread-safe.  None when a thread could not start or
+    raised; no thread outlives the call.
     """
-    import multiprocessing
-
-    def send_verdicts(send, start: int, stop: int) -> None:
-        send.send_bytes(_verdict_bytes(directory, checks, start, stop))
-
-    context = multiprocessing.get_context("fork")
+    verdicts: list[bool | None] = [None] * len(checks)
     bounds = [len(checks) * job // jobs for job in range(jobs + 1)]
-    receivers, workers = [], []
+
+    def check(start: int, stop: int) -> None:
+        verdicts[start:stop] = [
+            crypto.verify(directory.public_key(requester), span, signature)
+            for requester, span, signature in checks[start:stop]
+        ]
+
+    started = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            receive, send = context.Pipe(duplex=False)
-            receivers.append(receive)
-            worker = context.Process(target=send_verdicts, args=(send, start, stop))
-            # only the worker keeps a send end open, so its death reads as EOFError
-            with send:
-                worker.start()
-            workers.append(worker)
-        verdicts = _verdict_bytes(directory, checks, bounds[0], bounds[1])
-        return verdicts + b"".join(receive.recv_bytes() for receive in receivers)
-    except (OSError, EOFError):
+            thread = threading.Thread(target=check, args=(start, stop))
+            thread.start()  # RuntimeError where no thread can start
+            started.append(thread)
+        check(bounds[0], bounds[1])
+    except RuntimeError:
         return None
     finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-            worker.join()
-        for receive in receivers:
-            receive.close()
+        for thread in started:
+            thread.join()
+    return None if None in verdicts else verdicts
 
 
 def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Ledger:
     """``Ledger.replay``, with the signatures checked ahead of it on ``verify_jobs()``
-    processes when there are at least ``PARALLEL_MIN_SIGNATURES``.
+    threads when there are at least ``PARALLEL_MIN_SIGNATURES``.
 
     The replay stays the one verdict: it answers each signature from the
     checks made ahead, and re-checks serially if the checks could not be made.
@@ -626,7 +616,7 @@ def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Led
         )
         verdicts = _fanned_out_verdicts(directory, checks, jobs) if checks else None
         if verdicts is not None:
-            with directory.settled(dict(zip(checks, map(bool, verdicts)))):
+            with directory.settled(dict(zip(checks, verdicts))):
                 return Ledger.replay(kind, blocks, directory)
     return Ledger.replay(kind, blocks, directory)
 
@@ -635,7 +625,7 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     """Parse and fully validate a chain dump; any corruption raises.
 
     A large dump's signatures are checked on up to ``verify_jobs()``
-    processes (see ``_replay_dump``); the result and any error are the same.
+    threads (see ``_replay_dump``); the result and any error are the same.
     """
     body, trailer = data[:-32], data[-32:]
     if hash_bytes(body) != trailer:

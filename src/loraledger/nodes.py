@@ -71,7 +71,14 @@ from .frames import (
     verify_data_mic,
     verify_join_request,
 )
-from .ledger import KIND_APPLICATION, KIND_NETWORK, SessionContext, make_app_tx, make_network_tx
+from .ledger import (
+    KIND_APPLICATION,
+    KIND_NETWORK,
+    SessionContext,
+    WorldEntry,
+    make_app_tx,
+    make_network_tx,
+)
 from .simnet import Engine, Link, US_PER_MS
 
 MODE_EDGE = "edge"
@@ -276,10 +283,12 @@ class LedgerNode(Replica):
 
     def _address_free(self, dev_addr: bytes) -> bool:
         """No session here and no context on this node's network ledger use ``dev_addr``."""
-        if dev_addr in self.sessions:
-            return False
+        return dev_addr not in self.sessions and self._committed_context(dev_addr) is None
+
+    def _committed_context(self, dev_addr: bytes) -> WorldEntry | None:
+        """This node's committed context for an address; None without a network replica."""
         network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
-        return network is None or network.ledger.query_context(dev_addr) is None
+        return None if network is None else network.ledger.query_context(dev_addr)
 
     def open_session(
         self, dev_eui: bytes, dev_nonce: bytes, app_nonce: bytes, nwk_s_key: bytes, prefix: int
@@ -359,8 +368,7 @@ class LedgerNode(Replica):
         session = self.sessions.get(dev_addr)
         if session is not None:
             return session
-        network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
-        entry = None if network is None else network.ledger.query_context(dev_addr)
+        entry = self._committed_context(dev_addr)
         if entry is None:
             return None
         if entry.requester == self.entity_id:
@@ -554,7 +562,7 @@ class NetworkServer(LedgerNode):
             raise ValueError("no gateway serves address %s" % dev_addr.hex())
         gateway_id = self.gateways[dev_addr[0]]
         if self.mode == MODE_EDGE:
-            if self.channels[KIND_NETWORK].ledger.query_context(dev_addr) is None:
+            if self._committed_context(dev_addr) is None:
                 raise ValueError("unknown device address %s" % dev_addr.hex())
             self._send(
                 gateway_id,

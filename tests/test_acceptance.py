@@ -24,7 +24,6 @@ from loraledger.crypto import (
     KeyDirectory,
     ROLE_GATEWAY,
     generate_keypair,
-    hash_bytes,
     pk_decrypt,
 )
 from loraledger.frames import DIR_UP, build_data_frame, encrypt_payload
@@ -42,6 +41,7 @@ from loraledger.ledger import (
 )
 from loraledger.scenario import build_config
 from loraledger.simnet import US_PER_S
+from test_merkle import merkle_reference
 
 # pinned tolerances and budgets
 MERKLE_BUDGET_S = 5.0
@@ -78,18 +78,6 @@ def bandwidth_sweep():
 
 
 # ---------------------------------------------------------------------------
-
-
-def merkle_reference(leaves):
-    """Independent recursion: pair-hash each level, promote a trailing odd node."""
-    if len(leaves) == 1:
-        return leaves[0]
-    level = [
-        hash_bytes(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves) - 1, 2)
-    ]
-    if len(leaves) % 2:
-        level.append(leaves[-1])
-    return merkle_reference(level)
 
 
 def test_criterion_01_merkle_matches_recursive_reference():

@@ -1,14 +1,12 @@
 """Chain layer: transactions, blocks, world state, dumps, tamper detection."""
 
-import errno
 import functools
 import hashlib
-import multiprocessing
-import multiprocessing.popen_fork
 import os
 import random
 import struct
 import threading
+import types
 from dataclasses import replace
 
 import pytest
@@ -600,19 +598,20 @@ def test_dump_with_small_order_public_key_is_invalid(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# signature checks fanned out over forked processes in load_chain
+# signature checks fanned out over threads in load_chain
 
 
 def _load_with_jobs(monkeypatch, data, jobs):
-    """``load_chain`` on ``jobs`` processes at any size: (ledger, directory) or the error text."""
+    """``load_chain`` on ``jobs`` threads at any size: (ledger, directory) or the error text."""
     monkeypatch.setattr(ledger_module, "PARALLEL_MIN_SIGNATURES", 0)
     monkeypatch.setattr(ledger_module, "verify_jobs", lambda: jobs)
+    threads = threading.active_count()
     try:
         return load_chain(data)
     except ChainIntegrityError as exc:
         return str(exc)
     finally:
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 def _same_load(monkeypatch, data, jobs=2):
@@ -694,70 +693,49 @@ def test_load_chain_resealed_signature_flip_gives_the_serial_error(directory, mo
     assert message == "chain failed validation: block 5 rejected at height 5"
 
 
-def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypatch, tmp_path):
-    """Across every process of one load, each distinct signature is verified once,
+def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypatch):
+    """Across every thread of one load, each distinct signature is verified once,
     and the returned directory keeps no more verdicts than its memo holds."""
     blocks = _network_blocks(6, txs_per_block=3)
     again = assemble_block([blocks[1].txs[0]], 6, 7000, blocks[-1])  # a tx on the chain twice
     data = _dump_blocks(blocks + [again], directory)
-    log = tmp_path / "verified"
+    verified = []
     real_verify = crypto_module.verify
 
     def logged_verify(public_key, message, signature):
-        with open(log, "ab") as fh:  # appends from forked workers too
-            fh.write(signature.hex().encode("ascii") + b"\n")
+        verified.append(signature)
         return real_verify(public_key, message, signature)
 
     monkeypatch.setattr(crypto_module, "verify", logged_verify)
     monkeypatch.setattr(crypto_module, "VERDICT_MEMO_SIZE", 4)
     ledger, loaded = _load_with_jobs(monkeypatch, data, 3)
-    verified = log.read_bytes().splitlines()
     assert len(verified) == len(set(verified)) == 18
     assert ledger.height == 7
     assert len(loaded._verdicts) <= 4
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_load_chain_rechecks_serially_when_a_worker_dies(directory, monkeypatch, jobs):
-    """One worker dies: the others are stopped and the load ends in a serial re-check."""
-    real_verdict_bytes = ledger_module._verdict_bytes
-
-    def die_in_last_worker(directory, checks, start, stop):
-        if stop == len(checks):  # the slice that ends the chain's checks
-            os._exit(3)
-        return real_verdict_bytes(directory, checks, start, stop)
-
-    monkeypatch.setattr(ledger_module, "_verdict_bytes", die_in_last_worker)
-    good = _dump_blocks(CHAIN_BLOCKS, directory)
-    ledger, _ = _load_with_jobs(monkeypatch, good, jobs)
-    assert ledger.blocks == CHAIN_BLOCKS
-    forged = _dump_blocks(_network_blocks(8, forged_at={7}), directory)
-    message = "chain failed validation: block 7 rejected at height 7"
-    assert _load_with_jobs(monkeypatch, forged, jobs) == message
-
-
 @pytest.mark.parametrize("failing", [1, 2], ids=["first-worker", "second-worker"])
 def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch, failing):
-    """A fork that fails with EAGAIN at the first or second of two workers: any
-    started worker is stopped and the load ends in a serial re-check."""
-    real_launch = multiprocessing.popen_fork.Popen._launch
-    launches = []
+    """A thread that cannot start, the first or second of two: any started
+    thread is joined and the load ends in a serial re-check."""
+    starts = []
 
-    def launch(self, process_obj):
-        launches.append(process_obj)
-        if len(launches) == failing:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real_launch(self, process_obj)
+    class Thread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            if len(starts) == failing:
+                raise RuntimeError("can't start new thread")
+            super().start()
 
-    monkeypatch.setattr(multiprocessing.popen_fork.Popen, "_launch", launch)
+    monkeypatch.setattr(ledger_module, "threading", types.SimpleNamespace(Thread=Thread))
     ledger, _ = _same_load(monkeypatch, _dump_blocks(CHAIN_BLOCKS, directory), jobs=3)
     assert ledger.blocks == CHAIN_BLOCKS
-    assert len(launches) == failing
-    launches.clear()
+    assert len(starts) == failing
+    starts.clear()
     forged = _dump_blocks(_network_blocks(8, forged_at={7}), directory)
     message = "chain failed validation: block 7 rejected at height 7"
     assert _same_load(monkeypatch, forged, jobs=3) == message
-    assert len(launches) == failing
+    assert len(starts) == failing
 
 
 def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkeypatch):
@@ -769,18 +747,13 @@ def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkey
     assert ledger.blocks == CHAIN_BLOCKS
 
 
-def test_verify_jobs_is_usable_cpus_up_to_four_and_one_beside_threads():
-    assert 1 <= ledger_module.verify_jobs() <= ledger_module.MAX_VERIFY_JOBS == 4
-    assert ledger_module.verify_jobs() <= len(os.sched_getaffinity(0))
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert ledger_module.verify_jobs() == 1
-    finally:
-        release.set()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+def test_verify_jobs_is_usable_cpus_up_to_four_and_one_without_libsodium(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    expected = min(cpus, ledger_module.MAX_VERIFY_JOBS) if crypto_module.uses_libsodium() else 1
+    assert ledger_module.MAX_VERIFY_JOBS == 4
+    assert ledger_module.verify_jobs() == expected
+    monkeypatch.setattr(crypto_module, "_sodium", lambda: None)
+    assert ledger_module.verify_jobs() == 1
 
 
 @functools.cache
