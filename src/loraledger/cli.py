@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 runtime failure (corrupt chain, undecodable frame,
 internal error), 2 unusable arguments or configuration.
 
-Only ``run`` imports the harness, and with it the simulator; ``frame decode``
-adds only ``metrics`` for its output, and ``ledger verify`` loads the chain
-layers alone.
+Only ``run`` imports the harness and the scenario config, and with them the
+simulator; ``frame decode`` adds only ``metrics`` for its output, and
+``ledger verify`` loads the chain layers alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import traceback
 
 from .frames import DIR_UP, EncryptedJoinAccept, JoinRequest, MalformedFrameError, parse_frame
 from .ledger import ChainIntegrityError, load_chain
-from .scenario import ConfigError, build_config, parse_config_file
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,6 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_out_dir(path: str) -> None:
     """Refuse an output path that cannot become a directory, before anything runs."""
+    from .scenario import ConfigError
+
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -73,8 +74,19 @@ def _check_out_dir(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .scenario import ConfigError
+
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     from .harness import compare_modes, run_experiment
     from .metrics import report_text
+    from .scenario import build_config, parse_config_file
 
     _check_out_dir(args.out)
     file_overrides = parse_config_file(args.config_file) if args.config_file else {}
@@ -169,9 +181,6 @@ def main(argv=None) -> int:
             return _cmd_ledger_verify(args)
         if args.command == "frame":
             return _cmd_frame_decode(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except Exception:  # pragma: no cover - safety net for the console script
         traceback.print_exc()
         return 1

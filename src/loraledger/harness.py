@@ -312,7 +312,7 @@ def _kickoff(world: World) -> None:
     for device in world.devices:
         if config.experiment == EXPERIMENT_MIXED_TRUST and not device.authorized:
             device.self_mint_session()
-        offset = device.rng.randint(0, window_us - 1)
+        offset = device.rng.randrange(0, window_us)
         device.start(offset)
 
 
@@ -357,29 +357,22 @@ def summarize(world: World) -> dict:
     summary["time_compress"] = config.time_compress
     summary["events_processed"] = world.engine.events_processed
 
-    joins = recorder.by_kind("join")
+    joins = recorder.columns("join")
     summary.update(("join." + key, value) for key, value in latency_stats(joins).items())
-    completed_joins = [r for r in joins if r.status == "completed"]
-    if completed_joins:
-        within = sum(1 for r in completed_joins if r.latency_us <= JOIN_CEILING_MS * 1000)
-        summary["join.within_5s_fraction"] = within / len(completed_joins)
+    if joins.latencies_us:
+        within = sum(1 for latency in joins.latencies_us if latency <= JOIN_CEILING_MS * 1000)
+        summary["join.within_5s_fraction"] = within / len(joins.latencies_us)
     else:
         summary["join.within_5s_fraction"] = None
 
-    uplinks = recorder.by_kind("uplink")
+    uplinks = recorder.columns("uplink")
     summary.update(("uplink." + key, value) for key, value in latency_stats(uplinks).items())
     window_lo = world.warmup_us
     window_hi = world.duration_us
-    steady = [
-        r
-        for r in uplinks
-        if r.status == "completed" and window_lo <= r.completed_us <= window_hi
-    ]
+    steady = sum(1 for at_us in uplinks.completed_us if window_lo <= at_us <= window_hi)
     window_s = (window_hi - window_lo) / US_PER_S
-    summary["uplink.steady_completed"] = len(steady)
-    summary["uplink.steady_throughput_per_s"] = (
-        len(steady) / window_s if window_s > 0 else None
-    )
+    summary["uplink.steady_completed"] = steady
+    summary["uplink.steady_throughput_per_s"] = steady / window_s if window_s > 0 else None
 
     summary["bytes.gateway_to_server"] = _link_bytes(world, "gw", "srv")
     summary["bytes.server_to_gateway"] = _link_bytes(world, "srv", "gw")
@@ -426,7 +419,7 @@ class RunResult:
 
     def emit(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        write_requests_csv(os.path.join(out_dir, "requests.csv"), self.world.recorder.records)
+        write_requests_csv(os.path.join(out_dir, "requests.csv"), self.world.recorder)
         write_links_csv(
             os.path.join(out_dir, "links.csv"), list(self.world.engine.links.values())
         )

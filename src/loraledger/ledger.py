@@ -154,7 +154,7 @@ class SessionContext:
         return cls(**{name: reader.take(size) for name, size in _CONTEXT_LAYOUT})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One signed ledger entry; the signature doubles as the tx digest."""
 
@@ -269,6 +269,7 @@ def build_merkle(leaves: list[bytes]) -> bytes:
     return row[0]
 
 
+# not slotted: block_hash and validate_block keep their memos in its __dict__
 @dataclass(frozen=True)
 class Block:
     """<index, header, body>: header = <timestamp, merkle_root, prev_hash>."""
@@ -431,7 +432,7 @@ def validate_tx(tx: Transaction, key_directory: KeyDirectory, kind: str) -> bool
     return key_directory.verify(tx.requester, tx.signed_span(), tx.signature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldEntry:
     """Latest committed context for one device address, still sealed."""
 

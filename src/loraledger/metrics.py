@@ -4,14 +4,23 @@ Every join attempt and every uplink gets a request record at issue time;
 completion or failure stamps it later.  Records still inflight when the run
 ends stay marked as such, and the CSV keeps them, so nothing is silently
 dropped from the accounting.
+
+The recorder keeps its log as columns, one compact array per field, so a
+request costs a few bytes of arrays instead of an object.  ``records`` reads
+it back as ``RequestRecord`` snapshots; the summary and ``requests.csv`` read
+the columns directly.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import compress
+from operator import sub
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .simnet import Link
@@ -20,9 +29,15 @@ STATUS_INFLIGHT = "inflight"
 STATUS_COMPLETED = "completed"
 STATUS_FAILED = "failed"
 
+# status codes, indexes into _STATUSES
+_INFLIGHT, _COMPLETED, _FAILED = range(3)
+_STATUSES = (STATUS_INFLIGHT, STATUS_COMPLETED, STATUS_FAILED)
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
+    """One request as the recorder held it when the record was read."""
+
     request_id: int
     kind: str  # "join" | "uplink"
     device: str
@@ -37,29 +52,126 @@ class RequestRecord:
         return self.completed_us - self.issued_us
 
 
+class RequestColumns(NamedTuple):
+    """One kind's requests: every status code in issue order, and the
+    latency and completion time of each completed one."""
+
+    statuses: bytes
+    latencies_us: list[int]
+    completed_us: list[int]
+
+
+def _where(codes: bytes | bytearray, code: int) -> bytes:
+    """A mask over ``codes``: 1 where it holds ``code``, else 0."""
+    table = bytearray(256)
+    table[code] = 1
+    return codes.translate(table)
+
+
+def _code(names: list[str], codes: dict[str, int], name: str) -> int:
+    """``name``'s index in ``names``, appending it on first sight."""
+    code = codes.setdefault(name, len(names))
+    if code == len(names):
+        names.append(name)
+    return code
+
+
 class MetricsRecorder:
+    """The request log, one column per field, indexed by request id.
+
+    Kinds and devices are stored as indexes into tables of their names.
+    ``_completed`` holds the completion or failure time; it means nothing
+    while the status is in flight.
+    """
+
     def __init__(self) -> None:
-        self.records: list[RequestRecord] = []
+        self._kinds = bytearray()
+        self._devices = array("I")
+        self._issued = array("q")
+        self._completed = array("q")
+        self._statuses = bytearray()
+        self._kind_names: list[str] = []
+        self._kind_codes: dict[str, int] = {}
+        self._device_ids: list[str] = []
+        self._device_codes: dict[str, int] = {}
 
     def issue(self, kind: str, device: str, now_us: int) -> int:
-        request_id = len(self.records)
-        self.records.append(
-            RequestRecord(request_id=request_id, kind=kind, device=device, issued_us=now_us)
-        )
+        request_id = len(self._issued)
+        self._kinds.append(_code(self._kind_names, self._kind_codes, kind))
+        self._devices.append(_code(self._device_ids, self._device_codes, device))
+        self._issued.append(now_us)
+        self._completed.append(0)
+        self._statuses.append(_INFLIGHT)
         return request_id
 
     def complete(self, request_id: int, now_us: int) -> None:
-        record = self.records[request_id]
-        record.completed_us = now_us
-        record.status = STATUS_COMPLETED
+        self._completed[request_id] = now_us
+        self._statuses[request_id] = _COMPLETED
 
     def fail(self, request_id: int, now_us: int) -> None:
-        record = self.records[request_id]
-        record.completed_us = now_us
-        record.status = STATUS_FAILED
+        self._completed[request_id] = now_us
+        self._statuses[request_id] = _FAILED
+
+    @property
+    def records(self) -> "RequestLog":
+        return RequestLog(self)
 
     def by_kind(self, kind: str) -> list[RequestRecord]:
         return [r for r in self.records if r.kind == kind]
+
+    def columns(self, kind: str) -> RequestColumns:
+        """The columns ``latency_stats`` and the summary read for ``kind``."""
+        if kind not in self._kind_codes:
+            return RequestColumns(b"", [], [])
+        selected = _where(self._kinds, self._kind_codes[kind])
+        statuses = bytes(compress(self._statuses, selected))
+        done = _where(statuses, _COMPLETED)
+        issued_us = compress(compress(self._issued, selected), done)
+        completed_us = list(compress(compress(self._completed, selected), done))
+        return RequestColumns(statuses, list(map(sub, completed_us, issued_us)), completed_us)
+
+    def _rows(self):
+        """(kind, device, issued_us, completed_us, status) per request, in issue order."""
+        kinds, devices = self._kind_names, self._device_ids
+        for kind, device, issued_us, completed_us, status in zip(
+            self._kinds, self._devices, self._issued, self._completed, self._statuses
+        ):
+            yield (
+                kinds[kind],
+                devices[device],
+                issued_us,
+                None if status == _INFLIGHT else completed_us,
+                _STATUSES[status],
+            )
+
+
+class RequestLog(Sequence):
+    """A read-only view of a recorder's log; every item is a fresh snapshot."""
+
+    __slots__ = ("_recorder",)
+
+    def __init__(self, recorder: MetricsRecorder) -> None:
+        self._recorder = recorder
+
+    def __len__(self) -> int:
+        return len(self._recorder._issued)
+
+    def __getitem__(self, index: int) -> RequestRecord:
+        request_id = range(len(self))[index]  # a negative index counts from the end
+        rec = self._recorder
+        status = rec._statuses[request_id]
+        return RequestRecord(
+            request_id=request_id,
+            kind=rec._kind_names[rec._kinds[request_id]],
+            device=rec._device_ids[rec._devices[request_id]],
+            issued_us=rec._issued[request_id],
+            completed_us=None if status == _INFLIGHT else rec._completed[request_id],
+            status=_STATUSES[status],
+        )
+
+    def __iter__(self):
+        for request_id, row in enumerate(self._recorder._rows()):
+            yield RequestRecord(request_id, *row)
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
@@ -70,15 +182,15 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[int(rank) - 1]
 
 
-def latency_stats(records: list[RequestRecord]) -> dict:
+def latency_stats(columns: RequestColumns) -> dict:
     """Counts plus completed-only latency distribution, in milliseconds."""
-    issued = len(records)
-    completed = [r for r in records if r.status == STATUS_COMPLETED]
-    failed = sum(1 for r in records if r.status == STATUS_FAILED)
-    inflight = issued - len(completed) - failed
+    issued = len(columns.statuses)
+    completed = len(columns.latencies_us)
+    failed = columns.statuses.count(_FAILED)
+    inflight = issued - completed - failed
     stats = {
         "issued": issued,
-        "completed": len(completed),
+        "completed": completed,
         "failed": failed,
         "inflight": inflight,
         "mean_ms": None,
@@ -87,7 +199,7 @@ def latency_stats(records: list[RequestRecord]) -> dict:
         "max_ms": None,
     }
     if completed:
-        latencies_ms = sorted(r.latency_us / 1000.0 for r in completed)
+        latencies_ms = sorted(latency / 1000.0 for latency in columns.latencies_us)
         stats["mean_ms"] = statistics.fmean(latencies_ms)
         stats["median_ms"] = statistics.median(latencies_ms)
         stats["p95_ms"] = percentile(latencies_ms, 0.95)
@@ -95,21 +207,16 @@ def latency_stats(records: list[RequestRecord]) -> dict:
     return stats
 
 
-def write_requests_csv(path: str, records: list[RequestRecord]) -> None:
+def write_requests_csv(path: str, recorder: MetricsRecorder) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "device", "issued_us", "completed_us", "status", "latency_us"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.kind,
-                    r.device,
-                    r.issued_us,
-                    "" if r.completed_us is None else r.completed_us,
-                    r.status,
-                    "" if r.latency_us is None else r.latency_us,
-                ]
-            )
+        writer.writerows(
+            (kind, device, issued_us, "", status, "")
+            if completed_us is None
+            else (kind, device, issued_us, completed_us, status, completed_us - issued_us)
+            for kind, device, issued_us, completed_us, status in recorder._rows()
+        )
 
 
 def write_links_csv(path: str, links: list[Link]) -> None:

@@ -684,7 +684,7 @@ class EndDevice:
     # -- behavior --
 
     def _draw_interval_us(self) -> int:
-        return self.rng.randint(self.profile.interval_lo_us, self.profile.interval_hi_us)
+        return self.rng.randrange(self.profile.interval_lo_us, self.profile.interval_hi_us + 1)
 
     handle = _dispatch
 

@@ -59,7 +59,7 @@ class LatencyModel:
     def draw(self, rng: Random) -> int:
         if self.kind == "fixed":
             return self.lo_us
-        return rng.randint(self.lo_us, self.hi_us)
+        return rng.randrange(self.lo_us, self.hi_us + 1)
 
 
 class Link:

@@ -1,7 +1,13 @@
 """Scenario harness: experiments, metrics, result files, config, and the CLI."""
 
 import csv
+import io
+import os
 import random
+import statistics
+import tempfile
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -62,7 +68,7 @@ def test_latency_stats_arithmetic():
     rec.fail(rec.issue("uplink", "dev0001", 0), 30_000_000)
     rec.issue("uplink", "dev0002", 0)  # stays inflight
 
-    stats = latency_stats(rec.by_kind("uplink"))
+    stats = latency_stats(rec.columns("uplink"))
     assert stats["issued"] == 6
     assert stats["completed"] == 4
     assert stats["failed"] == 1
@@ -74,7 +80,7 @@ def test_latency_stats_arithmetic():
 
 
 def test_latency_stats_empty():
-    stats = latency_stats([])
+    stats = latency_stats(MetricsRecorder().columns("uplink"))
     assert stats["issued"] == 0
     assert stats["mean_ms"] is None
 
@@ -87,6 +93,114 @@ def test_request_records_are_slotted():
     assert not hasattr(record, "__dict__")
     assert record.latency_us == 800_000
 
+
+
+def _reference_stats(records: list[RequestRecord]) -> dict:
+    """Request counts and latencies in milliseconds, worked out record by record."""
+    completed = sorted(r.latency_us / 1000.0 for r in records if r.status == "completed")
+    failed = sum(1 for r in records if r.status == "failed")
+    return {
+        "issued": len(records),
+        "completed": len(completed),
+        "failed": failed,
+        "inflight": len(records) - len(completed) - failed,
+        "mean_ms": statistics.fmean(completed) if completed else None,
+        "median_ms": statistics.median(completed) if completed else None,
+        "p95_ms": percentile(completed, 0.95) if completed else None,
+        "max_ms": completed[-1] if completed else None,
+    }
+
+
+def _reference_csv(records: list[RequestRecord]) -> bytes:
+    """``requests.csv`` written row by row from a list of records."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["kind", "device", "issued_us", "completed_us", "status", "latency_us"])
+    for r in records:
+        completed = "" if r.completed_us is None else r.completed_us
+        latency = "" if r.latency_us is None else r.latency_us
+        writer.writerow([r.kind, r.device, r.issued_us, completed, r.status, latency])
+    return fh.getvalue().encode("utf-8")
+
+
+REQUEST_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["issue", "complete", "fail"]),
+        st.sampled_from(["join", "uplink"]),
+        st.sampled_from(["dev0000", "dev0001", "dev0002"]),
+        st.integers(0, 2**40),
+        st.integers(0, 2**16),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=REQUEST_OPS)
+def test_recorder_reads_back_as_a_list_of_records(ops):
+    """The column log reads back, summarizes and writes as a plain list of records."""
+    rec = MetricsRecorder()
+    reference: list[RequestRecord] = []
+    for op, kind, device, now_us, pick in ops:
+        if op == "issue":
+            request_id = rec.issue(kind, device, now_us)
+            assert request_id == len(reference)
+            reference.append(RequestRecord(request_id, kind, device, now_us))
+        elif reference:
+            request_id = pick % len(reference)
+            status = "completed" if op == "complete" else "failed"
+            getattr(rec, op)(request_id, now_us)
+            reference[request_id] = replace(
+                reference[request_id], completed_us=now_us, status=status
+            )
+
+    records = rec.records
+    assert len(records) == len(reference)
+    for i in range(-len(reference), len(reference)):
+        assert records[i] == reference[i]
+    assert list(records) == reference
+    for kind in ("join", "uplink"):
+        of_kind = [r for r in reference if r.kind == kind]
+        assert rec.by_kind(kind) == of_kind
+        assert latency_stats(rec.columns(kind)) == _reference_stats(of_kind)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "requests.csv")
+        write_requests_csv(path, rec)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_csv(reference)
+
+
+def test_recorder_snapshots_do_not_change_the_log():
+    rec = MetricsRecorder()
+    request_id = rec.issue("join", "dev0000", 5)
+    before = rec.records[request_id]
+    rec.fail(request_id, 9)
+    assert before.status == "inflight" and before.completed_us is None
+    assert rec.records[-1].status == "failed" and rec.records[-1].latency_us == 4
+    with pytest.raises(IndexError):
+        rec.records[1]
+    with pytest.raises(TypeError):
+        rec.records[0] = before
+
+
+def test_request_log_costs_under_32_bytes_a_request():
+    """A request is a few bytes of columns, not an object (169 traced bytes as one)."""
+    devices = ["dev%04d" % i for i in range(1000)]
+    rec = MetricsRecorder()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            request_id = rec.issue("uplink" if i % 4 else "join", devices[i % 1000], i * 10**6)
+            if i % 10:
+                rec.complete(request_id, i * 10**6 + 150_000)
+            else:
+                rec.fail(request_id, i * 10**6 + 30 * 10**6)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rec.records) == 10_000
+    assert used / 10_000 < 32
 
 def test_percentile_nearest_rank():
     values = [10.0, 20.0, 30.0, 40.0]
@@ -103,7 +217,7 @@ def test_csv_layouts(tmp_path):
     rec.complete(rec.issue("uplink", "dev0000", 0), 800_000)
     rec.issue("join", "dev0001", 5)
     requests = tmp_path / "requests.csv"
-    write_requests_csv(str(requests), rec.records)
+    write_requests_csv(str(requests), rec)
     rows = list(csv.reader(requests.open()))
     assert rows[0] == ["kind", "device", "issued_us", "completed_us", "status", "latency_us"]
     assert rows[1] == ["uplink", "dev0000", "0", "800000", "completed", "800000"]

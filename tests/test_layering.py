@@ -63,7 +63,8 @@ def test_frame_decode_loads_no_simulator():
         "assert cli.main(['frame', 'decode', '40010000010500010101010145b24721']) == 0"
     )
     assert "loraledger.metrics" in loaded
-    assert not loaded & {"loraledger.nodes", "loraledger.harness", "loraledger.simnet"}
+    layers = {"nodes", "harness", "simnet", "scenario"}
+    assert not loaded & {"loraledger." + layer for layer in layers}
 
 
 def write_network_chain(tmp_path) -> str:
@@ -93,7 +94,7 @@ def test_ledger_verify_loads_only_the_chain_layers(tmp_path):
         % write_network_chain(tmp_path)
     )
     assert "loraledger.ledger" in loaded
-    layers = {"nodes", "harness", "simnet", "metrics"}
+    layers = {"nodes", "harness", "simnet", "metrics", "scenario"}
     assert not loaded & {"loraledger." + layer for layer in layers}
 
 

@@ -7,7 +7,7 @@ import random
 import struct
 import threading
 import types
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +40,7 @@ from loraledger.ledger import (
     SESSION_CONTEXT_LEN,
     SessionContext,
     Transaction,
+    WorldEntry,
     assemble_block,
     block_from_bytes,
     block_hash,
@@ -399,6 +400,21 @@ def test_ledger_append_and_world_state(directory):
     assert entry is not None and entry.requester == "gw0" and entry.zeta == 0
     assert ledger.query_context(ctx_b.dev_addr).timestamp_ms == 2
     assert ledger.query_context(b"\xff\xff\xff\xff") is None
+
+
+def test_transactions_and_world_entries_are_slotted_and_frozen(directory):
+    """A world holds one of each per committed tx and per replica context, so
+    neither carries a ``__dict__``."""
+    ledger = Ledger(KIND_NETWORK)
+    ctx = make_context(0)
+    tx = make_network_tx(SIGNER, keypair("gw0"), ctx, 1, random.Random(0))
+    ledger.append_block(assemble_block([tx], 0, 10, None), directory)
+    entry = ledger.query_context(ctx.dev_addr)
+    assert isinstance(entry, WorldEntry)
+    for obj, field in ((tx, "timestamp_ms"), (entry, "zeta")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, 2)
 
 
 def test_rejoin_supersedes_context(directory):
