@@ -18,13 +18,14 @@ from loraledger.crypto import (
     mac32,
     sign,
 )
-from loraledger.frames import DIR_UP, decrypt_payload, encrypt_payload
+from loraledger.frames import DIR_UP, SessionKeys, decrypt_payload, encrypt_payload
 
 KEYPAIR = generate_keypair("srv0", 1)
 MESSAGE = bytes(range(256)) * 2
 SIGNATURE = sign(KEYPAIR.private_key, MESSAGE)
 SYM_KEY = bytes(range(16))
 DEV_ADDR = bytes.fromhex("01000001")
+SESSION_KEYS = SessionKeys(DEV_ADDR, SYM_KEY, SYM_KEY)
 # FIPS-197 Appendix C.1 (AES-128)
 FIPS_KEY = bytes(range(16))
 FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -87,5 +88,5 @@ def test_mac32(benchmark):
 @pytest.mark.parametrize("size", [16, 242])
 def test_encrypt_payload(benchmark, size):
     plain = MESSAGE[:size]
-    sealed = benchmark(encrypt_payload, SYM_KEY, DEV_ADDR, 7, DIR_UP, plain)
-    assert decrypt_payload(SYM_KEY, DEV_ADDR, 7, DIR_UP, sealed) == plain
+    sealed = benchmark(encrypt_payload, SESSION_KEYS, 7, DIR_UP, plain)
+    assert decrypt_payload(SESSION_KEYS, 7, DIR_UP, sealed) == plain

@@ -24,6 +24,7 @@ from loraledger.crypto import (
 from loraledger.frames import (
     DIR_DOWN,
     DIR_UP,
+    SessionKeys,
     build_data_frame,
     build_join_request,
     encrypt_payload,
@@ -36,7 +37,9 @@ NWK_S_KEY = bytes(range(16))
 APP_S_KEY = bytes(range(16, 32))
 DEV_ADDR = bytes.fromhex("01000001")
 PAYLOAD = bytes(range(20))
-RAW = build_data_frame(NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP)
+DEVICE_KEYS = SessionKeys(DEV_ADDR, NWK_S_KEY, APP_S_KEY)
+CONTROLLER_KEYS = SessionKeys(DEV_ADDR, NWK_S_KEY)  # the network controller holds no app key
+RAW = build_data_frame(DEVICE_KEYS, 7, 1, PAYLOAD, DIR_UP)
 FRAME = parse_frame(RAW)
 APP_KEY = bytes(range(16))
 APP_EUI = bytes.fromhex("1122334455667788")
@@ -61,21 +64,22 @@ def test_parse_frame(benchmark):
 
 
 def test_build_data_frame(benchmark):
-    assert benchmark(build_data_frame, NWK_S_KEY, DEV_ADDR, 7, 1, PAYLOAD, DIR_UP) == RAW
+    assert benchmark(build_data_frame, DEVICE_KEYS, 7, 1, PAYLOAD, DIR_UP) == RAW
 
 
 def test_uplink_round_trip(benchmark):
     def round_trip(fcnt):
-        ciphertext = encrypt_payload(APP_S_KEY, DEV_ADDR, fcnt, DIR_UP, PAYLOAD)
-        uplink = parse_frame(build_data_frame(NWK_S_KEY, DEV_ADDR, fcnt, 1, ciphertext, DIR_UP))
-        if not verify_data_mic(uplink, NWK_S_KEY):
+        ciphertext = encrypt_payload(DEVICE_KEYS, fcnt, DIR_UP, PAYLOAD)
+        data = build_data_frame(DEVICE_KEYS, fcnt, 1, ciphertext, DIR_UP)
+        uplink = parse_frame(data)
+        if not verify_data_mic(CONTROLLER_KEYS, data):
             return None
-        ack = parse_frame(build_data_frame(NWK_S_KEY, uplink.dev_addr, fcnt, 0, b"", DIR_DOWN))
-        return uplink.payload, verify_data_mic(ack, NWK_S_KEY)
+        ack = build_data_frame(CONTROLLER_KEYS, fcnt, 0, b"", DIR_DOWN)
+        return uplink.payload, parse_frame(ack).fcnt == fcnt and verify_data_mic(DEVICE_KEYS, ack)
 
     ciphertext, acked = benchmark(round_trip, 7)
     assert acked
-    assert encrypt_payload(APP_S_KEY, DEV_ADDR, 7, DIR_UP, ciphertext) == PAYLOAD
+    assert encrypt_payload(DEVICE_KEYS, 7, DIR_UP, ciphertext) == PAYLOAD
 
 
 def test_build_join_request(benchmark):
@@ -84,7 +88,7 @@ def test_build_join_request(benchmark):
 
 
 def test_verify_data_mic(benchmark):
-    assert benchmark(verify_data_mic, FRAME, NWK_S_KEY)
+    assert benchmark(verify_data_mic, CONTROLLER_KEYS, RAW)
 
 
 def test_pk_encrypt(benchmark):

@@ -9,15 +9,22 @@ frames.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .crypto import (
     MIC_LEN,
+    SYM_KEY_LEN,
+    BadKeyError,
+    _cmac_template,
+    _ecb_encryptor,
     aes128_decrypt_block,
     aes128_encrypt_block,
-    aes128_encrypt_blocks,
     mac32,
 )
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.cmac import CMAC
 
 MHDR_JOIN_REQUEST = 0x00
 MHDR_JOIN_ACCEPT = 0x20
@@ -104,17 +111,19 @@ class DataFrame:
     direction: int
 
     def __post_init__(self) -> None:
-        _check_data_fields(
-            self.dev_addr, self.fcnt, self.fport, self.payload, self.mic, self.direction
-        )
+        _check_dev_addr(self.dev_addr)
+        if len(self.mic) != MIC_LEN:
+            raise ValueError("MIC must be %d bytes" % MIC_LEN)
+        _check_data_fields(self.fcnt, self.fport, self.payload, self.direction)
 
 
-def _check_data_fields(
-    dev_addr: bytes, fcnt: int, fport: int, payload: bytes, mic: bytes, direction: int
-) -> None:
-    """The data frame field checks, shared by ``DataFrame`` and ``build_data_frame``."""
-    if len(dev_addr) != DEV_ADDR_LEN or len(mic) != MIC_LEN:
-        raise ValueError("data frame field length mismatch")
+def _check_dev_addr(dev_addr: bytes) -> None:
+    if len(dev_addr) != DEV_ADDR_LEN:
+        raise ValueError("device address must be %d bytes" % DEV_ADDR_LEN)
+
+
+def _check_data_fields(fcnt: int, fport: int, payload: bytes, direction: int) -> None:
+    """The per-frame field checks, shared by ``DataFrame`` and ``build_data_frame``."""
     if not 0 <= fcnt <= MAX_FCNT:
         raise ValueError("frame counter out of range")
     if not 0 <= fport <= 0xFF:
@@ -125,16 +134,56 @@ def _check_data_fields(
         raise ValueError("direction must be 0 (up) or 1 (down)")
 
 
+@dataclass(frozen=True, slots=True)
+class SessionKeys:
+    """One session's data-frame keys, checked once, when the session is made.
+
+    The network controller's keys have no application session key.  The
+    keyed CMAC and ECB contexts come from ``crypto``'s caches on a frame's
+    first use of them, never at construction, so a session that carries no
+    data frame (a rejoin in a join storm) adds nothing to either cache.
+    """
+
+    dev_addr: bytes
+    nwk_s_key: bytes
+    app_s_key: bytes | None = None
+    _mic: CMAC | None = field(default=None, init=False, repr=False, compare=False)
+    _keystream: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_dev_addr(self.dev_addr)
+        if len(self.nwk_s_key) != SYM_KEY_LEN:
+            raise BadKeyError("MIC key must be %d bytes" % SYM_KEY_LEN)
+        if self.app_s_key is not None and len(self.app_s_key) != SYM_KEY_LEN:
+            raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
+
+    def _bind_mic(self) -> CMAC:
+        mic = _cmac_template(self.nwk_s_key)
+        object.__setattr__(self, "_mic", mic)
+        return mic
+
+    def _bind_keystream(self):
+        if self.app_s_key is None:
+            raise BadKeyError("these session keys hold no application session key")
+        keystream = _ecb_encryptor(self.app_s_key)
+        object.__setattr__(self, "_keystream", keystream)
+        return keystream
+
+
 Frame = JoinRequest | EncryptedJoinAccept | DataFrame
 
 
 _DATA_HEAD = struct.Struct("<B4sHB")  # mhdr | dev_addr | fcnt | fport
-_NO_MIC = bytes(MIC_LEN)  # stands in for the MIC while a builder checks the fields
+_DATA_MHDR = (MHDR_DATA_UP, MHDR_DATA_DOWN)  # indexed by direction
+_DIRECTION_BYTE = (bytes([DIR_UP]), bytes([DIR_DOWN]))  # the MIC input's last byte
+_MIC_DIRECTION = {  # a data frame's MHDR byte -> its direction byte
+    bytes([MHDR_DATA_UP]): _DIRECTION_BYTE[DIR_UP],
+    bytes([MHDR_DATA_DOWN]): _DIRECTION_BYTE[DIR_DOWN],
+}
 
 
 def _data_head(dev_addr: bytes, fcnt: int, fport: int, payload: bytes, direction: int) -> bytes:
-    mhdr = MHDR_DATA_UP if direction == DIR_UP else MHDR_DATA_DOWN
-    return _DATA_HEAD.pack(mhdr, dev_addr, fcnt, fport) + payload
+    return _DATA_HEAD.pack(_DATA_MHDR[direction], dev_addr, fcnt, fport) + payload
 
 
 def _head(frame: Frame) -> bytes:
@@ -148,10 +197,6 @@ def _head(frame: Frame) -> bytes:
 
 def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> bytes:
     return bytes([MHDR_JOIN_ACCEPT]) + app_nonce + net_id + dev_addr
-
-
-def _data_mic_input(head: bytes, direction: int) -> bytes:
-    return head + bytes([direction])
 
 
 def build_join_request(
@@ -194,26 +239,32 @@ def open_join_accept(data: bytes, app_key: bytes) -> JoinAccept:
 
 
 def build_data_frame(
-    nwk_s_key: bytes,
-    dev_addr: bytes,
-    fcnt: int,
-    fport: int,
-    payload: bytes,
-    direction: int,
+    keys: SessionKeys, fcnt: int, fport: int, payload: bytes, direction: int
 ) -> bytes:
     """The wire form around an already-encrypted payload.
 
     Checks the fields as ``DataFrame`` does, with the same errors, and packs
-    them without building the record.
+    them without building the record; ``keys`` checked the address and key.
     """
-    _check_data_fields(dev_addr, fcnt, fport, payload, _NO_MIC, direction)
-    head = _data_head(dev_addr, fcnt, fport, payload, direction)
-    return head + mac32(nwk_s_key, _data_mic_input(head, direction))
+    _check_data_fields(fcnt, fport, payload, direction)
+    head = _DATA_HEAD.pack(_DATA_MHDR[direction], keys.dev_addr, fcnt, fport) + payload
+    mac = (keys._mic or keys._bind_mic()).copy()
+    mac.update(head + _DIRECTION_BYTE[direction])
+    return head + mac.finalize()[:MIC_LEN]
 
 
-def verify_data_mic(frame: DataFrame, nwk_s_key: bytes) -> bool:
-    head = _data_head(frame.dev_addr, frame.fcnt, frame.fport, frame.payload, frame.direction)
-    return mac32(nwk_s_key, _data_mic_input(head, frame.direction)) == frame.mic
+def verify_data_mic(keys: SessionKeys, data: bytes) -> bool:
+    """Check the MIC of a data frame's wire bytes; False for bytes of any other kind.
+
+    The received bytes before the MIC are the frame head, so the MIC input is
+    those bytes plus the direction byte the MHDR names; nothing is re-packed.
+    """
+    direction = _MIC_DIRECTION.get(data[:1])
+    if direction is None:
+        return False
+    mac = (keys._mic or keys._bind_mic()).copy()
+    mac.update(data[:-MIC_LEN] + direction)
+    return mac.finalize()[:MIC_LEN] == data[-MIC_LEN:]
 
 
 def serialize_frame(frame: Frame) -> bytes:
@@ -268,25 +319,30 @@ def _parsed_data_frame(
     return frame
 
 
-def encrypt_payload(
-    app_s_key: bytes, dev_addr: bytes, fcnt: int, direction: int, data: bytes
-) -> bytes:
+_COUNTER_PREFIX = struct.Struct("<B4xB4sIx")  # 0x01 | 4 zeros | dir | dev_addr | fcnt | 0x00
+# bytes.join separators: prefix.join(_BLOCK_INDEXES[n]) lays out the n
+# counter blocks prefix | 1, prefix | 2, ..., prefix | n
+_BLOCK_INDEXES = tuple(
+    (b"",) + tuple(bytes([i]) for i in range(1, n + 1))
+    for n in range((MAX_FRM_PAYLOAD + 15) // 16 + 1)
+)
+
+
+def encrypt_payload(keys: SessionKeys, fcnt: int, direction: int, data: bytes) -> bytes:
     """Counter-mode payload encryption keyed by (dev_addr, fcnt, direction).
 
     XOR with a keystream of encrypted counter blocks; applying it twice with
     the same parameters restores the plaintext.
     """
-    if len(dev_addr) != DEV_ADDR_LEN:
-        raise ValueError("device address must be %d bytes" % DEV_ADDR_LEN)
     if direction not in (DIR_UP, DIR_DOWN):
         raise ValueError("direction must be 0 (up) or 1 (down)")
     if len(data) > MAX_FRM_PAYLOAD:
         raise ValueError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
     if not data:
         return b""
-    prefix = struct.pack("<B4xB4sIx", 0x01, direction, dev_addr, fcnt & 0xFFFFFFFF)
-    counters = b"".join(prefix + bytes([i]) for i in range(1, (len(data) + 15) // 16 + 1))
-    stream = aes128_encrypt_blocks(app_s_key, counters)[: len(data)]
+    prefix = _COUNTER_PREFIX.pack(0x01, direction, keys.dev_addr, fcnt & 0xFFFFFFFF)
+    counters = prefix.join(_BLOCK_INDEXES[(len(data) + 15) // 16])
+    stream = (keys._keystream or keys._bind_keystream()).update(counters)[: len(data)]
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return mixed.to_bytes(len(data), "big")
 

@@ -14,6 +14,7 @@ the columns directly.
 from __future__ import annotations
 
 import csv
+import io
 import statistics
 from array import array
 from collections.abc import Sequence
@@ -207,15 +208,49 @@ def latency_stats(columns: RequestColumns) -> dict:
     return stats
 
 
+_CSV_SPECIALS = frozenset(',"\r\n')  # characters that make ``csv.writer`` quote a field
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    if _CSV_SPECIALS.isdisjoint(text):
+        return text
+    out = io.StringIO()
+    csv.writer(out).writerow((text, ""))
+    return out.getvalue()[: -len(',\r\n')]
+
+
 def write_requests_csv(path: str, recorder: MetricsRecorder) -> None:
+    """One row per request in issue order, byte for byte as ``csv.writer`` writes them.
+
+    Rows are formatted here and streamed to the file: a request still in
+    flight leaves its completion time and latency empty.  Kind and device
+    names are quoted once per name, not once per row.
+    """
+    kinds = [_csv_field(kind) for kind in recorder._kind_names]
+    devices = [_csv_field(device) for device in recorder._device_ids]
+    rows = zip(
+        recorder._kinds,
+        recorder._devices,
+        recorder._issued,
+        recorder._completed,
+        recorder._statuses,
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "device", "issued_us", "completed_us", "status", "latency_us"])
-        writer.writerows(
-            (kind, device, issued_us, "", status, "")
-            if completed_us is None
-            else (kind, device, issued_us, completed_us, status, completed_us - issued_us)
-            for kind, device, issued_us, completed_us, status in recorder._rows()
+        fh.write("kind,device,issued_us,completed_us,status,latency_us\r\n")
+        fh.writelines(
+            "%s,%s,%d,,%s,\r\n" % (kinds[kind], devices[device], issued_us, STATUS_INFLIGHT)
+            if status == _INFLIGHT
+            else "%s,%s,%d,%d,%s,%d\r\n"
+            % (
+                kinds[kind],
+                devices[device],
+                issued_us,
+                completed_us,
+                _STATUSES[status],
+                completed_us - issued_us,
+            )
+            for kind, device, issued_us, completed_us, status in rows
         )
 
 

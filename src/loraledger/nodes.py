@@ -61,6 +61,7 @@ from .frames import (
     JoinRequest,
     MalformedFrameError,
     MicMismatchError,
+    SessionKeys,
     build_data_frame,
     build_join_accept,
     build_join_request,
@@ -196,7 +197,7 @@ class Registration:
     spent_nonces: set[bytes] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class NcSession:
     """What the network controller tracks for one device address."""
 
@@ -204,6 +205,10 @@ class NcSession:
     device_id: str | None  # radio route for ACKs and downlinks; None if out of coverage
     last_fcnt_up: int = -1
     next_fcnt_down: int = 0  # counts the NC's ACKs only; see docs/wire.md
+    keys: SessionKeys = field(init=False, repr=False)  # the context's data-frame keys
+
+    def __post_init__(self) -> None:
+        self.keys = SessionKeys(self.context.dev_addr, self.context.nwk_s_key)
 
 
 class LedgerNode(Replica):
@@ -330,7 +335,7 @@ class LedgerNode(Replica):
         if isinstance(frame, JoinRequest):
             self._js_join(frame, via)
         elif isinstance(frame, DataFrame) and frame.direction == DIR_UP and frame.payload:
-            self._nc_uplink(frame, via)
+            self._nc_uplink(frame, data, via)
         else:
             self.filtered_frames += 1  # includes uplinks with nothing to put on a ledger
 
@@ -385,14 +390,15 @@ class LedgerNode(Replica):
         self.sessions[dev_addr] = session
         return session
 
-    def _nc_uplink(self, frame: DataFrame, via: str) -> None:
+    def _nc_uplink(self, frame: DataFrame, data: bytes, via: str) -> None:
+        """Serve one parsed uplink; ``data`` is its wire form, which the MIC check reads."""
         self.work_units += WU_QUERY
         session = self._session(frame.dev_addr)
         if session is None:
             self.filtered_frames += 1
             return
         self.work_units += WU_MIC
-        if not verify_data_mic(frame, session.context.nwk_s_key):
+        if not verify_data_mic(session.keys, data):
             self.filtered_frames += 1
             return
         if frame.fcnt <= session.last_fcnt_up:
@@ -410,9 +416,7 @@ class LedgerNode(Replica):
     ) -> None:
         """Build, integrity-tag and send one downlink data frame (ACK or application)."""
         self.work_units += WU_PARSE + WU_MIC
-        data = build_data_frame(
-            session.context.nwk_s_key, session.context.dev_addr, fcnt, fport, payload, DIR_DOWN
-        )
+        data = build_data_frame(session.keys, fcnt, fport, payload, DIR_DOWN)
         self._downlink(via, session.device_id, data)
 
 
@@ -612,11 +616,9 @@ class JoinAttempt:
     dev_nonce: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceSession:
-    dev_addr: bytes
-    nwk_s_key: bytes
-    app_s_key: bytes
+    keys: SessionKeys
     fcnt_up: int = 0
     last_fcnt_down: int = -1  # the NC's ACKs
     last_app_fcnt_down: int = -1  # application downlinks
@@ -670,8 +672,12 @@ class EndDevice:
         self.uplink = link
 
     def install_session(self, dev_addr: bytes, nwk_s_key: bytes, app_s_key: bytes) -> None:
-        """Adopt a session from a join accept or from out of band (bootstrap, provisioning)."""
-        self.session = DeviceSession(dev_addr=dev_addr, nwk_s_key=nwk_s_key, app_s_key=app_s_key)
+        """Adopt a session from a join accept or from out of band (bootstrap, provisioning).
+
+        The address and keys are checked here, so a bad one is refused now
+        rather than when the first frame is built.
+        """
+        self.session = DeviceSession(SessionKeys(dev_addr, nwk_s_key, app_s_key))
 
     def self_mint_session(self) -> None:
         """What an outsider does: invent an address and keys nobody vouches for."""
@@ -728,12 +734,8 @@ class EndDevice:
             self.skipped_sends += 1
             return
         plaintext = self.payload_plaintext(session.fcnt_up)
-        ciphertext = encrypt_payload(
-            session.app_s_key, session.dev_addr, session.fcnt_up, DIR_UP, plaintext
-        )
-        data = build_data_frame(
-            session.nwk_s_key, session.dev_addr, session.fcnt_up, APP_FPORT, ciphertext, DIR_UP
-        )
+        ciphertext = encrypt_payload(session.keys, session.fcnt_up, DIR_UP, plaintext)
+        data = build_data_frame(session.keys, session.fcnt_up, APP_FPORT, ciphertext, DIR_UP)
         request_id = self.recorder.issue("uplink", self.device_id, self.engine.now_us)
         timer = self.engine.schedule(
             self.profile.uplink_timeout_us, self.device_id, TimerUplinkTimeout(request_id)
@@ -758,7 +760,7 @@ class EndDevice:
         if isinstance(frame, EncryptedJoinAccept):
             self._on_join_accept(data)
         elif isinstance(frame, DataFrame) and frame.direction == DIR_DOWN:
-            self._on_downlink(frame)
+            self._on_downlink(frame, data)
 
     def _on_join_accept(self, data: bytes) -> None:
         join = self._join
@@ -792,11 +794,12 @@ class EndDevice:
             return
         self.recorder.fail(request_id, self.engine.now_us)
 
-    def _on_downlink(self, frame: DataFrame) -> None:
+    def _on_downlink(self, frame: DataFrame, data: bytes) -> None:
+        """Take one parsed downlink; ``data`` is its wire form, which the MIC check reads."""
         session = self.session
-        if session is None or frame.dev_addr != session.dev_addr:
+        if session is None or frame.dev_addr != session.keys.dev_addr:
             return
-        if not verify_data_mic(frame, session.nwk_s_key):
+        if not verify_data_mic(session.keys, data):
             return
         if len(frame.payload) == 0:
             if frame.fcnt <= session.last_fcnt_down:
@@ -812,9 +815,7 @@ class EndDevice:
         if frame.fcnt <= session.last_app_fcnt_down:
             return
         session.last_app_fcnt_down = frame.fcnt
-        plaintext = decrypt_payload(
-            session.app_s_key, session.dev_addr, frame.fcnt, DIR_DOWN, frame.payload
-        )
+        plaintext = decrypt_payload(session.keys, frame.fcnt, DIR_DOWN, frame.payload)
         self.received_downlinks.append(plaintext)
 
     _HANDLERS = {

@@ -26,7 +26,7 @@ from loraledger.crypto import (
     generate_keypair,
     pk_decrypt,
 )
-from loraledger.frames import DIR_UP, build_data_frame, encrypt_payload
+from loraledger.frames import DIR_UP, SessionKeys, build_data_frame, encrypt_payload
 from loraledger.harness import bootstrap_sessions, build_world, compare_modes, run_experiment
 from loraledger.ledger import (
     ChainIntegrityError,
@@ -316,15 +316,16 @@ def test_criterion_10_security_suite():
     rng = random.Random(8)
     flood = 0
     for i in range(120):  # well-formed frames with corrupted integrity tags
-        ct = encrypt_payload(session.app_s_key, session.dev_addr, 1000 + i, DIR_UP, b"\xaa" * 20)
-        frame = build_data_frame(session.nwk_s_key, session.dev_addr, 1000 + i, 1, ct, DIR_UP)
+        ct = encrypt_payload(session.keys, 1000 + i, DIR_UP, b"\xaa" * 20)
+        frame = build_data_frame(session.keys, 1000 + i, 1, ct, DIR_UP)
         raw = bytearray(frame)
         raw[-1] ^= 0xFF
         engine.send(device.uplink, bytes(raw), len(raw))
         flood += 1
     for i in range(80):  # frames under addresses nobody vouches for
         addr = b"\xff" + struct.pack("<I", i)[:3]
-        raw = build_data_frame(rng.randbytes(16), addr, i, 1, rng.randbytes(20), DIR_UP)
+        keys = SessionKeys(addr, rng.randbytes(16))
+        raw = build_data_frame(keys, i, 1, rng.randbytes(20), DIR_UP)
         engine.send(device.uplink, raw, len(raw))
         flood += 1
     engine.run_until(engine.now_us + 2 * US_PER_S)

@@ -23,7 +23,13 @@ from loraledger.crypto import (
     derive_session_keys,
     generate_keypair,
 )
-from loraledger.frames import DIR_DOWN, build_data_frame, build_join_accept, build_join_request
+from loraledger.frames import (
+    DIR_DOWN,
+    SessionKeys,
+    build_data_frame,
+    build_join_accept,
+    build_join_request,
+)
 from loraledger.harness import (
     bootstrap_sessions,
     build_world,
@@ -123,6 +129,25 @@ def _reference_csv(records: list[RequestRecord]) -> bytes:
     return fh.getvalue().encode("utf-8")
 
 
+def _recorded(ops) -> tuple[MetricsRecorder, list[RequestRecord]]:
+    """A recorder driven by ``ops``, and the list of records it must read back as."""
+    rec = MetricsRecorder()
+    reference: list[RequestRecord] = []
+    for op, kind, device, now_us, pick in ops:
+        if op == "issue":
+            request_id = rec.issue(kind, device, now_us)
+            assert request_id == len(reference)
+            reference.append(RequestRecord(request_id, kind, device, now_us))
+        elif reference:
+            request_id = pick % len(reference)
+            status = "completed" if op == "complete" else "failed"
+            getattr(rec, op)(request_id, now_us)
+            reference[request_id] = replace(
+                reference[request_id], completed_us=now_us, status=status
+            )
+    return rec, reference
+
+
 REQUEST_OPS = st.lists(
     st.tuples(
         st.sampled_from(["issue", "complete", "fail"]),
@@ -139,21 +164,7 @@ REQUEST_OPS = st.lists(
 @given(ops=REQUEST_OPS)
 def test_recorder_reads_back_as_a_list_of_records(ops):
     """The column log reads back, summarizes and writes as a plain list of records."""
-    rec = MetricsRecorder()
-    reference: list[RequestRecord] = []
-    for op, kind, device, now_us, pick in ops:
-        if op == "issue":
-            request_id = rec.issue(kind, device, now_us)
-            assert request_id == len(reference)
-            reference.append(RequestRecord(request_id, kind, device, now_us))
-        elif reference:
-            request_id = pick % len(reference)
-            status = "completed" if op == "complete" else "failed"
-            getattr(rec, op)(request_id, now_us)
-            reference[request_id] = replace(
-                reference[request_id], completed_us=now_us, status=status
-            )
-
+    rec, reference = _recorded(ops)
     records = rec.records
     assert len(records) == len(reference)
     for i in range(-len(reference), len(reference)):
@@ -163,6 +174,33 @@ def test_recorder_reads_back_as_a_list_of_records(ops):
         of_kind = [r for r in reference if r.kind == kind]
         assert rec.by_kind(kind) == of_kind
         assert latency_stats(rec.columns(kind)) == _reference_stats(of_kind)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "requests.csv")
+        write_requests_csv(path, rec)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_csv(reference)
+
+
+# names with every character that makes ``csv.writer`` quote a field
+CSV_NAMES = st.text(st.sampled_from(["a", "7", " ", ",", '"', "\r", "\n", "é"]), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["issue", "issue", "complete", "fail"]),
+            st.one_of(st.sampled_from(["join", "uplink"]), CSV_NAMES),
+            st.one_of(st.sampled_from(["dev0000", "dev0001"]), CSV_NAMES),
+            st.integers(-(2**62), 2**62),
+            st.integers(0, 2**16),
+        ),
+        max_size=40,
+    )
+)
+def test_requests_csv_bytes_are_what_csv_writer_writes(ops):
+    """Rows formatted without ``csv.writer``, in flight, failed and quoted ones too, match it."""
+    rec, reference = _recorded(ops)
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "requests.csv")
         write_requests_csv(path, rec)
@@ -274,9 +312,9 @@ def test_bootstrap_sessions_identical_across_modes():
     bootstrap_sessions(edge)
     bootstrap_sessions(trad)
     for dev_e, dev_t in zip(edge.devices, trad.devices):
-        assert dev_e.session.dev_addr == dev_t.session.dev_addr
-        assert dev_e.session.nwk_s_key == dev_t.session.nwk_s_key
-        assert dev_e.session.app_s_key == dev_t.session.app_s_key
+        assert dev_e.session.keys.dev_addr == dev_t.session.keys.dev_addr
+        assert dev_e.session.keys.nwk_s_key == dev_t.session.keys.nwk_s_key
+        assert dev_e.session.keys.app_s_key == dev_t.session.keys.app_s_key
 
 
 def test_bootstrap_keys_are_drawn_from_unkept_device_streams():
@@ -288,7 +326,7 @@ def test_bootstrap_keys_are_drawn_from_unkept_device_streams():
         boot = Engine(config.seed).stream("bootstrap:%s" % device.device_id)
         dev_nonce, app_nonce = boot.randbytes(2), boot.randbytes(3)
         keys = derive_session_keys(device.app_key, app_nonce, config.net_id, dev_nonce)
-        assert (device.session.nwk_s_key, device.session.app_s_key) == keys
+        assert (device.session.keys.nwk_s_key, device.session.keys.app_s_key) == keys
     assert not [name for name in world.engine._streams if name.startswith("bootstrap:")]
 
 
@@ -300,7 +338,7 @@ def test_bootstrap_respects_authorization_split():
     ledger = world.servers[0].ledgers[KIND_NETWORK]
     assert sum(len(b.txs) for b in ledger.blocks) == 4
     for device in authorized:
-        assert ledger.query_context(device.session.dev_addr) is not None
+        assert ledger.query_context(device.session.keys.dev_addr) is not None
     for device in world.devices:
         if not device.authorized:
             assert device.session is None
@@ -708,7 +746,7 @@ def test_cli_frame_decode(capsys):
     frames = [
         build_join_request(key, b"\x11" * 8, b"\x22" * 8, b"\x01\x02"),
         build_join_accept(key, b"\x01\x02\x03", b"\xaa\xbb\xcc", dev_addr),
-        build_data_frame(key, dev_addr, 3, 1, b"\xab\xcd", DIR_DOWN),
+        build_data_frame(SessionKeys(dev_addr, key), 3, 1, b"\xab\xcd", DIR_DOWN),
     ]
     for raw in frames:
         assert main(["frame", "decode", raw.hex()]) == 0

@@ -17,6 +17,7 @@ from loraledger.consensus import (
     VoteMessage,
     make_vote,
 )
+from loraledger import crypto
 from loraledger.crypto import (
     BadKeyError,
     derive_session_keys,
@@ -29,6 +30,7 @@ from loraledger.frames import (
     DIR_DOWN,
     DIR_UP,
     MAX_FRM_PAYLOAD,
+    SessionKeys,
     build_data_frame,
     build_join_request,
     encrypt_payload,
@@ -88,11 +90,11 @@ def test_edge_join_roundtrip():
 
     assert device.state == "joined"
     assert device.session is not None
-    addr = device.session.dev_addr
+    addr = device.session.keys.dev_addr
     assert addr == format_dev_addr(0, 1)
     assert gw0.joins_accepted == 1
     # the device and the join server independently derived the same network key
-    assert gw0.sessions[addr].context.nwk_s_key == device.session.nwk_s_key
+    assert gw0.sessions[addr].context.nwk_s_key == device.session.keys.nwk_s_key
     record = world.recorder.by_kind("join")[0]
     assert record.status == "completed"
     assert record.latency_us == 800_000  # two fixed 400 ms air hops
@@ -111,9 +113,7 @@ def test_edge_join_roundtrip():
     run_for(world, 4.0)
     uplink = world.recorder.by_kind("uplink")[0]
     assert uplink.status == "completed"
-    expected_ct = encrypt_payload(
-        device.session.app_s_key, addr, 0, DIR_UP, device.payload_plaintext(0)
-    )
+    expected_ct = encrypt_payload(device.session.keys, 0, DIR_UP, device.payload_plaintext(0))
     app = world.servers[0].ledgers[KIND_APPLICATION]
     assert [tx.payload for block in app.blocks for tx in block.txs] == [expected_ct]
 
@@ -159,7 +159,7 @@ def test_edge_join_nonce_replay_filtered():
     device.begin_join()
     run_for(world, 1.0)
     assert device.state == "joined"
-    dev_nonce = gw0.sessions[device.session.dev_addr].context.dev_nonce
+    dev_nonce = gw0.sessions[device.session.keys.dev_addr].context.dev_nonce
     raw = build_join_request(device.app_key, device.app_eui, device.dev_eui, dev_nonce)
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
@@ -177,7 +177,7 @@ def test_traditional_join_roundtrip():
     run_for(world, 2.0)
 
     assert device.state == "joined"
-    assert device.session.dev_addr == format_dev_addr(0, 1)
+    assert device.session.keys.dev_addr == format_dev_addr(0, 1)
     assert srv0.joins_accepted == 1
     assert srv0.work_units == 9
     assert world.gateways[0].work_units == 0  # transparent pipe
@@ -236,7 +236,7 @@ def test_edge_uplink_flow():
     world = app_world()
     device = world.devices[0]
     gw0, srv0, srv1 = world.gateways[0], world.servers[0], world.servers[1]
-    addr = device.session.dev_addr
+    addr = device.session.keys.dev_addr
 
     device.send_uplink()
     run_for(world, 1.0)
@@ -251,9 +251,7 @@ def test_edge_uplink_flow():
     assert record.latency_us == 800_000
 
     run_for(world, 3.0)
-    expected_ct = encrypt_payload(
-        device.session.app_s_key, addr, 0, DIR_UP, device.payload_plaintext(0)
-    )
+    expected_ct = encrypt_payload(device.session.keys, 0, DIR_UP, device.payload_plaintext(0))
     for srv in world.servers:
         app = srv.ledgers[KIND_APPLICATION]
         assert app.height == 1
@@ -281,8 +279,8 @@ def test_edge_uplink_bad_mic_filtered():
     world = app_world()
     device = world.devices[0]
     session = device.session
-    ct = encrypt_payload(session.app_s_key, session.dev_addr, 0, DIR_UP, b"\x00" * 20)
-    raw = bytearray(build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP))
+    ct = encrypt_payload(session.keys, 0, DIR_UP, b"\x00" * 20)
+    raw = bytearray(build_data_frame(session.keys, 0, 1, ct, DIR_UP))
     raw[-1] ^= 0x01
     world.engine.send(device.uplink, bytes(raw), len(raw))
     run_for(world, 1.0)
@@ -298,8 +296,8 @@ def test_edge_uplink_stale_fcnt_filtered():
     device = world.devices[0]
     session = device.session
     device.send_uplink()  # consumes fcnt 0
-    ct = encrypt_payload(session.app_s_key, session.dev_addr, 0, DIR_UP, b"\x11" * 20)
-    raw = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP)
+    ct = encrypt_payload(session.keys, 0, DIR_UP, b"\x11" * 20)
+    raw = build_data_frame(session.keys, 0, 1, ct, DIR_UP)
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     gw0 = world.gateways[0]
@@ -356,7 +354,7 @@ def test_two_acks_settle_both_pending_uplinks():
     assert [r.status for r in records] == ["completed", "completed"]
     assert device._pending_uplinks == {}
     assert device.session.last_fcnt_down == 1
-    assert world.gateways[0].sessions[device.session.dev_addr].next_fcnt_down == 2
+    assert world.gateways[0].sessions[device.session.keys.dev_addr].next_fcnt_down == 2
 
 
 def test_uplink_timeout_marks_failure():
@@ -401,11 +399,11 @@ def test_edge_downlink_payload_only_to_gateway():
     world = app_world()
     device = world.devices[0]
     gw0, srv0 = world.gateways[0], world.servers[0]
-    addr = device.session.dev_addr
+    addr = device.session.keys.dev_addr
     plaintext = b"actuate:\x01\x02"
     fcnt = srv0.reserve_fcnt_down(addr)
     assert fcnt == 0
-    ct = encrypt_payload(device.session.app_s_key, addr, fcnt, DIR_DOWN, plaintext)
+    ct = encrypt_payload(device.session.keys, fcnt, DIR_DOWN, plaintext)
     srv0.downlink(addr, ct, fcnt)
     run_for(world, 1.0)
 
@@ -424,10 +422,10 @@ def test_traditional_downlink_full_frame():
     world = app_world(mode="traditional")
     device = world.devices[0]
     srv0 = world.servers[0]
-    addr = device.session.dev_addr
+    addr = device.session.keys.dev_addr
     plaintext = b"actuate:\x03\x04"
     fcnt = srv0.reserve_fcnt_down(addr)
-    ct = encrypt_payload(device.session.app_s_key, addr, fcnt, DIR_DOWN, plaintext)
+    ct = encrypt_payload(device.session.keys, fcnt, DIR_DOWN, plaintext)
     srv0.downlink(addr, ct, fcnt)
     run_for(world, 1.0)
     assert device.received_downlinks == [plaintext]
@@ -441,13 +439,13 @@ def test_downlink_after_ack_reaches_device(mode):
     world = app_world(mode=mode)
     device = world.devices[0]
     srv0 = world.servers[0]
-    addr = device.session.dev_addr
+    addr = device.session.keys.dev_addr
     device.send_uplink()
     run_for(world, 1.0)
     assert device.session.last_fcnt_down == 0
 
     fcnt = srv0.reserve_fcnt_down(addr)
-    ct = encrypt_payload(device.session.app_s_key, addr, fcnt, DIR_DOWN, b"after-ack")
+    ct = encrypt_payload(device.session.keys, fcnt, DIR_DOWN, b"after-ack")
     srv0.downlink(addr, ct, fcnt)
     run_for(world, 1.0)
     assert device.received_downlinks == [b"after-ack"]
@@ -471,12 +469,13 @@ def test_device_rejects_foreign_stale_and_tampered_downlinks():
     device = world.devices[0]
     session = device.session
     other_addr = b"\x00\x02\x00\x00"
-    stray = build_data_frame(session.nwk_s_key, other_addr, 0, 1, b"\x22" * 8, DIR_DOWN)
+    stray_keys = SessionKeys(other_addr, session.keys.nwk_s_key)
+    stray = build_data_frame(stray_keys, 0, 1, b"\x22" * 8, DIR_DOWN)
     device._on_air_frame(stray)
     assert device.received_downlinks == []
 
-    ct = encrypt_payload(session.app_s_key, session.dev_addr, 3, DIR_DOWN, b"fresh!")
-    good = build_data_frame(session.nwk_s_key, session.dev_addr, 3, 1, ct, DIR_DOWN)
+    ct = encrypt_payload(session.keys, 3, DIR_DOWN, b"fresh!")
+    good = build_data_frame(session.keys, 3, 1, ct, DIR_DOWN)
     device._on_air_frame(good)
     assert device.received_downlinks == [b"fresh!"]
     assert (session.last_app_fcnt_down, session.last_fcnt_down) == (3, -1)
@@ -487,7 +486,7 @@ def test_device_rejects_foreign_stale_and_tampered_downlinks():
     # an ACK below the application counter is still fresh; its replay is not
     device.send_uplink()
     device.send_uplink()
-    ack = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 0, b"", DIR_DOWN)
+    ack = build_data_frame(session.keys, 0, 0, b"", DIR_DOWN)
     device._on_air_frame(ack)
     device._on_air_frame(ack)  # ACK counter replay
     statuses = [r.status for r in world.recorder.by_kind("uplink")]
@@ -589,6 +588,77 @@ def test_malformed_key_handover_raises_at_the_call():
     assert gw1.forwarded_uplinks == 0
 
 
+@pytest.mark.parametrize(
+    "dev_addr, nwk_s_key, app_s_key, error",
+    [
+        (b"\x00\x00\x00\x63", b"short", bytes(16), BadKeyError),
+        (b"\x00\x00\x00\x63", bytes(16), b"short", BadKeyError),
+        (b"\x00\x63", bytes(16), bytes(16), ValueError),
+    ],
+    ids=["nwk-key", "app-key", "addr"],
+)
+def test_a_bad_session_key_is_refused_at_install(dev_addr, nwk_s_key, app_s_key, error):
+    """Refused by ``install_session``, not by the engine when the first uplink is built."""
+    world = build_world(make_config(n_devices=4, n_gateways=1, n_servers=1, seed=3))
+    bootstrap_sessions(world)
+    device = world.devices[0]
+    session = device.session
+    with pytest.raises(error):
+        device.install_session(dev_addr, nwk_s_key, app_s_key)
+    assert device.session is session
+    device.send_uplink()
+    run_for(world, 2.0)
+    assert [r.status for r in world.recorder.by_kind("uplink")] == ["completed"]
+
+
+def test_a_bad_network_session_key_is_refused_when_the_controller_opens_the_session():
+    world = build_world(make_config())
+    device, gw0 = world.devices[0], world.gateways[0]
+    with pytest.raises(ValueError):
+        gw0.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", b"short", gw0.index)
+    assert gw0.sessions == {}
+
+
+def _keyed_cache_calls():
+    return [
+        (info.hits, info.misses)
+        for info in (crypto._cmac_template.cache_info(), crypto._ecb_encryptor.cache_info())
+    ]
+
+
+def test_making_sessions_builds_no_keyed_context():
+    """Opened, installed, provisioned and adopted sessions leave both keyed caches alone.
+
+    A rejoin replaces a session that may never carry a frame; contexts made at
+    install would fill the caches with keys that never tag one.
+    """
+    world = _handover_world()
+    device, abp = world.devices[0], world.devices[2]
+    gw0, gw1, srv0 = world.gateways[0], world.gateways[1], world.servers[0]
+    nwk_s_key, app_s_key = bytes(range(16)), bytes(range(16, 32))
+    before = _keyed_cache_calls()
+
+    context = gw0.open_session(device.dev_eui, b"\x07\x07", b"\x00\x00\x07", nwk_s_key, 0)
+    device.install_session(context.dev_addr, nwk_s_key, app_s_key)
+    abp_context = SessionContext(
+        dev_eui=abp.dev_eui,
+        app_key=abp.app_key,
+        dev_addr=format_dev_addr(0, 77),
+        nwk_s_key=nwk_s_key,
+        dev_nonce=b"\x00\x09",
+        app_nonce=b"\x09\x08\x07",
+    )
+    srv0.abp_provision(abp_context, abp.device_id)
+    abp.install_session(abp_context.dev_addr, nwk_s_key, app_s_key)
+    run_for(world, 3.0)  # both contexts commit
+    gw1.receive_key_handover(gw0.entity_id, gw0.keypair.private_key)
+    assert gw1._session(context.dev_addr) is not None  # adopted from the ledger
+    assert _keyed_cache_calls() == before
+
+    device.send_uplink()  # the first frame keys both contexts
+    assert [calls > old for calls, old in zip(_keyed_cache_calls(), before)] == [True, True]
+
+
 def _handover_world():
     """``app_world`` with dev0000 also wired to gw1, whose key cannot open its context."""
     world = app_world()
@@ -654,7 +724,7 @@ def test_infrastructure_never_holds_app_plaintext_or_key():
     assert world.servers[0].ledgers[KIND_APPLICATION].height == 1
 
     plaintext = device.payload_plaintext(0)
-    app_s_key = device.session.app_s_key
+    app_s_key = device.session.keys.app_s_key
     assert any(app_s_key in blob for blob in _collect_bytes(device))  # scanner works
     for node in world.gateways + world.servers:
         for blob in _collect_bytes(node):
@@ -868,12 +938,12 @@ def test_bootstrap_addresses_are_the_creator_index_slots(mode, experiment):
     for device in authorized:
         gw, ordinal = world.home(device.index)
         expected = format_dev_addr(gw.index, ordinal + 1)
-        assert device.session.dev_addr == expected
+        assert device.session.keys.dev_addr == expected
         join_server = world.join_server(gw)
         session = join_server.sessions[expected]
         assert session.context.dev_eui == device.dev_eui
         assert session.device_id == device.device_id
-        assert session.context.nwk_s_key == device.session.nwk_s_key
+        assert session.context.nwk_s_key == device.session.keys.nwk_s_key
         spent = join_server.registry[device.dev_eui].spent_nonces
         assert session.context.dev_nonce in spent
 
@@ -894,8 +964,8 @@ def test_abp_device_keeps_its_address_when_it_joins():
     device.begin_join()
     run_for(world, 2.0)
     assert device.state == "joined"
-    assert device.session.dev_addr == dev_addr
-    assert srv0.sessions[dev_addr].context.nwk_s_key == device.session.nwk_s_key
+    assert device.session.keys.dev_addr == dev_addr
+    assert srv0.sessions[dev_addr].context.nwk_s_key == device.session.keys.nwk_s_key
 
 
 @pytest.mark.parametrize("mode", ["traditional", "edge"])
@@ -924,8 +994,8 @@ def test_join_skips_an_address_an_abp_device_holds(mode):
     run_for(world, 3.0)
 
     assert joiner.state == "joined"
-    assert joiner.session.dev_addr == format_dev_addr(0, 2)
-    assert join_server.sessions[joiner.session.dev_addr].context.dev_eui == joiner.dev_eui
+    assert joiner.session.keys.dev_addr == format_dev_addr(0, 2)
+    assert join_server.sessions[joiner.session.keys.dev_addr].context.dev_eui == joiner.dev_eui
     assert srv0.sessions[dev_addr].context == context
     for node in world.replicas(KIND_NETWORK):
         entry = node.ledgers[KIND_NETWORK].query_context(dev_addr)
@@ -1098,14 +1168,14 @@ def test_frame_forward_only_from_a_wired_gateway(sender):
     world = app_world(mode="traditional")
     device, srv0 = world.devices[0], world.servers[0]
     session = device.session
-    uplink = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, b"\x01" * 20, DIR_UP)
+    uplink = build_data_frame(session.keys, 0, 1, b"\x01" * 20, DIR_UP)
     join = build_join_request(device.app_key, device.app_eui, device.dev_eui, b"\x07\x07")
     for frame in (uplink, join):
         srv0.handle(FrameForward(gateway_id=sender, frame=frame))
     run_for(world, 1.0)
     assert srv0.filtered_frames == 2
     assert (srv0.work_units, srv0.acks_sent, srv0.joins_accepted) == (0, 0, 0)
-    assert srv0.sessions[session.dev_addr].last_fcnt_up == -1
+    assert srv0.sessions[session.keys.dev_addr].last_fcnt_up == -1
     assert b"\x07\x07" not in srv0.registry[device.dev_eui].spent_nonces  # never spent
     assert world.engine.events_processed == 0
 
@@ -1130,7 +1200,7 @@ def test_gateway_drops_downlink_data_it_cannot_frame(mode, fcnt, payload_len):
     world = app_world(mode=mode)
     device, gw0 = world.devices[0], world.gateways[0]
     payload = b"\x01" * payload_len
-    gw0.handle(DownlinkData(dev_addr=device.session.dev_addr, fcnt=fcnt, payload=payload))
+    gw0.handle(DownlinkData(dev_addr=device.session.keys.dev_addr, fcnt=fcnt, payload=payload))
     run_for(world, 1.0)
     assert device.received_downlinks == []
     assert world.engine.events_processed == 0
@@ -1159,7 +1229,7 @@ def test_server_downlink_rejects_what_no_frame_carries(mode, addr_len, fcnt, pay
     world = app_world(mode=mode)
     device, srv0 = world.devices[0], world.servers[0]
     with pytest.raises(ValueError, match="out of range|exceeds|address must be"):
-        srv0.downlink(device.session.dev_addr[:addr_len], b"\x01" * payload_len, fcnt)
+        srv0.downlink(device.session.keys.dev_addr[:addr_len], b"\x01" * payload_len, fcnt)
     assert srv0.work_units == 0
     assert all(link.bytes_sent == 0 for link in world.engine.links.values())
     run_for(world, 1.0)
@@ -1173,13 +1243,13 @@ def test_uplink_with_an_empty_payload_is_filtered(mode):
     world = app_world(mode=mode)
     device, srv0 = world.devices[0], world.servers[0]
     session = device.session
-    raw = build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, b"", DIR_UP)
+    raw = build_data_frame(session.keys, 0, 1, b"", DIR_UP)
     world.engine.send(device.uplink, raw, len(raw))
-    srv0.handle(UplinkNotice(dev_addr=session.dev_addr, fcnt=0, payload=b""))
+    srv0.handle(UplinkNotice(dev_addr=session.keys.dev_addr, fcnt=0, payload=b""))
     run_for(world, 4.0)
     controller = world.join_server(world.gateways[0])
     assert controller.acks_sent == 0
-    assert controller.sessions[session.dev_addr].last_fcnt_up == -1
+    assert controller.sessions[session.keys.dev_addr].last_fcnt_up == -1
     assert srv0.ingested == 0 and _app_txs(srv0) == []
     assert sum(node.filtered_frames for node in world.gateways + world.servers) == 2
 
@@ -1222,10 +1292,10 @@ def _wire_messages(world) -> dict:
     device, gw0, srv0 = world.devices[0], world.gateways[0], world.servers[0]
     session = device.session
     reading = device.payload_plaintext(0)
-    ct = encrypt_payload(session.app_s_key, session.dev_addr, 0, DIR_UP, reading)
+    ct = encrypt_payload(session.keys, 0, DIR_UP, reading)
     real_frames = [
-        build_data_frame(session.nwk_s_key, session.dev_addr, 0, 1, ct, DIR_UP),
-        build_data_frame(session.nwk_s_key, session.dev_addr, 1, 1, b"", DIR_UP),
+        build_data_frame(session.keys, 0, 1, ct, DIR_UP),
+        build_data_frame(session.keys, 1, 1, b"", DIR_UP),
         build_join_request(device.app_key, device.app_eui, device.dev_eui, b"\x00\x07"),
     ]
     frames = st.sampled_from(real_frames) | st.binary(max_size=300)
@@ -1236,7 +1306,7 @@ def _wire_messages(world) -> dict:
     )
     channels = st.sampled_from([KIND_NETWORK, KIND_APPLICATION, "bogus"])
     addrs = st.sampled_from(
-        [session.dev_addr, format_dev_addr(1, 1), b"\x00\x99\x99\x99", b"\xff" * 4]
+        [session.keys.dev_addr, format_dev_addr(1, 1), b"\x00\x99\x99\x99", b"\xff" * 4]
     )
     fcnts = st.integers(-1, 0x10000)
 
