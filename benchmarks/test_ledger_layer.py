@@ -5,14 +5,24 @@
 Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
 a fast wrong answer does not pass.  Blocks hold 16 network transactions,
 the chain 8 such blocks; the chain whose load fans out holds just over
-``PARALLEL_MIN_SIGNATURES`` transactions.
+``PARALLEL_MIN_SIGNATURES`` transactions.  An application transaction signs
+a 20-byte reading, the default size, through a directory of its own, so its
+verdict memo does not evict the chain's verdicts.
 """
 
+import itertools
 import random
 import struct
 from dataclasses import replace
 
-from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, generate_keypair, hash_bytes
+from loraledger.crypto import (
+    KeyDirectory,
+    ROLE_GATEWAY,
+    ROLE_SERVER,
+    generate_keypair,
+    hash_bytes,
+    verify,
+)
 from loraledger.ledger import (
     DUMP_MAGIC,
     PARALLEL_MIN_SIGNATURES,
@@ -25,6 +35,7 @@ from loraledger.ledger import (
     build_merkle,
     dump_chain,
     load_chain,
+    make_app_tx,
     make_network_tx,
     transaction_from_bytes,
     validate_block,
@@ -157,3 +168,17 @@ def test_load_chain_fanned_out(benchmark):
     # signatures checked on verify_jobs() threads: one without libsodium or a second CPU
     assert len(LONG_CHAIN.blocks) * TXS_PER_BLOCK >= PARALLEL_MIN_SIGNATURES
     _check_load(benchmark(load_chain, LONG_DUMP), LONG_CHAIN)
+
+
+SERVER_KEYPAIR = generate_keypair("srv0", 1)
+READING = bytes(range(20))
+
+
+def test_make_app_tx(benchmark):
+    """One application transaction as a server makes it per verified uplink."""
+    directory = KeyDirectory()
+    directory.add("srv0", SERVER_KEYPAIR.public_key, ROLE_SERVER)
+    timestamps = itertools.count()
+    tx = benchmark(lambda: make_app_tx(directory, SERVER_KEYPAIR, READING, next(timestamps)))
+    assert (tx.requester, tx.payload) == ("srv0", READING)
+    assert verify(SERVER_KEYPAIR.public_key, tx.signed_span(), tx.signature)

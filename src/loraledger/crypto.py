@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from random import Random
@@ -124,6 +125,15 @@ def _signing_public(seed: bytes) -> bytes:
     return _signing_key(seed).public_key().public_bytes_raw()
 
 
+@functools.lru_cache(maxsize=256)
+def _sodium_secret_key(private_key: bytes) -> bytes:
+    """libsodium's 64-byte Ed25519 secret key for a private key bundle: the seed
+    followed by its public key.  Keyed by the bundle, which a ``KeyPair`` holds
+    as one object, so a hit hashes nothing new."""
+    seed, _ = _split_private(private_key)
+    return seed + _signing_public(seed)
+
+
 #: sonames of libsodium tried in order; the first that loads and initialises is used
 _SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so")
 
@@ -131,7 +141,7 @@ _SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so")
 class _Sodium(NamedTuple):
     """libsodium's Ed25519 functions, with their C signatures declared."""
 
-    #: ``sign(seed, message) -> signature``
+    #: ``sign(secret_key, message) -> signature``, with libsodium's 64-byte secret key
     sign: Callable[[bytes, bytes], bytes]
     #: ``accepts(verify_key, message, signature)``: True only if libsodium accepts
     accepts: Callable[[bytes, bytes, bytes], bool]
@@ -150,11 +160,11 @@ def _sodium() -> _Sodium | None:
     from ctypes import (
         CDLL,
         ArgumentError,
+        c_char,
         c_char_p,
         c_int,
         c_ulonglong,
         c_void_p,
-        create_string_buffer,
     )
 
     for soname in _SODIUM_SONAMES:
@@ -176,12 +186,15 @@ def _sodium() -> _Sodium | None:
     verify_detached.argtypes = [c_char_p, c_char_p, c_ulonglong, c_char_p]
     verify_detached.restype = c_int
 
-    def signer(seed: bytes, message: bytes) -> bytes:
+    # a fresh buffer per call: ``load_chain`` runs ``verify`` on threads, so
+    # nothing here may be shared between calls
+    signature_buffer = c_char * SIGNATURE_LEN
+
+    def signer(secret_key: bytes, message: bytes) -> bytes:
         # ctypes takes only ``bytes``; ``cryptography`` signs any bytes-like message
-        message = memoryview(message).tobytes()
-        signature = create_string_buffer(SIGNATURE_LEN)
-        # libsodium's 64-byte secret key is the seed followed by its public key
-        secret_key = seed + _signing_public(seed)
+        if type(message) is not bytes:
+            message = memoryview(message).tobytes()
+        signature = signature_buffer()
         if sign_detached(signature, None, message, len(message), secret_key) != 0:
             raise CryptoError("libsodium failed to sign")
         return signature.raw
@@ -210,12 +223,14 @@ def sign(private_key: bytes, message: bytes) -> bytes:
     Signs with libsodium's ``crypto_sign_detached`` where the library loads
     (the faster of the two), else with ``cryptography``.  Both implement RFC
     8032's deterministic Ed25519, so the bytes are the same either way.
+    libsodium's secret key is built once per private key, so a signature
+    there is one C call.
     """
-    seed, _ = _split_private(private_key)
     sodium = _sodium()
     if sodium is None:
+        seed, _ = _split_private(private_key)
         return _signing_key(seed).sign(message)
-    return sodium.sign(seed, message)
+    return sodium.sign(_sodium_secret_key(private_key), message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -427,8 +442,9 @@ class KeyDirectory:
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[bytes, str]] = {}
-        self._verdicts: dict[tuple[str, bytes, bytes], bool] = {}
+        self._verdicts: OrderedDict[tuple[str, bytes, bytes], bool] = OrderedDict()
         self._settled: dict[tuple[str, bytes, bytes], bool] = {}
+        self._signers: dict[str, bytes] = {}  # entity -> its private key, once seen to sign here
 
     def add(self, entity_id: str, public_key: bytes, role: str) -> None:
         """Register an entity; refuses a malformed or small-order key, an unknown
@@ -476,19 +492,36 @@ class KeyDirectory:
         Ed25519 is deterministic and a signature always verifies under the
         public key of the seed that made it (RFC 8032), so a signature made
         here with the entity's registered key needs no verify in this world.
-        Any other signature is left for ``verify`` to check.
+        Any other signature is left for ``verify`` to check.  Whether a
+        private key is the registered one is worked out once per entity: a
+        key found to match is kept in ``_signers``, and a later signature
+        with that same key skips the check.  A key that does not match is
+        checked again on every signature and never kept, so a key signs as
+        its entity's once it is registered, and a foreign key never does.
         """
-        signature = sign(keypair.private_key, message)
-        entry = self._entries.get(keypair.entity_id)
-        seed, _ = _split_private(keypair.private_key)
-        if entry is not None and _signing_public(seed) == _split_public(entry[0])[0]:
-            self._remember((keypair.entity_id, message, signature), True)
+        entity_id, private_key = keypair.entity_id, keypair.private_key
+        signature = sign(private_key, message)
+        if self._signers.get(entity_id) == private_key or self._is_registered_key(
+            entity_id, private_key
+        ):
+            self._remember((entity_id, message, signature), True)
         return signature
+
+    def _is_registered_key(self, entity_id: str, private_key: bytes) -> bool:
+        """Whether ``private_key``'s seed makes the entity's registered verify key;
+        a match is kept in ``_signers``, and registrations are final, so it never goes stale."""
+        entry = self._entries.get(entity_id)
+        seed, _ = _split_private(private_key)
+        if entry is None or _signing_public(seed) != _split_public(entry[0])[0]:
+            return False
+        self._signers[entity_id] = private_key
+        return True
 
     def _remember(self, memo_key: tuple[str, bytes, bytes], verdict: bool) -> None:
         verdicts = self._verdicts
         if memo_key not in verdicts and len(verdicts) >= VERDICT_MEMO_SIZE:
-            del verdicts[next(iter(verdicts))]
+            # O(1): a plain dict would scan past every slot freed at its front
+            verdicts.popitem(last=False)
         verdicts[memo_key] = verdict
 
     def public_key(self, entity_id: str) -> bytes:

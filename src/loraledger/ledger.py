@@ -214,12 +214,8 @@ def transaction_from_bytes(data: bytes) -> Transaction:
 def _signed_tx(
     directory: KeyDirectory, keypair, timestamp_ms: int, payload: bytes
 ) -> Transaction:
-    return Transaction(
-        requester=keypair.entity_id,
-        signature=directory.sign(keypair, _signed_span(timestamp_ms, payload)),
-        timestamp_ms=timestamp_ms,
-        payload=payload,
-    )
+    signature = directory.sign(keypair, _signed_span(timestamp_ms, payload))
+    return Transaction(keypair.entity_id, signature, timestamp_ms, payload)
 
 
 def make_network_tx(

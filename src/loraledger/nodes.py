@@ -165,9 +165,10 @@ class TimerJoinTimeout:
     pass
 
 
-@dataclass(frozen=True)
-class TimerUplinkTimeout:
-    request_id: int
+class TimerUplinkTimeout(int):
+    """An uplink's ACK timer: the uplink's request id, as a type of its own."""
+
+    __slots__ = ()
 
 
 def format_dev_addr(prefix: int, counter: int) -> bytes:
@@ -279,12 +280,15 @@ class LedgerNode(Replica):
         """A registered device's address: the one it has, else the prefix's next free slot."""
         registration = self.registry[dev_eui]
         if registration.dev_addr is None:
-            counter = self._addr_counters.get(prefix, 0) + 1
-            while not self._address_free(format_dev_addr(prefix, counter)):
-                counter += 1  # an ABP device holds this one
-            registration.dev_addr = format_dev_addr(prefix, counter)
-            self._addr_counters[prefix] = counter
+            registration.dev_addr, self._addr_counters[prefix] = self._next_free_address(prefix)
         return registration.dev_addr
+
+    def _next_free_address(self, prefix: int) -> tuple[bytes, int]:
+        """The prefix's next free address and its counter, claiming neither."""
+        counter = self._addr_counters.get(prefix, 0) + 1
+        while not self._address_free(format_dev_addr(prefix, counter)):
+            counter += 1  # an ABP device holds this one
+        return format_dev_addr(prefix, counter), counter
 
     def _address_free(self, dev_addr: bytes) -> bool:
         """No session here and no context on this node's network ledger use ``dev_addr``."""
@@ -298,18 +302,27 @@ class LedgerNode(Replica):
     def open_session(
         self, dev_eui: bytes, dev_nonce: bytes, app_nonce: bytes, nwk_s_key: bytes, prefix: int
     ) -> SessionContext:
-        """Spend a registered device's DevNonce, address it and serve its new session."""
+        """Spend a registered device's DevNonce, address it and serve its new session.
+
+        The context checks every field before anything is spent, so a refused
+        call leaves the nonce unspent and no address assigned.
+        """
         registration = self.registry[dev_eui]
-        registration.spent_nonces.add(dev_nonce)
+        dev_addr, counter = registration.dev_addr, None
+        if dev_addr is None:
+            dev_addr, counter = self._next_free_address(prefix)
         context = SessionContext(
             dev_eui=dev_eui,
             app_key=registration.app_key,
-            dev_addr=self.assign_address(dev_eui, prefix),
+            dev_addr=dev_addr,
             nwk_s_key=nwk_s_key,
             dev_nonce=dev_nonce,
             app_nonce=app_nonce,
         )
-        self.sessions[context.dev_addr] = NcSession(context, registration.device_id)
+        registration.spent_nonces.add(dev_nonce)
+        if counter is not None:
+            registration.dev_addr, self._addr_counters[prefix] = dev_addr, counter
+        self.sessions[dev_addr] = NcSession(context, registration.device_id)
         return context
 
     def receive_key_handover(self, entity_id: str, private_key: bytes) -> None:
@@ -482,10 +495,13 @@ class Gateway(LedgerNode):
         if session is not None and framable:
             self._send_data_down(self.entity_id, session, msg.fcnt, APP_FPORT, msg.payload)
 
+    def _on_downlink_frame_forward(self, msg: DownlinkFrameForward) -> None:
+        self._transmit(msg.device_id, msg.frame)
+
     _HANDLERS = {
         bytes: _on_air_frame,
         DownlinkData: _on_downlink_data,
-        DownlinkFrameForward: lambda gateway, msg: gateway._transmit(msg.device_id, msg.frame),
+        DownlinkFrameForward: _on_downlink_frame_forward,
         **Replica._HANDLERS,
     }
 
@@ -588,6 +604,9 @@ class NetworkServer(LedgerNode):
 BEHAVIOR_JOIN_LOOP = "join-loop"
 BEHAVIOR_UPLINK_LOOP = "uplink-loop"
 
+#: the head of a device's reading: device index (u32) and frame counter (u16)
+_READING_HEAD = struct.Struct("<IH")
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -646,6 +665,12 @@ class EndDevice:
         self.app_key = app_key
         self.engine = engine
         self.profile = profile
+        # the profile is frozen: what its events read of it is read once, here
+        self._interval_lo_us = profile.interval_lo_us
+        self._interval_stop_us = profile.interval_hi_us + 1
+        self._uplink_timeout_us = profile.uplink_timeout_us
+        self._uplink_loop = profile.behavior == BEHAVIOR_UPLINK_LOOP
+        self._filler = b"\xa5" * (profile.payload_bytes - _READING_HEAD.size)
         self.recorder = recorder
         self.authorized = authorized
         self.rng = engine.stream("device:%s" % device_id)
@@ -690,18 +715,18 @@ class EndDevice:
     # -- behavior --
 
     def _draw_interval_us(self) -> int:
-        return self.rng.randrange(self.profile.interval_lo_us, self.profile.interval_hi_us + 1)
+        return self.rng.randrange(self._interval_lo_us, self._interval_stop_us)
 
     handle = _dispatch
 
-    def _next_action(self) -> None:
+    def _on_next_action(self, _timer: TimerNextAction) -> None:
         if self.muted:
             return
-        if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
-            self.begin_join()
-        elif self.profile.behavior == BEHAVIOR_UPLINK_LOOP:
+        if self._uplink_loop:
             self.send_uplink()
             self.engine.schedule(self._draw_interval_us(), self.device_id, _NEXT_ACTION)
+        else:
+            self.begin_join()
 
     def _fresh_dev_nonce(self) -> bytes:
         while True:
@@ -726,29 +751,23 @@ class EndDevice:
         self.engine.send(self.uplink, data, len(data))
 
     def send_uplink(self) -> None:
-        if self.session is None or self.uplink is None:
-            self.skipped_sends += 1
-            return
         session = self.session
-        if session.fcnt_up > MAX_FCNT:
+        if session is None or self.uplink is None or session.fcnt_up > MAX_FCNT:
             self.skipped_sends += 1
             return
-        plaintext = self.payload_plaintext(session.fcnt_up)
-        ciphertext = encrypt_payload(session.keys, session.fcnt_up, DIR_UP, plaintext)
-        data = build_data_frame(session.keys, session.fcnt_up, APP_FPORT, ciphertext, DIR_UP)
-        request_id = self.recorder.issue("uplink", self.device_id, self.engine.now_us)
-        timer = self.engine.schedule(
-            self.profile.uplink_timeout_us, self.device_id, TimerUplinkTimeout(request_id)
+        fcnt, keys, engine = session.fcnt_up, session.keys, self.engine
+        ciphertext = encrypt_payload(keys, fcnt, DIR_UP, self.payload_plaintext(fcnt))
+        data = build_data_frame(keys, fcnt, APP_FPORT, ciphertext, DIR_UP)
+        request_id = self.recorder.issue("uplink", self.device_id, engine.now_us)
+        self._pending_uplinks[request_id] = engine.schedule(
+            self._uplink_timeout_us, self.device_id, TimerUplinkTimeout(request_id)
         )
-        self._pending_uplinks[request_id] = timer
-        session.fcnt_up += 1
-        self.engine.send(self.uplink, data, len(data))
+        session.fcnt_up = fcnt + 1
+        engine.send(self.uplink, data, len(data))
 
     def payload_plaintext(self, fcnt: int) -> bytes:
         """Deterministic reading: device index, counter, fixed filler."""
-        head = struct.pack("<IH", self.index, fcnt & 0xFFFF)
-        filler_len = self.profile.payload_bytes - len(head)
-        return head + b"\xa5" * filler_len
+        return _READING_HEAD.pack(self.index, fcnt & 0xFFFF) + self._filler
 
     # -- frame handling --
 
@@ -777,22 +796,20 @@ class EndDevice:
         self._join = None
         self.engine.cancel(join.timer)
         self.recorder.complete(join.request_id, self.engine.now_us)
-        if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
+        if not self._uplink_loop:
             self.engine.schedule(self._draw_interval_us(), self.device_id, _NEXT_ACTION)
 
-    def _on_join_timeout(self) -> None:
+    def _on_join_timeout(self, _timer: TimerJoinTimeout) -> None:
         # an accepted join cancels its timer and no join opens while one is
         # open, so the timer that fires is the open attempt's
         join, self._join = self._join, None
         self.recorder.fail(join.request_id, self.engine.now_us)
-        if self.profile.behavior == BEHAVIOR_JOIN_LOOP:
+        if not self._uplink_loop:
             self.engine.schedule(self._draw_interval_us(), self.device_id, _NEXT_ACTION)
 
-    def _on_uplink_timeout(self, request_id: int) -> None:
-        timer = self._pending_uplinks.pop(request_id, None)
-        if timer is None:
-            return
-        self.recorder.fail(request_id, self.engine.now_us)
+    def _on_uplink_timeout(self, request_id: TimerUplinkTimeout) -> None:
+        if self._pending_uplinks.pop(request_id, None) is not None:
+            self.recorder.fail(request_id, self.engine.now_us)
 
     def _on_downlink(self, frame: DataFrame, data: bytes) -> None:
         """Take one parsed downlink; ``data`` is its wire form, which the MIC check reads."""
@@ -820,7 +837,7 @@ class EndDevice:
 
     _HANDLERS = {
         bytes: _on_air_frame,
-        TimerNextAction: lambda device, _: device._next_action(),
-        TimerJoinTimeout: lambda device, _: device._on_join_timeout(),
-        TimerUplinkTimeout: lambda device, timer: device._on_uplink_timeout(timer.request_id),
+        TimerNextAction: _on_next_action,
+        TimerJoinTimeout: _on_join_timeout,
+        TimerUplinkTimeout: _on_uplink_timeout,
     }

@@ -38,6 +38,9 @@ from loraledger.crypto import (
     sign,
     verify,
 )
+from loraledger.harness import compare_modes
+from loraledger.scenario import build_config
+from test_golden import CASES, GOLDEN, artifact_digest
 
 # Frozen expected values, computed with a standalone oracle: raw AES-ECB plus
 # a hand-written RFC 4493 CMAC, itself checked against the published RFC
@@ -217,6 +220,20 @@ def test_sign_raises_rather_than_return_a_failed_libsodium_signature(reload_sodi
     reload_sodium(load)
     with pytest.raises(CryptoError):
         sign(generate_keypair("gw0", 1).private_key, b"hello")
+
+
+@pytest.mark.parametrize("case", ["exp2-pbft", "exp3"])
+def test_golden_digests_are_the_same_when_cryptography_signs(reload_sodium, case, tmp_path):
+    """Both signers give the same bytes end to end.
+
+    With no libsodium loading, ``cryptography`` makes every signature (the
+    PBFT case signs votes too), and both modes' artifacts still hash to the
+    pinned golden digest.
+    """
+    reload_sodium(_not_found)
+    assert not crypto.uses_libsodium()
+    compare_modes(build_config(flag_overrides=CASES[case])).emit(str(tmp_path))
+    assert artifact_digest(tmp_path) == GOLDEN[case]
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +591,14 @@ SIGN_CASES = (
     "tampered",
     "bit-flipped",
     "re-attributed",
+    "honest-then-re-attributed",
+    "re-attributed-then-honest",
     "unregistered",
+    "signed-again-once-registered",
     "second-directory",
 )
+#: cases whose checked signature was made here with the registered key
+SPARED_CASES = ("honest", "signed-again-once-registered")
 
 
 @settings(max_examples=80, deadline=None)
@@ -593,18 +615,28 @@ def test_only_signatures_made_here_with_the_registered_key_skip_verify(
 
     An honest signature verifies with no Ed25519 call.  Any other signature
     gets the verdict ``crypto.verify`` gives it, at the cost of one call.
+    The directory decides once per entity whether a key is the registered
+    one; a foreign key signing for the entity, before or after its own key
+    did, is never taken for it, and a key that signed before it was
+    registered signs as its entity's afterwards.
     """
     directory = _world_directory()
     keypair, entity_id = generate_keypair(signer, 1), signer
-    if case == "re-attributed":
+    if "re-attributed" in case:
         entity_id = "srv0" if signer == "gw0" else "gw0"
         pretender = generate_keypair(entity_id, 1)
         keypair = KeyPair(entity_id, pretender.public_key, keypair.private_key)
+        if case == "honest-then-re-attributed":
+            directory.sign(pretender, message)  # the entity's own key signs first
         signature = directory.sign(keypair, message)
-    elif case == "unregistered":
+        if case == "re-attributed-then-honest":
+            directory.sign(pretender, message)
+    elif case in ("unregistered", "signed-again-once-registered"):
         keypair, entity_id = generate_keypair("gw9", 1), "gw9"
         signature = directory.sign(keypair, message)
         directory.add("gw9", keypair.public_key, ROLE_GATEWAY)  # registered only afterwards
+        if case == "signed-again-once-registered":
+            assert directory.sign(keypair, message) == signature  # deterministic
     elif case == "second-directory":
         signature = _world_directory().sign(keypair, message)
     else:
@@ -626,8 +658,8 @@ def test_only_signatures_made_here_with_the_registered_key_skip_verify(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crypto, "verify", counting_verify)
         assert directory.verify(entity_id, message, signature) is expected
-    assert len(calls) == (0 if case == "honest" else 1)
-    assert expected is (case in ("honest", "unregistered", "second-directory"))
+    assert len(calls) == (0 if case in SPARED_CASES else 1)
+    assert expected is (case in SPARED_CASES + ("unregistered", "second-directory"))
 
 
 # ---------------------------------------------------------------------------

@@ -49,15 +49,19 @@ from loraledger.ledger import (
     make_app_tx,
     make_network_tx,
 )
+from loraledger.metrics import MetricsRecorder
 from loraledger.nodes import (
+    BEHAVIOR_UPLINK_LOOP,
+    DeviceProfile,
     DownlinkData,
     DownlinkFrameForward,
+    EndDevice,
     FrameForward,
     UplinkNotice,
     format_dev_addr,
 )
 from loraledger.scenario import ConfigError, build_config
-from loraledger.simnet import US_PER_S, Engine
+from loraledger.simnet import LINK_CLASS_AIR, US_PER_S, Engine, LatencyModel
 
 
 def make_config(**overrides):
@@ -367,6 +371,65 @@ def test_uplink_timeout_marks_failure():
     assert record.latency_us == 30 * US_PER_S
 
 
+class EndLog(MetricsRecorder):
+    """A recorder that also logs each end of a request: (request id, status, time)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ends: list[tuple[int, str, int]] = []
+
+    def complete(self, request_id: int, now_us: int) -> None:
+        self.ends.append((request_id, "completed", now_us))
+        super().complete(request_id, now_us)
+
+    def fail(self, request_id: int, now_us: int) -> None:
+        self.ends.append((request_id, "failed", now_us))
+        super().fail(request_id, now_us)
+
+
+UPLINK_TIMEOUT_US = 3 * US_PER_S
+_ack_delays = st.none() | st.integers(0, 2 * UPLINK_TIMEOUT_US) | st.integers(-2, 2).map(
+    lambda offset: UPLINK_TIMEOUT_US + offset
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(uplinks=st.lists(st.tuples(_ack_delays, st.integers(0, 5)), min_size=1, max_size=6))
+def test_each_uplink_ends_once_at_its_ack_or_at_its_deadline(uplinks):
+    """One device on a bare engine; the controller's ACK is handed in after a drawn delay
+    (None: lost), the next uplink goes out ``gap`` microseconds after the last one ended.
+
+    An uplink completes when an ACK lands before its deadline, and fails at
+    issue time plus the timeout otherwise: at the deadline microsecond the
+    timer, armed first, wins.  Each ends exactly once.
+    """
+    engine, recorder = Engine(1), EndLog()
+    engine.register("gw0", lambda payload: None)
+    profile = DeviceProfile(BEHAVIOR_UPLINK_LOOP, US_PER_S, US_PER_S, US_PER_S, UPLINK_TIMEOUT_US)
+    device = EndDevice("dev0", 0, bytes(8), bytes(8), bytes(16), engine, profile, recorder)
+    device.attach_uplink(
+        engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, LatencyModel.fixed(1))
+    )
+    dev_addr, nwk_s_key = format_dev_addr(0, 1), bytes(range(16))
+    device.install_session(dev_addr, nwk_s_key, bytes(range(16, 32)))
+    controller = SessionKeys(dev_addr, nwk_s_key)
+    expected = []
+    for fcnt_down, (ack_delay_us, gap_us) in enumerate(uplinks):
+        issued_us = engine.now_us
+        device.send_uplink()
+        if ack_delay_us is not None:
+            ack = build_data_frame(controller, fcnt_down, 0, b"", DIR_DOWN)
+            engine.schedule(ack_delay_us, "dev0", ack)
+        if ack_delay_us is not None and ack_delay_us < UPLINK_TIMEOUT_US:
+            expected.append((fcnt_down, "completed", issued_us + ack_delay_us))
+        else:
+            expected.append((fcnt_down, "failed", issued_us + UPLINK_TIMEOUT_US))
+        engine.run_until(issued_us + max(ack_delay_us or 0, UPLINK_TIMEOUT_US) + gap_us)
+    assert recorder.ends == expected
+    assert device._pending_uplinks == {}
+    assert device.session.fcnt_up == len(uplinks)
+
+
 def test_device_stops_at_counter_exhaustion():
     world = app_world()
     device = world.devices[0]
@@ -612,11 +675,22 @@ def test_a_bad_session_key_is_refused_at_install(dev_addr, nwk_s_key, app_s_key,
 
 
 def test_a_bad_network_session_key_is_refused_when_the_controller_opens_the_session():
+    """``SessionContext`` checks the fields before the DevNonce is spent or an address
+    claimed, so the same join can still open the session, at the first address."""
     world = build_world(make_config())
     device, gw0 = world.devices[0], world.gateways[0]
+    registration = gw0.registry[device.dev_eui]
+    counters = dict(gw0._addr_counters)
     with pytest.raises(ValueError):
         gw0.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", b"short", gw0.index)
     assert gw0.sessions == {}
+    assert registration.spent_nonces == set()
+    assert registration.dev_addr is None
+    assert gw0._addr_counters == counters
+    context = gw0.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", bytes(16), 0)
+    assert context.dev_addr == format_dev_addr(0, counters.get(0, 0) + 1)
+    assert registration.spent_nonces == {b"\x00\x01"}
+    assert gw0._addr_counters[0] == counters.get(0, 0) + 1
 
 
 def _keyed_cache_calls():
