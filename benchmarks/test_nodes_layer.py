@@ -9,11 +9,30 @@ encrypts, frames and sends a 20-byte reading and arms its ACK timer, then
 the device handles the network controller's ACK, which completes the
 request and cancels the timer.  The ACKs are built ahead of the timed body,
 and nothing runs the engine, so no other node's work is timed.
+
+The join cycle is one over-the-air join through an edge gateway on a bare
+engine, both sides timed: ``begin_join`` builds and sends the request, the
+gateway's join server checks it, opens the session, seals and signs its
+context for the network ledger and sends the accept, and the device opens
+the accept and installs the session.  The gateway is the network ledger's
+only maintainer and its solo orderer, so every ``BATCH`` joins cut a block
+that it validates and appends; the engine runs only long enough to deliver
+the two frames of each round.
 """
 
+from loraledger.consensus import BatchConfig, ConsensusConfig
+from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, generate_keypair
 from loraledger.frames import DIR_DOWN, SessionKeys, build_data_frame
+from loraledger.ledger import KIND_APPLICATION, KIND_NETWORK
 from loraledger.metrics import MetricsRecorder
-from loraledger.nodes import BEHAVIOR_UPLINK_LOOP, DeviceProfile, EndDevice
+from loraledger.nodes import (
+    BEHAVIOR_UPLINK_LOOP,
+    MODE_EDGE,
+    DeviceProfile,
+    EndDevice,
+    Gateway,
+    format_dev_addr,
+)
 from loraledger.simnet import LINK_CLASS_AIR, Engine, LatencyModel, US_PER_S
 
 DEV_ADDR = bytes.fromhex("01000001")
@@ -54,3 +73,56 @@ def test_device_uplink_cycle(benchmark):
     assert device.session.fcnt_up == CYCLES
     assert device.engine.links["dev0->gw0"].delivered_msgs == CYCLES
     assert len(device.engine._cancelled) == CYCLES  # every ACK cancelled its timer
+
+
+JOINS = 64
+BATCH = 8
+DEV_EUI = bytes(range(1, 9))
+APP_KEY = bytes(range(32, 48))
+
+
+def _join_world():
+    engine = Engine(1)
+    directory = KeyDirectory()
+    keypair = generate_keypair("gw0", 1)
+    directory.add("gw0", keypair.public_key, ROLE_GATEWAY)
+    consensus = ConsensusConfig(
+        mode="solo",
+        p=0,
+        batch=BatchConfig(max_message_count=BATCH),
+        orderer_hosts={KIND_NETWORK: "gw0", KIND_APPLICATION: "gw0"},
+        maintainers={KIND_NETWORK: ("gw0",), KIND_APPLICATION: ()},
+    )
+    gateway = Gateway(
+        "gw0", 0, MODE_EDGE, keypair, engine, directory, consensus, net_id=b"\x00\x00\x13"
+    )
+    device = EndDevice("dev0", 0, DEV_EUI, bytes(8), APP_KEY, engine, PROFILE, MetricsRecorder())
+    air = LatencyModel.fixed(1)
+    device.attach_uplink(engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, air))
+    gateway.add_coverage(
+        DEV_EUI, "dev0", engine.add_link("gw0->dev0", "gw0", "dev0", LINK_CLASS_AIR, air)
+    )
+    gateway.register_device(DEV_EUI, APP_KEY, "dev0")
+    return (device, gateway), {}
+
+
+def join_cycles(device: EndDevice, gateway: Gateway):
+    engine = device.engine
+    for _ in range(JOINS):
+        device.begin_join()
+        engine.run_until(engine.now_us + 2)  # the request's hop, then the accept's
+    return device, gateway
+
+
+def test_join_cycle(benchmark):
+    device, gateway = benchmark.pedantic(join_cycles, setup=_join_world, rounds=10)
+    statuses = [record.status for record in device.recorder.by_kind("join")]
+    assert statuses == ["completed"] * JOINS
+    assert device.state == "joined"
+    # the join server keeps a device's address across rejoins
+    assert device.session.keys.dev_addr == format_dev_addr(0, 1)
+    assert gateway.joins_accepted == JOINS
+    assert gateway.sessions[format_dev_addr(0, 1)].keys.nwk_s_key == device.session.keys.nwk_s_key
+    network = gateway.ledgers[KIND_NETWORK]
+    assert network.height == JOINS // BATCH
+    assert network.query_context(format_dev_addr(0, 1)).zeta == JOINS // BATCH - 1

@@ -369,10 +369,12 @@ class Replica:
             except InvalidBlockError:
                 self.invalid_blocks += 1
                 return
-            # a failed round's proposal for this height can never commit now
-            for digest, proposal in list(channel.proposals.items()):
-                if proposal.zeta < ledger.height:
-                    del channel.proposals[digest]
+            # a failed round's proposal for this height can never commit now;
+            # solo ordering never holds one
+            if channel.proposals:
+                for digest, proposal in list(channel.proposals.items()):
+                    if proposal.zeta < ledger.height:
+                        del channel.proposals[digest]
             block = channel.early.pop(ledger.height, None)
 
     def _settle_round(self, channel: Channel) -> None:

@@ -265,7 +265,7 @@ def build_merkle(leaves: list[bytes]) -> bytes:
     return row[0]
 
 
-# not slotted: block_hash and validate_block keep their memos in its __dict__
+# not slotted: block_hash, validate_block and append_block keep their memos in its __dict__
 @dataclass(frozen=True)
 class Block:
     """<index, header, body>: header = <timestamp, merkle_root, prev_hash>."""
@@ -438,6 +438,32 @@ class WorldEntry:
     zeta: int
 
 
+def _world_entries(block: Block) -> tuple[tuple[bytes, WorldEntry], ...]:
+    """The ``(dev_addr, WorldEntry)`` pairs an accepted network block indexes, in tx order.
+
+    Built on the block's first append and kept on it, as ``block_hash``
+    keeps its digest, so every replica that appends the block shares the
+    same frozen entries.  Only a block that passed ``validate_block`` on a
+    network ledger gets here, so every payload has ``context_metadata``.
+    """
+    entries = block.__dict__.get("_world_entries")
+    if entries is None:
+        entries = tuple(
+            (
+                context_metadata(tx.payload)[0],
+                WorldEntry(
+                    requester=tx.requester,
+                    envelope=tx.payload,
+                    timestamp_ms=tx.timestamp_ms,
+                    zeta=block.zeta,
+                ),
+            )
+            for tx in block.txs
+        )
+        object.__setattr__(block, "_world_entries", entries)
+    return entries
+
+
 class Ledger:
     """One replica's copy of a chain plus, for the network kind, world state."""
 
@@ -473,14 +499,7 @@ class Ledger:
             raise InvalidBlockError("block %d rejected at height %d" % (block.zeta, self.height))
         self.blocks.append(block)
         if self.kind == KIND_NETWORK:
-            for tx in block.txs:
-                dev_addr, _ = context_metadata(tx.payload)
-                self.world_state[dev_addr] = WorldEntry(
-                    requester=tx.requester,
-                    envelope=tx.payload,
-                    timestamp_ms=tx.timestamp_ms,
-                    zeta=block.zeta,
-                )
+            self.world_state.update(_world_entries(block))
 
     def query_context(self, dev_addr: bytes) -> WorldEntry | None:
         """Latest committed entry for a device address; None signals unknown."""

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from .consensus import Channel, ConsensusConfig, Replica
 from .crypto import (
     KEY_LEN,
+    SYM_KEY_LEN,
     BadKeyError,
     DecryptionError,
     KeyDirectory,
@@ -180,6 +181,12 @@ def format_dev_addr(prefix: int, counter: int) -> bytes:
     return bytes([prefix]) + struct.pack("<I", counter)[:3]
 
 
+def _check_root_key(app_key: bytes) -> None:
+    """Refuse a device root key that no join could use, when it is set, not at the first join."""
+    if len(app_key) != SYM_KEY_LEN:
+        raise BadKeyError("root key must be %d bytes" % SYM_KEY_LEN)
+
+
 def _dispatch(node, payload) -> None:
     """Run the handler that ``node``'s class maps the payload's type to."""
     handler = node._HANDLERS.get(type(payload))
@@ -274,6 +281,7 @@ class LedgerNode(Replica):
     # -- join server and network controller --
 
     def register_device(self, dev_eui: bytes, app_key: bytes, device_id: str) -> None:
+        _check_root_key(app_key)
         self.registry[dev_eui] = Registration(app_key, device_id)
 
     def assign_address(self, dev_eui: bytes, prefix: int) -> bytes:
@@ -658,6 +666,7 @@ class EndDevice:
         recorder,
         authorized: bool = True,
     ) -> None:
+        _check_root_key(app_key)
         self.device_id = device_id
         self.index = index
         self.dev_eui = dev_eui

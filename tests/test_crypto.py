@@ -27,6 +27,7 @@ from loraledger.crypto import (
     UnknownEntityError,
     VERDICT_MEMO_SIZE,
     aes128_decrypt_block,
+    aes128_encrypt_block,
     aes128_encrypt_blocks,
     derive_session_keys,
     envelope_aad,
@@ -711,7 +712,32 @@ def test_keyed_ciphers_match_a_fresh_object_per_call(calls):
             assert aes128_decrypt_block(key, block) == _reference_ecb(key, block, True)
 
 
+# blocks drawn again and again, so a context that chained one call into the next shows
+BLOCK_POOL = [hash_bytes(b"block %d" % n)[:16] for n in range(3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(KEY_POOL) | st.binary(min_size=16, max_size=16),
+            st.sampled_from(BLOCK_POOL) | st.binary(min_size=16, max_size=16),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+)
+def test_cached_decryptor_matches_a_fresh_context_and_inverts_encryption(calls):
+    """Root-key decryption through the cached context, over interleaved keys and
+    repeated blocks, gives what a fresh context gives and undoes the block encryption."""
+    for key, block in calls:
+        plain = aes128_decrypt_block(key, block)
+        assert plain == _reference_ecb(key, block, True)
+        assert aes128_encrypt_block(key, plain) == block
+        assert aes128_decrypt_block(key, aes128_encrypt_block(key, block)) == block
+
+
 def test_keyed_cipher_caches_are_bounded():
-    for cache in (crypto._cmac_template, crypto._ecb_encryptor):
+    for cache in (crypto._cmac_template, crypto._ecb_encryptor, crypto._ecb_decryptor):
         assert cache.cache_info().maxsize == crypto.KEYED_CACHE_SIZE
     assert 0 < crypto.KEYED_CACHE_SIZE < float("inf")

@@ -44,6 +44,7 @@ from loraledger.ledger import (
     assemble_block,
     block_from_bytes,
     block_hash,
+    context_metadata,
     dump_chain,
     load_chain,
     make_app_tx,
@@ -837,3 +838,59 @@ def test_remembered_verdicts_match_fresh_copies(calls):
         else:
             verdict = validate_body(block, MEMO_DIRECTORY, kind)
             assert verdict == validate_body(fresh, MEMO_DIRECTORY, kind)
+
+
+# network txs the property below draws from: two requesters, four device
+# addresses (so later txs supersede earlier contexts) and two timestamps each
+WORLD_POOL = [
+    network_tx(entity_id, n, t_ms=t_ms)
+    for entity_id in ("gw0", "gw1")
+    for n in range(4)
+    for t_ms in (1, 2)
+]
+
+
+def _reference_world_state(blocks: list[Block]) -> dict[bytes, WorldEntry]:
+    """World state folded as ``Ledger.append_block`` once built it on each replica:
+    one ``context_metadata`` call and one new ``WorldEntry`` per tx."""
+    state = {}
+    for block in blocks:
+        for tx in block.txs:
+            dev_addr, _ = context_metadata(tx.payload)
+            state[dev_addr] = WorldEntry(
+                requester=tx.requester,
+                envelope=tx.payload,
+                timestamp_ms=tx.timestamp_ms,
+                zeta=block.zeta,
+            )
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.integers(0, len(WORLD_POOL) - 1), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    replicas=st.integers(2, 7),
+)
+def test_replicas_share_each_blocks_world_entries(batches, replicas):
+    """Replicas appending the same random network blocks end with equal world
+    states, equal to a per-tx fold, and hold the same entry objects."""
+    blocks = []
+    for zeta, batch in enumerate(batches):
+        txs = [WORLD_POOL[i] for i in batch]
+        blocks.append(assemble_block(txs, zeta, 1000 * zeta, blocks[-1] if blocks else None))
+    ledgers = [Ledger(KIND_NETWORK) for _ in range(replicas)]
+    for block in blocks:
+        for ledger in ledgers:
+            ledger.append_block(block, MEMO_DIRECTORY)
+    reference = _reference_world_state(blocks)
+    for ledger in ledgers:
+        assert ledger.world_state == reference
+        for dev_addr, entry in ledgers[0].world_state.items():
+            assert ledger.world_state[dev_addr] is entry
+    synced = Ledger(KIND_NETWORK)
+    synced.sync_from(ledgers[0], MEMO_DIRECTORY)
+    assert synced.world_state == reference

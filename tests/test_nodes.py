@@ -693,6 +693,26 @@ def test_a_bad_network_session_key_is_refused_when_the_controller_opens_the_sess
     assert gw0._addr_counters[0] == counters.get(0, 0) + 1
 
 
+def test_a_short_root_key_is_refused_when_the_device_is_made():
+    """Refused by ``EndDevice``, not by the engine when the device first joins."""
+    engine = Engine(1)
+    profile = DeviceProfile(BEHAVIOR_UPLINK_LOOP, US_PER_S, US_PER_S, US_PER_S, US_PER_S)
+    with pytest.raises(BadKeyError):
+        EndDevice("dev0", 0, bytes(8), bytes(8), b"short", engine, profile, MetricsRecorder())
+    assert "dev0" not in engine._handlers  # the id stays free for a device with a good key
+    EndDevice("dev0", 0, bytes(8), bytes(8), bytes(16), engine, profile, MetricsRecorder())
+
+
+def test_a_short_root_key_is_refused_when_the_device_is_registered():
+    """Refused by ``register_device``, not by the join server at the first join request."""
+    world = build_world(make_config(experiment=1))
+    gw0 = world.gateways[0]
+    dev_eui = b"\xee" * 8
+    with pytest.raises(BadKeyError):
+        gw0.register_device(dev_eui, b"short", "dev9")
+    assert dev_eui not in gw0.registry
+
+
 def _keyed_cache_calls():
     return [
         (info.hits, info.misses)
