@@ -12,6 +12,7 @@ from loraledger import crypto
 from loraledger.crypto import (
     KeyDirectory,
     ROLE_SERVER,
+    RootKey,
     aes128_decrypt_block,
     aes128_encrypt_block,
     generate_keypair,
@@ -22,25 +23,25 @@ from loraledger.frames import DIR_UP, SessionKeys, decrypt_payload, encrypt_payl
 
 KEYPAIR = generate_keypair("srv0", 1)
 MESSAGE = bytes(range(256)) * 2
-SIGNATURE = sign(KEYPAIR.private_key, MESSAGE)
+SIGNATURE = sign(KEYPAIR, MESSAGE)
 SYM_KEY = bytes(range(16))
 DEV_ADDR = bytes.fromhex("01000001")
 SESSION_KEYS = SessionKeys(DEV_ADDR, SYM_KEY, SYM_KEY)
 # FIPS-197 Appendix C.1 (AES-128)
-FIPS_KEY = bytes(range(16))
+FIPS_KEY = RootKey(bytes(range(16)))
 FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 
 def test_sign(benchmark):
     """``sign`` as the program runs it: on libsodium where it loads."""
-    assert benchmark(sign, KEYPAIR.private_key, MESSAGE) == SIGNATURE
+    assert benchmark(sign, KEYPAIR, MESSAGE) == SIGNATURE
 
 
 def test_sign_reference(benchmark, monkeypatch):
     """``sign`` on the ``cryptography`` signer, which runs where libsodium does not load."""
     monkeypatch.setattr(crypto, "_sodium", lambda: None)
-    assert benchmark(sign, KEYPAIR.private_key, MESSAGE) == SIGNATURE
+    assert benchmark(sign, KEYPAIR, MESSAGE) == SIGNATURE
 
 
 def test_verify(benchmark):
@@ -82,7 +83,7 @@ def test_aes128_decrypt_block(benchmark):
 
 
 def test_mac32(benchmark):
-    assert len(benchmark(mac32, SYM_KEY, MESSAGE[:64])) == crypto.MIC_LEN
+    assert len(benchmark(mac32, RootKey(SYM_KEY), MESSAGE[:64])) == crypto.MIC_LEN
 
 
 @pytest.mark.parametrize("size", [16, 242])

@@ -16,6 +16,7 @@ import random
 
 from loraledger.crypto import (
     ENVELOPE_OVERHEAD,
+    RootKey,
     envelope_aad,
     generate_keypair,
     pk_decrypt,
@@ -41,7 +42,7 @@ DEVICE_KEYS = SessionKeys(DEV_ADDR, NWK_S_KEY, APP_S_KEY)
 CONTROLLER_KEYS = SessionKeys(DEV_ADDR, NWK_S_KEY)  # the network controller holds no app key
 RAW = build_data_frame(DEVICE_KEYS, 7, 1, PAYLOAD, DIR_UP)
 FRAME = parse_frame(RAW)
-APP_KEY = bytes(range(16))
+APP_KEY = RootKey(bytes(range(16)))
 APP_EUI = bytes.fromhex("1122334455667788")
 DEV_EUI = bytes.fromhex("0102030405060708")
 JOIN_REQUEST_WIRE = "001122334455667788010203040506070801022b0dc1ac"
@@ -56,7 +57,7 @@ CONTEXT = SessionContext(
     app_nonce=b"\x00\x00\x01",
 ).to_bytes()
 AAD = DEV_ADDR + bytes(range(8))
-ENVELOPE = pk_encrypt(KEYPAIR.public_key, CONTEXT, random.Random(1), AAD)
+ENVELOPE = pk_encrypt(KEYPAIR, CONTEXT, random.Random(1), AAD)
 
 
 def test_parse_frame(benchmark):
@@ -92,7 +93,7 @@ def test_verify_data_mic(benchmark):
 
 
 def test_pk_encrypt(benchmark):
-    envelope = benchmark(pk_encrypt, KEYPAIR.public_key, CONTEXT, random.Random(2), AAD)
+    envelope = benchmark(pk_encrypt, KEYPAIR, CONTEXT, random.Random(2), AAD)
     assert len(envelope) == len(CONTEXT) + len(AAD) + ENVELOPE_OVERHEAD
     assert envelope_aad(envelope) == AAD
     assert pk_decrypt(KEYPAIR.private_key, envelope) == CONTEXT

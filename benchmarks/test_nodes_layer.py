@@ -21,7 +21,7 @@ the two frames of each round.
 """
 
 from loraledger.consensus import BatchConfig, ConsensusConfig
-from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, generate_keypair
+from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, RootKey, generate_keypair
 from loraledger.frames import DIR_DOWN, SessionKeys, build_data_frame
 from loraledger.ledger import KIND_APPLICATION, KIND_NETWORK
 from loraledger.metrics import MetricsRecorder
@@ -51,7 +51,7 @@ def _device():
     engine = Engine(1)
     engine.register("gw0", lambda payload: None)
     device = EndDevice(
-        "dev0", 0, bytes(8), bytes(8), bytes(16), engine, PROFILE, MetricsRecorder()
+        "dev0", 0, bytes(8), bytes(8), RootKey(bytes(16)), engine, PROFILE, MetricsRecorder()
     )
     link = engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, LatencyModel.fixed(1))
     device.attach_uplink(link)
@@ -96,13 +96,14 @@ def _join_world():
     gateway = Gateway(
         "gw0", 0, MODE_EDGE, keypair, engine, directory, consensus, net_id=b"\x00\x00\x13"
     )
-    device = EndDevice("dev0", 0, DEV_EUI, bytes(8), APP_KEY, engine, PROFILE, MetricsRecorder())
+    app_key = RootKey(APP_KEY)  # one per world, shared by the device and its registration
+    device = EndDevice("dev0", 0, DEV_EUI, bytes(8), app_key, engine, PROFILE, MetricsRecorder())
     air = LatencyModel.fixed(1)
     device.attach_uplink(engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, air))
     gateway.add_coverage(
         DEV_EUI, "dev0", engine.add_link("gw0->dev0", "gw0", "dev0", LINK_CLASS_AIR, air)
     )
-    gateway.register_device(DEV_EUI, APP_KEY, "dev0")
+    gateway.register_device(DEV_EUI, app_key, "dev0")
     return (device, gateway), {}
 
 

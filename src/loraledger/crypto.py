@@ -5,6 +5,12 @@ supplied by the caller as a seeded ``random.Random`` so that simulation runs
 replay byte-identically.  Key pairs bundle a signing key and an encryption
 key; both public/private halves travel as opaque byte strings.
 
+Each key owns the cipher objects made from it and builds them on first use:
+a ``KeyPair`` its Ed25519 signing key, verify key, libsodium secret key and
+X25519 recipient key, and a device's ``RootKey`` the CMAC and AES-ECB
+contexts of its joins.  Nothing keyed is kept at module level, so a world
+keeps only the contexts of its own keys and drops them with them.
+
 ``sign`` makes Ed25519 signatures with the system's libsodium where that
 shared library loads (through ``ctypes``, on the first ``sign`` or
 ``verify``), and with ``cryptography`` elsewhere; libsodium is not required.
@@ -24,7 +30,7 @@ import hashlib
 import struct
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -80,15 +86,51 @@ class UnknownEntityError(CryptoError):
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing + encryption key material owned by one named entity."""
+    """Signing + encryption key material owned by one named entity.
+
+    The pair builds its key objects on first use and keeps them: the Ed25519
+    signing key, the verify key its signatures verify under (made from the
+    seed, whatever ``public_key`` holds), libsodium's 64-byte secret key (the
+    seed followed by that verify key) and the X25519 key that ``pk_encrypt``
+    seals to.  A node holds one pair, so each is built once per node.
+    """
 
     entity_id: str
     public_key: bytes
     private_key: bytes
+    _signing_key: Ed25519PrivateKey | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _verify_key: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _sodium_secret: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _recipient: X25519PublicKey | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.public_key) != KEY_LEN or len(self.private_key) != KEY_LEN:
             raise BadKeyError("key halves must each be %d bytes" % KEY_LEN)
+
+    @property
+    def verify_key(self) -> bytes:
+        """The raw Ed25519 public key that this pair's signatures verify under."""
+        return self._verify_key or self._bind_signing()
+
+    def _bind_signing(self) -> bytes:
+        """Build the signing key, its verify key and libsodium's secret key; returns
+        the verify key."""
+        seed = self.private_key[:_KEY_HALF]
+        signing_key = Ed25519PrivateKey.from_private_bytes(seed)
+        verify_key = signing_key.public_key().public_bytes_raw()
+        object.__setattr__(self, "_signing_key", signing_key)
+        object.__setattr__(self, "_verify_key", verify_key)
+        object.__setattr__(self, "_sodium_secret", seed + verify_key)
+        return verify_key
+
+    def _bind_recipient(self) -> X25519PublicKey:
+        recipient = X25519PublicKey.from_public_bytes(self.public_key[_KEY_HALF:])
+        object.__setattr__(self, "_recipient", recipient)
+        return recipient
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -117,26 +159,6 @@ def _split_private(private_key: bytes) -> tuple[bytes, bytes]:
     if len(private_key) != KEY_LEN:
         raise BadKeyError("private key must be %d bytes" % KEY_LEN)
     return private_key[:_KEY_HALF], private_key[_KEY_HALF:]
-
-
-@functools.lru_cache(maxsize=256)
-def _signing_key(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(seed)
-
-
-@functools.lru_cache(maxsize=256)
-def _signing_public(seed: bytes) -> bytes:
-    """The raw Ed25519 public key that signatures made with ``seed`` verify under."""
-    return _signing_key(seed).public_key().public_bytes_raw()
-
-
-@functools.lru_cache(maxsize=256)
-def _sodium_secret_key(private_key: bytes) -> bytes:
-    """libsodium's 64-byte Ed25519 secret key for a private key bundle: the seed
-    followed by its public key.  Keyed by the bundle, which a ``KeyPair`` holds
-    as one object, so a hit hashes nothing new."""
-    seed, _ = _split_private(private_key)
-    return seed + _signing_public(seed)
 
 
 #: sonames of libsodium tried in order; the first that loads and initialises is used
@@ -222,20 +244,21 @@ def uses_libsodium() -> bool:
     return _sodium() is not None
 
 
-def sign(private_key: bytes, message: bytes) -> bytes:
-    """Sign a message; 64-byte signature, deterministic for a fixed key.
+def sign(keypair: KeyPair, message: bytes) -> bytes:
+    """Sign a message with a key pair; 64-byte signature, deterministic for a fixed key.
 
     Signs with libsodium's ``crypto_sign_detached`` where the library loads
     (the faster of the two), else with ``cryptography``.  Both implement RFC
     8032's deterministic Ed25519, so the bytes are the same either way.
-    libsodium's secret key is built once per private key, so a signature
-    there is one C call.
+    The pair builds libsodium's secret key once, so a signature there is one
+    C call.
     """
+    if keypair._sodium_secret is None:
+        keypair._bind_signing()
     sodium = _sodium()
     if sodium is None:
-        seed, _ = _split_private(private_key)
-        return _signing_key(seed).sign(message)
-    return sodium.sign(_sodium_secret_key(private_key), message)
+        return keypair._signing_key.sign(message)
+    return sodium.sign(keypair._sodium_secret, message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -270,15 +293,8 @@ def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     ).derive(shared)
 
 
-@functools.lru_cache(maxsize=256)
-def _recipient_key(recipient_enc: bytes) -> X25519PublicKey:
-    """The X25519 key object for a recipient's raw public key, made once per key:
-    every network transaction is sealed to its requester's own key."""
-    return X25519PublicKey.from_public_bytes(recipient_enc)
-
-
-def pk_encrypt(public_key: bytes, data: bytes, rng: Random, aad: bytes = b"") -> bytes:
-    """Seal data to a public key (hybrid envelope).
+def pk_encrypt(recipient: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> bytes:
+    """Seal data to a key pair's public encryption key (hybrid envelope).
 
     Layout: ephemeral_pub(32) | nonce(12) | aad_len(u16 LE) | aad | ciphertext+tag.
     The aad travels in clear but is bound by the authentication tag, so a
@@ -289,11 +305,10 @@ def pk_encrypt(public_key: bytes, data: bytes, rng: Random, aad: bytes = b"") ->
         raise ValueError("refusing to seal an empty payload")
     if len(aad) > 0xFFFF:
         raise ValueError("associated data too long")
-    _, recipient_enc = _split_public(public_key)
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(_KEY_HALF))
     eph_pub = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(_recipient_key(recipient_enc))
-    key = _envelope_key(shared, eph_pub, recipient_enc)
+    shared = eph.exchange(recipient._recipient or recipient._bind_recipient())
+    key = _envelope_key(shared, eph_pub, recipient.public_key[_KEY_HALF:])
     nonce = rng.randbytes(_ENVELOPE_NONCE_LEN)
     sealed = AESGCM(key).encrypt(nonce, data, aad)
     return eph_pub + nonce + struct.pack("<H", len(aad)) + aad + sealed
@@ -334,71 +349,85 @@ def pk_decrypt(private_key: bytes, envelope: bytes) -> bytes:
         raise DecryptionError("envelope failed authentication") from exc
 
 
-#: keyed CMAC templates and ECB encryptors and decryptors kept per key, for
-#: session keys and device root keys alike; above the number of live keys of
-#: the largest workload, so round-robin traffic stays hot
-KEYED_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
-def _cmac_template(key: bytes) -> CMAC:
+def cmac_context(key: bytes) -> CMAC:
+    """A CMAC context under a 16-byte key, to be copied per message and never finalized."""
     return CMAC(AES(key))
 
 
-@functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
-def _ecb_encryptor(key: bytes):
+def ecb_encryptor(key: bytes):
+    """An AES-ECB encryptor under a 16-byte key.
+
+    ECB over whole blocks keeps no state between ``update`` calls, so one
+    context serves every call of its owner and is never finalized.
+    """
     return Cipher(AES(key), ECB()).encryptor()
 
 
-@functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
-def _ecb_decryptor(key: bytes):
+def ecb_decryptor(key: bytes):
+    """An AES-ECB decryptor under a 16-byte key; like ``ecb_encryptor``'s, never finalized."""
     return Cipher(AES(key), ECB()).decryptor()
 
 
-def mac32(key: bytes, message: bytes) -> bytes:
-    """4-byte message integrity code (CMAC truncated), as used by LoRa frames."""
-    if len(key) != SYM_KEY_LEN:
-        raise BadKeyError("MIC key must be %d bytes" % SYM_KEY_LEN)
-    mac = _cmac_template(key).copy()
+@dataclass(frozen=True, slots=True)
+class RootKey:
+    """A device's 16-byte AES root key and the contexts its joins use.
+
+    The join MICs' CMAC and the AES-ECB encrypt and decrypt contexts are
+    built on a join's first use of them and live as long as the key.
+    ``harness.build_world`` makes one per device, which the device and its
+    join server's ``Registration`` share, so a device's contexts are built
+    once per world whichever side uses them first.  A key that is not 16
+    bytes is refused here, when the device is made, not at its first join.
+    """
+
+    key: bytes
+    _mic: CMAC | None = field(default=None, init=False, repr=False, compare=False)
+    _encryptor: object = field(default=None, init=False, repr=False, compare=False)
+    _decryptor: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.key) != SYM_KEY_LEN:
+            raise BadKeyError("root key must be %d bytes" % SYM_KEY_LEN)
+
+    def _bind_mic(self) -> CMAC:
+        mic = cmac_context(self.key)
+        object.__setattr__(self, "_mic", mic)
+        return mic
+
+    def _bind_encryptor(self):
+        encryptor = ecb_encryptor(self.key)
+        object.__setattr__(self, "_encryptor", encryptor)
+        return encryptor
+
+    def _bind_decryptor(self):
+        decryptor = ecb_decryptor(self.key)
+        object.__setattr__(self, "_decryptor", decryptor)
+        return decryptor
+
+
+def mac32(key: RootKey, message: bytes) -> bytes:
+    """4-byte message integrity code (CMAC truncated), as used by LoRa join frames."""
+    mac = (key._mic or key._bind_mic()).copy()
     mac.update(message)
     return mac.finalize()[:MIC_LEN]
 
 
-def aes128_encrypt_blocks(key: bytes, blocks: bytes) -> bytes:
-    """Encrypt whole 16-byte blocks independently (ECB) in one cipher call.
-
-    ECB over whole blocks keeps no state between ``update`` calls, so one
-    encryptor per key serves every call and is never finalized.
-    """
-    if len(key) != SYM_KEY_LEN:
-        raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
-    if len(blocks) % 16:
-        raise ValueError("input must be whole 16-byte blocks")
-    return _ecb_encryptor(key).update(blocks)
-
-
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt exactly one 16-byte block (building block for key derivation)."""
+def aes128_encrypt_block(key: RootKey, block: bytes) -> bytes:
+    """Encrypt exactly one 16-byte block (key derivation, a join accept)."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    return aes128_encrypt_blocks(key, block)
+    return (key._encryptor or key._bind_encryptor()).update(block)
 
 
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Decrypt exactly one 16-byte block (a join accept, under the root key)."""
-    if len(key) != SYM_KEY_LEN:
-        raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
+def aes128_decrypt_block(key: RootKey, block: bytes) -> bytes:
+    """Decrypt exactly one 16-byte block (a join accept)."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    # ECB over whole blocks keeps no state, so one context per root key serves
-    # every join accept and is never finalized.  A fresh context cost 45-50 µs
-    # per accept (2-vCPU VM), and a device opens about 2.5 accepts a run; the
-    # cached contexts cost about 1.5 MB of peak RSS at 1000 devices.
-    return _ecb_decryptor(key).update(block)
+    return (key._decryptor or key._bind_decryptor()).update(block)
 
 
 def derive_session_keys(
-    app_key: bytes, app_nonce: bytes, net_id: bytes, dev_nonce: bytes
+    app_key: RootKey, app_nonce: bytes, net_id: bytes, dev_nonce: bytes
 ) -> tuple[bytes, bytes]:
     """Derive (network session key, application session key) after a join.
 
@@ -406,8 +435,6 @@ def derive_session_keys(
     application) followed by app_nonce(3) | net_id(3) | dev_nonce(2) and zero
     padding to 16 bytes, keyed by the device's root key.
     """
-    if len(app_key) != SYM_KEY_LEN:
-        raise ValueError("root key must be %d bytes" % SYM_KEY_LEN)
     if len(app_nonce) != 3 or len(net_id) != 3 or len(dev_nonce) != 2:
         raise ValueError("nonce/net id field lengths must be 3/3/2 bytes")
     tail = app_nonce + net_id + dev_nonce + b"\x00" * 7
@@ -464,7 +491,6 @@ class KeyDirectory:
         self._entries: dict[str, tuple[bytes, str]] = {}
         self._verdicts: OrderedDict[tuple[str, bytes, bytes], bool] = OrderedDict()
         self._settled: dict[tuple[str, bytes, bytes], bool] = {}
-        self._signers: dict[str, bytes] = {}  # entity -> its private key, once seen to sign here
 
     def add(self, entity_id: str, public_key: bytes, role: str) -> None:
         """Register an entity; refuses a malformed or small-order key, an unknown
@@ -511,31 +537,17 @@ class KeyDirectory:
 
         Ed25519 is deterministic and a signature always verifies under the
         public key of the seed that made it (RFC 8032), so a signature made
-        here with the entity's registered key needs no verify in this world.
-        Any other signature is left for ``verify`` to check.  Whether a
-        private key is the registered one is worked out once per entity: a
-        key found to match is kept in ``_signers``, and a later signature
-        with that same key skips the check.  A key that does not match is
-        checked again on every signature and never kept, so a key signs as
-        its entity's once it is registered, and a foreign key never does.
+        here with the entity's registered key needs no verify in this world:
+        the pair's own verify key, which it made once from its seed, equals
+        the registered one.  Any other signature is left for ``verify`` to
+        check, so a key signs as its entity's once it is registered, and a
+        foreign key never does.
         """
-        entity_id, private_key = keypair.entity_id, keypair.private_key
-        signature = sign(private_key, message)
-        if self._signers.get(entity_id) == private_key or self._is_registered_key(
-            entity_id, private_key
-        ):
-            self._remember((entity_id, message, signature), True)
+        signature = sign(keypair, message)
+        entry = self._entries.get(keypair.entity_id)
+        if entry is not None and entry[0][:_KEY_HALF] == keypair.verify_key:
+            self._remember((keypair.entity_id, message, signature), True)
         return signature
-
-    def _is_registered_key(self, entity_id: str, private_key: bytes) -> bool:
-        """Whether ``private_key``'s seed makes the entity's registered verify key;
-        a match is kept in ``_signers``, and registrations are final, so it never goes stale."""
-        entry = self._entries.get(entity_id)
-        seed, _ = _split_private(private_key)
-        if entry is None or _signing_public(seed) != _split_public(entry[0])[0]:
-            return False
-        self._signers[entity_id] = private_key
-        return True
 
     def _remember(self, memo_key: tuple[str, bytes, bytes], verdict: bool) -> None:
         verdicts = self._verdicts

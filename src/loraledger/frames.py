@@ -16,10 +16,11 @@ from .crypto import (
     MIC_LEN,
     SYM_KEY_LEN,
     BadKeyError,
-    _cmac_template,
-    _ecb_encryptor,
+    RootKey,
     aes128_decrypt_block,
     aes128_encrypt_block,
+    cmac_context,
+    ecb_encryptor,
     mac32,
 )
 
@@ -139,9 +140,9 @@ class SessionKeys:
     """One session's data-frame keys, checked once, when the session is made.
 
     The network controller's keys have no application session key.  The
-    keyed CMAC and ECB contexts come from ``crypto``'s caches on a frame's
-    first use of them, never at construction, so a session that carries no
-    data frame (a rejoin in a join storm) adds nothing to either cache.
+    keys build their own CMAC and ECB contexts on a frame's first use of
+    them, never at construction, so a session that carries no data frame (a
+    rejoin in a join storm) builds neither.
     """
 
     dev_addr: bytes
@@ -158,14 +159,14 @@ class SessionKeys:
             raise BadKeyError("block cipher key must be %d bytes" % SYM_KEY_LEN)
 
     def _bind_mic(self) -> CMAC:
-        mic = _cmac_template(self.nwk_s_key)
+        mic = cmac_context(self.nwk_s_key)
         object.__setattr__(self, "_mic", mic)
         return mic
 
     def _bind_keystream(self):
         if self.app_s_key is None:
             raise BadKeyError("these session keys hold no application session key")
-        keystream = _ecb_encryptor(self.app_s_key)
+        keystream = ecb_encryptor(self.app_s_key)
         object.__setattr__(self, "_keystream", keystream)
         return keystream
 
@@ -200,19 +201,19 @@ def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> 
 
 
 def build_join_request(
-    app_key: bytes, app_eui: bytes, dev_eui: bytes, dev_nonce: bytes
+    app_key: RootKey, app_eui: bytes, dev_eui: bytes, dev_nonce: bytes
 ) -> bytes:
     """The wire form; the record is built only to check the fields before any is packed."""
     head = _head(JoinRequest(app_eui, dev_eui, dev_nonce, bytes(MIC_LEN)))
     return head + mac32(app_key, head)
 
 
-def verify_join_request(frame: JoinRequest, app_key: bytes) -> bool:
+def verify_join_request(frame: JoinRequest, app_key: RootKey) -> bool:
     return mac32(app_key, _head(frame)) == frame.mic
 
 
 def build_join_accept(
-    app_key: bytes, app_nonce: bytes, net_id: bytes, dev_addr: bytes
+    app_key: RootKey, app_nonce: bytes, net_id: bytes, dev_addr: bytes
 ) -> bytes:
     """Build the wire form: MIC over the plain fields, then encrypt one block.
 
@@ -224,7 +225,7 @@ def build_join_accept(
     return bytes([MHDR_JOIN_ACCEPT]) + aes128_encrypt_block(app_key, plain)
 
 
-def open_join_accept(data: bytes, app_key: bytes) -> JoinAccept:
+def open_join_accept(data: bytes, app_key: RootKey) -> JoinAccept:
     """Decrypt and MIC-check a join accept; raises on any failure."""
     if len(data) != JOIN_ACCEPT_LEN or data[0] != MHDR_JOIN_ACCEPT:
         raise MalformedFrameError("not a join accept")

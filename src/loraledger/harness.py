@@ -31,6 +31,7 @@ from .crypto import (
     KeyDirectory,
     ROLE_GATEWAY,
     ROLE_SERVER,
+    RootKey,
     derive_session_keys,
     generate_keypair,
     hash_bytes,
@@ -222,7 +223,7 @@ def build_world(config: ScenarioConfig) -> World:
         device_id = "dev%04d" % i
         dev_eui = struct.pack("<Q", i + 1)
         app_eui = struct.pack("<Q", 0x1A2B3C4D)
-        app_key = device_app_key(dev_eui)
+        app_key = RootKey(device_app_key(dev_eui))  # shared by the device and its registration
         gw, ordinal = world.home(i)
         authorized = ordinal < authorized_per_gateway
         device = EndDevice(

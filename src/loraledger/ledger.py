@@ -228,7 +228,7 @@ def make_network_tx(
     stays readable only by the requester.
     """
     envelope = pk_encrypt(
-        keypair.public_key,
+        keypair,
         context.to_bytes(),
         rng,
         aad=context.dev_addr + context.dev_eui,

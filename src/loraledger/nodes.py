@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 from .consensus import Channel, ConsensusConfig, Replica
 from .crypto import (
     KEY_LEN,
-    SYM_KEY_LEN,
     BadKeyError,
     DecryptionError,
     KeyDirectory,
     KeyPair,
+    RootKey,
     derive_session_keys,
     pk_decrypt,
 )
@@ -92,6 +92,9 @@ WU_QUERY = 1
 WU_TX_BUILD = 3
 
 UNAUTHORIZED_ADDR_PREFIX = 0xFF
+#: the top half of each prefix's 24-bit address counter is kept for ABP devices,
+#: so the join allocator, which hands out the counters below it, never meets one
+ABP_COUNTER_MIN = 0x800000
 APP_FPORT = 1  # every application uplink and downlink; ACKs go on port 0
 
 
@@ -181,12 +184,6 @@ def format_dev_addr(prefix: int, counter: int) -> bytes:
     return bytes([prefix]) + struct.pack("<I", counter)[:3]
 
 
-def _check_root_key(app_key: bytes) -> None:
-    """Refuse a device root key that no join could use, when it is set, not at the first join."""
-    if len(app_key) != SYM_KEY_LEN:
-        raise BadKeyError("root key must be %d bytes" % SYM_KEY_LEN)
-
-
 def _dispatch(node, payload) -> None:
     """Run the handler that ``node``'s class maps the payload's type to."""
     handler = node._HANDLERS.get(type(payload))
@@ -199,7 +196,7 @@ def _dispatch(node, payload) -> None:
 class Registration:
     """What the join server keeps for one registered device."""
 
-    app_key: bytes
+    app_key: RootKey  # the device's own object, shared with it
     device_id: str
     dev_addr: bytes | None = None  # assigned once, kept across rejoins
     spent_nonces: set[bytes] = field(default_factory=set)
@@ -280,22 +277,19 @@ class LedgerNode(Replica):
 
     # -- join server and network controller --
 
-    def register_device(self, dev_eui: bytes, app_key: bytes, device_id: str) -> None:
-        _check_root_key(app_key)
+    def register_device(self, dev_eui: bytes, app_key: RootKey, device_id: str) -> None:
         self.registry[dev_eui] = Registration(app_key, device_id)
 
-    def assign_address(self, dev_eui: bytes, prefix: int) -> bytes:
-        """A registered device's address: the one it has, else the prefix's next free slot."""
-        registration = self.registry[dev_eui]
-        if registration.dev_addr is None:
-            registration.dev_addr, self._addr_counters[prefix] = self._next_free_address(prefix)
-        return registration.dev_addr
+    def _next_address(self, prefix: int) -> tuple[bytes, int]:
+        """The prefix's next join address and its counter, claiming neither.
 
-    def _next_free_address(self, prefix: int) -> tuple[bytes, int]:
-        """The prefix's next free address and its counter, claiming neither."""
+        Joins take the counters below ``ABP_COUNTER_MIN`` in order, and only
+        this node's join server hands out its prefixes' join addresses, so
+        the next counter is always free.
+        """
         counter = self._addr_counters.get(prefix, 0) + 1
-        while not self._address_free(format_dev_addr(prefix, counter)):
-            counter += 1  # an ABP device holds this one
+        if counter >= ABP_COUNTER_MIN:
+            raise ValueError("join address counter exhausted")
         return format_dev_addr(prefix, counter), counter
 
     def _address_free(self, dev_addr: bytes) -> bool:
@@ -318,10 +312,10 @@ class LedgerNode(Replica):
         registration = self.registry[dev_eui]
         dev_addr, counter = registration.dev_addr, None
         if dev_addr is None:
-            dev_addr, counter = self._next_free_address(prefix)
+            dev_addr, counter = self._next_address(prefix)
         context = SessionContext(
             dev_eui=dev_eui,
-            app_key=registration.app_key,
+            app_key=registration.app_key.key,
             dev_addr=dev_addr,
             nwk_s_key=nwk_s_key,
             dev_nonce=dev_nonce,
@@ -556,7 +550,18 @@ class NetworkServer(LedgerNode):
     # -- operator-facing operations --
 
     def abp_provision(self, context: SessionContext, device_id: str) -> None:
-        """Install an operator-supplied session; address collisions are rejected."""
+        """Install an operator-supplied session; address collisions are rejected.
+
+        ABP addresses keep the serving gateway's index as their prefix, since
+        ``downlink`` routes by it, and take a counter from the prefix's top
+        half (``ABP_COUNTER_MIN`` and up), where no join address lies: an
+        edge gateway cannot see a provisioned context until it commits.
+        """
+        counter = int.from_bytes(context.dev_addr[1:], "little")
+        if counter < ABP_COUNTER_MIN:
+            raise ValueError(
+                "device address %s is outside the ABP range" % context.dev_addr.hex()
+            )
         # an address not yet committed is in sessions; every other one is on the ledger
         if not self._address_free(context.dev_addr):
             raise ValueError("device address %s already in use" % context.dev_addr.hex())
@@ -660,13 +665,12 @@ class EndDevice:
         index: int,
         dev_eui: bytes,
         app_eui: bytes,
-        app_key: bytes,
+        app_key: RootKey,
         engine: Engine,
         profile: DeviceProfile,
         recorder,
         authorized: bool = True,
     ) -> None:
-        _check_root_key(app_key)
         self.device_id = device_id
         self.index = index
         self.dev_eui = dev_eui

@@ -5,10 +5,14 @@ import hashlib
 import itertools
 import random
 import types
+from collections import Counter
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.cmac import CMAC
 from hypothesis import HealthCheck, given, settings
@@ -24,11 +28,11 @@ from loraledger.crypto import (
     KeyPair,
     ROLE_GATEWAY,
     ROLE_SERVER,
+    RootKey,
     UnknownEntityError,
     VERDICT_MEMO_SIZE,
     aes128_decrypt_block,
     aes128_encrypt_block,
-    aes128_encrypt_blocks,
     derive_session_keys,
     envelope_aad,
     generate_keypair,
@@ -71,7 +75,7 @@ def test_keypair_deterministic_per_seed():
 
 def test_sign_verify():
     kp = generate_keypair("gw0", 1)
-    sig = sign(kp.private_key, b"hello")
+    sig = sign(kp, b"hello")
     assert len(sig) == 64
     assert verify(kp.public_key, b"hello", sig)
     assert not verify(kp.public_key, b"hellO", sig)
@@ -82,7 +86,7 @@ def test_sign_verify():
 
 def test_signature_deterministic():
     kp = generate_keypair("gw0", 1)
-    assert sign(kp.private_key, b"x") == sign(kp.private_key, b"x")
+    assert sign(kp, b"x") == sign(kp, b"x")
 
 
 # RFC 8032 section 7.1, TEST 1 and TEST 2: (seed, public key, message, signature), in hex
@@ -113,10 +117,15 @@ def _vector(name: str) -> tuple[bytes, bytes, bytes, bytes]:
     return seed, public + bytes(32), message, signature
 
 
+def _seed_keypair(seed: bytes, public_key: bytes = bytes(64)) -> KeyPair:
+    """A key pair that signs with ``seed``; ``sign`` reads nothing of ``public_key``."""
+    return KeyPair("signer", public_key, seed + bytes(32))
+
+
 def _sign_vector(name: str) -> tuple[bytes, str]:
     """``sign``'s output on an RFC 8032 vector, and the signature the RFC gives."""
-    seed, _, message, signature = _vector(name)
-    return sign(seed + bytes(32), message), signature.hex()
+    seed, public_key, message, signature = _vector(name)
+    return sign(_seed_keypair(seed, public_key), message), signature.hex()
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])
@@ -125,14 +134,18 @@ def signer(request, monkeypatch):
     if request.param == "libsodium":
         if crypto._sodium() is None:
             pytest.skip(SODIUM_ABSENT)
-        key = crypto._signing_key
+        real = crypto.Ed25519PrivateKey
 
-        def public_only(seed):
-            """A key that gives its public key, which libsodium's secret key holds,
-            but cannot sign, so a cryptography signature fails."""
-            return types.SimpleNamespace(public_key=key(seed).public_key)
+        class PublicOnly:
+            """The signing key a key pair builds gives its public key, which
+            libsodium's secret key holds, but cannot sign, so a cryptography
+            signature fails."""
 
-        monkeypatch.setattr(crypto, "_signing_key", public_only)
+            @staticmethod
+            def from_private_bytes(seed):
+                return types.SimpleNamespace(public_key=real.from_private_bytes(seed).public_key)
+
+        monkeypatch.setattr(crypto, "Ed25519PrivateKey", PublicOnly)
     else:
         monkeypatch.setattr(crypto, "_sodium", lambda: None)
     return request.param
@@ -147,11 +160,11 @@ def test_sign_matches_rfc8032_on_either_signer(signer, vector):
 def test_sign_takes_bytes_like_messages_on_either_signer(signer):
     """libsodium is handed a copy as ``bytes``: ctypes refuses anything else."""
     seed, _, message, expected = _vector("test2")
-    private_key = seed + bytes(32)
+    keypair = _seed_keypair(seed)
     for bytes_like in (bytearray(message), memoryview(message), memoryview(b"_" + message)[1:]):
-        assert sign(private_key, bytes_like) == expected
+        assert sign(keypair, bytes_like) == expected
     with pytest.raises(TypeError):  # not ``bytes(2)``, which would sign two zero bytes
-        sign(private_key, 2)
+        sign(keypair, 2)
 
 
 @pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
@@ -159,11 +172,10 @@ def test_sign_takes_bytes_like_messages_on_either_signer(signer):
 @given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=600))
 def test_libsodium_and_cryptography_sign_the_same_bytes(seed, message):
     """``KeyDirectory.sign`` skips the verify of its own signatures: sound only if this holds."""
-    private_key = seed + bytes(32)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crypto, "_sodium", lambda: None)
-        reference = sign(private_key, message)
-    assert sign(private_key, message) == reference
+        reference = sign(_seed_keypair(seed), message)
+    assert sign(_seed_keypair(seed), message) == reference
 
 
 def _stand_in_sodium(init=0, detached=0, verify=0, calls=None):
@@ -220,7 +232,7 @@ def test_sign_falls_back_to_cryptography_without_a_usable_libsodium(reload_sodiu
 def test_sign_raises_rather_than_return_a_failed_libsodium_signature(reload_sodium, load):
     reload_sodium(load)
     with pytest.raises(CryptoError):
-        sign(generate_keypair("gw0", 1).private_key, b"hello")
+        sign(generate_keypair("gw0", 1), b"hello")
 
 
 @pytest.mark.parametrize("case", ["exp2-pbft", "exp3"])
@@ -287,7 +299,7 @@ def _assert_reference_verdict(public_key, message, signature, expected):
 @pytest.mark.parametrize("vector", sorted(RFC8032_VECTORS))
 def test_verify_matches_cryptography_on_rfc8032(host, vector):
     seed, public_key, message, signature = _vector(vector)
-    assert crypto._signing_public(seed) == public_key[:32]
+    assert _seed_keypair(seed).verify_key == public_key[:32]
     _assert_reference_verdict(public_key, message, signature, True)
     _assert_reference_verdict(public_key, message + b"\x00", signature, False)
     # the failing stand-in was asked, and cryptography overruled its refusal
@@ -309,7 +321,7 @@ def _identity_r_signature(seed: bytes, message: bytes) -> bytes:
     """
     a = int.from_bytes(hashlib.sha512(seed).digest()[:32], "little")
     a = a & ((1 << 254) - 8) | (1 << 254)  # RFC 8032 clamping
-    digest = hashlib.sha512(IDENTITY + crypto._signing_public(seed) + message).digest()
+    digest = hashlib.sha512(IDENTITY + _seed_keypair(seed).verify_key + message).digest()
     h = int.from_bytes(digest, "little") % L
     return IDENTITY + (h * a % L).to_bytes(32, "little")
 
@@ -340,11 +352,12 @@ def test_libsodium_accepts_without_a_cryptography_verify(monkeypatch):
 )
 def test_verify_matches_cryptography_on_flipped_bytes(host, seed, message, target, bit):
     """An honest signature, or one with one bit flipped in R, S, the key or the message."""
-    signature = crypto._signing_key(seed).sign(message)
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    signature = key.sign(message)
     fields = {
         "R": bytearray(signature[:32]),
         "S": bytearray(signature[32:]),
-        "A": bytearray(crypto._signing_public(seed)),
+        "A": bytearray(key.public_key().public_bytes_raw()),
         "message": bytearray(message),
     }
     if target != "none":
@@ -387,7 +400,7 @@ def test_envelope_roundtrip_and_overhead():
     rng = random.Random(0)
     for size in (1, 16, 49, 200):
         data = bytes(rng.randrange(256) for _ in range(size))
-        env = pk_encrypt(kp.public_key, data, rng)
+        env = pk_encrypt(kp, data, rng)
         assert len(env) == size + ENVELOPE_OVERHEAD
         assert pk_decrypt(kp.private_key, env) == data
 
@@ -395,13 +408,13 @@ def test_envelope_roundtrip_and_overhead():
 def test_envelope_rejects_empty_plaintext():
     kp = generate_keypair("srv0", 5)
     with pytest.raises(ValueError):
-        pk_encrypt(kp.public_key, b"", random.Random(0))
+        pk_encrypt(kp, b"", random.Random(0))
 
 
 def test_envelope_aad_readable_without_key_but_authenticated():
     kp = generate_keypair("gw2", 9)
     rng = random.Random(1)
-    env = pk_encrypt(kp.public_key, b"secret-context", rng, aad=b"addr+eui")
+    env = pk_encrypt(kp, b"secret-context", rng, aad=b"addr+eui")
     assert envelope_aad(env) == b"addr+eui"
     # flipping an AAD byte must break decryption even though AAD is cleartext
     idx = 32 + 12 + 2  # first AAD byte
@@ -414,7 +427,7 @@ def test_envelope_aad_readable_without_key_but_authenticated():
 def test_envelope_tamper_detected_everywhere():
     """Any single-byte flip anywhere in the envelope fails decryption."""
     kp = generate_keypair("gw0", 2)
-    env = pk_encrypt(kp.public_key, b"0123456789", random.Random(2), aad=b"a")
+    env = pk_encrypt(kp, b"0123456789", random.Random(2), aad=b"a")
     rng = random.Random(3)
     for _ in range(40):
         idx = rng.randrange(len(env))
@@ -427,26 +440,26 @@ def test_envelope_tamper_detected_everywhere():
 def test_envelope_wrong_recipient():
     alice = generate_keypair("gw0", 4)
     bob = generate_keypair("gw1", 4)
-    env = pk_encrypt(alice.public_key, b"for alice", random.Random(0))
+    env = pk_encrypt(alice, b"for alice", random.Random(0))
     with pytest.raises(DecryptionError):
         pk_decrypt(bob.private_key, env)
 
 
 def test_mac32_frozen_vector():
-    assert mac32(bytes(range(16)), b"abc").hex() == MAC32_ABC
+    assert mac32(RootKey(bytes(range(16))), b"abc").hex() == MAC32_ABC
 
 
 def test_mac32_key_and_message_sensitivity():
-    key = bytes(range(16))
+    key = RootKey(bytes(range(16)))
     base = mac32(key, b"abc")
     assert mac32(key, b"abd") != base
-    assert mac32(bytes(16), b"abc") != base
+    assert mac32(RootKey(bytes(16)), b"abc") != base
     assert len(base) == 4
 
 
 def test_derive_session_keys_frozen_vectors():
     nwk, app = derive_session_keys(
-        bytes(range(16)),
+        RootKey(bytes(range(16))),
         bytes.fromhex("010203"),
         bytes.fromhex("aabbcc"),
         bytes.fromhex("0102"),
@@ -456,7 +469,7 @@ def test_derive_session_keys_frozen_vectors():
 
 
 def test_derive_session_keys_distinct_and_sensitive():
-    args = (bytes(range(16)), b"\x01\x02\x03", b"\xaa\xbb\xcc", b"\x01\x02")
+    args = (RootKey(bytes(range(16))), b"\x01\x02\x03", b"\xaa\xbb\xcc", b"\x01\x02")
     nwk, app = derive_session_keys(*args)
     assert nwk != app
     nwk2, app2 = derive_session_keys(args[0], b"\x01\x02\x04", args[2], args[3])
@@ -522,7 +535,7 @@ def _world_directory() -> KeyDirectory:
 
 
 def _signed_directory():
-    sig = sign(generate_keypair("gw0", 1).private_key, b"payload")
+    sig = sign(generate_keypair("gw0", 1), b"payload")
     return _world_directory(), sig
 
 
@@ -683,6 +696,13 @@ def _reference_ecb(key: bytes, data: bytes, decrypt: bool) -> bytes:
 KEY_POOL = [hash_bytes(b"key %d" % n)[:16] for n in range(4)]
 
 
+def _root_keys():
+    """One ``RootKey`` per key bytes, made on first sight: a key's contexts serve
+    every later call with it, as a device's do."""
+    keys = {}
+    return lambda key: keys.setdefault(key, RootKey(key))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     calls=st.lists(
@@ -698,18 +718,20 @@ KEY_POOL = [hash_bytes(b"key %d" % n)[:16] for n in range(4)]
 def test_keyed_ciphers_match_a_fresh_object_per_call(calls):
     """``mac32`` and the AES block functions give what a fresh CMAC or Cipher would.
 
-    Calls repeat and interleave keys and operations, so a context that kept
-    state between calls, or answered for another key, would show.
+    Calls repeat and interleave keys and operations on each key's own
+    contexts, so a context that kept state between calls, or answered for
+    another key, would show.
     """
+    root_key = _root_keys()
     for key, operation, data in calls:
         if operation == "mac":
-            assert mac32(key, data) == _reference_mac32(key, data)
-        elif operation == "encrypt":
-            blocks = data + bytes(-len(data) % 16)
-            assert aes128_encrypt_blocks(key, blocks) == _reference_ecb(key, blocks, False)
+            assert mac32(root_key(key), data) == _reference_mac32(key, data)
+            continue
+        block = data[:16].ljust(16, b"\x00")
+        if operation == "encrypt":
+            assert aes128_encrypt_block(root_key(key), block) == _reference_ecb(key, block, False)
         else:
-            block = data[:16].ljust(16, b"\x00")
-            assert aes128_decrypt_block(key, block) == _reference_ecb(key, block, True)
+            assert aes128_decrypt_block(root_key(key), block) == _reference_ecb(key, block, True)
 
 
 # blocks drawn again and again, so a context that chained one call into the next shows
@@ -728,16 +750,64 @@ BLOCK_POOL = [hash_bytes(b"block %d" % n)[:16] for n in range(3)]
     ),
 )
 def test_cached_decryptor_matches_a_fresh_context_and_inverts_encryption(calls):
-    """Root-key decryption through the cached context, over interleaved keys and
+    """Decryption through a root key's kept context, over interleaved keys and
     repeated blocks, gives what a fresh context gives and undoes the block encryption."""
+    root_key = _root_keys()
     for key, block in calls:
-        plain = aes128_decrypt_block(key, block)
+        root = root_key(key)
+        plain = aes128_decrypt_block(root, block)
         assert plain == _reference_ecb(key, block, True)
-        assert aes128_encrypt_block(key, plain) == block
-        assert aes128_decrypt_block(key, aes128_encrypt_block(key, block)) == block
+        assert aes128_encrypt_block(root, plain) == block
+        assert aes128_decrypt_block(root, aes128_encrypt_block(root, block)) == block
 
 
-def test_keyed_cipher_caches_are_bounded():
-    for cache in (crypto._cmac_template, crypto._ecb_encryptor, crypto._ecb_decryptor):
-        assert cache.cache_info().maxsize == crypto.KEYED_CACHE_SIZE
-    assert 0 < crypto.KEYED_CACHE_SIZE < float("inf")
+def count_keyed_contexts(monkeypatch) -> Counter:
+    """Count every CMAC and AES-ECB context ``crypto`` builds from here on, by
+    constructor name: each key's contexts, and nothing else, come from these two."""
+    built = Counter()
+    for name in ("CMAC", "Cipher"):
+        real = getattr(crypto, name)
+        monkeypatch.setattr(
+            crypto, name, lambda *args, real=real, name=name: built.update([name]) or real(*args)
+        )
+    return built
+
+
+def test_a_root_key_builds_each_context_once_on_first_use(monkeypatch):
+    """A root key builds its CMAC, encryptor and decryptor when a join first needs
+    each, and keeps them; another key of the same bytes builds its own."""
+    built = count_keyed_contexts(monkeypatch)
+    key = RootKey(KEY_POOL[0])
+    assert built == {}
+    block = BLOCK_POOL[0]
+    for _ in range(3):
+        mac32(key, block)
+        aes128_decrypt_block(key, aes128_encrypt_block(key, block))
+    assert built == {"CMAC": 1, "Cipher": 2}
+    twin = RootKey(KEY_POOL[0])
+    assert twin == key and mac32(twin, block) == mac32(key, block)
+    assert built == {"CMAC": 2, "Cipher": 2}
+
+
+def test_a_short_root_key_is_refused():
+    for key in (b"", b"short", bytes(15), bytes(17)):
+        with pytest.raises(BadKeyError, match="root key must be 16 bytes"):
+            RootKey(key)
+
+
+def test_a_key_pair_builds_its_signing_keys_once_and_verifies_under_its_seed(monkeypatch):
+    """The verify key comes from the private seed, not from the public key a pair
+    was given; a pair builds its signing objects once, however often it signs."""
+    gw0, gw1 = generate_keypair("gw0", 1), generate_keypair("gw1", 1)
+    built = []
+    real = crypto.Ed25519PrivateKey.from_private_bytes
+    monkeypatch.setattr(
+        crypto.Ed25519PrivateKey,
+        "from_private_bytes",
+        lambda seed: built.append(seed) or real(seed),
+    )
+    pretender = KeyPair("gw1", gw1.public_key, gw0.private_key)
+    assert pretender.verify_key == gw0.public_key[:32] != gw1.public_key[:32]
+    for message in (b"one", b"two"):
+        assert verify(gw0.public_key, message, sign(pretender, message))
+    assert built == [gw0.private_key[:32]]

@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.cmac import CMAC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loraledger.crypto import BadKeyError, aes128_encrypt_block
+from loraledger.crypto import BadKeyError, RootKey, aes128_encrypt_block
 from loraledger.frames import (
     DATA_OVERHEAD,
     DIR_DOWN,
@@ -40,7 +40,7 @@ from loraledger.frames import (
 
 # Frozen wire bytes from the standalone oracle (raw AES + hand-written CMAC
 # + hand-assembled layouts; see tests/test_crypto.py for the oracle notes).
-APP_KEY = bytes(range(16))
+APP_KEY = RootKey(bytes(range(16)))
 APP_EUI = bytes.fromhex("1122334455667788")
 DEV_EUI = bytes.fromhex("0102030405060708")
 DEV_NONCE = bytes.fromhex("0102")
@@ -70,7 +70,7 @@ def test_join_request_parse_and_verify():
     assert frame.dev_eui == DEV_EUI
     assert frame.dev_nonce == DEV_NONCE
     assert verify_join_request(frame, APP_KEY)
-    assert not verify_join_request(frame, bytes(16))
+    assert not verify_join_request(frame, RootKey(bytes(16)))
 
 
 def test_join_request_mic_covers_every_byte():
@@ -100,7 +100,7 @@ def test_join_accept_frozen_wire_and_open():
 def test_join_accept_wrong_key_rejected():
     wire = bytes.fromhex(JOIN_ACCEPT_WIRE)
     with pytest.raises(MicMismatchError):
-        open_join_accept(wire, bytes(16))
+        open_join_accept(wire, RootKey(bytes(16)))
 
 
 def test_join_accept_tamper_rejected():
@@ -132,7 +132,7 @@ def reference_encrypt_payload(app_s_key, dev_addr, fcnt, direction, data):
         counter = struct.pack(
             "<B4xB4sIxB", 0x01, direction, dev_addr, fcnt & 0xFFFFFFFF, i // 16 + 1
         )
-        stream = aes128_encrypt_block(app_s_key, counter)
+        stream = aes128_encrypt_block(RootKey(app_s_key), counter)
         out.extend(a ^ b for a, b in zip(data[i : i + 16], stream))
     return bytes(out)
 

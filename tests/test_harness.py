@@ -20,6 +20,7 @@ from loraledger.crypto import (
     ROLE_SERVER,
     KeyDirectory,
     KeyPair,
+    RootKey,
     derive_session_keys,
     generate_keypair,
 )
@@ -56,6 +57,7 @@ from loraledger.metrics import (
 )
 from loraledger.scenario import ConfigError, build_config, parse_config_file
 from loraledger.simnet import Engine, LatencyModel, US_PER_S
+from test_crypto import count_keyed_contexts
 
 
 def config_for(**overrides):
@@ -744,8 +746,8 @@ def test_cli_ledger_verify(tmp_path, capsys):
 def test_cli_frame_decode(capsys):
     key, dev_addr = bytes(range(16)), b"\x01\x00\x00\x01"
     frames = [
-        build_join_request(key, b"\x11" * 8, b"\x22" * 8, b"\x01\x02"),
-        build_join_accept(key, b"\x01\x02\x03", b"\xaa\xbb\xcc", dev_addr),
+        build_join_request(RootKey(key), b"\x11" * 8, b"\x22" * 8, b"\x01\x02"),
+        build_join_accept(RootKey(key), b"\x01\x02\x03", b"\xaa\xbb\xcc", dev_addr),
         build_data_frame(SessionKeys(dev_addr, key), 3, 1, b"\xab\xcd", DIR_DOWN),
     ]
     for raw in frames:
@@ -827,3 +829,18 @@ def test_only_signatures_made_outside_the_world_cost_a_verify(monkeypatch):
         assert replica.invalid_blocks == n
         assert ledger.height == height
         calls.clear()
+
+
+def test_each_world_builds_its_own_keyed_contexts(monkeypatch):
+    """Two experiment-3 worlds in one process, one per mode: the second builds as
+    many CMAC and AES-ECB contexts as the first, so neither mode runs on contexts
+    the other built.  Counted at the constructors every keyed context comes from."""
+    built = count_keyed_contexts(monkeypatch)
+    counts = []
+    for mode in ("edge", "traditional"):
+        built.clear()
+        run_experiment(config_for(experiment=3, mode=mode, n_devices=40, seed=5, duration_s=120))
+        counts.append(dict(built))
+    edge, traditional = counts
+    assert edge["CMAC"] > 0 and edge["Cipher"] > 0
+    assert traditional == edge

@@ -103,7 +103,7 @@ DECODE = (
     "from loraledger import cli\n"
     "assert cli.main(['frame', 'decode', '40010000010500010101010145b24721']) == 0"
 )
-SIGN = "from loraledger import crypto\ncrypto.sign(bytes(64), b'')"
+SIGN = "from loraledger import crypto\ncrypto.sign(crypto.generate_keypair('gw0', 1), b'')"
 
 
 @pytest.mark.parametrize(

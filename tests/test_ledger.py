@@ -450,14 +450,14 @@ def test_ledger_rejects_invalid_append(directory):
 
 
 def _signed_network_tx(entity_id: str, payload: bytes, t_ms: int = 1000) -> Transaction:
-    signature = sign(keypair(entity_id).private_key, struct.pack("<Q", t_ms) + payload)
+    signature = sign(keypair(entity_id), struct.pack("<Q", t_ms) + payload)
     return Transaction(requester=entity_id, signature=signature, timestamp_ms=t_ms, payload=payload)
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        pk_encrypt(keypair("gw0").public_key, make_context(2).to_bytes(), random.Random(2), b"\x00" * 5),
+        pk_encrypt(keypair("gw0"), make_context(2).to_bytes(), random.Random(2), b"\x00" * 5),
         b"\x01" * 8,  # shorter than the envelope header
     ],
     ids=["aad-not-12-bytes", "short-envelope"],
@@ -648,7 +648,7 @@ def _same_load(monkeypatch, data, jobs=2):
 
 def _forged(tx: Transaction) -> Transaction:
     """``tx`` signed by another registered entity's key (gw1's), still claiming its requester."""
-    return replace(tx, signature=sign(keypair("gw1").private_key, tx.signed_span()))
+    return replace(tx, signature=sign(keypair("gw1"), tx.signed_span()))
 
 
 def _network_blocks(n_blocks: int, forged_at=(), txs_per_block: int = 2) -> list[Block]:

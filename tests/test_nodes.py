@@ -17,9 +17,9 @@ from loraledger.consensus import (
     VoteMessage,
     make_vote,
 )
-from loraledger import crypto
 from loraledger.crypto import (
     BadKeyError,
+    RootKey,
     derive_session_keys,
     generate_keypair,
     pk_encrypt,
@@ -51,6 +51,7 @@ from loraledger.ledger import (
 )
 from loraledger.metrics import MetricsRecorder
 from loraledger.nodes import (
+    ABP_COUNTER_MIN,
     BEHAVIOR_UPLINK_LOOP,
     DeviceProfile,
     DownlinkData,
@@ -62,6 +63,7 @@ from loraledger.nodes import (
 )
 from loraledger.scenario import ConfigError, build_config
 from loraledger.simnet import LINK_CLASS_AIR, US_PER_S, Engine, LatencyModel
+from test_crypto import count_keyed_contexts
 
 
 def make_config(**overrides):
@@ -134,7 +136,7 @@ def test_edge_join_work_units():
 def test_edge_join_unknown_device_filtered():
     world = build_world(make_config(experiment=1))
     device = world.devices[0]
-    raw = build_join_request(b"\x11" * 16, device.app_eui, b"\xff" * 8, b"\x00\x01")
+    raw = build_join_request(RootKey(b"\x11" * 16), device.app_eui, b"\xff" * 8, b"\x00\x01")
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     gw0 = world.gateways[0]
@@ -146,7 +148,7 @@ def test_edge_join_unknown_device_filtered():
 def test_edge_join_bad_mic_filtered():
     world = build_world(make_config(experiment=1))
     device = world.devices[0]
-    raw = build_join_request(b"\x22" * 16, device.app_eui, device.dev_eui, b"\x00\x02")
+    raw = build_join_request(RootKey(b"\x22" * 16), device.app_eui, device.dev_eui, b"\x00\x02")
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     gw0 = world.gateways[0]
@@ -200,7 +202,7 @@ def test_traditional_join_roundtrip():
 def test_traditional_join_unknown_device():
     world = build_world(make_config(experiment=1, mode="traditional"))
     device = world.devices[0]
-    raw = build_join_request(b"\x33" * 16, device.app_eui, b"\xee" * 8, b"\x00\x03")
+    raw = build_join_request(RootKey(b"\x33" * 16), device.app_eui, b"\xee" * 8, b"\x00\x03")
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     srv0 = world.servers[0]
@@ -406,7 +408,7 @@ def test_each_uplink_ends_once_at_its_ack_or_at_its_deadline(uplinks):
     engine, recorder = Engine(1), EndLog()
     engine.register("gw0", lambda payload: None)
     profile = DeviceProfile(BEHAVIOR_UPLINK_LOOP, US_PER_S, US_PER_S, US_PER_S, UPLINK_TIMEOUT_US)
-    device = EndDevice("dev0", 0, bytes(8), bytes(8), bytes(16), engine, profile, recorder)
+    device = EndDevice("dev0", 0, bytes(8), bytes(8), RootKey(bytes(16)), engine, profile, recorder)
     device.attach_uplink(
         engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, LatencyModel.fixed(1))
     )
@@ -571,13 +573,13 @@ def test_abp_provision_and_uplink():
     world = build_world(make_config(mode="traditional"))
     device = world.devices[0]
     srv0 = world.servers[0]
-    dev_addr = format_dev_addr(0, 77)
+    dev_addr = format_dev_addr(0, ABP_COUNTER_MIN + 77)
     nwk_s_key, app_s_key = derive_session_keys(
         device.app_key, b"\x09\x08\x07", world.config.net_id, b"\x00\x09"
     )
     context = SessionContext(
         dev_eui=device.dev_eui,
-        app_key=device.app_key,
+        app_key=device.app_key.key,
         dev_addr=dev_addr,
         nwk_s_key=nwk_s_key,
         dev_nonce=b"\x00\x09",
@@ -596,7 +598,7 @@ def test_abp_provision_and_uplink():
 def test_abp_rejects_address_collision():
     world = build_world(make_config(mode="traditional"))
     srv0 = world.servers[0]
-    dev_addr = format_dev_addr(0, 50)
+    dev_addr = format_dev_addr(0, ABP_COUNTER_MIN + 50)
 
     def make_context(eui_byte):
         return SessionContext(
@@ -694,50 +696,43 @@ def test_a_bad_network_session_key_is_refused_when_the_controller_opens_the_sess
 
 
 def test_a_short_root_key_is_refused_when_the_device_is_made():
-    """Refused by ``EndDevice``, not by the engine when the device first joins."""
+    """Refused when the device's ``RootKey`` is made, not by the engine when it first joins."""
     engine = Engine(1)
     profile = DeviceProfile(BEHAVIOR_UPLINK_LOOP, US_PER_S, US_PER_S, US_PER_S, US_PER_S)
-    with pytest.raises(BadKeyError):
-        EndDevice("dev0", 0, bytes(8), bytes(8), b"short", engine, profile, MetricsRecorder())
+    with pytest.raises(BadKeyError, match="root key must be 16 bytes"):
+        EndDevice("dev0", 0, bytes(8), bytes(8), RootKey(b"short"), engine, profile, MetricsRecorder())
     assert "dev0" not in engine._handlers  # the id stays free for a device with a good key
-    EndDevice("dev0", 0, bytes(8), bytes(8), bytes(16), engine, profile, MetricsRecorder())
+    EndDevice("dev0", 0, bytes(8), bytes(8), RootKey(bytes(16)), engine, profile, MetricsRecorder())
 
 
 def test_a_short_root_key_is_refused_when_the_device_is_registered():
-    """Refused by ``register_device``, not by the join server at the first join request."""
+    """Refused when the ``RootKey`` is made, not by the join server at the first join request."""
     world = build_world(make_config(experiment=1))
     gw0 = world.gateways[0]
     dev_eui = b"\xee" * 8
-    with pytest.raises(BadKeyError):
-        gw0.register_device(dev_eui, b"short", "dev9")
+    with pytest.raises(BadKeyError, match="root key must be 16 bytes"):
+        gw0.register_device(dev_eui, RootKey(b"short"), "dev9")
     assert dev_eui not in gw0.registry
 
 
-def _keyed_cache_calls():
-    return [
-        (info.hits, info.misses)
-        for info in (crypto._cmac_template.cache_info(), crypto._ecb_encryptor.cache_info())
-    ]
-
-
-def test_making_sessions_builds_no_keyed_context():
-    """Opened, installed, provisioned and adopted sessions leave both keyed caches alone.
+def test_making_sessions_builds_no_keyed_context(monkeypatch):
+    """Opened, installed, provisioned and adopted sessions build no CMAC or ECB context.
 
     A rejoin replaces a session that may never carry a frame; contexts made at
-    install would fill the caches with keys that never tag one.
+    install would be built for keys that never tag one.
     """
     world = _handover_world()
     device, abp = world.devices[0], world.devices[2]
     gw0, gw1, srv0 = world.gateways[0], world.gateways[1], world.servers[0]
     nwk_s_key, app_s_key = bytes(range(16)), bytes(range(16, 32))
-    before = _keyed_cache_calls()
+    built = count_keyed_contexts(monkeypatch)
 
     context = gw0.open_session(device.dev_eui, b"\x07\x07", b"\x00\x00\x07", nwk_s_key, 0)
     device.install_session(context.dev_addr, nwk_s_key, app_s_key)
     abp_context = SessionContext(
         dev_eui=abp.dev_eui,
-        app_key=abp.app_key,
-        dev_addr=format_dev_addr(0, 77),
+        app_key=abp.app_key.key,
+        dev_addr=format_dev_addr(0, ABP_COUNTER_MIN + 77),
         nwk_s_key=nwk_s_key,
         dev_nonce=b"\x00\x09",
         app_nonce=b"\x09\x08\x07",
@@ -747,10 +742,10 @@ def test_making_sessions_builds_no_keyed_context():
     run_for(world, 3.0)  # both contexts commit
     gw1.receive_key_handover(gw0.entity_id, gw0.keypair.private_key)
     assert gw1._session(context.dev_addr) is not None  # adopted from the ledger
-    assert _keyed_cache_calls() == before
+    assert built == {}
 
-    device.send_uplink()  # the first frame keys both contexts
-    assert [calls > old for calls, old in zip(_keyed_cache_calls(), before)] == [True, True]
+    device.send_uplink()  # the first frame builds the session's MIC and keystream contexts
+    assert built == {"CMAC": 1, "Cipher": 1}
 
 
 def _handover_world():
@@ -857,7 +852,7 @@ def test_pbft_join_commits_across_edge_replicas():
 
 
 def _context_tx(keypair, payload: bytes, t_ms: int = 1) -> Transaction:
-    signature = sign(keypair.private_key, struct.pack("<Q", t_ms) + payload)
+    signature = sign(keypair, struct.pack("<Q", t_ms) + payload)
     return Transaction(keypair.entity_id, signature, t_ms, payload)
 
 
@@ -881,7 +876,7 @@ def test_pbft_voter_rejects_proposal_no_replica_can_append(metadata):
     if metadata is None:
         payload = b"\x01" * 8  # shorter than the envelope header
     else:
-        payload = pk_encrypt(gw.keypair.public_key, context.to_bytes(), random.Random(0), metadata)
+        payload = pk_encrypt(gw.keypair, context.to_bytes(), random.Random(0), metadata)
     good = make_network_tx(world.key_directory, gw.keypair, context, 1, random.Random(0))
     votes = []
     voter._send = lambda peer, msg: votes.append(msg)
@@ -1007,15 +1002,19 @@ def test_format_dev_addr_layout_and_bounds():
         format_dev_addr(256, 1)
 
 
-def test_assign_address_keeps_a_device_and_gives_the_next_its_own_slot():
+def test_open_session_keeps_a_device_and_gives_the_next_its_own_slot():
     world = build_world(make_config(experiment=1))
     gw0 = world.gateways[0]
     first, second = world.devices[0], world.devices[2]  # both covered by gw0
-    address = gw0.assign_address(first.dev_eui, 0)
+
+    def join(device, dev_nonce):
+        return gw0.open_session(device.dev_eui, dev_nonce, b"\x00\x00\x01", bytes(16), 0)
+
+    address = join(first, b"\x00\x01").dev_addr
     assert address == format_dev_addr(0, 1)
-    assert gw0.assign_address(first.dev_eui, 0) == address  # a rejoin keeps it
+    assert join(first, b"\x00\x02").dev_addr == address  # a rejoin keeps it
     assert gw0.registry[first.dev_eui].dev_addr == address
-    assert gw0.assign_address(second.dev_eui, 0) == format_dev_addr(0, 2)
+    assert join(second, b"\x00\x01").dev_addr == format_dev_addr(0, 2)
 
 
 @pytest.mark.parametrize("mode", ["edge", "traditional"])
@@ -1045,10 +1044,10 @@ def test_bootstrap_addresses_are_the_creator_index_slots(mode, experiment):
 def test_abp_device_keeps_its_address_when_it_joins():
     world = build_world(make_config(experiment=1, mode="traditional"))
     device, srv0 = world.devices[0], world.servers[0]
-    dev_addr = format_dev_addr(0, 77)
+    dev_addr = format_dev_addr(0, ABP_COUNTER_MIN + 77)
     context = SessionContext(
         dev_eui=device.dev_eui,
-        app_key=device.app_key,
+        app_key=device.app_key.key,
         dev_addr=dev_addr,
         nwk_s_key=bytes(16),
         dev_nonce=b"\x00\x09",
@@ -1064,17 +1063,17 @@ def test_abp_device_keeps_its_address_when_it_joins():
 
 @pytest.mark.parametrize("mode", ["traditional", "edge"])
 def test_join_skips_an_address_an_abp_device_holds(mode):
-    """A join gets the prefix's next free slot, not the one an ABP device was given."""
+    """A join takes the prefix's first slot; ABP devices hold the top half's slots."""
     world = build_world(make_config(experiment=1, mode=mode))
     abp, joiner, srv0 = world.devices[0], world.devices[2], world.servers[0]  # both under gw0
     join_server = world.join_server(world.gateways[0])
-    dev_addr = format_dev_addr(0, 1)  # the slot the allocator would hand out first
+    dev_addr = format_dev_addr(0, ABP_COUNTER_MIN + 1)
     nwk_s_key, app_s_key = derive_session_keys(
         abp.app_key, b"\x09\x08\x07", world.config.net_id, b"\x00\x09"
     )
     context = SessionContext(
         dev_eui=abp.dev_eui,
-        app_key=abp.app_key,
+        app_key=abp.app_key.key,
         dev_addr=dev_addr,
         nwk_s_key=nwk_s_key,
         dev_nonce=b"\x00\x09",
@@ -1082,19 +1081,97 @@ def test_join_skips_an_address_an_abp_device_holds(mode):
     )
     srv0.abp_provision(context, abp.device_id)
     abp.install_session(dev_addr, nwk_s_key, app_s_key)
-    # a gateway sees the ABP address once its context commits (edge mode)
-    run_for(world, 3.0)
+    run_for(world, 3.0)  # the ABP context commits
     joiner.begin_join()
     run_for(world, 3.0)
 
     assert joiner.state == "joined"
-    assert joiner.session.keys.dev_addr == format_dev_addr(0, 2)
+    assert joiner.session.keys.dev_addr == format_dev_addr(0, 1)
     assert join_server.sessions[joiner.session.keys.dev_addr].context.dev_eui == joiner.dev_eui
     assert srv0.sessions[dev_addr].context == context
     for node in world.replicas(KIND_NETWORK):
         entry = node.ledgers[KIND_NETWORK].query_context(dev_addr)
         assert entry.requester == srv0.entity_id
         assert context_metadata(entry.envelope) == (dev_addr, abp.dev_eui)
+
+
+def _abp_context(device, dev_addr: bytes) -> SessionContext:
+    return SessionContext(
+        dev_eui=device.dev_eui,
+        app_key=device.app_key.key,
+        dev_addr=dev_addr,
+        nwk_s_key=bytes(16),
+        dev_nonce=b"\x00\x09",
+        app_nonce=b"\x09\x08\x07",
+    )
+
+
+def _live_addresses(world) -> dict[bytes, set[bytes]]:
+    """Each address a live session holds, on any node or device -> the device EUIs
+    of those sessions."""
+    held: dict[bytes, set[bytes]] = {}
+    for node in world.gateways + world.servers:
+        for dev_addr, session in node.sessions.items():
+            held.setdefault(dev_addr, set()).add(session.context.dev_eui)
+    for device in world.devices:
+        if device.session is not None:
+            held.setdefault(device.session.keys.dev_addr, set()).add(device.dev_eui)
+    return held
+
+
+def test_an_abp_address_never_meets_the_next_join_at_an_edge_gateway():
+    """An edge gateway cannot see a provisioned context before it commits, so ABP
+    takes the top half of each prefix's counter, where no join address lies.  An
+    address below it is refused with nothing kept; one in it and a join through
+    the same gateway right after get different addresses."""
+    world = build_world(make_config(experiment=1))
+    abp, joiner, srv0 = world.devices[0], world.devices[2], world.servers[0]  # both under gw0
+    with pytest.raises(ValueError, match="outside the ABP range"):
+        srv0.abp_provision(_abp_context(abp, format_dev_addr(0, 1)), abp.device_id)
+    assert srv0.sessions == {} and srv0.work_units == 0
+    abp_addr = format_dev_addr(0, ABP_COUNTER_MIN)
+    srv0.abp_provision(_abp_context(abp, abp_addr), abp.device_id)
+    joiner.begin_join()  # at once: gw0 has not seen the ABP context
+    run_for(world, 3.0)
+
+    assert joiner.session.keys.dev_addr == format_dev_addr(0, 1)
+    assert _live_addresses(world) == {
+        abp_addr: {abp.dev_eui},
+        format_dev_addr(0, 1): {joiner.dev_eui},
+    }
+
+
+# (device index, ABP counter above ABP_COUNTER_MIN or None for a join, seconds run after)
+_abp_and_joins = st.lists(
+    st.tuples(st.integers(0, 5), st.none() | st.integers(0, 3), st.sampled_from([0, 0.5, 3])),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(actions=_abp_and_joins)
+def test_no_two_live_sessions_share_an_address_when_abp_and_joins_mix(actions):
+    """ABP provisions at ``srv0`` and joins at the edge gateways, in any order and at
+    any pace: every address a live session holds, anywhere, is one device's."""
+    world = build_world(make_config(experiment=1, n_devices=6))
+    srv0 = world.servers[0]
+    for index, abp_offset, seconds in actions:
+        device = world.devices[index]
+        if abp_offset is None:
+            device.begin_join()
+        else:
+            gw, _ = world.home(index)
+            dev_addr = format_dev_addr(gw.index, ABP_COUNTER_MIN + abp_offset)
+            try:
+                srv0.abp_provision(_abp_context(device, dev_addr), device.device_id)
+            except ValueError:
+                assert dev_addr in _live_addresses(world)  # refused only when taken
+            else:
+                device.install_session(dev_addr, bytes(16), bytes(16))
+        run_for(world, seconds)
+    run_for(world, 5.0)
+    assert all(len(euis) == 1 for euis in _live_addresses(world).values())
 
 
 # (device index, DevNonce, signed with the device's own app key?)
@@ -1115,7 +1192,7 @@ def test_join_server_accepts_each_fresh_nonce_once_and_keeps_addresses(mode, req
     world = build_world(make_config(experiment=1, mode=mode))
     for index, dev_nonce, right_key in requests:
         device = world.devices[index]
-        app_key = device.app_key if right_key else b"\x33" * 16
+        app_key = device.app_key if right_key else RootKey(b"\x33" * 16)
         raw = build_join_request(app_key, device.app_eui, device.dev_eui, dev_nonce)
         world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 4.0)
