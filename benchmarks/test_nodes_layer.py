@@ -18,21 +18,29 @@ the accept and installs the session.  The gateway is the network ledger's
 only maintainer and its solo orderer, so every ``BATCH`` joins cut a block
 that it validates and appends; the engine runs only long enough to deliver
 the two frames of each round.
+
+The join server's cycle is the same join on the gateway's ``JoinServer``
+alone, with no engine and no ledger write: register the device, then turn
+each request's bytes, one fresh DevNonce each, into its accept's bytes.
 """
+
+import random
+import struct
 
 from loraledger.consensus import BatchConfig, ConsensusConfig
 from loraledger.crypto import KeyDirectory, ROLE_GATEWAY, RootKey, generate_keypair
-from loraledger.frames import DIR_DOWN, SessionKeys, build_data_frame
-from loraledger.ledger import KIND_APPLICATION, KIND_NETWORK
-from loraledger.metrics import MetricsRecorder
-from loraledger.nodes import (
-    BEHAVIOR_UPLINK_LOOP,
-    MODE_EDGE,
-    DeviceProfile,
-    EndDevice,
-    Gateway,
-    format_dev_addr,
+from loraledger.frames import (
+    DIR_DOWN,
+    SessionKeys,
+    build_data_frame,
+    build_join_request,
+    open_join_accept,
+    parse_frame,
 )
+from loraledger.joinserver import JoinServer, format_dev_addr
+from loraledger.ledger import KIND_APPLICATION, KIND_NETWORK, Ledger
+from loraledger.metrics import MetricsRecorder
+from loraledger.nodes import BEHAVIOR_UPLINK_LOOP, MODE_EDGE, DeviceProfile, EndDevice, Gateway
 from loraledger.simnet import LINK_CLASS_AIR, Engine, LatencyModel, US_PER_S
 
 DEV_ADDR = bytes.fromhex("01000001")
@@ -79,6 +87,7 @@ JOINS = 64
 BATCH = 8
 DEV_EUI = bytes(range(1, 9))
 APP_KEY = bytes(range(32, 48))
+NET_ID = b"\x00\x00\x13"
 
 
 def _join_world():
@@ -93,9 +102,7 @@ def _join_world():
         orderer_hosts={KIND_NETWORK: "gw0", KIND_APPLICATION: "gw0"},
         maintainers={KIND_NETWORK: ("gw0",), KIND_APPLICATION: ()},
     )
-    gateway = Gateway(
-        "gw0", 0, MODE_EDGE, keypair, engine, directory, consensus, net_id=b"\x00\x00\x13"
-    )
+    gateway = Gateway("gw0", 0, MODE_EDGE, keypair, engine, directory, consensus, net_id=NET_ID)
     app_key = RootKey(APP_KEY)  # one per world, shared by the device and its registration
     device = EndDevice("dev0", 0, DEV_EUI, bytes(8), app_key, engine, PROFILE, MetricsRecorder())
     air = LatencyModel.fixed(1)
@@ -103,7 +110,7 @@ def _join_world():
     gateway.add_coverage(
         DEV_EUI, "dev0", engine.add_link("gw0->dev0", "gw0", "dev0", LINK_CLASS_AIR, air)
     )
-    gateway.register_device(DEV_EUI, app_key, "dev0")
+    gateway.core.register_device(DEV_EUI, app_key, "dev0")
     return (device, gateway), {}
 
 
@@ -122,8 +129,39 @@ def test_join_cycle(benchmark):
     assert device.state == "joined"
     # the join server keeps a device's address across rejoins
     assert device.session.keys.dev_addr == format_dev_addr(0, 1)
-    assert gateway.joins_accepted == JOINS
-    assert gateway.sessions[format_dev_addr(0, 1)].keys.nwk_s_key == device.session.keys.nwk_s_key
+    assert gateway.core.joins_accepted == JOINS
+    session = gateway.core.sessions[format_dev_addr(0, 1)]
+    assert session.keys.nwk_s_key == device.session.keys.nwk_s_key
     network = gateway.ledgers[KIND_NETWORK]
     assert network.height == JOINS // BATCH
     assert network.query_context(format_dev_addr(0, 1)).zeta == JOINS // BATCH - 1
+
+
+REQUESTS = [
+    build_join_request(RootKey(APP_KEY), bytes(8), DEV_EUI, struct.pack("<H", nonce))
+    for nonce in range(JOINS)
+]
+
+
+def _join_server():
+    keypair = generate_keypair("gw0", 1)
+    directory = KeyDirectory()
+    directory.add("gw0", keypair.public_key, ROLE_GATEWAY)
+    core = JoinServer("gw0", keypair, directory, NET_ID, random.Random(1), Ledger(KIND_NETWORK))
+    return (core,), {}
+
+
+def core_join_cycles(core: JoinServer) -> list:
+    core.register_device(DEV_EUI, RootKey(APP_KEY), "dev0")
+    return [core.join(parse_frame(request), 0) for request in REQUESTS]
+
+
+def test_join_server_join_cycle(benchmark):
+    accepted = benchmark.pedantic(core_join_cycles, setup=_join_server, rounds=20)
+    app_key = RootKey(APP_KEY)
+    for (context, device_id, accept), request in zip(accepted, REQUESTS):
+        assert device_id == "dev0" and context.dev_nonce == parse_frame(request).dev_nonce
+        # the join server keeps a device's address across rejoins
+        assert open_join_accept(accept, app_key).dev_addr == context.dev_addr
+        assert context.dev_addr == format_dev_addr(0, 1)
+    assert len(accepted) == JOINS

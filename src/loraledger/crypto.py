@@ -143,10 +143,16 @@ def generate_keypair(entity_id: str, seed: int) -> KeyPair:
     base = str(seed).encode("ascii")
     sign_seed = hashlib.sha256(b"keygen.sign\x00" + entity_id.encode("utf-8") + base).digest()
     enc_seed = hashlib.sha256(b"keygen.encrypt\x00" + entity_id.encode("utf-8") + base).digest()
+    private_key = sign_seed + enc_seed
+    return KeyPair(entity_id, public_key_of(private_key), private_key)
+
+
+def public_key_of(private_key: bytes) -> bytes:
+    """The public key (verify key, then X25519 public key) of a private key."""
+    sign_seed, enc_scalar = _split_private(private_key)
     sign_key = Ed25519PrivateKey.from_private_bytes(sign_seed)
-    enc_key = X25519PrivateKey.from_private_bytes(enc_seed)
-    pub = sign_key.public_key().public_bytes_raw() + enc_key.public_key().public_bytes_raw()
-    return KeyPair(entity_id=entity_id, public_key=pub, private_key=sign_seed + enc_seed)
+    enc_key = X25519PrivateKey.from_private_bytes(enc_scalar)
+    return sign_key.public_key().public_bytes_raw() + enc_key.public_key().public_bytes_raw()
 
 
 def _split_public(public_key: bytes) -> tuple[bytes, bytes]:

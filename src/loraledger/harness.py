@@ -37,6 +37,7 @@ from .crypto import (
     hash_bytes,
 )
 from .consensus import BatchConfig, ConsensusConfig
+from .joinserver import JoinServer
 from .ledger import KIND_APPLICATION, KIND_NETWORK, assemble_block, make_network_tx
 from .metrics import (
     MetricsRecorder,
@@ -107,9 +108,9 @@ class World:
         ordinal, k = divmod(index, self.config.n_gateways)
         return self.gateways[k], ordinal
 
-    def join_server(self, gateway: Gateway) -> LedgerNode:
-        """Who answers joins heard by ``gateway``: itself at the edge, else the first server."""
-        return gateway if self.config.mode == MODE_EDGE else self.servers[0]
+    def join_server(self, gateway: Gateway) -> JoinServer:
+        """The JS answering joins heard by ``gateway``: its own at the edge, else srv0's."""
+        return (gateway if self.config.mode == MODE_EDGE else self.servers[0]).core
 
 
 def device_app_key(dev_eui: bytes) -> bytes:

@@ -6,18 +6,18 @@ backhaul routes and timers.
 
 Two deployment modes share these classes.  The join server (JS), which
 answers joins, and the network controller (NC), which verifies and ACKs
-uplinks, exist once, on ``LedgerNode``, and run on whichever node hosts them:
-each gateway in edge mode, the first network server in traditional mode.
-Edge gateways forward only (device address, frame counter, encrypted
+uplinks, are ``joinserver.JoinServer``, which does no I/O.  Each gateway and
+server holds one as its ``core``; the nodes that run the JS and NC feed it
+frames: each gateway in edge mode, the first network server in traditional
+mode.  Edge gateways forward only (device address, frame counter, encrypted
 payload) upstream and keep a replica of the network ledger; traditional
 gateways are transparent pipes, with full frames crossing the backhaul in
-both directions.  The modes differ in three ways only:
+both directions.  Past the address prefix a join takes (the index of the
+gateway it came through), the modes differ in two ways only:
 
-  1. a new device address takes the index of the gateway the join came
-     through as its prefix,
-  2. a downlink frame goes out over the node's own radio (gateway) or as a
+  1. a downlink frame goes out over the node's own radio (gateway) or as a
      ``DownlinkFrameForward`` to that gateway (server),
-  3. a verified uplink is forwarded as an ``UplinkNotice`` (gateway) or
+  2. a verified uplink is forwarded as an ``UplinkNotice`` (gateway) or
      wrapped into an application transaction (server).
 
 Application payloads stay encrypted under the device's application session
@@ -37,19 +37,10 @@ not charged.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .consensus import Channel, ConsensusConfig, Replica
-from .crypto import (
-    KEY_LEN,
-    BadKeyError,
-    DecryptionError,
-    KeyDirectory,
-    KeyPair,
-    RootKey,
-    derive_session_keys,
-    pk_decrypt,
-)
+from .crypto import KeyDirectory, KeyPair, RootKey, derive_session_keys
 from .frames import (
     DEV_ADDR_LEN,
     DEV_NONCE_LEN,
@@ -64,23 +55,15 @@ from .frames import (
     MicMismatchError,
     SessionKeys,
     build_data_frame,
-    build_join_accept,
     build_join_request,
     encrypt_payload,
     decrypt_payload,
     open_join_accept,
     parse_frame,
     verify_data_mic,
-    verify_join_request,
 )
-from .ledger import (
-    KIND_APPLICATION,
-    KIND_NETWORK,
-    SessionContext,
-    WorldEntry,
-    make_app_tx,
-    make_network_tx,
-)
+from .joinserver import REFUSED, UNKNOWN, JoinServer, NcSession
+from .ledger import KIND_APPLICATION, KIND_NETWORK, SessionContext, make_app_tx, make_network_tx
 from .simnet import Engine, Link, US_PER_MS
 
 MODE_EDGE = "edge"
@@ -92,9 +75,6 @@ WU_QUERY = 1
 WU_TX_BUILD = 3
 
 UNAUTHORIZED_ADDR_PREFIX = 0xFF
-#: the top half of each prefix's 24-bit address counter is kept for ABP devices,
-#: so the join allocator, which hands out the counters below it, never meets one
-ABP_COUNTER_MIN = 0x800000
 APP_FPORT = 1  # every application uplink and downlink; ACKs go on port 0
 
 
@@ -175,15 +155,6 @@ class TimerUplinkTimeout(int):
     __slots__ = ()
 
 
-def format_dev_addr(prefix: int, counter: int) -> bytes:
-    """Creator-index prefix byte plus a 3-byte little-endian counter."""
-    if not 0 <= prefix <= 0xFF:
-        raise ValueError("prefix out of range")
-    if not 1 <= counter <= 0xFFFFFF:
-        raise ValueError("address counter exhausted")
-    return bytes([prefix]) + struct.pack("<I", counter)[:3]
-
-
 def _dispatch(node, payload) -> None:
     """Run the handler that ``node``'s class maps the payload's type to."""
     handler = node._HANDLERS.get(type(payload))
@@ -192,37 +163,12 @@ def _dispatch(node, payload) -> None:
     handler(node, payload)
 
 
-@dataclass
-class Registration:
-    """What the join server keeps for one registered device."""
-
-    app_key: RootKey  # the device's own object, shared with it
-    device_id: str
-    dev_addr: bytes | None = None  # assigned once, kept across rejoins
-    spent_nonces: set[bytes] = field(default_factory=set)
-
-
-@dataclass(slots=True)
-class NcSession:
-    """What the network controller tracks for one device address."""
-
-    context: SessionContext
-    device_id: str | None  # radio route for ACKs and downlinks; None if out of coverage
-    last_fcnt_up: int = -1
-    next_fcnt_down: int = 0  # counts the NC's ACKs only; see docs/wire.md
-    keys: SessionKeys = field(init=False, repr=False)  # the context's data-frame keys
-
-    def __post_init__(self) -> None:
-        self.keys = SessionKeys(self.context.dev_addr, self.context.nwk_s_key)
-
-
 class LedgerNode(Replica):
-    """A gateway or server: a consensus replica on the engine, plus the JS and NC.
+    """A gateway or server: a consensus replica on the engine, and its JS and NC.
 
-    It gives the replica its clock, backhaul routes and timers.  The join
-    server and network controller run on the node that hosts them in the
-    deployment mode.  Subclasses supply the steps where the modes differ:
-    ``_address_prefix``, ``_downlink`` and ``_ingest``.
+    It gives the replica its clock, backhaul routes and timers, and its
+    ``JoinServer``, ``core``, frames, ledger writes and sends; subclasses supply
+    the sends where the modes differ: ``_downlink``, ``_send_join_accept``, ``_ingest``.
     """
 
     def __init__(
@@ -240,19 +186,13 @@ class LedgerNode(Replica):
         self.index = index
         self.mode = mode
         self.engine = engine
-        self.net_id = net_id
         self.rng = engine.stream("node:%s" % entity_id)
+        network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
+        ledger = None if network is None else network.ledger
+        self.core = JoinServer(entity_id, keypair, key_directory, net_id, self.rng, ledger)
         self.routes: dict[str, Link] = {}
         self.work_units = 0
-        # join server and network controller state
-        self.registry: dict[bytes, Registration] = {}  # by device EUI
-        self._addr_counters: dict[int, int] = {}  # last address counter, by prefix
-        self.sessions: dict[bytes, NcSession] = {}
-        self.held_keys: dict[str, bytes] = {}
-        self.coverage: dict[bytes, str] = {}  # device EUI -> device id; gateways only
         self.filtered_frames = 0
-        self.acks_sent = 0
-        self.joins_accepted = 0
         engine.register(entity_id, self.handle)
 
     @property
@@ -277,161 +217,49 @@ class LedgerNode(Replica):
 
     # -- join server and network controller --
 
-    def register_device(self, dev_eui: bytes, app_key: RootKey, device_id: str) -> None:
-        self.registry[dev_eui] = Registration(app_key, device_id)
-
-    def _next_address(self, prefix: int) -> tuple[bytes, int]:
-        """The prefix's next join address and its counter, claiming neither.
-
-        Joins take the counters below ``ABP_COUNTER_MIN`` in order, and only
-        this node's join server hands out its prefixes' join addresses, so
-        the next counter is always free.
-        """
-        counter = self._addr_counters.get(prefix, 0) + 1
-        if counter >= ABP_COUNTER_MIN:
-            raise ValueError("join address counter exhausted")
-        return format_dev_addr(prefix, counter), counter
-
-    def _address_free(self, dev_addr: bytes) -> bool:
-        """No session here and no context on this node's network ledger use ``dev_addr``."""
-        return dev_addr not in self.sessions and self._committed_context(dev_addr) is None
-
-    def _committed_context(self, dev_addr: bytes) -> WorldEntry | None:
-        """This node's committed context for an address; None without a network replica."""
-        network = self.channels.get(KIND_NETWORK)  # None on a traditional gateway
-        return None if network is None else network.ledger.query_context(dev_addr)
-
-    def open_session(
-        self, dev_eui: bytes, dev_nonce: bytes, app_nonce: bytes, nwk_s_key: bytes, prefix: int
-    ) -> SessionContext:
-        """Spend a registered device's DevNonce, address it and serve its new session.
-
-        The context checks every field before anything is spent, so a refused
-        call leaves the nonce unspent and no address assigned.
-        """
-        registration = self.registry[dev_eui]
-        dev_addr, counter = registration.dev_addr, None
-        if dev_addr is None:
-            dev_addr, counter = self._next_address(prefix)
-        context = SessionContext(
-            dev_eui=dev_eui,
-            app_key=registration.app_key.key,
-            dev_addr=dev_addr,
-            nwk_s_key=nwk_s_key,
-            dev_nonce=dev_nonce,
-            app_nonce=app_nonce,
-        )
-        registration.spent_nonces.add(dev_nonce)
-        if counter is not None:
-            registration.dev_addr, self._addr_counters[prefix] = dev_addr, counter
-        self.sessions[dev_addr] = NcSession(context, registration.device_id)
-        return context
-
-    def receive_key_handover(self, entity_id: str, private_key: bytes) -> None:
-        """Out-of-band private-key copy from a failing gateway."""
-        if len(private_key) != KEY_LEN:
-            raise BadKeyError("private key must be %d bytes" % KEY_LEN)
-        self.held_keys[entity_id] = private_key
-
     def _publish_context(self, context: SessionContext) -> None:
         """Sign a new session's context and submit it to the network ledger."""
         self.work_units += WU_TX_BUILD
         tx = make_network_tx(self.directory, self.keypair, context, self.now_ms, self.rng)
         self.submit_tx(KIND_NETWORK, tx)
 
-    def _on_frame(self, data: bytes, via: str) -> None:
-        """Classify one device frame that arrived through gateway ``via``."""
+    def _on_frame(self, data: bytes, via: str, prefix: int) -> None:
+        """Serve one device frame heard by gateway ``via``, whose index is ``prefix``."""
         self.work_units += WU_PARSE
         try:
             frame = parse_frame(data)
         except MalformedFrameError:
-            self.filtered_frames += 1
-            return
+            frame = None
         if isinstance(frame, JoinRequest):
-            self._js_join(frame, via)
+            outcome = self.core.join(frame, prefix)
         elif isinstance(frame, DataFrame) and frame.direction == DIR_UP and frame.payload:
-            self._nc_uplink(frame, data, via)
+            self.work_units += WU_QUERY
+            outcome = self.core.uplink(frame, data)
         else:
-            self.filtered_frames += 1  # includes uplinks with nothing to put on a ledger
-
-    def _js_join(self, frame: JoinRequest, via: str) -> None:
-        registration = self.registry.get(frame.dev_eui)
-        if registration is None:
+            outcome = UNKNOWN  # includes uplinks with nothing to put on a ledger
+        if outcome is not UNKNOWN:
+            self.work_units += WU_MIC  # the core checked the frame's MIC
+        if outcome is UNKNOWN or outcome is REFUSED:
             self.filtered_frames += 1
-            return
-        app_key, device_id = registration.app_key, registration.device_id
-        self.work_units += WU_MIC
-        if (
-            not verify_join_request(frame, app_key)
-            or frame.dev_nonce in registration.spent_nonces
-        ):
-            self.filtered_frames += 1
-            return
-        app_nonce = self.rng.randbytes(3)
-        # the application session key is derived only by the device
-        nwk_s_key, _ = derive_session_keys(app_key, app_nonce, self.net_id, frame.dev_nonce)
-        context = self.open_session(
-            frame.dev_eui, frame.dev_nonce, app_nonce, nwk_s_key, self._address_prefix(via)
-        )
-        self._publish_context(context)
-        # the accept goes out concurrently with consensus, not after it
-        self.work_units += WU_PARSE + WU_MIC
-        accept = build_join_accept(app_key, app_nonce, self.net_id, context.dev_addr)
-        self.joins_accepted += 1
-        self._send_join_accept(via, device_id, accept)
+        elif isinstance(frame, JoinRequest):
+            context, device_id, accept = outcome
+            self._publish_context(context)
+            # the accept goes out concurrently with consensus, not after it
+            self.work_units += WU_PARSE + WU_MIC
+            self._send_join_accept(via, device_id, accept)
+        else:
+            if outcome is not None:  # the ACK, unless the device is out of coverage
+                self.work_units += WU_PARSE + WU_MIC
+                self._downlink(via, *outcome)
+            self._ingest(frame)
 
     def _send_join_accept(self, via: str, device_id: str, accept: bytes) -> None:
         self._downlink(via, device_id, accept)
 
-    def _session(self, dev_addr: bytes) -> NcSession | None:
-        """The session for an address, adopting a committed context this node can open."""
-        session = self.sessions.get(dev_addr)
-        if session is not None:
-            return session
-        entry = self._committed_context(dev_addr)
-        if entry is None:
-            return None
-        if entry.requester == self.entity_id:
-            private_key = self.keypair.private_key
-        elif entry.requester in self.held_keys:
-            private_key = self.held_keys[entry.requester]
-        else:
-            return None
-        try:
-            context = SessionContext.from_bytes(pk_decrypt(private_key, entry.envelope))
-        except (DecryptionError, ValueError):
-            return None
-        session = NcSession(context, self.coverage.get(context.dev_eui))
-        self.sessions[dev_addr] = session
-        return session
-
-    def _nc_uplink(self, frame: DataFrame, data: bytes, via: str) -> None:
-        """Serve one parsed uplink; ``data`` is its wire form, which the MIC check reads."""
-        self.work_units += WU_QUERY
-        session = self._session(frame.dev_addr)
-        if session is None:
-            self.filtered_frames += 1
-            return
-        self.work_units += WU_MIC
-        if not verify_data_mic(session.keys, data):
-            self.filtered_frames += 1
-            return
-        if frame.fcnt <= session.last_fcnt_up:
-            self.filtered_frames += 1
-            return
-        session.last_fcnt_up = frame.fcnt
-        if session.device_id is not None:
-            self._send_data_down(via, session, session.next_fcnt_down, 0, b"")
-            session.next_fcnt_down += 1
-            self.acks_sent += 1
-        self._ingest(frame)
-
-    def _send_data_down(
-        self, via: str, session: NcSession, fcnt: int, fport: int, payload: bytes
-    ) -> None:
-        """Build, integrity-tag and send one downlink data frame (ACK or application)."""
+    def _send_app_down(self, via: str, session: NcSession, fcnt: int, payload: bytes) -> None:
+        """Build, integrity-tag and send one application downlink data frame."""
         self.work_units += WU_PARSE + WU_MIC
-        data = build_data_frame(session.keys, fcnt, fport, payload, DIR_DOWN)
+        data = build_data_frame(session.keys, fcnt, APP_FPORT, payload, DIR_DOWN)
         self._downlink(via, session.device_id, data)
 
 
@@ -446,7 +274,7 @@ class Gateway(LedgerNode):
         self.forwarded_uplinks = 0
 
     def add_coverage(self, dev_eui: bytes, device_id: str, link: Link) -> None:
-        self.coverage[dev_eui] = device_id
+        self.core.coverage[dev_eui] = device_id
         self.device_links[device_id] = link
 
     handle = _dispatch
@@ -462,10 +290,7 @@ class Gateway(LedgerNode):
             self.forwarded_uplinks += 1
             self._send(self.uplink_server, FrameForward(gateway_id=self.entity_id, frame=data))
             return
-        self._on_frame(data, self.entity_id)
-
-    def _address_prefix(self, via: str) -> int:
-        return self.index
+        self._on_frame(data, self.entity_id, self.index)
 
     def _downlink(self, via: str, device_id: str, frame: bytes) -> None:
         self._transmit(device_id, frame)
@@ -490,12 +315,12 @@ class Gateway(LedgerNode):
 
     def _on_downlink_data(self, msg: DownlinkData) -> None:
         self.work_units += WU_QUERY
-        session = self._session(msg.dev_addr)
+        session = self.core.session(msg.dev_addr)
         # a counter or payload no frame can carry is dropped; without a radio
         # route the frame is built but goes nowhere
         framable = 0 <= msg.fcnt <= MAX_FCNT and len(msg.payload) <= MAX_FRM_PAYLOAD
         if session is not None and framable:
-            self._send_data_down(self.entity_id, session, msg.fcnt, APP_FPORT, msg.payload)
+            self._send_app_down(self.entity_id, session, msg.fcnt, msg.payload)
 
     def _on_downlink_frame_forward(self, msg: DownlinkFrameForward) -> None:
         self._transmit(msg.device_id, msg.frame)
@@ -514,7 +339,6 @@ class NetworkServer(LedgerNode):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.gateways: tuple[str, ...] = ()  # gateway ids by index, the address prefix
-        self.next_app_fcnt_down: dict[bytes, int] = {}
         self.ingested = 0
 
     handle = _dispatch
@@ -533,10 +357,7 @@ class NetworkServer(LedgerNode):
         if fwd.gateway_id not in self.gateways:
             self.filtered_frames += 1  # only a wired gateway may forward frames
             return
-        self._on_frame(fwd.frame, fwd.gateway_id)
-
-    def _address_prefix(self, via: str) -> int:
-        return self.gateways.index(via)
+        self._on_frame(fwd.frame, fwd.gateway_id, self.gateways.index(fwd.gateway_id))
 
     def _downlink(self, via: str, device_id: str, frame: bytes) -> None:
         self._send(via, DownlinkFrameForward(frame=frame, device_id=device_id))
@@ -550,32 +371,9 @@ class NetworkServer(LedgerNode):
     # -- operator-facing operations --
 
     def abp_provision(self, context: SessionContext, device_id: str) -> None:
-        """Install an operator-supplied session; address collisions are rejected.
-
-        ABP addresses keep the serving gateway's index as their prefix, since
-        ``downlink`` routes by it, and take a counter from the prefix's top
-        half (``ABP_COUNTER_MIN`` and up), where no join address lies: an
-        edge gateway cannot see a provisioned context until it commits.
-        """
-        counter = int.from_bytes(context.dev_addr[1:], "little")
-        if counter < ABP_COUNTER_MIN:
-            raise ValueError(
-                "device address %s is outside the ABP range" % context.dev_addr.hex()
-            )
-        # an address not yet committed is in sessions; every other one is on the ledger
-        if not self._address_free(context.dev_addr):
-            raise ValueError("device address %s already in use" % context.dev_addr.hex())
-        registration = self.registry.get(context.dev_eui)
-        if registration is not None:
-            registration.dev_addr = context.dev_addr  # a later join keeps this address
-        self.sessions[context.dev_addr] = NcSession(context, device_id)
+        """Serve an operator-supplied session and publish its context, or raise ValueError."""
+        self.core.abp_provision(context, device_id, len(self.gateways))
         self._publish_context(context)
-
-    def reserve_fcnt_down(self, dev_addr: bytes) -> int:
-        """Hand out the next application downlink counter, kept apart from the NC's ACKs."""
-        fcnt = self.next_app_fcnt_down.get(dev_addr, 0)
-        self.next_app_fcnt_down[dev_addr] = fcnt + 1
-        return fcnt
 
     def downlink(self, dev_addr: bytes, encrypted_payload: bytes, fcnt: int) -> None:
         """Push application data (already session-key encrypted) toward a device.
@@ -595,19 +393,19 @@ class NetworkServer(LedgerNode):
             raise ValueError("no gateway serves address %s" % dev_addr.hex())
         gateway_id = self.gateways[dev_addr[0]]
         if self.mode == MODE_EDGE:
-            if self._committed_context(dev_addr) is None:
+            if self.core.committed_context(dev_addr) is None:
                 raise ValueError("unknown device address %s" % dev_addr.hex())
             self._send(
                 gateway_id,
                 DownlinkData(dev_addr=dev_addr, fcnt=fcnt, payload=encrypted_payload),
             )
             return
-        session = self._session(dev_addr)
+        session = self.core.session(dev_addr)
         if session is None:
             raise ValueError("unknown device address %s" % dev_addr.hex())
         if session.device_id is None:
             raise ValueError("no radio route for address %s" % dev_addr.hex())
-        self._send_data_down(gateway_id, session, fcnt, APP_FPORT, encrypted_payload)
+        self._send_app_down(gateway_id, session, fcnt, encrypted_payload)
 
 
 # ---------------------------------------------------------------------------

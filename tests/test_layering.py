@@ -46,7 +46,8 @@ def test_the_package_root_loads_no_module():
 
 
 @pytest.mark.parametrize(
-    "layer", ["crypto", "frames", "ledger", "consensus", "simnet", "metrics", "scenario"]
+    "layer",
+    ["crypto", "frames", "ledger", "consensus", "joinserver", "simnet", "metrics", "scenario"],
 )
 def test_a_lower_layer_loads_neither_nodes_nor_harness(layer):
     loaded = loaded_after_import("loraledger." + layer)

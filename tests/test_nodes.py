@@ -49,9 +49,9 @@ from loraledger.ledger import (
     make_app_tx,
     make_network_tx,
 )
+from loraledger.joinserver import ABP_COUNTER_MIN, format_dev_addr
 from loraledger.metrics import MetricsRecorder
 from loraledger.nodes import (
-    ABP_COUNTER_MIN,
     BEHAVIOR_UPLINK_LOOP,
     DeviceProfile,
     DownlinkData,
@@ -59,7 +59,6 @@ from loraledger.nodes import (
     EndDevice,
     FrameForward,
     UplinkNotice,
-    format_dev_addr,
 )
 from loraledger.scenario import ConfigError, build_config
 from loraledger.simnet import LINK_CLASS_AIR, US_PER_S, Engine, LatencyModel
@@ -98,9 +97,9 @@ def test_edge_join_roundtrip():
     assert device.session is not None
     addr = device.session.keys.dev_addr
     assert addr == format_dev_addr(0, 1)
-    assert gw0.joins_accepted == 1
+    assert gw0.core.joins_accepted == 1
     # the device and the join server independently derived the same network key
-    assert gw0.sessions[addr].context.nwk_s_key == device.session.keys.nwk_s_key
+    assert gw0.core.sessions[addr].context.nwk_s_key == device.session.keys.nwk_s_key
     record = world.recorder.by_kind("join")[0]
     assert record.status == "completed"
     assert record.latency_us == 800_000  # two fixed 400 ms air hops
@@ -142,7 +141,7 @@ def test_edge_join_unknown_device_filtered():
     gw0 = world.gateways[0]
     assert gw0.filtered_frames == 1
     assert gw0.work_units == 1  # parse only; no MIC attempt without a registration
-    assert gw0.joins_accepted == 0
+    assert gw0.core.joins_accepted == 0
 
 
 def test_edge_join_bad_mic_filtered():
@@ -154,7 +153,7 @@ def test_edge_join_bad_mic_filtered():
     gw0 = world.gateways[0]
     assert gw0.filtered_frames == 1
     assert gw0.work_units == 3  # parse + failed MIC
-    assert gw0.joins_accepted == 0
+    assert gw0.core.joins_accepted == 0
 
 
 def test_edge_join_nonce_replay_filtered():
@@ -165,12 +164,12 @@ def test_edge_join_nonce_replay_filtered():
     device.begin_join()
     run_for(world, 1.0)
     assert device.state == "joined"
-    dev_nonce = gw0.sessions[device.session.keys.dev_addr].context.dev_nonce
+    dev_nonce = gw0.core.sessions[device.session.keys.dev_addr].context.dev_nonce
     raw = build_join_request(device.app_key, device.app_eui, device.dev_eui, dev_nonce)
     world.engine.send(device.uplink, raw, len(raw))
     run_for(world, 1.0)
     assert gw0.filtered_frames == 1
-    assert gw0.joins_accepted == 1
+    assert gw0.core.joins_accepted == 1
     assert gw0.work_units == 9 + 3  # replay pays parse + MIC before the nonce check
 
 
@@ -184,7 +183,7 @@ def test_traditional_join_roundtrip():
 
     assert device.state == "joined"
     assert device.session.keys.dev_addr == format_dev_addr(0, 1)
-    assert srv0.joins_accepted == 1
+    assert srv0.core.joins_accepted == 1
     assert srv0.work_units == 9
     assert world.gateways[0].work_units == 0  # transparent pipe
     record = world.recorder.by_kind("join")[0]
@@ -247,7 +246,7 @@ def test_edge_uplink_flow():
     device.send_uplink()
     run_for(world, 1.0)
     assert gw0.forwarded_uplinks == 1
-    assert gw0.acks_sent == 1
+    assert gw0.core.acks_sent == 1
     assert srv0.ingested == 1
     assert gw0.work_units == 7
     assert srv0.work_units == 3
@@ -324,7 +323,7 @@ def test_traditional_uplink_flow():
     assert gw0.forwarded_uplinks == 1
     assert srv0.work_units == 10
     assert srv0.ingested == 1
-    assert srv0.acks_sent == 1
+    assert srv0.core.acks_sent == 1
     record = world.recorder.by_kind("uplink")[0]
     assert record.status == "completed"
     assert 810_000 <= record.latency_us <= 840_000
@@ -360,7 +359,7 @@ def test_two_acks_settle_both_pending_uplinks():
     assert [r.status for r in records] == ["completed", "completed"]
     assert device._pending_uplinks == {}
     assert device.session.last_fcnt_down == 1
-    assert world.gateways[0].sessions[device.session.keys.dev_addr].next_fcnt_down == 2
+    assert world.gateways[0].core.sessions[device.session.keys.dev_addr].next_fcnt_down == 2
 
 
 def test_uplink_timeout_marks_failure():
@@ -466,7 +465,7 @@ def test_edge_downlink_payload_only_to_gateway():
     gw0, srv0 = world.gateways[0], world.servers[0]
     addr = device.session.keys.dev_addr
     plaintext = b"actuate:\x01\x02"
-    fcnt = srv0.reserve_fcnt_down(addr)
+    fcnt = srv0.core.reserve_fcnt_down(addr)
     assert fcnt == 0
     ct = encrypt_payload(device.session.keys, fcnt, DIR_DOWN, plaintext)
     srv0.downlink(addr, ct, fcnt)
@@ -489,7 +488,7 @@ def test_traditional_downlink_full_frame():
     srv0 = world.servers[0]
     addr = device.session.keys.dev_addr
     plaintext = b"actuate:\x03\x04"
-    fcnt = srv0.reserve_fcnt_down(addr)
+    fcnt = srv0.core.reserve_fcnt_down(addr)
     ct = encrypt_payload(device.session.keys, fcnt, DIR_DOWN, plaintext)
     srv0.downlink(addr, ct, fcnt)
     run_for(world, 1.0)
@@ -509,7 +508,7 @@ def test_downlink_after_ack_reaches_device(mode):
     run_for(world, 1.0)
     assert device.session.last_fcnt_down == 0
 
-    fcnt = srv0.reserve_fcnt_down(addr)
+    fcnt = srv0.core.reserve_fcnt_down(addr)
     ct = encrypt_payload(device.session.keys, fcnt, DIR_DOWN, b"after-ack")
     srv0.downlink(addr, ct, fcnt)
     run_for(world, 1.0)
@@ -628,7 +627,7 @@ def test_gateway_key_handover_recovers_ledger_contexts():
     assert gw1.filtered_frames == 1  # envelope on chain, but sealed for gw0
     assert gw1.work_units == 2
 
-    gw1.receive_key_handover(gw0.entity_id, gw0.keypair.private_key)
+    gw1.core.receive_key_handover(gw0.entity_id, gw0.keypair.private_key)
     device.send_uplink()
     run_for(world, 1.0)
     assert gw1.forwarded_uplinks == 1
@@ -645,8 +644,8 @@ def test_malformed_key_handover_raises_at_the_call():
     device = world.devices[0]
     gw0, gw1 = world.gateways[0], world.gateways[1]
     with pytest.raises(BadKeyError):
-        gw1.receive_key_handover(gw0.entity_id, gw0.keypair.private_key[:63])
-    assert gw1.held_keys == {}
+        gw1.core.receive_key_handover(gw0.entity_id, gw0.keypair.private_key[:63])
+    assert gw1.core.held_keys == {}
     device.send_uplink()
     run_for(world, 1.0)
     assert gw1.filtered_frames == 1
@@ -681,18 +680,18 @@ def test_a_bad_network_session_key_is_refused_when_the_controller_opens_the_sess
     claimed, so the same join can still open the session, at the first address."""
     world = build_world(make_config())
     device, gw0 = world.devices[0], world.gateways[0]
-    registration = gw0.registry[device.dev_eui]
-    counters = dict(gw0._addr_counters)
+    registration = gw0.core.registry[device.dev_eui]
+    counters = dict(gw0.core._addr_counters)
     with pytest.raises(ValueError):
-        gw0.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", b"short", gw0.index)
-    assert gw0.sessions == {}
+        gw0.core.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", b"short", gw0.index)
+    assert gw0.core.sessions == {}
     assert registration.spent_nonces == set()
     assert registration.dev_addr is None
-    assert gw0._addr_counters == counters
-    context = gw0.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", bytes(16), 0)
+    assert gw0.core._addr_counters == counters
+    context = gw0.core.open_session(device.dev_eui, b"\x00\x01", b"\x00\x00\x01", bytes(16), 0)
     assert context.dev_addr == format_dev_addr(0, counters.get(0, 0) + 1)
     assert registration.spent_nonces == {b"\x00\x01"}
-    assert gw0._addr_counters[0] == counters.get(0, 0) + 1
+    assert gw0.core._addr_counters[0] == counters.get(0, 0) + 1
 
 
 def test_a_short_root_key_is_refused_when_the_device_is_made():
@@ -711,8 +710,8 @@ def test_a_short_root_key_is_refused_when_the_device_is_registered():
     gw0 = world.gateways[0]
     dev_eui = b"\xee" * 8
     with pytest.raises(BadKeyError, match="root key must be 16 bytes"):
-        gw0.register_device(dev_eui, RootKey(b"short"), "dev9")
-    assert dev_eui not in gw0.registry
+        gw0.core.register_device(dev_eui, RootKey(b"short"), "dev9")
+    assert dev_eui not in gw0.core.registry
 
 
 def test_making_sessions_builds_no_keyed_context(monkeypatch):
@@ -727,7 +726,7 @@ def test_making_sessions_builds_no_keyed_context(monkeypatch):
     nwk_s_key, app_s_key = bytes(range(16)), bytes(range(16, 32))
     built = count_keyed_contexts(monkeypatch)
 
-    context = gw0.open_session(device.dev_eui, b"\x07\x07", b"\x00\x00\x07", nwk_s_key, 0)
+    context = gw0.core.open_session(device.dev_eui, b"\x07\x07", b"\x00\x00\x07", nwk_s_key, 0)
     device.install_session(context.dev_addr, nwk_s_key, app_s_key)
     abp_context = SessionContext(
         dev_eui=abp.dev_eui,
@@ -740,8 +739,8 @@ def test_making_sessions_builds_no_keyed_context(monkeypatch):
     srv0.abp_provision(abp_context, abp.device_id)
     abp.install_session(abp_context.dev_addr, nwk_s_key, app_s_key)
     run_for(world, 3.0)  # both contexts commit
-    gw1.receive_key_handover(gw0.entity_id, gw0.keypair.private_key)
-    assert gw1._session(context.dev_addr) is not None  # adopted from the ledger
+    gw1.core.receive_key_handover(gw0.entity_id, gw0.keypair.private_key)
+    assert gw1.core.session(context.dev_addr) is not None  # adopted from the ledger
     assert built == {}
 
     device.send_uplink()  # the first frame builds the session's MIC and keystream contexts
@@ -1008,12 +1007,12 @@ def test_open_session_keeps_a_device_and_gives_the_next_its_own_slot():
     first, second = world.devices[0], world.devices[2]  # both covered by gw0
 
     def join(device, dev_nonce):
-        return gw0.open_session(device.dev_eui, dev_nonce, b"\x00\x00\x01", bytes(16), 0)
+        return gw0.core.open_session(device.dev_eui, dev_nonce, b"\x00\x00\x01", bytes(16), 0)
 
     address = join(first, b"\x00\x01").dev_addr
     assert address == format_dev_addr(0, 1)
     assert join(first, b"\x00\x02").dev_addr == address  # a rejoin keeps it
-    assert gw0.registry[first.dev_eui].dev_addr == address
+    assert gw0.core.registry[first.dev_eui].dev_addr == address
     assert join(second, b"\x00\x01").dev_addr == format_dev_addr(0, 2)
 
 
@@ -1058,7 +1057,7 @@ def test_abp_device_keeps_its_address_when_it_joins():
     run_for(world, 2.0)
     assert device.state == "joined"
     assert device.session.keys.dev_addr == dev_addr
-    assert srv0.sessions[dev_addr].context.nwk_s_key == device.session.keys.nwk_s_key
+    assert srv0.core.sessions[dev_addr].context.nwk_s_key == device.session.keys.nwk_s_key
 
 
 @pytest.mark.parametrize("mode", ["traditional", "edge"])
@@ -1088,7 +1087,7 @@ def test_join_skips_an_address_an_abp_device_holds(mode):
     assert joiner.state == "joined"
     assert joiner.session.keys.dev_addr == format_dev_addr(0, 1)
     assert join_server.sessions[joiner.session.keys.dev_addr].context.dev_eui == joiner.dev_eui
-    assert srv0.sessions[dev_addr].context == context
+    assert srv0.core.sessions[dev_addr].context == context
     for node in world.replicas(KIND_NETWORK):
         entry = node.ledgers[KIND_NETWORK].query_context(dev_addr)
         assert entry.requester == srv0.entity_id
@@ -1111,7 +1110,7 @@ def _live_addresses(world) -> dict[bytes, set[bytes]]:
     of those sessions."""
     held: dict[bytes, set[bytes]] = {}
     for node in world.gateways + world.servers:
-        for dev_addr, session in node.sessions.items():
+        for dev_addr, session in node.core.sessions.items():
             held.setdefault(dev_addr, set()).add(session.context.dev_eui)
     for device in world.devices:
         if device.session is not None:
@@ -1128,7 +1127,7 @@ def test_an_abp_address_never_meets_the_next_join_at_an_edge_gateway():
     abp, joiner, srv0 = world.devices[0], world.devices[2], world.servers[0]  # both under gw0
     with pytest.raises(ValueError, match="outside the ABP range"):
         srv0.abp_provision(_abp_context(abp, format_dev_addr(0, 1)), abp.device_id)
-    assert srv0.sessions == {} and srv0.work_units == 0
+    assert srv0.core.sessions == {} and srv0.work_units == 0
     abp_addr = format_dev_addr(0, ABP_COUNTER_MIN)
     srv0.abp_provision(_abp_context(abp, abp_addr), abp.device_id)
     joiner.begin_join()  # at once: gw0 has not seen the ABP context
@@ -1139,6 +1138,20 @@ def test_an_abp_address_never_meets_the_next_join_at_an_edge_gateway():
         abp_addr: {abp.dev_eui},
         format_dev_addr(0, 1): {joiner.dev_eui},
     }
+
+
+@pytest.mark.parametrize("mode", ["edge", "traditional"])
+def test_abp_refuses_an_address_no_gateway_serves(mode):
+    """Refused at the call, before anything is served or published, not by every
+    later downlink to the address."""
+    world = build_world(make_config(mode=mode))  # two gateways: prefixes 0 and 1
+    device, srv0 = world.devices[0], world.servers[0]
+    context = _abp_context(device, format_dev_addr(9, ABP_COUNTER_MIN))
+    with pytest.raises(ValueError, match="no gateway serves address 09000080"):
+        srv0.abp_provision(context, device.device_id)
+    assert srv0.core.sessions == {} and srv0.work_units == 0
+    run_for(world, 3.0)
+    assert all(node.ledgers[KIND_NETWORK].height == 0 for node in world.replicas(KIND_NETWORK))
 
 
 # (device index, ABP counter above ABP_COUNTER_MIN or None for a join, seconds run after)
@@ -1199,10 +1212,10 @@ def test_join_server_accepts_each_fresh_nonce_once_and_keeps_addresses(mode, req
 
     nodes = world.gateways + world.servers
     fresh = {(index, dev_nonce) for index, dev_nonce, right_key in requests if right_key}
-    assert sum(node.joins_accepted for node in nodes) == len(fresh)
+    assert sum(node.core.joins_accepted for node in nodes) == len(fresh)
     addresses = {}
     for node in nodes:
-        for dev_addr, session in node.sessions.items():
+        for dev_addr, session in node.core.sessions.items():
             addresses.setdefault(session.context.dev_eui, set()).add(dev_addr)
     joined = {world.devices[index].dev_eui for index, _ in fresh}
     assert set(addresses) == joined
@@ -1345,9 +1358,9 @@ def test_frame_forward_only_from_a_wired_gateway(sender):
         srv0.handle(FrameForward(gateway_id=sender, frame=frame))
     run_for(world, 1.0)
     assert srv0.filtered_frames == 2
-    assert (srv0.work_units, srv0.acks_sent, srv0.joins_accepted) == (0, 0, 0)
-    assert srv0.sessions[session.keys.dev_addr].last_fcnt_up == -1
-    assert b"\x07\x07" not in srv0.registry[device.dev_eui].spent_nonces  # never spent
+    assert (srv0.work_units, srv0.core.acks_sent, srv0.core.joins_accepted) == (0, 0, 0)
+    assert srv0.core.sessions[session.keys.dev_addr].last_fcnt_up == -1
+    assert b"\x07\x07" not in srv0.core.registry[device.dev_eui].spent_nonces  # never spent
     assert world.engine.events_processed == 0
 
 
