@@ -6,7 +6,10 @@ Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
 a fast wrong answer does not pass.  The data frame is an uplink with a 20-byte
 payload, the default reading size; the join request is the frozen vector of
 tests/test_frames.py; the envelope seals one session context with its
-addr | eui metadata, as a join does.  The uplink round trip is the frame work
+addr | eui metadata, as a join does, and the batch cases seal and sign 100
+such contexts of five join servers, as a bootstrap does, batched on
+``crypto.verify_jobs()`` threads and, for reference, one by one.  The uplink
+round trip is the frame work
 of one confirmed reading: the device encrypts and builds the uplink, the
 gateway parses and MIC-checks it and builds the ACK, and the device parses
 and MIC-checks the ACK.
@@ -14,8 +17,12 @@ and MIC-checks the ACK.
 
 import random
 
+import pytest
+
 from loraledger.crypto import (
     ENVELOPE_OVERHEAD,
+    KeyDirectory,
+    ROLE_GATEWAY,
     RootKey,
     envelope_aad,
     generate_keypair,
@@ -32,7 +39,12 @@ from loraledger.frames import (
     parse_frame,
     verify_data_mic,
 )
-from loraledger.ledger import SessionContext
+from loraledger.ledger import (
+    BATCH_MIN_CONTEXTS,
+    SessionContext,
+    make_network_tx,
+    make_network_txs,
+)
 
 NWK_S_KEY = bytes(range(16))
 APP_S_KEY = bytes(range(16, 32))
@@ -101,3 +113,44 @@ def test_pk_encrypt(benchmark):
 
 def test_pk_decrypt(benchmark):
     assert benchmark(pk_decrypt, KEYPAIR.private_key, ENVELOPE) == CONTEXT
+
+
+BATCH_KEYPAIRS = [generate_keypair("gw%d" % k, 1) for k in range(5)]
+BATCH_CONTEXTS = [
+    SessionContext(
+        dev_eui=i.to_bytes(8, "little"),
+        app_key=bytes(16),
+        dev_addr=bytes([i % 5]) + (i // 5 + 1).to_bytes(3, "little"),
+        nwk_s_key=NWK_S_KEY,
+        dev_nonce=b"\x00\x01",
+        app_nonce=b"\x00\x00\x01",
+    )
+    for i in range(100)
+]
+
+
+def _seal_and_sign(make):
+    """``make(directory, requests)`` over the 100 contexts, each with its join
+    server's own stream, in a fresh directory; returns the transactions."""
+    directory = KeyDirectory()
+    for keypair in BATCH_KEYPAIRS:
+        directory.add(keypair.entity_id, keypair.public_key, ROLE_GATEWAY)
+    streams = [random.Random(k) for k in range(5)]
+    requests = [
+        (BATCH_KEYPAIRS[i % 5], context, 0, streams[i % 5])
+        for i, context in enumerate(BATCH_CONTEXTS)
+    ]
+    return make(directory, requests)
+
+
+def _one_by_one(directory, requests):
+    return [make_network_tx(directory, *request) for request in requests]
+
+
+BATCH_TXS = _seal_and_sign(_one_by_one)
+
+
+@pytest.mark.parametrize("make", [make_network_txs, _one_by_one], ids=["batch", "one-by-one"])
+def test_seal_and_sign_contexts(benchmark, make):
+    assert len(BATCH_CONTEXTS) >= BATCH_MIN_CONTEXTS
+    assert benchmark(_seal_and_sign, make) == BATCH_TXS

@@ -402,8 +402,13 @@ class Replica:
 
     def _on_proposal(self, msg: BlockProposal) -> None:
         channel = self.channels.get(msg.channel)
-        if channel is None or msg.proposer not in channel.peers:
-            self.invalid_blocks += 1  # only another maintainer of a kept channel may propose
+        if (
+            channel is None
+            or msg.proposer not in channel.peers
+            or msg.proposer != self.consensus.orderer_hosts[msg.channel]
+        ):
+            # only the orderer host of a kept channel proposes, and never to itself
+            self.invalid_blocks += 1
             return
         digest = block_hash(msg.block)
         verdict = validate_block(msg.block, channel.ledger.tip, self.directory, channel.name)

@@ -19,15 +19,26 @@ for the same key and message.  ``verify`` accepts through libsodium where it
 loads, and ``cryptography`` decides every rejection: libsodium is the
 stricter verifier, so each signature it accepts ``cryptography`` accepts too,
 and a verdict never depends on the host.  On a 2-vCPU VM (libsodium 1.0.18,
-``cryptography`` 48) a verify takes about 96 µs against 209 µs.  Every other
-operation runs on ``cryptography``.
+``cryptography`` 48) a verify takes about 96 µs against 209 µs.
+
+``pk_encrypt`` seals one envelope on ``cryptography``'s X25519, which holds
+the GIL; libsodium's is no faster on one thread (over single envelopes there
+it won two of four series and lost two), so a join's context stays on
+``cryptography``.  A batch known up front (a world's
+bootstrap, ``ledger.make_network_txs``) is sealed by ``pk_encrypt_all`` and
+signed by ``sign_all`` with libsodium's X25519 and Ed25519 calls, which
+release the GIL, fanned out over ``verify_jobs()`` threads by ``fan_out``,
+the helper ``ledger.load_chain`` verifies on too.  The bytes are the same on
+either path.  Every other operation runs on ``cryptography``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import struct
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -172,12 +183,16 @@ _SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so")
 
 
 class _Sodium(NamedTuple):
-    """libsodium's Ed25519 functions, with their C signatures declared."""
+    """libsodium's Ed25519 and X25519 functions, with their C signatures declared."""
 
     #: ``sign(secret_key, message) -> signature``, with libsodium's 64-byte secret key
     sign: Callable[[bytes, bytes], bytes]
     #: ``accepts(verify_key, message, signature)``: True only if libsodium accepts
     accepts: Callable[[bytes, bytes, bytes], bool]
+    #: ``exchange(scalar, peer) -> (public key, shared secret)``: the X25519 products
+    #: of a 32-byte scalar with the base point and with the peer's 32-byte public
+    #: key; the secret is None where libsodium refuses the product (all zero)
+    exchange: Callable[[bytes, bytes], tuple[bytes, bytes | None]]
 
 
 @functools.cache
@@ -218,10 +233,17 @@ def _sodium() -> _Sodium | None:
     verify_detached = lib.crypto_sign_verify_detached
     verify_detached.argtypes = [c_char_p, c_char_p, c_ulonglong, c_char_p]
     verify_detached.restype = c_int
+    scalarmult_base = lib.crypto_scalarmult_curve25519_base
+    scalarmult_base.argtypes = [c_char_p, c_char_p]
+    scalarmult_base.restype = c_int
+    scalarmult = lib.crypto_scalarmult_curve25519
+    scalarmult.argtypes = [c_char_p, c_char_p, c_char_p]
+    scalarmult.restype = c_int
 
-    # a fresh buffer per call: ``load_chain`` runs ``verify`` on threads, so
-    # nothing here may be shared between calls
+    # a fresh buffer per call: ``fan_out`` runs these on threads, so nothing
+    # here may be shared between calls
     signature_buffer = c_char * SIGNATURE_LEN
+    point_buffer = c_char * _KEY_HALF
 
     def signer(secret_key: bytes, message: bytes) -> bytes:
         # ctypes takes only ``bytes``; ``cryptography`` signs any bytes-like message
@@ -238,16 +260,75 @@ def _sodium() -> _Sodium | None:
         except ArgumentError:  # not ``bytes`` (a bytearray, say): cryptography decides
             return False
 
-    return _Sodium(signer, accepts)
+    def exchange(scalar: bytes, peer: bytes) -> tuple[bytes, bytes | None]:
+        public, shared = point_buffer(), point_buffer()
+        if scalarmult_base(public, scalar) != 0 or scalarmult(shared, scalar, peer) != 0:
+            return public.raw, None
+        return public.raw, shared.raw
+
+    return _Sodium(signer, accepts, exchange)
 
 
 def uses_libsodium() -> bool:
     """Whether ``sign`` and ``verify`` run on libsodium here, loading it if need be.
 
     libsodium's calls release the GIL (``ctypes.CDLL``), so threads verify
-    side by side; ``cryptography``'s Ed25519 calls hold it.
+    side by side; ``cryptography``'s Ed25519 and X25519 calls hold it.
     """
     return _sodium() is not None
+
+
+#: most threads, the calling one included, that one ``fan_out`` runs on
+MAX_VERIFY_JOBS = 4
+
+
+def verify_jobs() -> int:
+    """Threads that libsodium calls are fanned out on (``fan_out``): usable
+    CPUs, at most ``MAX_VERIFY_JOBS``; 1 without libsodium, as
+    ``cryptography``'s calls hold the GIL and threads would only take turns."""
+    if not uses_libsodium():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_VERIFY_JOBS)
+
+
+def fan_out(work: Callable[[list], list], items: list, jobs: int) -> list:
+    """``work(items)``, with ``items`` cut into ``jobs`` contiguous slices.
+
+    ``work`` maps a slice to one result per item.  This thread works the
+    first slice and a started thread each other one, so they run side by
+    side only while ``work`` is inside calls that release the GIL, such as
+    libsodium's.  A slice whose thread could not start, or raised, is worked
+    again here, so the results, and any exception, are those of
+    ``work(items)``.  No thread outlives the call.
+    """
+    bounds = [len(items) * job // jobs for job in range(jobs + 1)]
+    slices = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    results: list[list | None] = [None] * jobs
+
+    def run(job: int) -> None:
+        results[job] = work(slices[job])
+
+    started = []
+    try:
+        for job in range(1, jobs):
+            thread = threading.Thread(target=run, args=(job,))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread can start: this one works the rest
+                break
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for job, done in enumerate(results):
+        if done is None:  # its thread could not start, or raised
+            results[job] = work(slices[job])
+    return [result for done in results for result in done]
 
 
 def sign(keypair: KeyPair, message: bytes) -> bytes:
@@ -265,6 +346,23 @@ def sign(keypair: KeyPair, message: bytes) -> bytes:
     if sodium is None:
         return keypair._signing_key.sign(message)
     return sodium.sign(keypair._sodium_secret, message)
+
+
+def sign_all(pairs: list[tuple[KeyPair, bytes]], jobs: int) -> list[bytes]:
+    """``sign(keypair, message)`` for each pair, in order, on ``jobs`` threads
+    (``fan_out``) through libsodium; through ``sign`` without it."""
+    sodium = _sodium()
+    if sodium is None:
+        return [sign(keypair, message) for keypair, message in pairs]
+    for keypair, _ in pairs:
+        if keypair._sodium_secret is None:
+            keypair._bind_signing()
+    signer = sodium.sign
+    return fan_out(
+        lambda chunk: [signer(keypair._sodium_secret, message) for keypair, message in chunk],
+        pairs,
+        jobs,
+    )
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -299,6 +397,28 @@ def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     ).derive(shared)
 
 
+def _check_sealable(data: bytes, aad: bytes) -> None:
+    if not data:
+        raise ValueError("refusing to seal an empty payload")
+    if len(aad) > 0xFFFF:
+        raise ValueError("associated data too long")
+
+
+def _envelope(
+    recipient: KeyPair, eph_pub: bytes, shared: bytes, nonce: bytes, data: bytes, aad: bytes
+) -> bytes:
+    key = _envelope_key(shared, eph_pub, recipient.public_key[_KEY_HALF:])
+    sealed = AESGCM(key).encrypt(nonce, data, aad)
+    return eph_pub + nonce + struct.pack("<H", len(aad)) + aad + sealed
+
+
+def _exchange(recipient: KeyPair, scalar: bytes) -> tuple[bytes, bytes]:
+    """(ephemeral public key, shared secret) of an ephemeral scalar, on ``cryptography``."""
+    eph = X25519PrivateKey.from_private_bytes(scalar)
+    shared = eph.exchange(recipient._recipient or recipient._bind_recipient())
+    return eph.public_key().public_bytes_raw(), shared
+
+
 def pk_encrypt(recipient: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> bytes:
     """Seal data to a key pair's public encryption key (hybrid envelope).
 
@@ -306,18 +426,55 @@ def pk_encrypt(recipient: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -
     The aad travels in clear but is bound by the authentication tag, so a
     holder of the envelope can read it while any modification is detected on
     decryption.  Only the matching private key opens the envelope.
+
+    The ephemeral scalar (32 bytes) and then the nonce (12) are drawn from
+    ``rng``.  The X25519 exchange runs on ``cryptography``, which holds the
+    GIL; a batch can use threads instead (``pk_encrypt_all``).
     """
-    if not data:
-        raise ValueError("refusing to seal an empty payload")
-    if len(aad) > 0xFFFF:
-        raise ValueError("associated data too long")
-    eph = X25519PrivateKey.from_private_bytes(rng.randbytes(_KEY_HALF))
-    eph_pub = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(recipient._recipient or recipient._bind_recipient())
-    key = _envelope_key(shared, eph_pub, recipient.public_key[_KEY_HALF:])
-    nonce = rng.randbytes(_ENVELOPE_NONCE_LEN)
-    sealed = AESGCM(key).encrypt(nonce, data, aad)
-    return eph_pub + nonce + struct.pack("<H", len(aad)) + aad + sealed
+    _check_sealable(data, aad)
+    eph_pub, shared = _exchange(recipient, rng.randbytes(_KEY_HALF))
+    return _envelope(recipient, eph_pub, shared, rng.randbytes(_ENVELOPE_NONCE_LEN), data, aad)
+
+
+def pk_encrypt_all(
+    requests: list[tuple[KeyPair, bytes, Random, bytes]], jobs: int
+) -> list[bytes]:
+    """``pk_encrypt(recipient, data, rng, aad)`` for each request, in order.
+
+    The envelopes, and every draw from each ``rng``, are ``pk_encrypt``'s:
+    each request's scalar and nonce are drawn here, in request order.  The two
+    X25519 multiplications of every request then run through libsodium on
+    ``jobs`` threads (``fan_out``), and the key derivation and AES-GCM on
+    this one.  Without libsodium each request goes through ``pk_encrypt``.
+    A product libsodium refuses is redone on ``cryptography``, which raises
+    as ``pk_encrypt`` does.  Nothing is drawn if any request is refused.
+    """
+    sodium = _sodium()
+    if sodium is None:
+        return [pk_encrypt(*request) for request in requests]
+    for _, data, _, aad in requests:
+        _check_sealable(data, aad)
+    draws = [
+        (rng.randbytes(_KEY_HALF), rng.randbytes(_ENVELOPE_NONCE_LEN))
+        for _, _, rng, _ in requests
+    ]
+    exchange = sodium.exchange
+    products = fan_out(
+        lambda chunk: [exchange(scalar, peer) for scalar, peer in chunk],
+        [
+            (scalar, recipient.public_key[_KEY_HALF:])
+            for (recipient, *_), (scalar, _) in zip(requests, draws)
+        ],
+        jobs,
+    )
+    envelopes = []
+    for (recipient, data, _, aad), (scalar, nonce), (eph_pub, shared) in zip(
+        requests, draws, products
+    ):
+        if shared is None:
+            eph_pub, shared = _exchange(recipient, scalar)
+        envelopes.append(_envelope(recipient, eph_pub, shared, nonce, data, aad))
+    return envelopes
 
 
 def envelope_aad(envelope: bytes) -> bytes:
@@ -550,10 +707,22 @@ class KeyDirectory:
         foreign key never does.
         """
         signature = sign(keypair, message)
+        self._remember_own(keypair, message, signature)
+        return signature
+
+    def sign_all(self, pairs: list[tuple[KeyPair, bytes]], jobs: int) -> list[bytes]:
+        """``sign`` for each (keypair, message), in order, with each verdict
+        remembered as ``sign`` remembers it; the signatures are ``sign_all``'s."""
+        signatures = sign_all(pairs, jobs)
+        for (keypair, message), signature in zip(pairs, signatures):
+            self._remember_own(keypair, message, signature)
+        return signatures
+
+    def _remember_own(self, keypair: KeyPair, message: bytes, signature: bytes) -> None:
+        """Remember ``signature`` as valid if ``keypair`` holds its entity's registered key."""
         entry = self._entries.get(keypair.entity_id)
         if entry is not None and entry[0][:_KEY_HALF] == keypair.verify_key:
             self._remember((keypair.entity_id, message, signature), True)
-        return signature
 
     def _remember(self, memo_key: tuple[str, bytes, bytes], verdict: bool) -> None:
         verdicts = self._verdicts

@@ -14,9 +14,7 @@ serialized predecessor.  Wire layouts are documented in docs/wire.md.
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
 from dataclasses import dataclass
 from random import Random
 
@@ -25,6 +23,7 @@ from .crypto import (
     CryptoError,
     DecryptionError,
     KeyDirectory,
+    KeyPair,
     ROLE_SERVER,
     SIGNATURE_LEN,
     envelope_aad,
@@ -218,6 +217,11 @@ def _signed_tx(
     return Transaction(keypair.entity_id, signature, timestamp_ms, payload)
 
 
+def _sealing(keypair, context: SessionContext, rng: Random) -> tuple:
+    """``pk_encrypt``'s arguments for sealing ``context`` to the requester's own key."""
+    return keypair, context.to_bytes(), rng, context.dev_addr + context.dev_eui
+
+
 def make_network_tx(
     directory: KeyDirectory, keypair, context: SessionContext, timestamp_ms: int, rng: Random
 ) -> Transaction:
@@ -227,13 +231,48 @@ def make_network_tx(
     is what lets every replica key its world state while the context itself
     stays readable only by the requester.
     """
-    envelope = pk_encrypt(
-        keypair,
-        context.to_bytes(),
-        rng,
-        aad=context.dev_addr + context.dev_eui,
-    )
+    envelope = pk_encrypt(*_sealing(keypair, context, rng))
     return _signed_tx(directory, keypair, timestamp_ms, envelope)
+
+
+#: a batch of fewer contexts is sealed and signed one by one (``make_network_txs``);
+#: measured on a 2-vCPU VM, see CHANGES.md
+BATCH_MIN_CONTEXTS = 32
+
+
+def make_network_txs(
+    directory: KeyDirectory, requests: list[tuple[KeyPair, SessionContext, int, Random]]
+) -> list[Transaction]:
+    """``make_network_tx(directory, keypair, context, timestamp_ms, rng)`` for
+    each request, in order.
+
+    The transactions, the draws from each ``rng`` and the verdicts
+    ``directory`` remembers are the same as one by one.  A batch of at least
+    ``BATCH_MIN_CONTEXTS`` where ``crypto.verify_jobs()`` is above 1 is sealed
+    (``crypto.pk_encrypt_all``) and then signed (``KeyDirectory.sign_all``)
+    with libsodium's calls on that many threads.  A join publishes one
+    context, which ``make_network_tx`` seals on ``cryptography``'s X25519:
+    on one thread libsodium's is no faster.
+    """
+    jobs = crypto.verify_jobs() if len(requests) >= BATCH_MIN_CONTEXTS else 1
+    if jobs == 1:
+        return [make_network_tx(directory, *request) for request in requests]
+    envelopes = crypto.pk_encrypt_all(
+        [_sealing(keypair, context, rng) for keypair, context, _, rng in requests], jobs
+    )
+    spans = [
+        _signed_span(timestamp_ms, envelope)
+        for (_, _, timestamp_ms, _), envelope in zip(requests, envelopes)
+    ]
+    signatures = directory.sign_all(
+        [(keypair, span) for (keypair, *_), span in zip(requests, spans)], jobs
+    )
+    return [
+        Transaction(keypair.entity_id, signature, timestamp_ms, envelope)
+        for (keypair, _, timestamp_ms, _), signature, envelope in zip(
+            requests, signatures, envelopes
+        )
+    ]
 
 
 def make_app_tx(
@@ -556,91 +595,47 @@ def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
 #: from 39% less to 6% more over 768 (medians of 11 alternating loads, three
 #: series): the two vCPUs do not always run at once
 PARALLEL_MIN_SIGNATURES = 1024
-#: most threads, the loading one included, that check one dump's signatures
-MAX_VERIFY_JOBS = 4
-
-# one signature check: (requester, signed span, signature)
-_Check = tuple[str, bytes, bytes]
-
-
-def verify_jobs() -> int:
-    """Threads ``load_chain`` checks signatures on: usable CPUs, at most
-    ``MAX_VERIFY_JOBS``; 1 without libsodium, as ``cryptography``'s verify
-    holds the GIL and threads would only take turns."""
-    if not crypto.uses_libsodium():
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_VERIFY_JOBS)
-
-
-def _fanned_out_verdicts(
-    directory: KeyDirectory, checks: list[_Check], jobs: int
-) -> list[bool] | None:
-    """``crypto.verify``'s verdict on each of ``checks``, on ``jobs`` threads.
-
-    ``checks`` is cut into ``jobs`` contiguous slices; this thread checks the
-    first and a started thread each other one.  They call ``crypto.verify``,
-    whose libsodium path releases the GIL, and not ``KeyDirectory.verify``,
-    whose memo is not thread-safe.  None when a thread could not start or
-    raised; no thread outlives the call.
-    """
-    verdicts: list[bool | None] = [None] * len(checks)
-    bounds = [len(checks) * job // jobs for job in range(jobs + 1)]
-
-    def check(start: int, stop: int) -> None:
-        verdicts[start:stop] = [
-            crypto.verify(directory.public_key(requester), span, signature)
-            for requester, span, signature in checks[start:stop]
-        ]
-
-    started = []
-    try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
-            thread = threading.Thread(target=check, args=(start, stop))
-            thread.start()  # RuntimeError where no thread can start
-            started.append(thread)
-        check(bounds[0], bounds[1])
-    except RuntimeError:
-        return None
-    finally:
-        for thread in started:
-            thread.join()
-    return None if None in verdicts else verdicts
 
 
 def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Ledger:
-    """``Ledger.replay``, with the signatures checked ahead of it on ``verify_jobs()``
-    threads when there are at least ``PARALLEL_MIN_SIGNATURES``.
+    """``Ledger.replay``, with the signatures checked ahead of it on
+    ``crypto.verify_jobs()`` threads when there are at least
+    ``PARALLEL_MIN_SIGNATURES``.
 
     The replay stays the one verdict: it answers each signature from the
-    checks made ahead, and re-checks serially if the checks could not be made.
+    checks made ahead.  The checks call ``crypto.verify``, whose libsodium
+    path releases the GIL, and not ``KeyDirectory.verify``, whose memo is not
+    thread-safe.
     """
     signatures = sum(len(block.txs) for block in blocks)
-    jobs = verify_jobs() if signatures >= PARALLEL_MIN_SIGNATURES else 1
-    if jobs > 1:
-        # each distinct signature check the replay can make, in chain order
-        checks = list(
-            dict.fromkeys(
-                (tx.requester, tx.signed_span(), tx.signature)
-                for block in blocks
-                for tx in block.txs
-                if tx.requester in directory
-            )
+    jobs = crypto.verify_jobs() if signatures >= PARALLEL_MIN_SIGNATURES else 1
+    if jobs == 1:
+        return Ledger.replay(kind, blocks, directory)
+    # each distinct (requester, signed span, signature) the replay checks, in chain order
+    checks = list(
+        dict.fromkeys(
+            (tx.requester, tx.signed_span(), tx.signature)
+            for block in blocks
+            for tx in block.txs
+            if tx.requester in directory
         )
-        verdicts = _fanned_out_verdicts(directory, checks, jobs) if checks else None
-        if verdicts is not None:
-            with directory.settled(dict(zip(checks, verdicts))):
-                return Ledger.replay(kind, blocks, directory)
-    return Ledger.replay(kind, blocks, directory)
+    )
+    verdicts = crypto.fan_out(
+        lambda chunk: [
+            crypto.verify(directory.public_key(requester), span, signature)
+            for requester, span, signature in chunk
+        ],
+        checks,
+        jobs,
+    )
+    with directory.settled(dict(zip(checks, verdicts))):
+        return Ledger.replay(kind, blocks, directory)
 
 
 def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     """Parse and fully validate a chain dump; any corruption raises.
 
-    A large dump's signatures are checked on up to ``verify_jobs()``
+    A large dump's signatures are checked on up to ``crypto.verify_jobs()``
     threads (see ``_replay_dump``); the result and any error are the same.
     """
     body, trailer = data[:-32], data[-32:]

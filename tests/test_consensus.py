@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from loraledger.consensus import (
     BatchConfig,
+    BlockProposal,
     COMMITTED,
+    CommitNotice,
     ConsensusConfig,
     FAILED,
     PENDING,
@@ -22,7 +24,7 @@ from loraledger.consensus import (
     vote_message,
 )
 from loraledger.crypto import KeyDirectory, ROLE_SERVER, generate_keypair
-from loraledger.ledger import KIND_APPLICATION, make_app_tx
+from loraledger.ledger import KIND_APPLICATION, assemble_block, block_hash, make_app_tx
 
 
 class FakeTx:
@@ -345,3 +347,33 @@ def test_replicas_agree_on_a_prefix_under_any_delivery_order(mode, p, data):
         assert chain == longest[: len(chain)]
     signatures = [tx.signature for block in longest for tx in block.txs]
     assert len(signatures) == len(set(signatures))
+
+
+def test_only_the_orderer_host_may_propose():
+    """A block proposed by a maintainer that does not order the channel, then a
+    commit notice naming it, cannot fork its receiver off the committed chain."""
+    directory, keypairs = four_servers()
+    ids = sorted(keypairs)
+    consensus = ConsensusConfig(
+        mode="pbft",
+        p=1,
+        batch=BatchConfig(1000, 2),
+        orderer_hosts={KIND_APPLICATION: "srv0"},
+        maintainers={KIND_APPLICATION: tuple(ids)},
+    )
+    net = {"now_ms": 0, "pending": []}
+    replicas = {e: BareReplica(e, keypairs[e], directory, consensus, net) for e in ids}
+    rogue = make_app_tx(directory, keypairs["srv2"], b"rogue", 0)
+    block = assemble_block([rogue], 0, 0, None)
+    deliver(replicas["srv1"], BlockProposal(KIND_APPLICATION, "srv2", block))
+    deliver(replicas["srv1"], CommitNotice(KIND_APPLICATION, block_hash(block)))
+    for n in range(2):
+        tx = make_app_tx(directory, keypairs["srv0"], b"tx%d" % n, 0)
+        replicas["srv0"].submit_tx(KIND_APPLICATION, tx)
+    while net["pending"]:
+        peer, message = net["pending"].pop(0)
+        deliver(replicas[peer], message)
+    chains = {e: replica.ledgers[KIND_APPLICATION].blocks for e, replica in replicas.items()}
+    assert len(chains["srv0"]) == 1
+    assert all(chain == chains["srv0"] for chain in chains.values())
+    assert replicas["srv1"].invalid_blocks == 1

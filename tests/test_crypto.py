@@ -4,6 +4,8 @@ import ctypes
 import hashlib
 import itertools
 import random
+import sys
+import threading
 import types
 from collections import Counter
 
@@ -13,12 +15,17 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.cmac import CMAC
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loraledger import crypto
+from loraledger import ledger as ledger_module
 from loraledger.crypto import (
     BadKeyError,
     CryptoError,
@@ -44,6 +51,7 @@ from loraledger.crypto import (
     verify,
 )
 from loraledger.harness import compare_modes
+from loraledger.ledger import SessionContext, make_network_tx, make_network_txs
 from loraledger.scenario import build_config
 from test_golden import CASES, GOLDEN, artifact_digest
 
@@ -181,12 +189,15 @@ def test_libsodium_and_cryptography_sign_the_same_bytes(seed, message):
 def _stand_in_sodium(init=0, detached=0, verify=0, calls=None):
     """A ``CDLL`` stand-in whose functions only return the given codes.
 
-    Each call is appended to ``calls``, when given, as (symbol, args).
+    Its X25519 functions refuse every product.  Each call is appended to
+    ``calls``, when given, as (symbol, args).
     """
     codes = {
         "sodium_init": init,
         "crypto_sign_detached": detached,
         "crypto_sign_verify_detached": verify,
+        "crypto_scalarmult_curve25519_base": -1,
+        "crypto_scalarmult_curve25519": -1,
     }
 
     def function(symbol, code):
@@ -811,3 +822,159 @@ def test_a_key_pair_builds_its_signing_keys_once_and_verifies_under_its_seed(mon
     for message in (b"one", b"two"):
         assert verify(gw0.public_key, message, sign(pretender, message))
     assert built == [gw0.private_key[:32]]
+
+
+# ---------------------------------------------------------------------------
+# session contexts sealed and signed as one batch (ledger.make_network_txs)
+
+#: the batch's requesters: three registered pairs, a pair under a registered id
+#: whose seed is not the registered one, and a pair of an unregistered id
+BATCH_SIGNERS = [generate_keypair(e, 3) for e in ("gw0", "gw1", "srv0")] + [
+    generate_keypair("gw1", 4),
+    generate_keypair("gw9", 3),
+]
+
+
+def _batch_made(n: int, seed: int, make) -> tuple:
+    """``make(directory, requests)`` over ``n`` drawn requests, as (transactions,
+    each stream's state after, the directory's remembered verdicts in order).
+
+    Requests of one signer share its stream, as a join server's contexts do.
+    """
+    directory = KeyDirectory()
+    for keypair in BATCH_SIGNERS[:3]:
+        directory.add(keypair.entity_id, keypair.public_key, ROLE_GATEWAY)
+    draw = random.Random(seed)
+    streams = [random.Random(seed * 8 + k) for k in range(len(BATCH_SIGNERS))]
+    requests = []
+    for _ in range(n):
+        k = draw.randrange(len(BATCH_SIGNERS))
+        context = SessionContext(
+            dev_eui=draw.randbytes(8),
+            app_key=draw.randbytes(16),
+            dev_addr=draw.randbytes(4),
+            nwk_s_key=draw.randbytes(16),
+            dev_nonce=draw.randbytes(2),
+            app_nonce=draw.randbytes(3),
+        )
+        requests.append((BATCH_SIGNERS[k], context, draw.randrange(2**40), streams[k]))
+    txs = make(directory, requests)
+    return txs, [stream.getstate() for stream in streams], list(directory._verdicts.items())
+
+
+def _one_by_one(directory, requests):
+    return [make_network_tx(directory, *request) for request in requests]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 70), seed=st.integers(0, 2**16), jobs=st.integers(1, 4))
+def test_batch_makes_the_transactions_made_one_by_one(n, seed, jobs):
+    """On either side of ``BATCH_MIN_CONTEXTS`` and on any number of threads,
+    the batch gives ``make_network_tx``'s transactions byte for byte, leaves
+    every stream where it leaves it, and remembers the same verdicts in the
+    same order."""
+    assert 0 < ledger_module.BATCH_MIN_CONTEXTS < 70
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "verify_jobs", lambda: jobs)
+        batched = _batch_made(n, seed, make_network_txs)
+    assert batched == _batch_made(n, seed, _one_by_one)
+
+
+def test_batch_on_more_threads_than_cores_under_a_short_switch_interval():
+    """Eight threads that switch every 10 µs: each slice's results land in place."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        doubled = crypto.fan_out(lambda chunk: [x * 2 for x in chunk], list(range(1000)), 8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crypto, "verify_jobs", lambda: 8)
+            batched = _batch_made(64, 4, make_network_txs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert doubled == [x * 2 for x in range(1000)]
+    assert batched == _batch_made(64, 4, _one_by_one)
+
+
+@pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
+def test_batch_calls_none_of_the_traced_functions(monkeypatch):
+    """The batch runs no function the benchmark's tracer wraps: its spans share
+    one stack across threads, and the batch's threads would corrupt it."""
+    expected = _batch_made(ledger_module.BATCH_MIN_CONTEXTS, 1, _one_by_one)
+
+    def traced(*args, **kwargs):
+        raise AssertionError("the batch called a traced function")
+
+    for module in (crypto, ledger_module):
+        for name in ("sign", "verify", "pk_encrypt", "hash_bytes", "make_network_tx"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, traced)
+    monkeypatch.setattr(crypto, "verify_jobs", lambda: 2)
+    assert _batch_made(ledger_module.BATCH_MIN_CONTEXTS, 1, make_network_txs) == expected
+
+
+@pytest.mark.parametrize("jobs", [None, 2], ids=["host-jobs", "two-jobs"])
+def test_batch_without_libsodium_gives_the_same_bytes_on_cryptography(monkeypatch, jobs):
+    expected = _batch_made(50, 2, _one_by_one)
+    monkeypatch.setattr(crypto, "_sodium", lambda: None)
+    assert crypto.verify_jobs() == 1
+    if jobs is not None:
+        monkeypatch.setattr(crypto, "verify_jobs", lambda: jobs)
+    threads = threading.active_count()
+    assert _batch_made(50, 2, make_network_txs) == expected
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", ["every", "second"])
+def test_batch_when_a_thread_cannot_start(monkeypatch, failing):
+    """With no thread starting, or only the first of each fan-out's two, the
+    calling thread works the slices left over: the same bytes, no thread left."""
+    expected = _batch_made(50, 3, _one_by_one)
+    starts = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            if failing == "every" or len(starts) % 2 == 0:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(crypto, "threading", types.SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(crypto, "verify_jobs", lambda: 3)
+    threads = threading.active_count()
+    assert _batch_made(50, 3, make_network_txs) == expected
+    assert threading.active_count() == threads
+    fan_outs = 0 if crypto._sodium() is None else 2  # the seal's and the signatures'
+    assert len(starts) == fan_outs * (1 if failing == "every" else 2)
+
+
+@pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
+@settings(max_examples=200, deadline=None)
+@given(
+    scalar=st.binary(min_size=32, max_size=32), peer_scalar=st.binary(min_size=32, max_size=32)
+)
+def test_batch_libsodium_x25519_matches_cryptography(scalar, peer_scalar):
+    peer = X25519PrivateKey.from_private_bytes(peer_scalar).public_key().public_bytes_raw()
+    own = X25519PrivateKey.from_private_bytes(scalar)
+    shared = own.exchange(X25519PublicKey.from_public_bytes(peer))
+    assert crypto._sodium().exchange(scalar, peer) == (own.public_key().public_bytes_raw(), shared)
+
+
+def test_batch_seal_to_a_small_order_key_raises_as_pk_encrypt_does():
+    """libsodium refuses the all-zero product; ``cryptography`` then raises its own error."""
+    kp = generate_keypair("gw0", 1)
+    zero = KeyPair("gw0", kp.public_key[:32] + bytes(32), kp.private_key)
+    with pytest.raises(ValueError) as one:
+        pk_encrypt(zero, b"context", random.Random(1))
+    requests = [(kp, b"context", random.Random(1), b"")] * 3
+    with pytest.raises(ValueError) as batch:
+        crypto.pk_encrypt_all(requests + [(zero, b"context", random.Random(1), b"")], 2)
+    assert str(batch.value) == str(one.value)
+
+
+def test_batch_seal_with_a_libsodium_that_refuses_every_product(reload_sodium):
+    """Each refused product is redone on ``cryptography``: the envelopes are ``pk_encrypt``'s."""
+    kp = generate_keypair("srv0", 2)
+    expected = [pk_encrypt(kp, b"context %d" % k, random.Random(k), b"aad") for k in range(5)]
+    reload_sodium(_stand_in_sodium())
+    requests = [(kp, b"context %d" % k, random.Random(k), b"aad") for k in range(5)]
+    assert crypto.pk_encrypt_all(requests, 2) == expected

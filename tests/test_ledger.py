@@ -621,7 +621,7 @@ def test_dump_with_small_order_public_key_is_invalid(tmp_path, capsys):
 def _load_with_jobs(monkeypatch, data, jobs):
     """``load_chain`` on ``jobs`` threads at any size: (ledger, directory) or the error text."""
     monkeypatch.setattr(ledger_module, "PARALLEL_MIN_SIGNATURES", 0)
-    monkeypatch.setattr(ledger_module, "verify_jobs", lambda: jobs)
+    monkeypatch.setattr(crypto_module, "verify_jobs", lambda: jobs)
     threads = threading.active_count()
     try:
         return load_chain(data)
@@ -734,7 +734,7 @@ def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypat
 @pytest.mark.parametrize("failing", [1, 2], ids=["first-worker", "second-worker"])
 def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch, failing):
     """A thread that cannot start, the first or second of two: any started
-    thread is joined and the load ends in a serial re-check."""
+    thread is joined and the loading thread checks the slices left over."""
     starts = []
 
     class Thread(threading.Thread):
@@ -744,7 +744,7 @@ def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch
                 raise RuntimeError("can't start new thread")
             super().start()
 
-    monkeypatch.setattr(ledger_module, "threading", types.SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(crypto_module, "threading", types.SimpleNamespace(Thread=Thread))
     ledger, _ = _same_load(monkeypatch, _dump_blocks(CHAIN_BLOCKS, directory), jobs=3)
     assert ledger.blocks == CHAIN_BLOCKS
     assert len(starts) == failing
@@ -757,8 +757,8 @@ def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch
 
 def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkeypatch):
     data = _dump_blocks(CHAIN_BLOCKS, directory)
-    monkeypatch.setattr(ledger_module, "verify_jobs", lambda: 2)
-    monkeypatch.setattr(ledger_module, "_fanned_out_verdicts", None)  # a fan-out would fail
+    monkeypatch.setattr(crypto_module, "verify_jobs", lambda: 2)
+    monkeypatch.setattr(crypto_module, "fan_out", None)  # a fan-out would fail
     assert ledger_module.PARALLEL_MIN_SIGNATURES > 16
     ledger, _ = load_chain(data)
     assert ledger.blocks == CHAIN_BLOCKS
@@ -766,11 +766,11 @@ def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkey
 
 def test_verify_jobs_is_usable_cpus_up_to_four_and_one_without_libsodium(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    expected = min(cpus, ledger_module.MAX_VERIFY_JOBS) if crypto_module.uses_libsodium() else 1
-    assert ledger_module.MAX_VERIFY_JOBS == 4
-    assert ledger_module.verify_jobs() == expected
+    expected = min(cpus, crypto_module.MAX_VERIFY_JOBS) if crypto_module.uses_libsodium() else 1
+    assert crypto_module.MAX_VERIFY_JOBS == 4
+    assert crypto_module.verify_jobs() == expected
     monkeypatch.setattr(crypto_module, "_sodium", lambda: None)
-    assert ledger_module.verify_jobs() == 1
+    assert crypto_module.verify_jobs() == 1
 
 
 @functools.cache
