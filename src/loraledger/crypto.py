@@ -24,12 +24,14 @@ and a verdict never depends on the host.  On a 2-vCPU VM (libsodium 1.0.18,
 ``pk_encrypt`` seals one envelope on ``cryptography``'s X25519, which holds
 the GIL; libsodium's is no faster on one thread (over single envelopes there
 it won two of four series and lost two), so a join's context stays on
-``cryptography``.  A batch known up front (a world's
-bootstrap, ``ledger.make_network_txs``) is sealed by ``pk_encrypt_all`` and
-signed by ``sign_all`` with libsodium's X25519 and Ed25519 calls, which
-release the GIL, fanned out over ``verify_jobs()`` threads by ``fan_out``,
-the helper ``ledger.load_chain`` verifies on too.  The bytes are the same on
-either path.  Every other operation runs on ``cryptography``.
+``cryptography``.  A batch known up front (a world's bootstrap,
+``ledger.make_network_txs``) is sealed by ``pk_encrypt_all`` and signed by
+``KeyDirectory.sign_all``, and a chain dump's signatures are checked by
+``KeyDirectory.settled``, with libsodium's X25519 and Ed25519 calls, which
+release the GIL.  ``fan_out`` runs these batches, and is the one place that
+picks how many threads do: ``verify_jobs()``, at most one per item.  The
+bytes and verdicts are the same on any number of threads.  Every other
+operation runs on ``cryptography``.
 """
 
 from __future__ import annotations
@@ -295,16 +297,18 @@ def verify_jobs() -> int:
     return min(cpus, MAX_VERIFY_JOBS)
 
 
-def fan_out(work: Callable[[list], list], items: list, jobs: int) -> list:
-    """``work(items)``, with ``items`` cut into ``jobs`` contiguous slices.
+def fan_out(work: Callable[[list], list], items: list) -> list:
+    """``work(items)``, with ``items`` cut into contiguous slices, one per thread.
 
-    ``work`` maps a slice to one result per item.  This thread works the
-    first slice and a started thread each other one, so they run side by
-    side only while ``work`` is inside calls that release the GIL, such as
-    libsodium's.  A slice whose thread could not start, or raised, is worked
-    again here, so the results, and any exception, are those of
-    ``work(items)``.  No thread outlives the call.
+    ``work`` maps a slice to one result per item.  It runs on
+    ``verify_jobs()`` threads, but never more than there are items, so no
+    slice is empty.  This thread works the first slice and a started thread
+    each other one, so they run side by side only while ``work`` is inside
+    calls that release the GIL, such as libsodium's.  A slice whose thread
+    could not start, or raised, is worked again here, so the results, and
+    any exception, are those of ``work(items)``.  No thread outlives the call.
     """
+    jobs = max(1, min(verify_jobs(), len(items)))
     bounds = [len(items) * job // jobs for job in range(jobs + 1)]
     slices = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
     results: list[list | None] = [None] * jobs
@@ -346,23 +350,6 @@ def sign(keypair: KeyPair, message: bytes) -> bytes:
     if sodium is None:
         return keypair._signing_key.sign(message)
     return sodium.sign(keypair._sodium_secret, message)
-
-
-def sign_all(pairs: list[tuple[KeyPair, bytes]], jobs: int) -> list[bytes]:
-    """``sign(keypair, message)`` for each pair, in order, on ``jobs`` threads
-    (``fan_out``) through libsodium; through ``sign`` without it."""
-    sodium = _sodium()
-    if sodium is None:
-        return [sign(keypair, message) for keypair, message in pairs]
-    for keypair, _ in pairs:
-        if keypair._sodium_secret is None:
-            keypair._bind_signing()
-    signer = sodium.sign
-    return fan_out(
-        lambda chunk: [signer(keypair._sodium_secret, message) for keypair, message in chunk],
-        pairs,
-        jobs,
-    )
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -437,14 +424,14 @@ def pk_encrypt(recipient: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -
 
 
 def pk_encrypt_all(
-    requests: list[tuple[KeyPair, bytes, Random, bytes]], jobs: int
+    requests: list[tuple[KeyPair, bytes, Random, bytes]]
 ) -> list[bytes]:
     """``pk_encrypt(recipient, data, rng, aad)`` for each request, in order.
 
     The envelopes, and every draw from each ``rng``, are ``pk_encrypt``'s:
     each request's scalar and nonce are drawn here, in request order.  The two
     X25519 multiplications of every request then run through libsodium on
-    ``jobs`` threads (``fan_out``), and the key derivation and AES-GCM on
+    ``fan_out``'s threads, and the key derivation and AES-GCM on
     this one.  Without libsodium each request goes through ``pk_encrypt``.
     A product libsodium refuses is redone on ``cryptography``, which raises
     as ``pk_encrypt`` does.  Nothing is drawn if any request is refused.
@@ -465,7 +452,6 @@ def pk_encrypt_all(
             (scalar, recipient.public_key[_KEY_HALF:])
             for (recipient, *_), (scalar, _) in zip(requests, draws)
         ],
-        jobs,
     )
     envelopes = []
     for (recipient, data, _, aad), (scalar, nonce), (eph_pub, shared) in zip(
@@ -683,13 +669,21 @@ class KeyDirectory:
         return verdict
 
     @contextmanager
-    def settled(self, verdicts: dict[tuple[str, bytes, bytes], bool]):
-        """Inside the block, ``verify`` answers the exact bytes in ``verdicts`` from them.
+    def settled(self, checks: list[tuple[str, bytes, bytes]]):
+        """Inside the block, ``verify`` answers each (entity id, message,
+        signature) in ``checks`` without an Ed25519 verify of its own.
 
-        For verdicts computed ahead of a replay (on ``ledger.load_chain``'s
-        threads); each is remembered as if verified here, in the bounded memo.
+        The distinct checks are verified on entry, ahead of a replay
+        (``ledger.load_chain``), on ``fan_out``'s threads through the
+        module's ``verify``, not through this directory's, whose memo is not
+        thread-safe.  Each verdict is remembered, in the bounded memo, when
+        ``verify`` answers from it.  An id that is not registered raises
+        UnknownEntityError on entry, as ``verify`` raises for it.
         """
-        self._settled = verdicts
+        distinct = list(dict.fromkeys(checks))
+        keyed = [(self.public_key(entity_id), *rest) for entity_id, *rest in distinct]
+        verdicts = fan_out(lambda chunk: [verify(*check) for check in chunk], keyed)
+        self._settled = dict(zip(distinct, verdicts))
         try:
             yield
         finally:
@@ -710,10 +704,25 @@ class KeyDirectory:
         self._remember_own(keypair, message, signature)
         return signature
 
-    def sign_all(self, pairs: list[tuple[KeyPair, bytes]], jobs: int) -> list[bytes]:
+    def sign_all(self, pairs: list[tuple[KeyPair, bytes]]) -> list[bytes]:
         """``sign`` for each (keypair, message), in order, with each verdict
-        remembered as ``sign`` remembers it; the signatures are ``sign_all``'s."""
-        signatures = sign_all(pairs, jobs)
+        remembered as ``sign`` remembers it.
+
+        Through libsodium the signatures are made on ``fan_out``'s threads;
+        without it, one by one through ``sign``.  The bytes are the same.
+        """
+        sodium = _sodium()
+        if sodium is None:
+            signatures = [sign(keypair, message) for keypair, message in pairs]
+        else:
+            for keypair, _ in pairs:
+                if keypair._sodium_secret is None:
+                    keypair._bind_signing()
+            signer = sodium.sign
+            signatures = fan_out(
+                lambda chunk: [signer(pair._sodium_secret, message) for pair, message in chunk],
+                pairs,
+            )
         for (keypair, message), signature in zip(pairs, signatures):
             self._remember_own(keypair, message, signature)
         return signatures

@@ -274,7 +274,8 @@ def bootstrap_sessions(world: World) -> None:
     ``ordinal + 1``, so both deployment modes end up with byte-identical
     device sessions.
     The contexts are sealed and signed as one batch (``make_network_txs``),
-    each by its join server, in device order.
+    each by its join server, in device order, on ``crypto.fan_out``'s
+    threads where libsodium loads; the bytes are those of one by one.
     Blocks are appended to every network replica directly; no simulated
     traffic is involved.
     """

@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 from random import Random
 
-from . import crypto
 from .crypto import (
     CryptoError,
     DecryptionError,
@@ -29,6 +28,7 @@ from .crypto import (
     envelope_aad,
     hash_bytes,
     pk_encrypt,
+    pk_encrypt_all,
 )
 from .frames import APP_NONCE_LEN, DEV_ADDR_LEN, DEV_EUI_LEN, DEV_NONCE_LEN
 
@@ -235,11 +235,6 @@ def make_network_tx(
     return _signed_tx(directory, keypair, timestamp_ms, envelope)
 
 
-#: a batch of fewer contexts is sealed and signed one by one (``make_network_txs``);
-#: measured on a 2-vCPU VM, see CHANGES.md
-BATCH_MIN_CONTEXTS = 32
-
-
 def make_network_txs(
     directory: KeyDirectory, requests: list[tuple[KeyPair, SessionContext, int, Random]]
 ) -> list[Transaction]:
@@ -247,25 +242,22 @@ def make_network_txs(
     each request, in order.
 
     The transactions, the draws from each ``rng`` and the verdicts
-    ``directory`` remembers are the same as one by one.  A batch of at least
-    ``BATCH_MIN_CONTEXTS`` where ``crypto.verify_jobs()`` is above 1 is sealed
-    (``crypto.pk_encrypt_all``) and then signed (``KeyDirectory.sign_all``)
-    with libsodium's calls on that many threads.  A join publishes one
+    ``directory`` remembers are the same as one by one.  The contexts are
+    sealed (``crypto.pk_encrypt_all``) and then signed
+    (``KeyDirectory.sign_all``), with libsodium's calls on
+    ``crypto.fan_out``'s threads where it loads.  A join publishes one
     context, which ``make_network_tx`` seals on ``cryptography``'s X25519:
     on one thread libsodium's is no faster.
     """
-    jobs = crypto.verify_jobs() if len(requests) >= BATCH_MIN_CONTEXTS else 1
-    if jobs == 1:
-        return [make_network_tx(directory, *request) for request in requests]
-    envelopes = crypto.pk_encrypt_all(
-        [_sealing(keypair, context, rng) for keypair, context, _, rng in requests], jobs
+    envelopes = pk_encrypt_all(
+        [_sealing(keypair, context, rng) for keypair, context, _, rng in requests]
     )
     spans = [
         _signed_span(timestamp_ms, envelope)
         for (_, _, timestamp_ms, _), envelope in zip(requests, envelopes)
     ]
     signatures = directory.sign_all(
-        [(keypair, span) for (keypair, *_), span in zip(requests, spans)], jobs
+        [(keypair, span) for (keypair, *_), span in zip(requests, spans)]
     )
     return [
         Transaction(keypair.entity_id, signature, timestamp_ms, envelope)
@@ -589,54 +581,13 @@ def dump_chain(ledger: Ledger, key_directory: KeyDirectory) -> bytes:
     return b"".join(parts)
 
 
-#: a dump with fewer signatures is verified on one thread.  On a 2-vCPU VM,
-#: with libsodium accepting, two threads took 4 to 41% less time than one over
-#: 1024 signatures (0.09 to 0.12 s serial) and 31 to 39% less over 4096, but
-#: from 39% less to 6% more over 768 (medians of 11 alternating loads, three
-#: series): the two vCPUs do not always run at once
-PARALLEL_MIN_SIGNATURES = 1024
-
-
-def _replay_dump(kind: str, blocks: list[Block], directory: KeyDirectory) -> Ledger:
-    """``Ledger.replay``, with the signatures checked ahead of it on
-    ``crypto.verify_jobs()`` threads when there are at least
-    ``PARALLEL_MIN_SIGNATURES``.
-
-    The replay stays the one verdict: it answers each signature from the
-    checks made ahead.  The checks call ``crypto.verify``, whose libsodium
-    path releases the GIL, and not ``KeyDirectory.verify``, whose memo is not
-    thread-safe.
-    """
-    signatures = sum(len(block.txs) for block in blocks)
-    jobs = crypto.verify_jobs() if signatures >= PARALLEL_MIN_SIGNATURES else 1
-    if jobs == 1:
-        return Ledger.replay(kind, blocks, directory)
-    # each distinct (requester, signed span, signature) the replay checks, in chain order
-    checks = list(
-        dict.fromkeys(
-            (tx.requester, tx.signed_span(), tx.signature)
-            for block in blocks
-            for tx in block.txs
-            if tx.requester in directory
-        )
-    )
-    verdicts = crypto.fan_out(
-        lambda chunk: [
-            crypto.verify(directory.public_key(requester), span, signature)
-            for requester, span, signature in chunk
-        ],
-        checks,
-        jobs,
-    )
-    with directory.settled(dict(zip(checks, verdicts))):
-        return Ledger.replay(kind, blocks, directory)
-
-
 def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     """Parse and fully validate a chain dump; any corruption raises.
 
-    A large dump's signatures are checked on up to ``crypto.verify_jobs()``
-    threads (see ``_replay_dump``); the result and any error are the same.
+    ``Ledger.replay`` gives the one verdict.  Each signature it checks is
+    verified ahead of it, on ``crypto.fan_out``'s threads
+    (``KeyDirectory.settled``), and answered from those checks; the result
+    and any error are those of the replay alone.
     """
     body, trailer = data[:-32], data[-32:]
     if hash_bytes(body) != trailer:
@@ -662,4 +613,11 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
             raise ChainIntegrityError("malformed key table entry: %s" % exc) from exc
     blocks = [block_from_bytes(reader.prefixed(4)) for _ in range(reader.uint(4))]
     reader.finish("blocks")
-    return _replay_dump(kind, blocks, directory), directory
+    checks = [
+        (tx.requester, tx.signed_span(), tx.signature)
+        for block in blocks
+        for tx in block.txs
+        if tx.requester in directory
+    ]
+    with directory.settled(checks):
+        return Ledger.replay(kind, blocks, directory), directory

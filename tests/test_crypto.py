@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import itertools
+import os
 import random
 import sys
 import threading
@@ -593,19 +594,35 @@ def test_key_directory_verify_memo_is_bounded(monkeypatch):
     assert len(calls) == VERDICT_MEMO_SIZE + 12
 
 
-def test_key_directory_settled_verdicts_answer_only_inside_the_block(monkeypatch):
-    """Settled verdicts are taken as given, remembered, and dropped when the block ends."""
+def test_key_directory_settled_verdicts_answer_only_inside_the_block(reload_sodium, monkeypatch):
+    """The distinct checks are verified on entry, on threads; inside the block a
+    settled check makes no C verify call, and its verdict is remembered."""
     directory, sig = _signed_directory()
+    forged = sign(generate_keypair("gw0", 2), b"payload")  # not gw0's registered key
     calls = []
-    real = crypto.verify
-    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real(*args))
-    with directory.settled({("gw0", b"one", sig): True, ("gw0", b"two", sig): False}):
-        assert directory.verify("gw0", b"one", sig)  # not its signature, but settled so
-        assert not directory.verify("gw0", b"two", sig)
-        assert not directory.verify("gw0", b"three", sig) and len(calls) == 1
-    assert directory.verify("gw0", b"one", sig) and len(calls) == 1  # now in the memo
+    reload_sodium(_stand_in_sodium(verify=-1, calls=calls))  # cryptography decides
+    crypto._sodium.cache_clear()  # signing above loaded the real library
+    monkeypatch.setattr(crypto, "verify_jobs", lambda: 2)
+
+    def c_verifies():
+        return sum(symbol == "crypto_sign_verify_detached" for symbol, _ in calls)
+
+    with pytest.raises(UnknownEntityError):
+        with directory.settled([("gw0", b"payload", sig), ("nobody", b"payload", sig)]):
+            pass
+    assert directory._settled == {} and c_verifies() == 0
+    checks = [("gw0", b"payload", sig), ("gw0", b"payload", forged), ("gw0", b"payload", sig)]
+    with directory.settled(checks):
+        assert c_verifies() == 2  # each distinct check once
+        assert directory.verify("gw0", b"payload", sig)
+        assert not directory.verify("gw0", b"payload", forged)
+        assert c_verifies() == 2
+        assert not directory.verify("gw0", b"other", sig) and c_verifies() == 3
+        with pytest.raises(UnknownEntityError):
+            directory.verify("nobody", b"payload", sig)
+    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 3  # now in the memo
     directory._verdicts.clear()
-    assert not directory.verify("gw0", b"one", sig) and len(calls) == 2
+    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 4
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +879,42 @@ def _batch_made(n: int, seed: int, make) -> tuple:
     return txs, [stream.getstate() for stream in streams], list(directory._verdicts.items())
 
 
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(st.integers(), max_size=50), jobs=st.integers(1, 8))
+def test_fan_out_is_work_on_at_most_one_thread_per_item(items, jobs):
+    """``fan_out`` gives ``work(items)``, starts ``min(jobs, n) - 1`` threads,
+    none for an empty slice, and leaves none running."""
+    starts, slices = [], []
+
+    class Thread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    def work(chunk):
+        slices.append(len(chunk))
+        return [x * 3 + 1 for x in chunk]
+
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "threading", types.SimpleNamespace(Thread=Thread))
+        patch.setattr(crypto, "verify_jobs", lambda: jobs)
+        assert crypto.fan_out(work, items) == [x * 3 + 1 for x in items]
+    assert len(starts) == max(1, min(jobs, len(items))) - 1
+    assert sum(slices) == len(items) and (all(slices) or not items)
+    assert not any(thread.is_alive() for thread in starts)
+    assert threading.active_count() == threads
+
+
+def test_verify_jobs_is_usable_cpus_up_to_four_and_one_without_libsodium(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    expected = min(cpus, crypto.MAX_VERIFY_JOBS) if crypto.uses_libsodium() else 1
+    assert crypto.MAX_VERIFY_JOBS == 4
+    assert crypto.verify_jobs() == expected
+    monkeypatch.setattr(crypto, "_sodium", lambda: None)
+    assert crypto.verify_jobs() == 1
+
+
 def _one_by_one(directory, requests):
     return [make_network_tx(directory, *request) for request in requests]
 
@@ -869,11 +922,9 @@ def _one_by_one(directory, requests):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(0, 70), seed=st.integers(0, 2**16), jobs=st.integers(1, 4))
 def test_batch_makes_the_transactions_made_one_by_one(n, seed, jobs):
-    """On either side of ``BATCH_MIN_CONTEXTS`` and on any number of threads,
-    the batch gives ``make_network_tx``'s transactions byte for byte, leaves
-    every stream where it leaves it, and remembers the same verdicts in the
-    same order."""
-    assert 0 < ledger_module.BATCH_MIN_CONTEXTS < 70
+    """At any size and on any number of threads, the batch gives
+    ``make_network_tx``'s transactions byte for byte, leaves every stream
+    where it leaves it, and remembers the same verdicts in the same order."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crypto, "verify_jobs", lambda: jobs)
         batched = _batch_made(n, seed, make_network_txs)
@@ -885,9 +936,9 @@ def test_batch_on_more_threads_than_cores_under_a_short_switch_interval():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        doubled = crypto.fan_out(lambda chunk: [x * 2 for x in chunk], list(range(1000)), 8)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(crypto, "verify_jobs", lambda: 8)
+            doubled = crypto.fan_out(lambda chunk: [x * 2 for x in chunk], list(range(1000)))
             batched = _batch_made(64, 4, make_network_txs)
     finally:
         sys.setswitchinterval(interval)
@@ -899,7 +950,7 @@ def test_batch_on_more_threads_than_cores_under_a_short_switch_interval():
 def test_batch_calls_none_of_the_traced_functions(monkeypatch):
     """The batch runs no function the benchmark's tracer wraps: its spans share
     one stack across threads, and the batch's threads would corrupt it."""
-    expected = _batch_made(ledger_module.BATCH_MIN_CONTEXTS, 1, _one_by_one)
+    expected = _batch_made(32, 1, _one_by_one)
 
     def traced(*args, **kwargs):
         raise AssertionError("the batch called a traced function")
@@ -909,7 +960,7 @@ def test_batch_calls_none_of_the_traced_functions(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, traced)
     monkeypatch.setattr(crypto, "verify_jobs", lambda: 2)
-    assert _batch_made(ledger_module.BATCH_MIN_CONTEXTS, 1, make_network_txs) == expected
+    assert _batch_made(32, 1, make_network_txs) == expected
 
 
 @pytest.mark.parametrize("jobs", [None, 2], ids=["host-jobs", "two-jobs"])
@@ -967,7 +1018,7 @@ def test_batch_seal_to_a_small_order_key_raises_as_pk_encrypt_does():
         pk_encrypt(zero, b"context", random.Random(1))
     requests = [(kp, b"context", random.Random(1), b"")] * 3
     with pytest.raises(ValueError) as batch:
-        crypto.pk_encrypt_all(requests + [(zero, b"context", random.Random(1), b"")], 2)
+        crypto.pk_encrypt_all(requests + [(zero, b"context", random.Random(1), b"")])
     assert str(batch.value) == str(one.value)
 
 
@@ -977,4 +1028,4 @@ def test_batch_seal_with_a_libsodium_that_refuses_every_product(reload_sodium):
     expected = [pk_encrypt(kp, b"context %d" % k, random.Random(k), b"aad") for k in range(5)]
     reload_sodium(_stand_in_sodium())
     requests = [(kp, b"context %d" % k, random.Random(k), b"aad") for k in range(5)]
-    assert crypto.pk_encrypt_all(requests, 2) == expected
+    assert crypto.pk_encrypt_all(requests) == expected

@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import os
 import random
 import struct
 import threading
@@ -25,7 +24,6 @@ from loraledger.crypto import (
     sign,
 )
 from loraledger import crypto as crypto_module
-from loraledger import ledger as ledger_module
 from loraledger.cli import main
 from loraledger.ledger import (
     DUMP_MAGIC,
@@ -619,8 +617,7 @@ def test_dump_with_small_order_public_key_is_invalid(tmp_path, capsys):
 
 
 def _load_with_jobs(monkeypatch, data, jobs):
-    """``load_chain`` on ``jobs`` threads at any size: (ledger, directory) or the error text."""
-    monkeypatch.setattr(ledger_module, "PARALLEL_MIN_SIGNATURES", 0)
+    """``load_chain`` on ``jobs`` threads: (ledger, directory) or the error text."""
     monkeypatch.setattr(crypto_module, "verify_jobs", lambda: jobs)
     threads = threading.active_count()
     try:
@@ -753,24 +750,6 @@ def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch
     message = "chain failed validation: block 7 rejected at height 7"
     assert _same_load(monkeypatch, forged, jobs=3) == message
     assert len(starts) == failing
-
-
-def test_load_chain_stays_serial_below_the_signature_threshold(directory, monkeypatch):
-    data = _dump_blocks(CHAIN_BLOCKS, directory)
-    monkeypatch.setattr(crypto_module, "verify_jobs", lambda: 2)
-    monkeypatch.setattr(crypto_module, "fan_out", None)  # a fan-out would fail
-    assert ledger_module.PARALLEL_MIN_SIGNATURES > 16
-    ledger, _ = load_chain(data)
-    assert ledger.blocks == CHAIN_BLOCKS
-
-
-def test_verify_jobs_is_usable_cpus_up_to_four_and_one_without_libsodium(monkeypatch):
-    cpus = len(os.sched_getaffinity(0))
-    expected = min(cpus, crypto_module.MAX_VERIFY_JOBS) if crypto_module.uses_libsodium() else 1
-    assert crypto_module.MAX_VERIFY_JOBS == 4
-    assert crypto_module.verify_jobs() == expected
-    monkeypatch.setattr(crypto_module, "_sodium", lambda: None)
-    assert crypto_module.verify_jobs() == 1
 
 
 @functools.cache
