@@ -6,13 +6,11 @@ Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
 a fast wrong answer does not pass.  The data frame is an uplink with a 20-byte
 payload, the default reading size; the join request is the frozen vector of
 tests/test_frames.py; the envelope seals one session context with its
-addr | eui metadata, as a join does, and the batch cases seal and sign 100
-such contexts of five join servers, as a bootstrap does, batched on
-``crypto.verify_jobs()`` threads and, for reference, one by one.  The uplink
-round trip is the frame work
-of one confirmed reading: the device encrypts and builds the uplink, the
-gateway parses and MIC-checks it and builds the ACK, and the device parses
-and MIC-checks the ACK.
+addr | eui metadata, as a join does, and ``test_seal_and_sign_contexts`` seals
+and signs 100 such contexts of five join servers, as a bootstrap does.  The
+uplink round trip is the frame work of one confirmed reading: the device
+encrypts and builds the uplink, the gateway parses and MIC-checks it and
+builds the ACK, and the device parses and MIC-checks the ACK.
 """
 
 import random
@@ -39,7 +37,7 @@ from loraledger.frames import (
     parse_frame,
     verify_data_mic,
 )
-from loraledger.ledger import SessionContext, make_network_tx, make_network_txs
+from loraledger.ledger import SessionContext, make_network_tx
 
 NWK_S_KEY = bytes(range(16))
 APP_S_KEY = bytes(range(16, 32))
@@ -124,27 +122,21 @@ BATCH_CONTEXTS = [
 ]
 
 
-def _seal_and_sign(make):
-    """``make(directory, requests)`` over the 100 contexts, each with its join
+def _seal_and_sign():
+    """The 100 contexts, each sealed and signed by its join server from that
     server's own stream, in a fresh directory; returns the transactions."""
     directory = KeyDirectory()
     for keypair in BATCH_KEYPAIRS:
         directory.add(keypair.entity_id, keypair.public_key, ROLE_GATEWAY)
     streams = [random.Random(k) for k in range(5)]
-    requests = [
-        (BATCH_KEYPAIRS[i % 5], context, 0, streams[i % 5])
+    return [
+        make_network_tx(directory, BATCH_KEYPAIRS[i % 5], context, 0, streams[i % 5])
         for i, context in enumerate(BATCH_CONTEXTS)
     ]
-    return make(directory, requests)
 
 
-def _one_by_one(directory, requests):
-    return [make_network_tx(directory, *request) for request in requests]
+BATCH_TXS = _seal_and_sign()
 
 
-BATCH_TXS = _seal_and_sign(_one_by_one)
-
-
-@pytest.mark.parametrize("make", [make_network_txs, _one_by_one], ids=["batch", "one-by-one"])
-def test_seal_and_sign_contexts(benchmark, make):
-    assert benchmark(_seal_and_sign, make) == BATCH_TXS
+def test_seal_and_sign_contexts(benchmark):
+    assert benchmark(_seal_and_sign) == BATCH_TXS

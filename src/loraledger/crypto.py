@@ -6,10 +6,10 @@ replay byte-identically.  Key pairs bundle a signing key and an encryption
 key; both public/private halves travel as opaque byte strings.
 
 Each key owns the cipher objects made from it and builds them on first use:
-a ``KeyPair`` its Ed25519 signing key, verify key, libsodium secret key and
-X25519 recipient key, and a device's ``RootKey`` the CMAC and AES-ECB
-contexts of its joins.  Nothing keyed is kept at module level, so a world
-keeps only the contexts of its own keys and drops them with them.
+a ``KeyPair`` its Ed25519 signing key, verify key and libsodium secret key,
+and a device's ``RootKey`` the CMAC and AES-ECB contexts of its joins.
+Nothing keyed is kept at module level, so a world keeps only the contexts of
+its own keys and drops them with them.
 
 ``sign`` makes Ed25519 signatures with the system's libsodium where that
 shared library loads (through ``ctypes``, on the first ``sign`` or
@@ -21,17 +21,17 @@ stricter verifier, so each signature it accepts ``cryptography`` accepts too,
 and a verdict never depends on the host.  On a 2-vCPU VM (libsodium 1.0.18,
 ``cryptography`` 48) a verify takes about 96 µs against 209 µs.
 
-``pk_encrypt`` seals one envelope on ``cryptography``'s X25519, which holds
-the GIL; libsodium's is no faster on one thread (over single envelopes there
-it won two of four series and lost two), so a join's context stays on
-``cryptography``.  A batch known up front (a world's bootstrap,
-``ledger.make_network_txs``) is sealed by ``pk_encrypt_all`` and signed by
-``KeyDirectory.sign_all``, and a chain dump's signatures are checked by
-``KeyDirectory.settled``, with libsodium's X25519 and Ed25519 calls, which
-release the GIL.  ``fan_out`` runs these batches, and is the one place that
-picks how many threads do: ``verify_jobs()``, at most one per item.  The
-bytes and verdicts are the same on any number of threads.  Every other
-operation runs on ``cryptography``.
+``pk_encrypt`` seals a session context under its writer's own key: an
+AES-GCM key derived by HKDF from the pair's X25519 private scalar, so only
+the writer, or a node handed its private key, reopens it.  No context is
+ever sealed to another node's key, so no X25519 product is computed.
+
+A chain dump's signatures are checked ahead of its replay by
+``KeyDirectory.settled``, with libsodium's Ed25519 verify, which releases
+the GIL, on ``fan_out``'s threads.  ``fan_out`` is the one place that picks
+how many threads do: ``verify_jobs()``, at most one per item.  The verdicts
+are the same on any number of threads.  Every other operation runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -53,10 +53,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -76,9 +73,12 @@ SIGNATURE_LEN = 64
 _KEY_HALF = 32
 KEY_LEN = 2 * _KEY_HALF
 
+# envelope = salt(_KEY_HALF) | nonce | aad_len(u16) | aad | ciphertext | tag
 _ENVELOPE_NONCE_LEN = 12
 _ENVELOPE_TAG_LEN = 16
 ENVELOPE_OVERHEAD = _KEY_HALF + _ENVELOPE_NONCE_LEN + 2 + _ENVELOPE_TAG_LEN
+#: HKDF info of the key that seals a session context under its writer's own key
+_SEAL_INFO = b"loraledger sealed context\x00"
 
 
 class CryptoError(Exception):
@@ -101,11 +101,11 @@ class UnknownEntityError(CryptoError):
 class KeyPair:
     """Signing + encryption key material owned by one named entity.
 
-    The pair builds its key objects on first use and keeps them: the Ed25519
-    signing key, the verify key its signatures verify under (made from the
-    seed, whatever ``public_key`` holds), libsodium's 64-byte secret key (the
-    seed followed by that verify key) and the X25519 key that ``pk_encrypt``
-    seals to.  A node holds one pair, so each is built once per node.
+    The pair builds its signing objects on first use and keeps them: the
+    Ed25519 signing key, the verify key its signatures verify under (made
+    from the seed, whatever ``public_key`` holds) and libsodium's 64-byte
+    secret key (the seed followed by that verify key).  A node holds one
+    pair, so each is built once per node.
     """
 
     entity_id: str
@@ -116,9 +116,6 @@ class KeyPair:
     )
     _verify_key: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _sodium_secret: bytes | None = field(default=None, init=False, repr=False, compare=False)
-    _recipient: X25519PublicKey | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if len(self.public_key) != KEY_LEN or len(self.private_key) != KEY_LEN:
@@ -139,11 +136,6 @@ class KeyPair:
         object.__setattr__(self, "_verify_key", verify_key)
         object.__setattr__(self, "_sodium_secret", seed + verify_key)
         return verify_key
-
-    def _bind_recipient(self) -> X25519PublicKey:
-        recipient = X25519PublicKey.from_public_bytes(self.public_key[_KEY_HALF:])
-        object.__setattr__(self, "_recipient", recipient)
-        return recipient
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -185,16 +177,12 @@ _SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so")
 
 
 class _Sodium(NamedTuple):
-    """libsodium's Ed25519 and X25519 functions, with their C signatures declared."""
+    """libsodium's Ed25519 functions, with their C signatures declared."""
 
     #: ``sign(secret_key, message) -> signature``, with libsodium's 64-byte secret key
     sign: Callable[[bytes, bytes], bytes]
     #: ``accepts(verify_key, message, signature)``: True only if libsodium accepts
     accepts: Callable[[bytes, bytes, bytes], bool]
-    #: ``exchange(scalar, peer) -> (public key, shared secret)``: the X25519 products
-    #: of a 32-byte scalar with the base point and with the peer's 32-byte public
-    #: key; the secret is None where libsodium refuses the product (all zero)
-    exchange: Callable[[bytes, bytes], tuple[bytes, bytes | None]]
 
 
 @functools.cache
@@ -235,17 +223,9 @@ def _sodium() -> _Sodium | None:
     verify_detached = lib.crypto_sign_verify_detached
     verify_detached.argtypes = [c_char_p, c_char_p, c_ulonglong, c_char_p]
     verify_detached.restype = c_int
-    scalarmult_base = lib.crypto_scalarmult_curve25519_base
-    scalarmult_base.argtypes = [c_char_p, c_char_p]
-    scalarmult_base.restype = c_int
-    scalarmult = lib.crypto_scalarmult_curve25519
-    scalarmult.argtypes = [c_char_p, c_char_p, c_char_p]
-    scalarmult.restype = c_int
 
-    # a fresh buffer per call: ``fan_out`` runs these on threads, so nothing
-    # here may be shared between calls
+    # a fresh buffer per call, so that nothing here is shared between calls
     signature_buffer = c_char * SIGNATURE_LEN
-    point_buffer = c_char * _KEY_HALF
 
     def signer(secret_key: bytes, message: bytes) -> bytes:
         # ctypes takes only ``bytes``; ``cryptography`` signs any bytes-like message
@@ -262,20 +242,14 @@ def _sodium() -> _Sodium | None:
         except ArgumentError:  # not ``bytes`` (a bytearray, say): cryptography decides
             return False
 
-    def exchange(scalar: bytes, peer: bytes) -> tuple[bytes, bytes | None]:
-        public, shared = point_buffer(), point_buffer()
-        if scalarmult_base(public, scalar) != 0 or scalarmult(shared, scalar, peer) != 0:
-            return public.raw, None
-        return public.raw, shared.raw
-
-    return _Sodium(signer, accepts, exchange)
+    return _Sodium(signer, accepts)
 
 
 def uses_libsodium() -> bool:
     """Whether ``sign`` and ``verify`` run on libsodium here, loading it if need be.
 
     libsodium's calls release the GIL (``ctypes.CDLL``), so threads verify
-    side by side; ``cryptography``'s Ed25519 and X25519 calls hold it.
+    side by side; ``cryptography``'s Ed25519 calls hold it.
     """
     return _sodium() is not None
 
@@ -375,92 +349,32 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return True
 
 
-def _envelope_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
+def _seal_key(private_key: bytes, salt: bytes) -> bytes:
+    """The AES-128-GCM key of one envelope: HKDF-SHA256 over the private
+    X25519 scalar, with the envelope's salt and ``_SEAL_INFO``."""
+    _, enc_scalar = _split_private(private_key)
     return HKDF(
-        algorithm=hashes.SHA256(),
-        length=SYM_KEY_LEN,
-        salt=None,
-        info=b"envelope\x00" + eph_pub + recipient_pub,
-    ).derive(shared)
+        algorithm=hashes.SHA256(), length=SYM_KEY_LEN, salt=salt, info=_SEAL_INFO
+    ).derive(enc_scalar)
 
 
-def _check_sealable(data: bytes, aad: bytes) -> None:
+def pk_encrypt(keypair: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> bytes:
+    """Seal data under a key pair's own private key; only that key reopens it.
+
+    Layout: salt(32) | nonce(12) | aad_len(u16 LE) | aad | ciphertext+tag.
+    The aad travels in clear but is bound by the authentication tag, so a
+    holder of the envelope can read it while any modification is detected on
+    decryption.  The salt (32 bytes) and then the nonce (12) are drawn from
+    ``rng``.
+    """
     if not data:
         raise ValueError("refusing to seal an empty payload")
     if len(aad) > 0xFFFF:
         raise ValueError("associated data too long")
-
-
-def _envelope(
-    recipient: KeyPair, eph_pub: bytes, shared: bytes, nonce: bytes, data: bytes, aad: bytes
-) -> bytes:
-    key = _envelope_key(shared, eph_pub, recipient.public_key[_KEY_HALF:])
-    sealed = AESGCM(key).encrypt(nonce, data, aad)
-    return eph_pub + nonce + struct.pack("<H", len(aad)) + aad + sealed
-
-
-def _exchange(recipient: KeyPair, scalar: bytes) -> tuple[bytes, bytes]:
-    """(ephemeral public key, shared secret) of an ephemeral scalar, on ``cryptography``."""
-    eph = X25519PrivateKey.from_private_bytes(scalar)
-    shared = eph.exchange(recipient._recipient or recipient._bind_recipient())
-    return eph.public_key().public_bytes_raw(), shared
-
-
-def pk_encrypt(recipient: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> bytes:
-    """Seal data to a key pair's public encryption key (hybrid envelope).
-
-    Layout: ephemeral_pub(32) | nonce(12) | aad_len(u16 LE) | aad | ciphertext+tag.
-    The aad travels in clear but is bound by the authentication tag, so a
-    holder of the envelope can read it while any modification is detected on
-    decryption.  Only the matching private key opens the envelope.
-
-    The ephemeral scalar (32 bytes) and then the nonce (12) are drawn from
-    ``rng``.  The X25519 exchange runs on ``cryptography``, which holds the
-    GIL; a batch can use threads instead (``pk_encrypt_all``).
-    """
-    _check_sealable(data, aad)
-    eph_pub, shared = _exchange(recipient, rng.randbytes(_KEY_HALF))
-    return _envelope(recipient, eph_pub, shared, rng.randbytes(_ENVELOPE_NONCE_LEN), data, aad)
-
-
-def pk_encrypt_all(
-    requests: list[tuple[KeyPair, bytes, Random, bytes]]
-) -> list[bytes]:
-    """``pk_encrypt(recipient, data, rng, aad)`` for each request, in order.
-
-    The envelopes, and every draw from each ``rng``, are ``pk_encrypt``'s:
-    each request's scalar and nonce are drawn here, in request order.  The two
-    X25519 multiplications of every request then run through libsodium on
-    ``fan_out``'s threads, and the key derivation and AES-GCM on
-    this one.  Without libsodium each request goes through ``pk_encrypt``.
-    A product libsodium refuses is redone on ``cryptography``, which raises
-    as ``pk_encrypt`` does.  Nothing is drawn if any request is refused.
-    """
-    sodium = _sodium()
-    if sodium is None:
-        return [pk_encrypt(*request) for request in requests]
-    for _, data, _, aad in requests:
-        _check_sealable(data, aad)
-    draws = [
-        (rng.randbytes(_KEY_HALF), rng.randbytes(_ENVELOPE_NONCE_LEN))
-        for _, _, rng, _ in requests
-    ]
-    exchange = sodium.exchange
-    products = fan_out(
-        lambda chunk: [exchange(scalar, peer) for scalar, peer in chunk],
-        [
-            (scalar, recipient.public_key[_KEY_HALF:])
-            for (recipient, *_), (scalar, _) in zip(requests, draws)
-        ],
-    )
-    envelopes = []
-    for (recipient, data, _, aad), (scalar, nonce), (eph_pub, shared) in zip(
-        requests, draws, products
-    ):
-        if shared is None:
-            eph_pub, shared = _exchange(recipient, scalar)
-        envelopes.append(_envelope(recipient, eph_pub, shared, nonce, data, aad))
-    return envelopes
+    salt = rng.randbytes(_KEY_HALF)
+    nonce = rng.randbytes(_ENVELOPE_NONCE_LEN)
+    sealed = AESGCM(_seal_key(keypair.private_key, salt)).encrypt(nonce, data, aad)
+    return salt + nonce + struct.pack("<H", len(aad)) + aad + sealed
 
 
 def envelope_aad(envelope: bytes) -> bytes:
@@ -477,23 +391,14 @@ def envelope_aad(envelope: bytes) -> bytes:
 
 def pk_decrypt(private_key: bytes, envelope: bytes) -> bytes:
     """Open an envelope; raises DecryptionError on wrong key or any tampering."""
-    _, enc_scalar = _split_private(private_key)
     header = _KEY_HALF + _ENVELOPE_NONCE_LEN
     aad = envelope_aad(envelope)
-    eph_pub = envelope[:_KEY_HALF]
-    nonce = envelope[_KEY_HALF:header]
     sealed = envelope[header + 2 + len(aad) :]
     if len(sealed) < _ENVELOPE_TAG_LEN:
         raise DecryptionError("envelope truncated before tag")
-    own = X25519PrivateKey.from_private_bytes(enc_scalar)
-    recipient_pub = own.public_key().public_bytes_raw()
+    key = _seal_key(private_key, envelope[:_KEY_HALF])
     try:
-        shared = own.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-    except ValueError as exc:
-        raise DecryptionError("malformed ephemeral key") from exc
-    key = _envelope_key(shared, eph_pub, recipient_pub)
-    try:
-        return AESGCM(key).decrypt(nonce, sealed, aad)
+        return AESGCM(key).decrypt(envelope[_KEY_HALF:header], sealed, aad)
     except InvalidTag as exc:
         raise DecryptionError("envelope failed authentication") from exc
 
@@ -674,15 +579,32 @@ class KeyDirectory:
         signature) in ``checks`` without an Ed25519 verify of its own.
 
         The distinct checks are verified on entry, ahead of a replay
-        (``ledger.load_chain``), on ``fan_out``'s threads through the
-        module's ``verify``, not through this directory's, whose memo is not
-        thread-safe.  Each verdict is remembered, in the bounded memo, when
-        ``verify`` answers from it.  An id that is not registered raises
-        UnknownEntityError on entry, as ``verify`` raises for it.
+        (``ledger.load_chain``).  Where libsodium loads, its verify runs on
+        ``fan_out``'s threads, after the checks ``verify`` makes before any C
+        call, and the module's ``verify`` decides each check it refuses, here;
+        without libsodium ``verify`` decides every check here.  So only this
+        thread calls a module-level function, and no thread touches this
+        directory's memo, which is not thread-safe.  Each verdict is
+        remembered, in the bounded memo, when ``verify`` answers from it.  An
+        id that is not registered raises UnknownEntityError on entry, as
+        ``verify`` raises for it.
         """
         distinct = list(dict.fromkeys(checks))
         keyed = [(self.public_key(entity_id), *rest) for entity_id, *rest in distinct]
-        verdicts = fan_out(lambda chunk: [verify(*check) for check in chunk], keyed)
+        sodium = _sodium()
+        if sodium is None:
+            verdicts = [verify(*check) for check in keyed]
+        else:
+            accepts = sodium.accepts
+            accepted = fan_out(
+                lambda chunk: [
+                    len(signature) == SIGNATURE_LEN
+                    and accepts(_split_public(public_key)[0], message, signature)
+                    for public_key, message, signature in chunk
+                ],
+                keyed,
+            )
+            verdicts = [ok or verify(*check) for ok, check in zip(accepted, keyed)]
         self._settled = dict(zip(distinct, verdicts))
         try:
             yield
@@ -701,37 +623,10 @@ class KeyDirectory:
         foreign key never does.
         """
         signature = sign(keypair, message)
-        self._remember_own(keypair, message, signature)
-        return signature
-
-    def sign_all(self, pairs: list[tuple[KeyPair, bytes]]) -> list[bytes]:
-        """``sign`` for each (keypair, message), in order, with each verdict
-        remembered as ``sign`` remembers it.
-
-        Through libsodium the signatures are made on ``fan_out``'s threads;
-        without it, one by one through ``sign``.  The bytes are the same.
-        """
-        sodium = _sodium()
-        if sodium is None:
-            signatures = [sign(keypair, message) for keypair, message in pairs]
-        else:
-            for keypair, _ in pairs:
-                if keypair._sodium_secret is None:
-                    keypair._bind_signing()
-            signer = sodium.sign
-            signatures = fan_out(
-                lambda chunk: [signer(pair._sodium_secret, message) for pair, message in chunk],
-                pairs,
-            )
-        for (keypair, message), signature in zip(pairs, signatures):
-            self._remember_own(keypair, message, signature)
-        return signatures
-
-    def _remember_own(self, keypair: KeyPair, message: bytes, signature: bytes) -> None:
-        """Remember ``signature`` as valid if ``keypair`` holds its entity's registered key."""
         entry = self._entries.get(keypair.entity_id)
         if entry is not None and entry[0][:_KEY_HALF] == keypair.verify_key:
             self._remember((keypair.entity_id, message, signature), True)
+        return signature
 
     def _remember(self, memo_key: tuple[str, bytes, bytes], verdict: bool) -> None:
         verdicts = self._verdicts

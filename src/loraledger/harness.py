@@ -38,7 +38,7 @@ from .crypto import (
 )
 from .consensus import BatchConfig, ConsensusConfig
 from .joinserver import JoinServer
-from .ledger import KIND_APPLICATION, KIND_NETWORK, assemble_block, make_network_txs
+from .ledger import KIND_APPLICATION, KIND_NETWORK, assemble_block, make_network_tx
 from .metrics import (
     MetricsRecorder,
     latency_stats,
@@ -273,14 +273,13 @@ def bootstrap_sessions(world: World) -> None:
     authorized devices (its first ordinals, visited in order) the slots
     ``ordinal + 1``, so both deployment modes end up with byte-identical
     device sessions.
-    The contexts are sealed and signed as one batch (``make_network_txs``),
-    each by its join server, in device order, on ``crypto.fan_out``'s
-    threads where libsodium loads; the bytes are those of one by one.
+    Each context is then sealed and signed by its join server
+    (``make_network_tx``), from that server's own stream, in device order.
     Blocks are appended to every network replica directly; no simulated
     traffic is involved.
     """
     config = world.config
-    requests = []
+    creators: dict[str, list] = {}
     for device in world.authorized_devices():
         gw, _ = world.home(device.index)
         creator = world.join_server(gw)
@@ -292,9 +291,7 @@ def bootstrap_sessions(world: World) -> None:
         )
         context = creator.open_session(device.dev_eui, dev_nonce, app_nonce, nwk_s_key, gw.index)
         device.install_session(context.dev_addr, nwk_s_key, app_s_key)
-        requests.append((creator.keypair, context, 0, creator.rng))
-    creators: dict[str, list] = {}
-    for tx in make_network_txs(world.key_directory, requests):
+        tx = make_network_tx(world.key_directory, creator.keypair, context, 0, creator.rng)
         creators.setdefault(tx.requester, []).append(tx)
 
     replicas = [node.ledgers[KIND_NETWORK] for node in world.replicas(KIND_NETWORK)]

@@ -1,9 +1,10 @@
 """Append-only ledgers: session contexts (network) and app payloads (application).
 
 A transaction is <requester, signature, timestamp, payload>.  On the network
-ledger the payload is a session context sealed to the requester's own public
-key, with the device address and EUI riding as authenticated clear metadata
-so every replica can maintain world state without being able to decrypt.  On
+ledger the payload is a session context sealed under the requester's own
+private key, with the device address and EUI riding as authenticated clear
+metadata so every replica can maintain world state without being able to
+decrypt.  On
 the application ledger the payload is the still-encrypted application data,
 stored exactly as the device sent it.
 
@@ -22,13 +23,11 @@ from .crypto import (
     CryptoError,
     DecryptionError,
     KeyDirectory,
-    KeyPair,
     ROLE_SERVER,
     SIGNATURE_LEN,
     envelope_aad,
     hash_bytes,
     pk_encrypt,
-    pk_encrypt_all,
 )
 from .frames import APP_NONCE_LEN, DEV_ADDR_LEN, DEV_EUI_LEN, DEV_NONCE_LEN
 
@@ -217,54 +216,17 @@ def _signed_tx(
     return Transaction(keypair.entity_id, signature, timestamp_ms, payload)
 
 
-def _sealing(keypair, context: SessionContext, rng: Random) -> tuple:
-    """``pk_encrypt``'s arguments for sealing ``context`` to the requester's own key."""
-    return keypair, context.to_bytes(), rng, context.dev_addr + context.dev_eui
-
-
 def make_network_tx(
     directory: KeyDirectory, keypair, context: SessionContext, timestamp_ms: int, rng: Random
 ) -> Transaction:
-    """Seal a session context to the requester's own key and sign it through ``directory``.
+    """Seal a session context under the requester's own key and sign it through ``directory``.
 
     The device address and EUI ride as authenticated envelope metadata: that
     is what lets every replica key its world state while the context itself
     stays readable only by the requester.
     """
-    envelope = pk_encrypt(*_sealing(keypair, context, rng))
+    envelope = pk_encrypt(keypair, context.to_bytes(), rng, context.dev_addr + context.dev_eui)
     return _signed_tx(directory, keypair, timestamp_ms, envelope)
-
-
-def make_network_txs(
-    directory: KeyDirectory, requests: list[tuple[KeyPair, SessionContext, int, Random]]
-) -> list[Transaction]:
-    """``make_network_tx(directory, keypair, context, timestamp_ms, rng)`` for
-    each request, in order.
-
-    The transactions, the draws from each ``rng`` and the verdicts
-    ``directory`` remembers are the same as one by one.  The contexts are
-    sealed (``crypto.pk_encrypt_all``) and then signed
-    (``KeyDirectory.sign_all``), with libsodium's calls on
-    ``crypto.fan_out``'s threads where it loads.  A join publishes one
-    context, which ``make_network_tx`` seals on ``cryptography``'s X25519:
-    on one thread libsodium's is no faster.
-    """
-    envelopes = pk_encrypt_all(
-        [_sealing(keypair, context, rng) for keypair, context, _, rng in requests]
-    )
-    spans = [
-        _signed_span(timestamp_ms, envelope)
-        for (_, _, timestamp_ms, _), envelope in zip(requests, envelopes)
-    ]
-    signatures = directory.sign_all(
-        [(keypair, span) for (keypair, *_), span in zip(requests, spans)]
-    )
-    return [
-        Transaction(keypair.entity_id, signature, timestamp_ms, envelope)
-        for (keypair, _, timestamp_ms, _), signature, envelope in zip(
-            requests, signatures, envelopes
-        )
-    ]
 
 
 def make_app_tx(
@@ -585,9 +547,9 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     """Parse and fully validate a chain dump; any corruption raises.
 
     ``Ledger.replay`` gives the one verdict.  Each signature it checks is
-    verified ahead of it, on ``crypto.fan_out``'s threads
-    (``KeyDirectory.settled``), and answered from those checks; the result
-    and any error are those of the replay alone.
+    verified ahead of it, through libsodium on ``crypto.fan_out``'s threads
+    where it loads (``KeyDirectory.settled``), and answered from those
+    checks; the result and any error are those of the replay alone.
     """
     body, trailer = data[:-32], data[-32:]
     if hash_bytes(body) != trailer:

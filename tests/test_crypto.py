@@ -16,17 +16,12 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.cmac import CMAC
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loraledger import crypto
-from loraledger import ledger as ledger_module
 from loraledger.crypto import (
     BadKeyError,
     CryptoError,
@@ -52,7 +47,6 @@ from loraledger.crypto import (
     verify,
 )
 from loraledger.harness import compare_modes
-from loraledger.ledger import SessionContext, make_network_tx, make_network_txs
 from loraledger.scenario import build_config
 from test_golden import CASES, GOLDEN, artifact_digest
 
@@ -190,15 +184,12 @@ def test_libsodium_and_cryptography_sign_the_same_bytes(seed, message):
 def _stand_in_sodium(init=0, detached=0, verify=0, calls=None):
     """A ``CDLL`` stand-in whose functions only return the given codes.
 
-    Its X25519 functions refuse every product.  Each call is appended to
-    ``calls``, when given, as (symbol, args).
+    Each call is appended to ``calls``, when given, as (symbol, args).
     """
     codes = {
         "sodium_init": init,
         "crypto_sign_detached": detached,
         "crypto_sign_verify_detached": verify,
-        "crypto_scalarmult_curve25519_base": -1,
-        "crypto_scalarmult_curve25519": -1,
     }
 
     def function(symbol, code):
@@ -417,6 +408,24 @@ def test_envelope_roundtrip_and_overhead():
         assert pk_decrypt(kp.private_key, env) == data
 
 
+def test_envelope_draws_a_salt_then_a_nonce_and_nothing_else():
+    """``pk_encrypt`` takes ``randbytes(32)`` then ``randbytes(12)`` from its
+    stream, the salt and the nonce the envelope starts with: the draws on
+    which every simulated output's stream positions depend."""
+    draws = []
+
+    class Recorded(random.Random):
+        def randbytes(self, n):
+            draws.append(n)
+            return super().randbytes(n)
+
+    rng, reference = Recorded(7), random.Random(7)
+    env = pk_encrypt(generate_keypair("gw0", 1), b"context", rng, aad=b"addr+eui")
+    assert draws == [32, 12]
+    assert env[:44] == reference.randbytes(32) + reference.randbytes(12)
+    assert rng.getstate() == reference.getstate()
+
+
 def test_envelope_rejects_empty_plaintext():
     kp = generate_keypair("srv0", 5)
     with pytest.raises(ValueError):
@@ -595,8 +604,9 @@ def test_key_directory_verify_memo_is_bounded(monkeypatch):
 
 
 def test_key_directory_settled_verdicts_answer_only_inside_the_block(reload_sodium, monkeypatch):
-    """The distinct checks are verified on entry, on threads; inside the block a
-    settled check makes no C verify call, and its verdict is remembered."""
+    """The distinct checks are verified on entry, on threads, and ``verify``
+    decides each that libsodium refuses; inside the block a settled check
+    makes no C verify call, and its verdict is remembered."""
     directory, sig = _signed_directory()
     forged = sign(generate_keypair("gw0", 2), b"payload")  # not gw0's registered key
     calls = []
@@ -613,16 +623,18 @@ def test_key_directory_settled_verdicts_answer_only_inside_the_block(reload_sodi
     assert directory._settled == {} and c_verifies() == 0
     checks = [("gw0", b"payload", sig), ("gw0", b"payload", forged), ("gw0", b"payload", sig)]
     with directory.settled(checks):
-        assert c_verifies() == 2  # each distinct check once
+        # each distinct check once on the threads, and once more in ``verify``
+        # for each refusal, cryptography then deciding
+        assert c_verifies() == 4
         assert directory.verify("gw0", b"payload", sig)
         assert not directory.verify("gw0", b"payload", forged)
-        assert c_verifies() == 2
-        assert not directory.verify("gw0", b"other", sig) and c_verifies() == 3
+        assert c_verifies() == 4
+        assert not directory.verify("gw0", b"other", sig) and c_verifies() == 5
         with pytest.raises(UnknownEntityError):
             directory.verify("nobody", b"payload", sig)
-    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 3  # now in the memo
+    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 5  # now in the memo
     directory._verdicts.clear()
-    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 4
+    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 6
 
 
 # ---------------------------------------------------------------------------
@@ -842,41 +854,7 @@ def test_a_key_pair_builds_its_signing_keys_once_and_verifies_under_its_seed(mon
 
 
 # ---------------------------------------------------------------------------
-# session contexts sealed and signed as one batch (ledger.make_network_txs)
-
-#: the batch's requesters: three registered pairs, a pair under a registered id
-#: whose seed is not the registered one, and a pair of an unregistered id
-BATCH_SIGNERS = [generate_keypair(e, 3) for e in ("gw0", "gw1", "srv0")] + [
-    generate_keypair("gw1", 4),
-    generate_keypair("gw9", 3),
-]
-
-
-def _batch_made(n: int, seed: int, make) -> tuple:
-    """``make(directory, requests)`` over ``n`` drawn requests, as (transactions,
-    each stream's state after, the directory's remembered verdicts in order).
-
-    Requests of one signer share its stream, as a join server's contexts do.
-    """
-    directory = KeyDirectory()
-    for keypair in BATCH_SIGNERS[:3]:
-        directory.add(keypair.entity_id, keypair.public_key, ROLE_GATEWAY)
-    draw = random.Random(seed)
-    streams = [random.Random(seed * 8 + k) for k in range(len(BATCH_SIGNERS))]
-    requests = []
-    for _ in range(n):
-        k = draw.randrange(len(BATCH_SIGNERS))
-        context = SessionContext(
-            dev_eui=draw.randbytes(8),
-            app_key=draw.randbytes(16),
-            dev_addr=draw.randbytes(4),
-            nwk_s_key=draw.randbytes(16),
-            dev_nonce=draw.randbytes(2),
-            app_nonce=draw.randbytes(3),
-        )
-        requests.append((BATCH_SIGNERS[k], context, draw.randrange(2**40), streams[k]))
-    txs = make(directory, requests)
-    return txs, [stream.getstate() for stream in streams], list(directory._verdicts.items())
+# threads (crypto.fan_out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -915,23 +893,7 @@ def test_verify_jobs_is_usable_cpus_up_to_four_and_one_without_libsodium(monkeyp
     assert crypto.verify_jobs() == 1
 
 
-def _one_by_one(directory, requests):
-    return [make_network_tx(directory, *request) for request in requests]
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 70), seed=st.integers(0, 2**16), jobs=st.integers(1, 4))
-def test_batch_makes_the_transactions_made_one_by_one(n, seed, jobs):
-    """At any size and on any number of threads, the batch gives
-    ``make_network_tx``'s transactions byte for byte, leaves every stream
-    where it leaves it, and remembers the same verdicts in the same order."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crypto, "verify_jobs", lambda: jobs)
-        batched = _batch_made(n, seed, make_network_txs)
-    assert batched == _batch_made(n, seed, _one_by_one)
-
-
-def test_batch_on_more_threads_than_cores_under_a_short_switch_interval():
+def test_fan_out_on_more_threads_than_cores_under_a_short_switch_interval():
     """Eight threads that switch every 10 µs: each slice's results land in place."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -939,93 +901,6 @@ def test_batch_on_more_threads_than_cores_under_a_short_switch_interval():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(crypto, "verify_jobs", lambda: 8)
             doubled = crypto.fan_out(lambda chunk: [x * 2 for x in chunk], list(range(1000)))
-            batched = _batch_made(64, 4, make_network_txs)
     finally:
         sys.setswitchinterval(interval)
     assert doubled == [x * 2 for x in range(1000)]
-    assert batched == _batch_made(64, 4, _one_by_one)
-
-
-@pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
-def test_batch_calls_none_of_the_traced_functions(monkeypatch):
-    """The batch runs no function the benchmark's tracer wraps: its spans share
-    one stack across threads, and the batch's threads would corrupt it."""
-    expected = _batch_made(32, 1, _one_by_one)
-
-    def traced(*args, **kwargs):
-        raise AssertionError("the batch called a traced function")
-
-    for module in (crypto, ledger_module):
-        for name in ("sign", "verify", "pk_encrypt", "hash_bytes", "make_network_tx"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, traced)
-    monkeypatch.setattr(crypto, "verify_jobs", lambda: 2)
-    assert _batch_made(32, 1, make_network_txs) == expected
-
-
-@pytest.mark.parametrize("jobs", [None, 2], ids=["host-jobs", "two-jobs"])
-def test_batch_without_libsodium_gives_the_same_bytes_on_cryptography(monkeypatch, jobs):
-    expected = _batch_made(50, 2, _one_by_one)
-    monkeypatch.setattr(crypto, "_sodium", lambda: None)
-    assert crypto.verify_jobs() == 1
-    if jobs is not None:
-        monkeypatch.setattr(crypto, "verify_jobs", lambda: jobs)
-    threads = threading.active_count()
-    assert _batch_made(50, 2, make_network_txs) == expected
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("failing", ["every", "second"])
-def test_batch_when_a_thread_cannot_start(monkeypatch, failing):
-    """With no thread starting, or only the first of each fan-out's two, the
-    calling thread works the slices left over: the same bytes, no thread left."""
-    expected = _batch_made(50, 3, _one_by_one)
-    starts = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            starts.append(self)
-            if failing == "every" or len(starts) % 2 == 0:
-                raise RuntimeError("can't start new thread")
-            super().start()
-
-    monkeypatch.setattr(crypto, "threading", types.SimpleNamespace(Thread=Thread))
-    monkeypatch.setattr(crypto, "verify_jobs", lambda: 3)
-    threads = threading.active_count()
-    assert _batch_made(50, 3, make_network_txs) == expected
-    assert threading.active_count() == threads
-    fan_outs = 0 if crypto._sodium() is None else 2  # the seal's and the signatures'
-    assert len(starts) == fan_outs * (1 if failing == "every" else 2)
-
-
-@pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
-@settings(max_examples=200, deadline=None)
-@given(
-    scalar=st.binary(min_size=32, max_size=32), peer_scalar=st.binary(min_size=32, max_size=32)
-)
-def test_batch_libsodium_x25519_matches_cryptography(scalar, peer_scalar):
-    peer = X25519PrivateKey.from_private_bytes(peer_scalar).public_key().public_bytes_raw()
-    own = X25519PrivateKey.from_private_bytes(scalar)
-    shared = own.exchange(X25519PublicKey.from_public_bytes(peer))
-    assert crypto._sodium().exchange(scalar, peer) == (own.public_key().public_bytes_raw(), shared)
-
-
-def test_batch_seal_to_a_small_order_key_raises_as_pk_encrypt_does():
-    """libsodium refuses the all-zero product; ``cryptography`` then raises its own error."""
-    kp = generate_keypair("gw0", 1)
-    zero = KeyPair("gw0", kp.public_key[:32] + bytes(32), kp.private_key)
-    with pytest.raises(ValueError) as one:
-        pk_encrypt(zero, b"context", random.Random(1))
-    requests = [(kp, b"context", random.Random(1), b"")] * 3
-    with pytest.raises(ValueError) as batch:
-        crypto.pk_encrypt_all(requests + [(zero, b"context", random.Random(1), b"")])
-    assert str(batch.value) == str(one.value)
-
-
-def test_batch_seal_with_a_libsodium_that_refuses_every_product(reload_sodium):
-    """Each refused product is redone on ``cryptography``: the envelopes are ``pk_encrypt``'s."""
-    kp = generate_keypair("srv0", 2)
-    expected = [pk_encrypt(kp, b"context %d" % k, random.Random(k), b"aad") for k in range(5)]
-    reload_sodium(_stand_in_sodium())
-    requests = [(kp, b"context %d" % k, random.Random(k), b"aad") for k in range(5)]
-    assert crypto.pk_encrypt_all(requests) == expected

@@ -1,5 +1,6 @@
 """Decoders of outside bytes raise only their module's declared error."""
 
+import functools
 import random
 import struct
 
@@ -14,6 +15,7 @@ from loraledger.crypto import (
     envelope_aad,
     generate_keypair,
     hash_bytes,
+    pk_decrypt,
 )
 from loraledger.frames import MalformedFrameError, parse_frame
 from loraledger.ledger import (
@@ -85,6 +87,7 @@ DECODERS = {
     "transaction_from_bytes": (transaction_from_bytes, ChainIntegrityError),
     "load_chain": (load_chain, ChainIntegrityError),
     "envelope_aad": (envelope_aad, DecryptionError),
+    "pk_decrypt": (functools.partial(pk_decrypt, bytes(range(64))), DecryptionError),
 }
 
 

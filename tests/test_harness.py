@@ -347,9 +347,9 @@ def test_bootstrap_respects_authorization_split():
 
 
 @pytest.mark.parametrize("mode", ["edge", "traditional"])
-def test_bootstrap_batch_chain_is_the_same_without_libsodium(mode, monkeypatch):
-    """A bootstrap batch through libsodium commits the same network chain, byte
-    for byte, as one that seals and signs each context on ``cryptography``."""
+def test_bootstrap_chain_is_the_same_without_libsodium(mode, monkeypatch):
+    """A bootstrap that signs through libsodium commits the same network chain,
+    byte for byte, as one that signs each context on ``cryptography``."""
     config = config_for(experiment=3, n_devices=80, seed=5, duration_s=60, mode=mode)
 
     def bootstrapped_chain() -> bytes:
@@ -358,10 +358,10 @@ def test_bootstrap_batch_chain_is_the_same_without_libsodium(mode, monkeypatch):
         ledger = world.replicas(KIND_NETWORK)[0].ledgers[KIND_NETWORK]
         return dump_chain(ledger, world.key_directory)
 
-    batched = bootstrapped_chain()
+    signed = bootstrapped_chain()
     monkeypatch.setattr(crypto, "_sodium", lambda: None)
-    assert crypto.verify_jobs() == 1
-    assert bootstrapped_chain() == batched
+    assert not crypto.uses_libsodium()
+    assert bootstrapped_chain() == signed
 
 
 def test_mixed_trust_comparison():

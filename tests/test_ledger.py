@@ -1,7 +1,10 @@
 """Chain layer: transactions, blocks, world state, dumps, tamper detection."""
 
+import ctypes
 import functools
 import hashlib
+import importlib.util
+import pathlib
 import random
 import struct
 import threading
@@ -24,6 +27,7 @@ from loraledger.crypto import (
     sign,
 )
 from loraledger import crypto as crypto_module
+from loraledger import ledger as ledger_module
 from loraledger.cli import main
 from loraledger.ledger import (
     DUMP_MAGIC,
@@ -51,6 +55,7 @@ from loraledger.ledger import (
     validate_block,
     validate_body,
 )
+from test_crypto import _stand_in_sodium
 
 
 # signs for the tests below but registers no one, so it records no verdict
@@ -184,7 +189,7 @@ def test_dump_encoding_is_pinned(directory):
     _, data = _dumped_chain(directory, n_blocks=2)
     assert len(data) == 1094
     assert hashlib.sha256(data).hexdigest() == (
-        "f483fec8c603fec7b40a42819602a1163000ca6ef5dfafbbf8d1c2fd96f124c9"
+        "ac1c5ee4278ac5e597fb97d8e49078f7131e8e0c30cc809e6585c825f1d7334b"
     )
 
 
@@ -708,21 +713,20 @@ def test_load_chain_resealed_signature_flip_gives_the_serial_error(directory, mo
 
 
 def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypatch):
-    """Across every thread of one load, each distinct signature is verified once,
-    and the returned directory keeps no more verdicts than its memo holds."""
+    """Across every thread of one load, each distinct signature is verified once
+    in C, and the returned directory keeps no more verdicts than its memo holds."""
     blocks = _network_blocks(6, txs_per_block=3)
     again = assemble_block([blocks[1].txs[0]], 6, 7000, blocks[-1])  # a tx on the chain twice
     data = _dump_blocks(blocks + [again], directory)
-    verified = []
-    real_verify = crypto_module.verify
-
-    def logged_verify(public_key, message, signature):
-        verified.append(signature)
-        return real_verify(public_key, message, signature)
-
-    monkeypatch.setattr(crypto_module, "verify", logged_verify)
+    calls = []
+    crypto_module._sodium.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", _stand_in_sodium(calls=calls))  # accepts every signature
     monkeypatch.setattr(crypto_module, "VERDICT_MEMO_SIZE", 4)
-    ledger, loaded = _load_with_jobs(monkeypatch, data, 3)
+    try:
+        ledger, loaded = _load_with_jobs(monkeypatch, data, 3)
+    finally:
+        crypto_module._sodium.cache_clear()
+    verified = [args[0] for symbol, args in calls if symbol == "crypto_sign_verify_detached"]
     assert len(verified) == len(set(verified)) == 18
     assert ledger.height == 7
     assert len(loaded._verdicts) <= 4
@@ -731,7 +735,8 @@ def test_load_chain_fanned_out_verifies_each_signature_once(directory, monkeypat
 @pytest.mark.parametrize("failing", [1, 2], ids=["first-worker", "second-worker"])
 def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch, failing):
     """A thread that cannot start, the first or second of two: any started
-    thread is joined and the loading thread checks the slices left over."""
+    thread is joined and the loading thread checks the slices left over.
+    Without libsodium no thread is asked for."""
     starts = []
 
     class Thread(threading.Thread):
@@ -742,14 +747,54 @@ def test_load_chain_falls_back_when_a_worker_cannot_start(directory, monkeypatch
             super().start()
 
     monkeypatch.setattr(crypto_module, "threading", types.SimpleNamespace(Thread=Thread))
+    asked = failing if crypto_module.uses_libsodium() else 0
     ledger, _ = _same_load(monkeypatch, _dump_blocks(CHAIN_BLOCKS, directory), jobs=3)
     assert ledger.blocks == CHAIN_BLOCKS
-    assert len(starts) == failing
+    assert len(starts) == asked
     starts.clear()
     forged = _dump_blocks(_network_blocks(8, forged_at={7}), directory)
     message = "chain failed validation: block 7 rejected at height 7"
     assert _same_load(monkeypatch, forged, jobs=3) == message
-    assert len(starts) == failing
+    assert len(starts) == asked
+
+
+def _traced_crypto_names() -> tuple:
+    """The ``crypto`` functions whose calls the benchmark's tracer makes spans of."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.SPANS["crypto"]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_load_chain_calls_traced_crypto_functions_only_on_the_loading_thread(
+    directory, monkeypatch, jobs
+):
+    """The tracer's spans share one stack, so no worker thread may call a
+    function it wraps: with each replaced in ``crypto`` and ``ledger``, the
+    modules a load runs, a load of an honest chain and of a forged one calls
+    them only from the loading thread."""
+    honest = _dump_blocks(CHAIN_BLOCKS, directory)
+    forged = _dump_blocks(_network_blocks(8, forged_at={3}), directory)
+    callers = []
+    modules = [crypto_module, ledger_module]
+    for name in _traced_crypto_names():
+        real = getattr(crypto_module, name)
+
+        def recorded(*args, real=real, name=name):
+            callers.append((name, threading.get_ident()))
+            return real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recorded)
+    assert isinstance(_load_with_jobs(monkeypatch, honest, jobs), tuple)
+    message = "chain failed validation: block 3 rejected at height 3"
+    assert _load_with_jobs(monkeypatch, forged, jobs) == message
+    names = {name for name, _ in callers}
+    assert {"hash_bytes", "verify"} <= names  # the forged signature's refusal
+    assert {ident for _, ident in callers} == {threading.get_ident()}
 
 
 @functools.cache
