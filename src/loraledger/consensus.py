@@ -395,8 +395,10 @@ class Replica:
 
     def _on_announce(self, msg: BlockAnnounce) -> None:
         channel = self.channels.get(msg.channel)
-        if channel is None:
-            self.invalid_blocks += 1  # a block for a channel this replica does not keep
+        if channel is None or self.consensus.mode != "solo":
+            # a block for a channel this replica does not keep, or one that
+            # skipped the vote: only solo ordering announces
+            self.invalid_blocks += 1
         else:
             self._commit_block(channel, msg.block)
 

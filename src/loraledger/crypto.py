@@ -2,14 +2,15 @@
 
 Every operation is deterministic given its inputs; randomness is always
 supplied by the caller as a seeded ``random.Random`` so that simulation runs
-replay byte-identically.  Key pairs bundle a signing key and an encryption
-key; both public/private halves travel as opaque byte strings.
+replay byte-identically.  Each entity's key is one Ed25519 key (RFC 8032):
+a 32-byte seed as its private key and the seed's 32-byte verify key as its
+public key, both opaque byte strings.
 
-Each key owns the cipher objects made from it and builds them on first use:
-a ``KeyPair`` its Ed25519 signing key, verify key and libsodium secret key,
-and a device's ``RootKey`` the CMAC and AES-ECB contexts of its joins.
-Nothing keyed is kept at module level, so a world keeps only the contexts of
-its own keys and drops them with them.
+Each key owns the cipher objects made from it: a ``KeyPair`` builds its
+Ed25519 signing key, verify key and libsodium secret key when it is made,
+and a device's ``RootKey`` the CMAC and AES-ECB contexts of its joins on
+their first use.  Nothing keyed is kept at module level, so a world keeps
+only the contexts of its own keys and drops them with them.
 
 ``sign`` makes Ed25519 signatures with the system's libsodium where that
 shared library loads (through ``ctypes``, on the first ``sign`` or
@@ -22,16 +23,15 @@ and a verdict never depends on the host.  On a 2-vCPU VM (libsodium 1.0.18,
 ``cryptography`` 48) a verify takes about 96 µs against 209 µs.
 
 ``pk_encrypt`` seals a session context under its writer's own key: an
-AES-GCM key derived by HKDF from the pair's X25519 private scalar, so only
-the writer, or a node handed its private key, reopens it.  No context is
-ever sealed to another node's key, so no X25519 product is computed.
+AES-GCM key derived by HKDF from the pair's seed, so only the writer, or a
+node handed its private key, reopens it.
 
 A chain dump's signatures are checked ahead of its replay by
-``KeyDirectory.settled``, with libsodium's Ed25519 verify, which releases
-the GIL, on ``fan_out``'s threads.  ``fan_out`` is the one place that picks
-how many threads do: ``verify_jobs()``, at most one per item.  The verdicts
-are the same on any number of threads.  Every other operation runs on the
-calling thread.
+``KeyDirectory.settled``, with ``verify``'s own check on ``fan_out``'s
+threads, where libsodium's Ed25519 verify releases the GIL.  ``fan_out`` is
+the one place that picks how many threads do: ``verify_jobs()``, at most
+one per item.  The verdicts are the same on any number of threads.  Every
+other operation runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -68,15 +67,14 @@ SYM_KEY_LEN = 16
 MIC_LEN = 4
 SIGNATURE_LEN = 64
 
-# public_key = ed25519 verify key (32) || x25519 public key (32)
-# private_key = ed25519 seed (32) || x25519 private scalar (32)
-_KEY_HALF = 32
-KEY_LEN = 2 * _KEY_HALF
+# private_key = ed25519 seed (32); public_key = its ed25519 verify key (32)
+KEY_LEN = 32
 
-# envelope = salt(_KEY_HALF) | nonce | aad_len(u16) | aad | ciphertext | tag
+# envelope = salt | nonce | aad_len(u16) | aad | ciphertext | tag
+_ENVELOPE_SALT_LEN = 32
 _ENVELOPE_NONCE_LEN = 12
 _ENVELOPE_TAG_LEN = 16
-ENVELOPE_OVERHEAD = _KEY_HALF + _ENVELOPE_NONCE_LEN + 2 + _ENVELOPE_TAG_LEN
+ENVELOPE_OVERHEAD = _ENVELOPE_SALT_LEN + _ENVELOPE_NONCE_LEN + 2 + _ENVELOPE_TAG_LEN
 #: HKDF info of the key that seals a session context under its writer's own key
 _SEAL_INFO = b"loraledger sealed context\x00"
 
@@ -97,45 +95,35 @@ class UnknownEntityError(CryptoError):
     """An entity id has no registered public key."""
 
 
+def _checked(key: bytes) -> bytes:
+    """A public or private key as given, refused unless it is ``KEY_LEN`` bytes."""
+    if len(key) != KEY_LEN:
+        raise BadKeyError("key must be %d bytes" % KEY_LEN)
+    return key
+
+
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing + encryption key material owned by one named entity.
+    """One named entity's Ed25519 key: a 32-byte seed as ``private_key``.
 
-    The pair builds its signing objects on first use and keeps them: the
-    Ed25519 signing key, the verify key its signatures verify under (made
-    from the seed, whatever ``public_key`` holds) and libsodium's 64-byte
-    secret key (the seed followed by that verify key).  A node holds one
-    pair, so each is built once per node.
+    The pair builds, when it is made, its verify key (``public_key``), the
+    Ed25519 signing key and libsodium's 64-byte secret key (the seed
+    followed by the verify key).  A node holds one pair, so each is built
+    once per node.
     """
 
     entity_id: str
-    public_key: bytes
-    private_key: bytes
-    _signing_key: Ed25519PrivateKey | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _verify_key: bytes | None = field(default=None, init=False, repr=False, compare=False)
-    _sodium_secret: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    private_key: bytes = field(repr=False)
+    public_key: bytes = field(init=False)
+    _signing_key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+    _sodium_secret: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.public_key) != KEY_LEN or len(self.private_key) != KEY_LEN:
-            raise BadKeyError("key halves must each be %d bytes" % KEY_LEN)
-
-    @property
-    def verify_key(self) -> bytes:
-        """The raw Ed25519 public key that this pair's signatures verify under."""
-        return self._verify_key or self._bind_signing()
-
-    def _bind_signing(self) -> bytes:
-        """Build the signing key, its verify key and libsodium's secret key; returns
-        the verify key."""
-        seed = self.private_key[:_KEY_HALF]
-        signing_key = Ed25519PrivateKey.from_private_bytes(seed)
-        verify_key = signing_key.public_key().public_bytes_raw()
+        signing_key = Ed25519PrivateKey.from_private_bytes(_checked(self.private_key))
+        public_key = signing_key.public_key().public_bytes_raw()
+        object.__setattr__(self, "public_key", public_key)
         object.__setattr__(self, "_signing_key", signing_key)
-        object.__setattr__(self, "_verify_key", verify_key)
-        object.__setattr__(self, "_sodium_secret", seed + verify_key)
-        return verify_key
+        object.__setattr__(self, "_sodium_secret", self.private_key + public_key)
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -147,29 +135,13 @@ def generate_keypair(entity_id: str, seed: int) -> KeyPair:
     """Derive a key pair deterministically; same (entity_id, seed) -> same pair."""
     base = str(seed).encode("ascii")
     sign_seed = hashlib.sha256(b"keygen.sign\x00" + entity_id.encode("utf-8") + base).digest()
-    enc_seed = hashlib.sha256(b"keygen.encrypt\x00" + entity_id.encode("utf-8") + base).digest()
-    private_key = sign_seed + enc_seed
-    return KeyPair(entity_id, public_key_of(private_key), private_key)
+    return KeyPair(entity_id, sign_seed)
 
 
 def public_key_of(private_key: bytes) -> bytes:
-    """The public key (verify key, then X25519 public key) of a private key."""
-    sign_seed, enc_scalar = _split_private(private_key)
-    sign_key = Ed25519PrivateKey.from_private_bytes(sign_seed)
-    enc_key = X25519PrivateKey.from_private_bytes(enc_scalar)
-    return sign_key.public_key().public_bytes_raw() + enc_key.public_key().public_bytes_raw()
-
-
-def _split_public(public_key: bytes) -> tuple[bytes, bytes]:
-    if len(public_key) != KEY_LEN:
-        raise BadKeyError("public key must be %d bytes" % KEY_LEN)
-    return public_key[:_KEY_HALF], public_key[_KEY_HALF:]
-
-
-def _split_private(private_key: bytes) -> tuple[bytes, bytes]:
-    if len(private_key) != KEY_LEN:
-        raise BadKeyError("private key must be %d bytes" % KEY_LEN)
-    return private_key[:_KEY_HALF], private_key[_KEY_HALF:]
+    """The public key (the Ed25519 verify key) of a private key (its seed)."""
+    signing_key = Ed25519PrivateKey.from_private_bytes(_checked(private_key))
+    return signing_key.public_key().public_bytes_raw()
 
 
 #: sonames of libsodium tried in order; the first that loads and initialises is used
@@ -188,7 +160,7 @@ class _Sodium(NamedTuple):
 @functools.cache
 def _sodium() -> _Sodium | None:
     """The system's libsodium, loaded once, on the first ``sign``, ``verify`` or
-    ``uses_libsodium``.
+    ``verify_jobs``.
 
     ``None`` where no listed soname loads or ``sodium_init`` fails.  A process
     that neither signs nor verifies (``frame decode``) imports neither
@@ -245,24 +217,16 @@ def _sodium() -> _Sodium | None:
     return _Sodium(signer, accepts)
 
 
-def uses_libsodium() -> bool:
-    """Whether ``sign`` and ``verify`` run on libsodium here, loading it if need be.
-
-    libsodium's calls release the GIL (``ctypes.CDLL``), so threads verify
-    side by side; ``cryptography``'s Ed25519 calls hold it.
-    """
-    return _sodium() is not None
-
-
 #: most threads, the calling one included, that one ``fan_out`` runs on
 MAX_VERIFY_JOBS = 4
 
 
 def verify_jobs() -> int:
     """Threads that libsodium calls are fanned out on (``fan_out``): usable
-    CPUs, at most ``MAX_VERIFY_JOBS``; 1 without libsodium, as
-    ``cryptography``'s calls hold the GIL and threads would only take turns."""
-    if not uses_libsodium():
+    CPUs, at most ``MAX_VERIFY_JOBS``; 1 without libsodium.  libsodium's calls
+    release the GIL (``ctypes.CDLL``), so threads verify side by side, but
+    ``cryptography``'s hold it, and threads would only take turns."""
+    if _sodium() is None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -315,11 +279,8 @@ def sign(keypair: KeyPair, message: bytes) -> bytes:
     Signs with libsodium's ``crypto_sign_detached`` where the library loads
     (the faster of the two), else with ``cryptography``.  Both implement RFC
     8032's deterministic Ed25519, so the bytes are the same either way.
-    The pair builds libsodium's secret key once, so a signature there is one
-    C call.
+    The pair holds libsodium's secret key, so a signature there is one C call.
     """
-    if keypair._sodium_secret is None:
-        keypair._bind_signing()
     sodium = _sodium()
     if sodium is None:
         return keypair._signing_key.sign(message)
@@ -327,16 +288,24 @@ def sign(keypair: KeyPair, message: bytes) -> bytes:
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """Check an Ed25519 signature against a public key bundle; ``cryptography``'s verdict.
+    """Check an Ed25519 signature against a public key; ``cryptography``'s verdict.
+
+    Raises BadKeyError on a key of the wrong length; ``_verdict`` decides.
+    """
+    return _verdict(_checked(public_key), message, signature)
+
+
+def _verdict(verify_key: bytes, message: bytes, signature: bytes) -> bool:
+    """``verify``'s verdict on a key of the right length.
 
     libsodium's ``crypto_sign_verify_detached`` runs first where the library
     loads, and its acceptance stands: it is the stricter of the two
     cofactorless verifiers (it also refuses a non-canonical or small-order R
     or A), so every signature it accepts ``cryptography`` accepts too.
     Anything it refuses is decided by ``cryptography``, so a verdict never
-    depends on the host.
+    depends on the host.  It calls no traced function, so ``fan_out``'s
+    threads may run it.
     """
-    verify_key, _ = _split_public(public_key)
     if len(signature) != SIGNATURE_LEN:
         return False
     sodium = _sodium()
@@ -351,11 +320,10 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 
 def _seal_key(private_key: bytes, salt: bytes) -> bytes:
     """The AES-128-GCM key of one envelope: HKDF-SHA256 over the private
-    X25519 scalar, with the envelope's salt and ``_SEAL_INFO``."""
-    _, enc_scalar = _split_private(private_key)
+    key (the Ed25519 seed), with the envelope's salt and ``_SEAL_INFO``."""
     return HKDF(
         algorithm=hashes.SHA256(), length=SYM_KEY_LEN, salt=salt, info=_SEAL_INFO
-    ).derive(enc_scalar)
+    ).derive(_checked(private_key))
 
 
 def pk_encrypt(keypair: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> bytes:
@@ -371,7 +339,7 @@ def pk_encrypt(keypair: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> 
         raise ValueError("refusing to seal an empty payload")
     if len(aad) > 0xFFFF:
         raise ValueError("associated data too long")
-    salt = rng.randbytes(_KEY_HALF)
+    salt = rng.randbytes(_ENVELOPE_SALT_LEN)
     nonce = rng.randbytes(_ENVELOPE_NONCE_LEN)
     sealed = AESGCM(_seal_key(keypair.private_key, salt)).encrypt(nonce, data, aad)
     return salt + nonce + struct.pack("<H", len(aad)) + aad + sealed
@@ -379,7 +347,7 @@ def pk_encrypt(keypair: KeyPair, data: bytes, rng: Random, aad: bytes = b"") -> 
 
 def envelope_aad(envelope: bytes) -> bytes:
     """Read the clear associated data of an envelope without decrypting it."""
-    header = _KEY_HALF + _ENVELOPE_NONCE_LEN
+    header = _ENVELOPE_SALT_LEN + _ENVELOPE_NONCE_LEN
     if len(envelope) < header + 2:
         raise DecryptionError("envelope too short")
     (aad_len,) = struct.unpack_from("<H", envelope, header)
@@ -391,14 +359,14 @@ def envelope_aad(envelope: bytes) -> bytes:
 
 def pk_decrypt(private_key: bytes, envelope: bytes) -> bytes:
     """Open an envelope; raises DecryptionError on wrong key or any tampering."""
-    header = _KEY_HALF + _ENVELOPE_NONCE_LEN
+    header = _ENVELOPE_SALT_LEN + _ENVELOPE_NONCE_LEN
     aad = envelope_aad(envelope)
     sealed = envelope[header + 2 + len(aad) :]
     if len(sealed) < _ENVELOPE_TAG_LEN:
         raise DecryptionError("envelope truncated before tag")
-    key = _seal_key(private_key, envelope[:_KEY_HALF])
+    key = _seal_key(private_key, envelope[:_ENVELOPE_SALT_LEN])
     try:
-        return AESGCM(key).decrypt(envelope[_KEY_HALF:header], sealed, aad)
+        return AESGCM(key).decrypt(envelope[_ENVELOPE_SALT_LEN:header], sealed, aad)
     except InvalidTag as exc:
         raise DecryptionError("envelope failed authentication") from exc
 
@@ -549,8 +517,7 @@ class KeyDirectory:
     def add(self, entity_id: str, public_key: bytes, role: str) -> None:
         """Register an entity; refuses a malformed or small-order key, an unknown
         role and a second registration of the same id."""
-        verify_key, _ = _split_public(public_key)
-        if _has_small_order(verify_key):
+        if _has_small_order(_checked(public_key)):
             raise BadKeyError("verify key is a point of small order")
         if role not in (ROLE_GATEWAY, ROLE_SERVER):
             raise ValueError("unknown role: %r" % role)
@@ -579,32 +546,16 @@ class KeyDirectory:
         signature) in ``checks`` without an Ed25519 verify of its own.
 
         The distinct checks are verified on entry, ahead of a replay
-        (``ledger.load_chain``).  Where libsodium loads, its verify runs on
-        ``fan_out``'s threads, after the checks ``verify`` makes before any C
-        call, and the module's ``verify`` decides each check it refuses, here;
-        without libsodium ``verify`` decides every check here.  So only this
-        thread calls a module-level function, and no thread touches this
-        directory's memo, which is not thread-safe.  Each verdict is
-        remembered, in the bounded memo, when ``verify`` answers from it.  An
-        id that is not registered raises UnknownEntityError on entry, as
-        ``verify`` raises for it.
+        (``ledger.load_chain``), by ``_verdict`` on ``fan_out``'s threads: the
+        verdict ``verify`` gives, asked once of each check.  The threads call
+        no traced function and never touch this directory's memo, which is
+        not thread-safe.  Each verdict is remembered, in the bounded memo,
+        when ``verify`` answers from it.  An id that is not registered raises
+        UnknownEntityError on entry, as ``verify`` raises for it.
         """
         distinct = list(dict.fromkeys(checks))
         keyed = [(self.public_key(entity_id), *rest) for entity_id, *rest in distinct]
-        sodium = _sodium()
-        if sodium is None:
-            verdicts = [verify(*check) for check in keyed]
-        else:
-            accepts = sodium.accepts
-            accepted = fan_out(
-                lambda chunk: [
-                    len(signature) == SIGNATURE_LEN
-                    and accepts(_split_public(public_key)[0], message, signature)
-                    for public_key, message, signature in chunk
-                ],
-                keyed,
-            )
-            verdicts = [ok or verify(*check) for ok, check in zip(accepted, keyed)]
+        verdicts = fan_out(lambda chunk: [_verdict(*check) for check in chunk], keyed)
         self._settled = dict(zip(distinct, verdicts))
         try:
             yield
@@ -617,14 +568,14 @@ class KeyDirectory:
         Ed25519 is deterministic and a signature always verifies under the
         public key of the seed that made it (RFC 8032), so a signature made
         here with the entity's registered key needs no verify in this world:
-        the pair's own verify key, which it made once from its seed, equals
-        the registered one.  Any other signature is left for ``verify`` to
-        check, so a key signs as its entity's once it is registered, and a
-        foreign key never does.
+        the pair's public key, which it made from its seed, is the registered
+        one.  Any other signature is left for ``verify`` to check, so a key
+        signs as its entity's once it is registered, and a foreign key never
+        does.
         """
         signature = sign(keypair, message)
         entry = self._entries.get(keypair.entity_id)
-        if entry is not None and entry[0][:_KEY_HALF] == keypair.verify_key:
+        if entry is not None and entry[0] == keypair.public_key:
             self._remember((keypair.entity_id, message, signature), True)
         return signature
 

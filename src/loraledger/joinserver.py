@@ -148,8 +148,8 @@ class JoinServer:
         return context
 
     def receive_key_handover(self, entity_id: str, private_key: bytes) -> None:
-        """Out-of-band private-key copy from a failing gateway; refused unless both
-        public halves are the registered ones, since its sessions open only with them."""
+        """Out-of-band private-key copy from a failing gateway; refused unless its
+        public key is the registered one, since its sessions open only with it."""
         registered = self.directory.public_key(entity_id) if entity_id in self.directory else None
         if public_key_of(private_key) != registered:
             raise BadKeyError("not the registered key pair of %r" % entity_id)

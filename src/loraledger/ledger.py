@@ -37,7 +37,7 @@ KIND_APPLICATION = "application"
 GENESIS_PREV_HASH = b"\x00" * 32
 
 DUMP_MAGIC = b"HLRA"
-DUMP_VERSION = 1
+DUMP_VERSION = 2
 
 _KIND_CODES = {KIND_NETWORK: 0, KIND_APPLICATION: 1}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
@@ -547,9 +547,9 @@ def load_chain(data: bytes) -> tuple[Ledger, KeyDirectory]:
     """Parse and fully validate a chain dump; any corruption raises.
 
     ``Ledger.replay`` gives the one verdict.  Each signature it checks is
-    verified ahead of it, through libsodium on ``crypto.fan_out``'s threads
-    where it loads (``KeyDirectory.settled``), and answered from those
-    checks; the result and any error are those of the replay alone.
+    verified ahead of it, on ``crypto.fan_out``'s threads
+    (``KeyDirectory.settled``), and answered from those checks; the result
+    and any error are those of the replay alone.
     """
     body, trailer = data[:-32], data[-32:]
     if hash_bytes(body) != trailer:

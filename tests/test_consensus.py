@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loraledger.consensus import (
     BatchConfig,
+    BlockAnnounce,
     BlockProposal,
     COMMITTED,
     CommitNotice,
@@ -377,3 +378,31 @@ def test_only_the_orderer_host_may_propose():
     assert len(chains["srv0"]) == 1
     assert all(chain == chains["srv0"] for chain in chains.values())
     assert replicas["srv1"].invalid_blocks == 1
+
+
+def test_a_pbft_replica_commits_no_announced_block():
+    """Under PBFT a block commits only through a vote, so an announce, here of a
+    block that a maintainer other than the orderer host signed, is counted
+    invalid and cannot fork its receiver off the voted chain."""
+    directory, keypairs = four_servers()
+    ids = sorted(keypairs)
+    consensus = ConsensusConfig(
+        mode="pbft",
+        p=1,
+        batch=BatchConfig(1000, 1),
+        orderer_hosts={KIND_APPLICATION: "srv0"},
+        maintainers={KIND_APPLICATION: tuple(ids)},
+    )
+    net = {"now_ms": 0, "pending": []}
+    replicas = {e: BareReplica(e, keypairs[e], directory, consensus, net) for e in ids}
+    rogue = assemble_block([make_app_tx(directory, keypairs["srv3"], b"rogue", 0)], 0, 0, None)
+    deliver(replicas["srv1"], BlockAnnounce(KIND_APPLICATION, rogue))
+    tx = make_app_tx(directory, keypairs["srv0"], b"tx", 0)
+    replicas["srv0"].submit_tx(KIND_APPLICATION, tx)
+    while net["pending"]:
+        peer, message = net["pending"].pop(0)
+        deliver(replicas[peer], message)
+    for replica in replicas.values():
+        (block,) = replica.ledgers[KIND_APPLICATION].blocks
+        assert block.zeta == 0 and block.txs == (tx,)
+    assert [replica.invalid_blocks for replica in replicas.values()] == [0, 1, 0, 0]

@@ -27,6 +27,7 @@ from loraledger.crypto import (
     CryptoError,
     DecryptionError,
     ENVELOPE_OVERHEAD,
+    KEY_LEN,
     KeyDirectory,
     KeyPair,
     ROLE_GATEWAY,
@@ -43,10 +44,12 @@ from loraledger.crypto import (
     mac32,
     pk_decrypt,
     pk_encrypt,
+    public_key_of,
     sign,
     verify,
 )
 from loraledger.harness import compare_modes
+from loraledger.joinserver import JoinServer
 from loraledger.scenario import build_config
 from test_golden import CASES, GOLDEN, artifact_digest
 
@@ -64,6 +67,37 @@ def test_hash_is_sha256():
         hash_bytes(b"").hex()
         == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.integers(0, 96)
+    .filter(lambda n: n != KEY_LEN)
+    .flatmap(lambda n: st.binary(min_size=n, max_size=n))
+)
+def test_a_key_of_any_other_length_raises_only_bad_key_error(key):
+    """Every call a public or private key enters through refuses one that is
+    not 32 bytes with BadKeyError, and nothing else; a refused handover holds
+    nothing."""
+    gw0 = generate_keypair("gw0", 1)
+    directory = _world_directory()
+    srv0 = generate_keypair("srv0", 1)
+    core = JoinServer("srv0", srv0, directory, bytes(3), random.Random(0), None)
+    envelope = pk_encrypt(gw0, b"context", random.Random(0))
+    calls = [
+        lambda: KeyPair("gw0", key),
+        lambda: public_key_of(key),
+        lambda: KeyDirectory().add("gw0", key, ROLE_GATEWAY),
+        lambda: verify(key, b"payload", sign(gw0, b"payload")),
+        # a stand-in pair: a KeyPair refuses such a key when it is made
+        lambda: pk_encrypt(types.SimpleNamespace(private_key=key), b"context", random.Random(0)),
+        lambda: pk_decrypt(key, envelope),
+        lambda: core.receive_key_handover("gw0", key),
+    ]
+    for call in calls:
+        with pytest.raises(BadKeyError):
+            call()
+    assert core.held_keys == {}
 
 
 def test_keypair_deterministic_per_seed():
@@ -115,20 +149,19 @@ SODIUM_ABSENT = "libsodium does not load here (tried %s): only cryptography sign
 
 
 def _vector(name: str) -> tuple[bytes, bytes, bytes, bytes]:
-    """An RFC 8032 vector as bytes: (seed, public key bundle, message, signature)."""
-    seed, public, message, signature = map(bytes.fromhex, RFC8032_VECTORS[name])
-    return seed, public + bytes(32), message, signature
+    """An RFC 8032 vector as bytes: (seed, public key, message, signature)."""
+    return tuple(map(bytes.fromhex, RFC8032_VECTORS[name]))
 
 
-def _seed_keypair(seed: bytes, public_key: bytes = bytes(64)) -> KeyPair:
-    """A key pair that signs with ``seed``; ``sign`` reads nothing of ``public_key``."""
-    return KeyPair("signer", public_key, seed + bytes(32))
+def _seed_keypair(seed: bytes) -> KeyPair:
+    """The key pair whose private key is ``seed``."""
+    return KeyPair("signer", seed)
 
 
 def _sign_vector(name: str) -> tuple[bytes, str]:
     """``sign``'s output on an RFC 8032 vector, and the signature the RFC gives."""
-    seed, public_key, message, signature = _vector(name)
-    return sign(_seed_keypair(seed, public_key), message), signature.hex()
+    seed, _, message, signature = _vector(name)
+    return sign(_seed_keypair(seed), message), signature.hex()
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])
@@ -247,7 +280,7 @@ def test_golden_digests_are_the_same_when_cryptography_signs(reload_sodium, case
     pinned golden digest.
     """
     reload_sodium(_not_found)
-    assert not crypto.uses_libsodium()
+    assert crypto._sodium() is None
     compare_modes(build_config(flag_overrides=CASES[case])).emit(str(tmp_path))
     assert artifact_digest(tmp_path) == GOLDEN[case]
 
@@ -284,7 +317,7 @@ def reference_verdict(public_key: bytes, message: bytes, signature: bytes) -> bo
     if len(signature) != crypto.SIGNATURE_LEN:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(signature, message)
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
     except InvalidSignature:
         return False
     return True
@@ -302,7 +335,7 @@ def _assert_reference_verdict(public_key, message, signature, expected):
 @pytest.mark.parametrize("vector", sorted(RFC8032_VECTORS))
 def test_verify_matches_cryptography_on_rfc8032(host, vector):
     seed, public_key, message, signature = _vector(vector)
-    assert _seed_keypair(seed).verify_key == public_key[:32]
+    assert _seed_keypair(seed).public_key == public_key
     _assert_reference_verdict(public_key, message, signature, True)
     _assert_reference_verdict(public_key, message + b"\x00", signature, False)
     # the failing stand-in was asked, and cryptography overruled its refusal
@@ -324,7 +357,7 @@ def _identity_r_signature(seed: bytes, message: bytes) -> bytes:
     """
     a = int.from_bytes(hashlib.sha512(seed).digest()[:32], "little")
     a = a & ((1 << 254) - 8) | (1 << 254)  # RFC 8032 clamping
-    digest = hashlib.sha512(IDENTITY + _seed_keypair(seed).verify_key + message).digest()
+    digest = hashlib.sha512(IDENTITY + _seed_keypair(seed).public_key + message).digest()
     h = int.from_bytes(digest, "little") % L
     return IDENTITY + (h * a % L).to_bytes(32, "little")
 
@@ -334,7 +367,7 @@ def test_verify_accepts_an_identity_r_that_libsodium_refuses(host):
     signature = _identity_r_signature(seed, message)
     _assert_reference_verdict(public_key, message, signature, True)
     if host.name == "libsodium":
-        assert not crypto._sodium().accepts(public_key[:32], message, signature)
+        assert not crypto._sodium().accepts(public_key, message, signature)
 
 
 @pytest.mark.skipif(crypto._sodium() is None, reason=SODIUM_ABSENT)
@@ -367,7 +400,7 @@ def test_verify_matches_cryptography_on_flipped_bytes(host, seed, message, targe
         field = fields[target]
         bit %= 8 * len(field)
         field[bit // 8] ^= 1 << (bit % 8)
-    public_key = bytes(fields["A"]) + bytes(32)
+    public_key = bytes(fields["A"])
     message, signature = bytes(fields["message"]), bytes(fields["R"] + fields["S"])
     expected = reference_verdict(public_key, message, signature)
     assert verify(public_key, message, signature) is expected
@@ -390,7 +423,7 @@ def test_verify_refuses_a_signature_of_the_wrong_length_before_any_c_call(host, 
     assert _c_verifies(host.calls) == 0
 
 
-@pytest.mark.parametrize("length", [0, 31, 32, 33, 63, 65])
+@pytest.mark.parametrize("length", [0, 31, 33, 63, 64, 65])
 def test_verify_raises_on_a_key_of_the_wrong_length_before_any_c_call(host, length):
     _, public_key, message, signature = _vector("test2")
     with pytest.raises(BadKeyError):
@@ -540,12 +573,12 @@ def test_key_directory_refuses_small_order_keys():
     directory = KeyDirectory()
     for encoding in encodings:
         with pytest.raises(BadKeyError):
-            directory.add("gw0", encoding + bytes(32), ROLE_GATEWAY)
+            directory.add("gw0", encoding, ROLE_GATEWAY)
     assert "gw0" not in directory
     # what the refusal keeps out: under the identity key, R = identity, S = 0
     # verifies for every message
     forgery = IDENTITY + bytes(32)
-    assert all(verify(IDENTITY + bytes(32), m, forgery) for m in (b"", b"pay", b"vote"))
+    assert all(verify(IDENTITY, m, forgery) for m in (b"", b"pay", b"vote"))
 
 
 def _world_directory() -> KeyDirectory:
@@ -604,9 +637,9 @@ def test_key_directory_verify_memo_is_bounded(monkeypatch):
 
 
 def test_key_directory_settled_verdicts_answer_only_inside_the_block(reload_sodium, monkeypatch):
-    """The distinct checks are verified on entry, on threads, and ``verify``
-    decides each that libsodium refuses; inside the block a settled check
-    makes no C verify call, and its verdict is remembered."""
+    """The distinct checks are verified on entry, on threads, each asked of
+    libsodium once, and ``cryptography`` decides each it refuses; inside the
+    block a settled check makes no C verify call, and its verdict is remembered."""
     directory, sig = _signed_directory()
     forged = sign(generate_keypair("gw0", 2), b"payload")  # not gw0's registered key
     calls = []
@@ -623,18 +656,17 @@ def test_key_directory_settled_verdicts_answer_only_inside_the_block(reload_sodi
     assert directory._settled == {} and c_verifies() == 0
     checks = [("gw0", b"payload", sig), ("gw0", b"payload", forged), ("gw0", b"payload", sig)]
     with directory.settled(checks):
-        # each distinct check once on the threads, and once more in ``verify``
-        # for each refusal, cryptography then deciding
-        assert c_verifies() == 4
+        # each distinct check once, on the threads, cryptography deciding the refusals
+        assert c_verifies() == 2
         assert directory.verify("gw0", b"payload", sig)
         assert not directory.verify("gw0", b"payload", forged)
-        assert c_verifies() == 4
-        assert not directory.verify("gw0", b"other", sig) and c_verifies() == 5
+        assert c_verifies() == 2
+        assert not directory.verify("gw0", b"other", sig) and c_verifies() == 3
         with pytest.raises(UnknownEntityError):
             directory.verify("nobody", b"payload", sig)
-    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 5  # now in the memo
+    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 3  # now in the memo
     directory._verdicts.clear()
-    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 6
+    assert directory.verify("gw0", b"payload", sig) and c_verifies() == 4
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +711,7 @@ def test_only_signatures_made_here_with_the_registered_key_skip_verify(
     if "re-attributed" in case:
         entity_id = "srv0" if signer == "gw0" else "gw0"
         pretender = generate_keypair(entity_id, 1)
-        keypair = KeyPair(entity_id, pretender.public_key, keypair.private_key)
+        keypair = KeyPair(entity_id, keypair.private_key)
         if case == "honest-then-re-attributed":
             directory.sign(pretender, message)  # the entity's own key signs first
         signature = directory.sign(keypair, message)
@@ -836,9 +868,10 @@ def test_a_short_root_key_is_refused():
 
 
 def test_a_key_pair_builds_its_signing_keys_once_and_verifies_under_its_seed(monkeypatch):
-    """The verify key comes from the private seed, not from the public key a pair
-    was given; a pair builds its signing objects once, however often it signs."""
-    gw0, gw1 = generate_keypair("gw0", 1), generate_keypair("gw1", 1)
+    """A pair builds its signing key from its seed when it is made, and no other
+    however often it signs; its public key is the seed's verify key, and its
+    repr leaves the seed out."""
+    seed, public_key, _, _ = _vector("test2")
     built = []
     real = crypto.Ed25519PrivateKey.from_private_bytes
     monkeypatch.setattr(
@@ -846,11 +879,12 @@ def test_a_key_pair_builds_its_signing_keys_once_and_verifies_under_its_seed(mon
         "from_private_bytes",
         lambda seed: built.append(seed) or real(seed),
     )
-    pretender = KeyPair("gw1", gw1.public_key, gw0.private_key)
-    assert pretender.verify_key == gw0.public_key[:32] != gw1.public_key[:32]
+    keypair = KeyPair("gw0", seed)
+    assert built == [seed] and keypair.public_key == public_key
     for message in (b"one", b"two"):
-        assert verify(gw0.public_key, message, sign(pretender, message))
-    assert built == [gw0.private_key[:32]]
+        assert verify(public_key, message, sign(keypair, message))
+    assert built == [seed]
+    assert repr(seed) not in repr(keypair)
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +920,7 @@ def test_fan_out_is_work_on_at_most_one_thread_per_item(items, jobs):
 
 def test_verify_jobs_is_usable_cpus_up_to_four_and_one_without_libsodium(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    expected = min(cpus, crypto.MAX_VERIFY_JOBS) if crypto.uses_libsodium() else 1
+    expected = min(cpus, crypto.MAX_VERIFY_JOBS) if crypto._sodium() is not None else 1
     assert crypto.MAX_VERIFY_JOBS == 4
     assert crypto.verify_jobs() == expected
     monkeypatch.setattr(crypto, "_sodium", lambda: None)

@@ -87,7 +87,7 @@ DECODERS = {
     "transaction_from_bytes": (transaction_from_bytes, ChainIntegrityError),
     "load_chain": (load_chain, ChainIntegrityError),
     "envelope_aad": (envelope_aad, DecryptionError),
-    "pk_decrypt": (functools.partial(pk_decrypt, bytes(range(64))), DecryptionError),
+    "pk_decrypt": (functools.partial(pk_decrypt, bytes(range(32))), DecryptionError),
 }
 
 

@@ -149,7 +149,7 @@ def _step(net: Network, operation: tuple) -> bool:
     elif kind == "handover":
         k, owner, own_key = args
         keypair = net.keypairs.get(owner) or generate_keypair(owner, 1)
-        private_key = keypair.private_key if own_key else random.Random(owner).randbytes(64)
+        private_key = keypair.private_key if own_key else random.Random(owner).randbytes(32)
         try:
             net.cores[GATEWAYS[k]].receive_key_handover(owner, private_key)
         except BadKeyError:
@@ -182,17 +182,18 @@ def test_no_two_live_sessions_share_an_address_and_a_refusal_changes_nothing(ope
 
 
 def test_a_handover_key_that_is_not_the_registered_pair_is_refused():
-    """A random key for a known gateway, or a real key for an id the directory does not
-    know, is refused and held nowhere; held, it would make every adoption of that
-    requester's sessions fail silently.  The registered pair is held."""
+    """A random key for a known gateway, another registered entity's key, or a
+    real key for an id the directory does not know, is refused and held nowhere;
+    held, it would make every adoption of that requester's sessions fail
+    silently.  The registered key is held."""
     net = Network()
     gw0, gw1 = net.keypairs["gw0"], net.cores["gw1"]
     with pytest.raises(BadKeyError):
-        gw1.receive_key_handover("gw0", random.Random(1).randbytes(64))
+        gw1.receive_key_handover("gw0", random.Random(1).randbytes(32))
     with pytest.raises(BadKeyError):
         gw1.receive_key_handover("nobody", gw0.private_key)
-    with pytest.raises(BadKeyError):  # the right seed with the wrong encryption half
-        gw1.receive_key_handover("gw0", gw0.private_key[:32] + bytes(32))
+    with pytest.raises(BadKeyError):  # a wrong seed: a registered key, but srv0's
+        gw1.receive_key_handover("gw0", net.keypairs["srv0"].private_key)
     assert gw1.held_keys == {}
     gw1.receive_key_handover("gw0", gw0.private_key)
     assert gw1.held_keys == {"gw0": gw0.private_key}

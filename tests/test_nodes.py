@@ -644,7 +644,7 @@ def test_malformed_key_handover_raises_at_the_call():
     device = world.devices[0]
     gw0, gw1 = world.gateways[0], world.gateways[1]
     with pytest.raises(BadKeyError):
-        gw1.core.receive_key_handover(gw0.entity_id, gw0.keypair.private_key[:63])
+        gw1.core.receive_key_handover(gw0.entity_id, gw0.keypair.private_key[:31])
     assert gw1.core.held_keys == {}
     device.send_uplink()
     run_for(world, 1.0)
