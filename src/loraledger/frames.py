@@ -4,13 +4,18 @@ Byte layouts are documented in docs/wire.md.  All integers are little-endian.
 Frame MICs are 4-byte truncated CMACs; the MIC input always covers every byte
 that precedes the MIC on the wire, plus a trailing direction byte for data
 frames.
+
+The four frame records are plain immutable values that check nothing
+themselves.  Fields are checked where bytes meet fields: ``parse_frame``'s
+length checks bound every field by the layout, and the ``build_*`` functions
+and ``serialize_frame`` check each field they pack.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .crypto import (
     MIC_LEN,
@@ -57,65 +62,33 @@ class MicMismatchError(Exception):
     """A frame whose integrity check failed."""
 
 
-@dataclass(frozen=True)
-class JoinRequest:
+class JoinRequest(NamedTuple):
     app_eui: bytes
     dev_eui: bytes
     dev_nonce: bytes
     mic: bytes
 
-    def __post_init__(self) -> None:
-        if (
-            len(self.app_eui) != APP_EUI_LEN
-            or len(self.dev_eui) != DEV_EUI_LEN
-            or len(self.dev_nonce) != DEV_NONCE_LEN
-            or len(self.mic) != MIC_LEN
-        ):
-            raise ValueError("join request field length mismatch")
 
-
-@dataclass(frozen=True)
-class JoinAccept:
+class JoinAccept(NamedTuple):
     app_nonce: bytes
     net_id: bytes
     dev_addr: bytes
     mic: bytes
 
-    def __post_init__(self) -> None:
-        if (
-            len(self.app_nonce) != APP_NONCE_LEN
-            or len(self.net_id) != NET_ID_LEN
-            or len(self.dev_addr) != DEV_ADDR_LEN
-            or len(self.mic) != MIC_LEN
-        ):
-            raise ValueError("join accept field length mismatch")
 
-
-@dataclass(frozen=True)
-class EncryptedJoinAccept:
+class EncryptedJoinAccept(NamedTuple):
     """A join accept as seen on the wire: opaque until opened with the root key."""
 
     cipher: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.cipher) != 16:
-            raise ValueError("join accept cipher must be one block")
 
-
-@dataclass(frozen=True)
-class DataFrame:
+class DataFrame(NamedTuple):
     dev_addr: bytes
     fcnt: int
     fport: int
     payload: bytes
     mic: bytes
     direction: int
-
-    def __post_init__(self) -> None:
-        _check_dev_addr(self.dev_addr)
-        if len(self.mic) != MIC_LEN:
-            raise ValueError("MIC must be %d bytes" % MIC_LEN)
-        _check_data_fields(self.fcnt, self.fport, self.payload, self.direction)
 
 
 def _check_dev_addr(dev_addr: bytes) -> None:
@@ -124,7 +97,7 @@ def _check_dev_addr(dev_addr: bytes) -> None:
 
 
 def _check_data_fields(fcnt: int, fport: int, payload: bytes, direction: int) -> None:
-    """The per-frame field checks, shared by ``DataFrame`` and ``build_data_frame``."""
+    """The per-frame field checks, shared by ``build_data_frame`` and ``serialize_frame``."""
     if not 0 <= fcnt <= MAX_FCNT:
         raise ValueError("frame counter out of range")
     if not 0 <= fport <= 0xFF:
@@ -183,17 +156,18 @@ _MIC_DIRECTION = {  # a data frame's MHDR byte -> its direction byte
 }
 
 
-def _data_head(dev_addr: bytes, fcnt: int, fport: int, payload: bytes, direction: int) -> bytes:
-    return _DATA_HEAD.pack(_DATA_MHDR[direction], dev_addr, fcnt, fport) + payload
+def _check_join_request(app_eui: bytes, dev_eui: bytes, dev_nonce: bytes) -> None:
+    if (
+        len(app_eui) != APP_EUI_LEN
+        or len(dev_eui) != DEV_EUI_LEN
+        or len(dev_nonce) != DEV_NONCE_LEN
+    ):
+        raise ValueError("join request field length mismatch")
 
 
-def _head(frame: Frame) -> bytes:
-    """Every wire byte of a join request or data frame that precedes its MIC."""
-    if isinstance(frame, DataFrame):
-        return _data_head(frame.dev_addr, frame.fcnt, frame.fport, frame.payload, frame.direction)
-    if isinstance(frame, JoinRequest):
-        return bytes([MHDR_JOIN_REQUEST]) + frame.app_eui + frame.dev_eui + frame.dev_nonce
-    raise TypeError("not a frame: %r" % (frame,))
+def _join_request_head(app_eui: bytes, dev_eui: bytes, dev_nonce: bytes) -> bytes:
+    """Every wire byte of a join request that precedes its MIC."""
+    return bytes([MHDR_JOIN_REQUEST]) + app_eui + dev_eui + dev_nonce
 
 
 def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> bytes:
@@ -203,13 +177,15 @@ def _join_accept_mic_input(app_nonce: bytes, net_id: bytes, dev_addr: bytes) -> 
 def build_join_request(
     app_key: RootKey, app_eui: bytes, dev_eui: bytes, dev_nonce: bytes
 ) -> bytes:
-    """The wire form; the record is built only to check the fields before any is packed."""
-    head = _head(JoinRequest(app_eui, dev_eui, dev_nonce, bytes(MIC_LEN)))
+    """The wire form; checks the fields before any is packed."""
+    _check_join_request(app_eui, dev_eui, dev_nonce)
+    head = _join_request_head(app_eui, dev_eui, dev_nonce)
     return head + mac32(app_key, head)
 
 
 def verify_join_request(frame: JoinRequest, app_key: RootKey) -> bool:
-    return mac32(app_key, _head(frame)) == frame.mic
+    head = _join_request_head(frame.app_eui, frame.dev_eui, frame.dev_nonce)
+    return mac32(app_key, head) == frame.mic
 
 
 def build_join_accept(
@@ -218,8 +194,15 @@ def build_join_accept(
     """Build the wire form: MIC over the plain fields, then encrypt one block.
 
     The 14 plain bytes (app_nonce | net_id | dev_addr | mic) are zero-padded
-    to a block before encryption under the device root key.
+    to a block before encryption under the device root key.  Each field's
+    length is checked: lengths that merely sum to 10 would open as other fields.
     """
+    if (
+        len(app_nonce) != APP_NONCE_LEN
+        or len(net_id) != NET_ID_LEN
+        or len(dev_addr) != DEV_ADDR_LEN
+    ):
+        raise ValueError("join accept field length mismatch")
     mic = mac32(app_key, _join_accept_mic_input(app_nonce, net_id, dev_addr))
     plain = app_nonce + net_id + dev_addr + mic + b"\x00\x00"
     return bytes([MHDR_JOIN_ACCEPT]) + aes128_encrypt_block(app_key, plain)
@@ -244,8 +227,8 @@ def build_data_frame(
 ) -> bytes:
     """The wire form around an already-encrypted payload.
 
-    Checks the fields as ``DataFrame`` does, with the same errors, and packs
-    them without building the record; ``keys`` checked the address and key.
+    Checks each field before any is packed, with the errors ``serialize_frame``
+    gives for the same fields; ``keys`` checked the address and key.
     """
     _check_data_fields(fcnt, fport, payload, direction)
     head = _DATA_HEAD.pack(_DATA_MHDR[direction], keys.dev_addr, fcnt, fport) + payload
@@ -269,9 +252,29 @@ def verify_data_mic(keys: SessionKeys, data: bytes) -> bool:
 
 
 def serialize_frame(frame: Frame) -> bytes:
+    """The wire bytes of a record, ``parse_frame``'s inverse.
+
+    Checks every field before any is packed, with the builder's error for the
+    same fields; a MIC or cipher of the wrong length is checked last.
+    """
+    if isinstance(frame, DataFrame):
+        _check_dev_addr(frame.dev_addr)
+        _check_data_fields(frame.fcnt, frame.fport, frame.payload, frame.direction)
+        if len(frame.mic) != MIC_LEN:
+            raise ValueError("MIC must be %d bytes" % MIC_LEN)
+        mhdr = _DATA_MHDR[frame.direction]
+        head = _DATA_HEAD.pack(mhdr, frame.dev_addr, frame.fcnt, frame.fport) + frame.payload
+        return head + frame.mic
+    if isinstance(frame, JoinRequest):
+        _check_join_request(frame.app_eui, frame.dev_eui, frame.dev_nonce)
+        if len(frame.mic) != MIC_LEN:
+            raise ValueError("join request field length mismatch")
+        return _join_request_head(frame.app_eui, frame.dev_eui, frame.dev_nonce) + frame.mic
     if isinstance(frame, EncryptedJoinAccept):
+        if len(frame.cipher) != 16:
+            raise ValueError("join accept cipher must be one block")
         return bytes([MHDR_JOIN_ACCEPT]) + frame.cipher
-    return _head(frame) + frame.mic
+    raise TypeError("not a frame: %r" % (frame,))
 
 
 def parse_frame(data: bytes) -> Frame:
@@ -296,28 +299,8 @@ def parse_frame(data: bytes) -> Frame:
             raise MalformedFrameError("payload exceeds %d bytes" % MAX_FRM_PAYLOAD)
         _, dev_addr, fcnt, fport = _DATA_HEAD.unpack_from(data)
         direction = DIR_UP if mhdr == MHDR_DATA_UP else DIR_DOWN
-        return _parsed_data_frame(dev_addr, fcnt, fport, data[8:-4], data[-4:], direction)
+        return DataFrame(dev_addr, fcnt, fport, data[8:-4], data[-4:], direction)
     raise MalformedFrameError("unknown frame type 0x%02x" % mhdr)
-
-
-def _parsed_data_frame(
-    dev_addr: bytes, fcnt: int, fport: int, payload: bytes, mic: bytes, direction: int
-) -> DataFrame:
-    """A ``DataFrame`` of fields the wire layout already bounds; skips ``__post_init__``.
-
-    ``parse_frame`` reads a 4-byte address, a 16-bit counter, an 8-bit port,
-    a 4-byte MIC and a direction from the MHDR, and has checked the payload
-    length, so every check ``DataFrame`` would make holds already.
-    """
-    frame = object.__new__(DataFrame)
-    fields = frame.__dict__
-    fields["dev_addr"] = dev_addr
-    fields["fcnt"] = fcnt
-    fields["fport"] = fport
-    fields["payload"] = payload
-    fields["mic"] = mic
-    fields["direction"] = direction
-    return frame
 
 
 _COUNTER_PREFIX = struct.Struct("<B4xB4sIx")  # 0x01 | 4 zeros | dir | dev_addr | fcnt | 0x00

@@ -19,6 +19,7 @@ from loraledger.frames import (
     EncryptedJoinAccept,
     JOIN_ACCEPT_LEN,
     JOIN_REQUEST_LEN,
+    JoinAccept,
     JoinRequest,
     MAX_FRM_PAYLOAD,
     MHDR_DATA_DOWN,
@@ -259,62 +260,110 @@ def test_random_roundtrip_fuzz():
         assert serialize_frame(parsed) == wire
 
 
-GOOD_DATA_FIELDS = dict(dev_addr=DEV_ADDR, fcnt=5, fport=1, payload=b"", direction=DIR_UP)
+def test_build_join_accept_refuses_fields_of_the_wrong_length():
+    """Lengths that only sum to 10 bytes would open as other fields, under a valid MIC."""
+    bad_fields = [
+        (b"abcd", b"xy", DEV_ADDR),
+        (APP_NONCE[:2], NET_ID + b"\x00", DEV_ADDR),
+        (APP_NONCE, NET_ID, DEV_ADDR[:3]),
+        (APP_NONCE, NET_ID, DEV_ADDR + b"\x00"),
+    ]
+    for fields in bad_fields:
+        with pytest.raises(ValueError, match="join accept field length mismatch"):
+            build_join_accept(APP_KEY, *fields)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        dict(dev_addr=DEV_ADDR[:3]),
-        dict(dev_addr=DEV_ADDR + b"\x00"),
-        dict(fcnt=-1),
-        dict(fcnt=0x10000),
-        dict(fport=256),
-        dict(payload=bytes(MAX_FRM_PAYLOAD + 1)),
-        dict(direction=2),
-    ],
-    ids=["addr-3", "addr-5", "fcnt-neg", "fcnt-17bit", "fport-256", "payload-243", "dir-2"],
-)
-def test_build_data_frame_raises_what_the_record_raises(bad):
-    """The keys and the builder check without a record; their errors must read as the record's."""
-    fields = {**GOOD_DATA_FIELDS, **bad}
-    with pytest.raises(ValueError) as from_record:
-        DataFrame(mic=bytes(4), **fields)
-    dev_addr = fields.pop("dev_addr")
-    with pytest.raises(ValueError) as from_builder:
-        build_data_frame(SessionKeys(dev_addr, NWK_S_KEY), **fields)
-    assert str(from_builder.value) == str(from_record.value)
+def _mostly(good, bad):
+    """Values from ``good``, and now and then one from ``bad``."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    key=st.binary(min_size=16, max_size=16),
-    dev_addr=st.binary(min_size=4, max_size=4),
-    fcnt=st.integers(0, 0xFFFF),
-    fport=st.integers(0, 0xFF),
-    payload=st.binary(max_size=MAX_FRM_PAYLOAD),
-    direction=st.sampled_from([DIR_UP, DIR_DOWN]),
-    mic=st.one_of(st.none(), st.binary(min_size=4, max_size=4)),
-)
-def test_parsed_data_frame_is_the_checked_record(
-    key, dev_addr, fcnt, fport, payload, direction, mic
-):
-    """``parse_frame`` skips the record's checks; what it returns must not tell."""
-    keys = SessionKeys(dev_addr, key)
-    fields = dict(fcnt=fcnt, fport=fport, payload=payload, direction=direction)
-    data = build_data_frame(keys, **fields)
-    if mic is not None:  # a drawn MIC, so the verdicts compared are sometimes False
-        data = data[:-4] + mic
-    parsed = parse_frame(data)
-    record = DataFrame(dev_addr=dev_addr, mic=data[-4:], **fields)
-    assert type(parsed) is DataFrame
-    assert parsed == record and hash(parsed) == hash(record) and repr(parsed) == repr(record)
-    assert serialize_frame(parsed) == data
-    # the check over the wire bytes gives the verdict a check over the record's fields gives
-    expected = reference_data_mic(key, serialize_frame(record)[:-4], direction) == record.mic
-    assert verify_data_mic(keys, data) is expected
-    with pytest.raises(FrozenInstanceError):
-        parsed.fcnt = 0
+def _bytes(size):
+    """``size`` bytes, and now and then a byte string of a length near it."""
+    return _mostly(st.binary(min_size=size, max_size=size), st.binary(max_size=size + 2))
+
+
+_RECORDS = st.sampled_from([  # one_of would seldom draw the one-field record
+    st.builds(JoinRequest, _bytes(8), _bytes(8), _bytes(2), _bytes(4)),
+    st.builds(JoinAccept, _bytes(3), _bytes(3), _bytes(4), _bytes(4)),
+    st.builds(EncryptedJoinAccept, st.binary(min_size=15, max_size=17)),
+    st.builds(
+        DataFrame,
+        _bytes(4),
+        _mostly(st.integers(0, 0xFFFF), st.sampled_from([-1, 0x10000])),
+        _mostly(st.integers(0, 0xFF), st.sampled_from([-1, 0x100])),
+        _mostly(st.binary(max_size=MAX_FRM_PAYLOAD), st.just(bytes(MAX_FRM_PAYLOAD + 1))),
+        _bytes(4),
+        _mostly(st.sampled_from([DIR_UP, DIR_DOWN]), st.sampled_from([-1, 2])),
+    ),
+]).flatmap(lambda records: records)
+
+
+def _error(call):
+    """The message of the ``ValueError`` the call raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_RECORDS, nwk_s_key=st.binary(min_size=16, max_size=16))
+def test_a_record_packs_to_bytes_that_parse_back_or_raises_the_builders_error(record, nwk_s_key):
+    """Fields are checked only where they are packed, with the builder's error.
+
+    ``serialize_frame`` checks a record's MIC or cipher last, after the fields
+    the builder takes.  A plain join accept is packed by ``build_join_accept``
+    and read back by ``open_join_accept``.
+    """
+    if isinstance(record, JoinAccept):
+        expected = _error(lambda: build_join_accept(APP_KEY, *record[:3]))
+        if expected is not None:
+            assert expected == "join accept field length mismatch"
+            return
+        opened = open_join_accept(build_join_accept(APP_KEY, *record[:3]), APP_KEY)
+        assert type(opened) is JoinAccept and opened[:3] == record[:3]
+        return
+
+    if isinstance(record, JoinRequest):
+        expected = _error(lambda: build_join_request(APP_KEY, *record[:3]))
+        if expected is None and len(record.mic) != 4:
+            expected = "join request field length mismatch"
+    elif isinstance(record, DataFrame):
+        expected = _error(
+            lambda: build_data_frame(
+                SessionKeys(record.dev_addr, nwk_s_key), *record[1:4], record.direction
+            )
+        )
+        if expected is None and len(record.mic) != 4:
+            expected = "MIC must be 4 bytes"
+    else:
+        expected = None if len(record.cipher) == 16 else "join accept cipher must be one block"
+
+    if expected is not None:
+        with pytest.raises(ValueError) as raised:
+            serialize_frame(record)
+        assert str(raised.value) == expected
+        return
+    wire = serialize_frame(record)
+    parsed = parse_frame(wire)
+    assert type(parsed) is type(record) and parsed == record
+    if not isinstance(record, DataFrame):
+        return
+
+    keys = SessionKeys(record.dev_addr, nwk_s_key)
+    built = build_data_frame(keys, record.fcnt, record.fport, record.payload, record.direction)
+    assert built[:-4] == wire[:-4]
+    frame = parse_frame(built)
+    assert type(frame) is DataFrame
+    with pytest.raises(AttributeError):
+        frame.fcnt = 0
+    # the check over the wire bytes gives the verdict a direct CMAC gives, for
+    # the built MIC and for the drawn one
+    for data in (built, wire):
+        reference = reference_data_mic(nwk_s_key, data[:-4], record.direction) == data[-4:]
+        assert verify_data_mic(keys, data) is reference
 
 
 def reference_data_mic(nwk_s_key, head, direction):
