@@ -273,6 +273,65 @@ def test_build_join_accept_refuses_fields_of_the_wrong_length():
             build_join_accept(APP_KEY, *fields)
 
 
+GOOD_DATA_FIELDS = dict(dev_addr=DEV_ADDR, fcnt=5, fport=1, payload=b"", direction=DIR_UP)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(dev_addr=DEV_ADDR[:3]),
+        dict(dev_addr=DEV_ADDR + b"\x00"),
+        dict(fcnt=-1),
+        dict(fcnt=0x10000),
+        dict(fport=256),
+        dict(payload=bytes(MAX_FRM_PAYLOAD + 1)),
+        dict(direction=2),
+    ],
+    ids=["addr-3", "addr-5", "fcnt-neg", "fcnt-17bit", "fport-256", "payload-243", "dir-2"],
+)
+def test_build_data_frame_raises_what_the_record_raises(bad):
+    """A record is checked where it is packed; the keys and the builder must raise the same."""
+    fields = {**GOOD_DATA_FIELDS, **bad}
+    record = DataFrame(mic=bytes(4), **fields)  # the record itself takes any fields
+    with pytest.raises(ValueError) as from_record:
+        serialize_frame(record)
+    dev_addr = fields.pop("dev_addr")
+    with pytest.raises(ValueError) as from_builder:
+        build_data_frame(SessionKeys(dev_addr, NWK_S_KEY), **fields)
+    assert str(from_builder.value) == str(from_record.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    dev_addr=st.binary(min_size=4, max_size=4),
+    fcnt=st.integers(0, 0xFFFF),
+    fport=st.integers(0, 0xFF),
+    payload=st.binary(max_size=MAX_FRM_PAYLOAD),
+    direction=st.sampled_from([DIR_UP, DIR_DOWN]),
+    mic=st.one_of(st.none(), st.binary(min_size=4, max_size=4)),
+)
+def test_parsed_data_frame_is_the_checked_record(
+    key, dev_addr, fcnt, fport, payload, direction, mic
+):
+    """What ``parse_frame`` returns is the record ``serialize_frame`` accepts for the same fields."""
+    keys = SessionKeys(dev_addr, key)
+    fields = dict(fcnt=fcnt, fport=fport, payload=payload, direction=direction)
+    data = build_data_frame(keys, **fields)
+    if mic is not None:  # a drawn MIC, so the verdicts compared are sometimes False
+        data = data[:-4] + mic
+    parsed = parse_frame(data)
+    record = DataFrame(dev_addr=dev_addr, mic=data[-4:], **fields)
+    assert type(parsed) is DataFrame
+    assert parsed == record and hash(parsed) == hash(record) and repr(parsed) == repr(record)
+    assert serialize_frame(parsed) == data == serialize_frame(record)
+    # the check over the wire bytes gives the verdict a check over the record's fields gives
+    expected = reference_data_mic(key, serialize_frame(record)[:-4], direction) == record.mic
+    assert verify_data_mic(keys, data) is expected
+    with pytest.raises(AttributeError):
+        parsed.fcnt = 0
+
+
 def _mostly(good, bad):
     """Values from ``good``, and now and then one from ``bad``."""
     return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
