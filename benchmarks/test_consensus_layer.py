@@ -6,6 +6,8 @@ Outside the Tier-1 ``testpaths``; each benchmark also checks its result, so
 a fast wrong answer does not pass.  A vote round has 4 voters and p = 1, as
 the PBFT workload does; each round gets a fresh key directory, so every vote
 signature is verified, as on the proposer, which checks each vote once.
+Link sends go half over a link with equal delay bounds, which draws nothing,
+and half over one that draws each delay from its stream.
 The PBFT round runs the same quorum through the nodes: proposal, votes and
 commit notices over the simulated backhaul, one transaction per block.  The
 announced block holds 67 transactions, the average block of the mixed-trust
@@ -17,7 +19,7 @@ from loraledger.crypto import KeyDirectory, ROLE_SERVER, generate_keypair, hash_
 from loraledger.harness import build_world
 from loraledger.ledger import KIND_APPLICATION, assemble_block, make_app_tx
 from loraledger.scenario import build_config
-from loraledger.simnet import US_PER_S, Engine
+from loraledger.simnet import LINK_CLASS_BACKHAUL, US_PER_S, Engine
 
 VOTERS = tuple("srv%d" % n for n in range(4))
 KEYPAIRS = [generate_keypair(voter, 1) for voter in VOTERS]
@@ -70,6 +72,27 @@ def test_engine_schedule_and_run(benchmark):
     engine = benchmark.pedantic(schedule_and_run, setup=_fresh_engine, rounds=20)
     assert engine.events_processed == N_EVENTS
     assert engine.now_us == N_EVENTS
+
+
+def _fresh_links():
+    (engine,), _ = _fresh_engine()
+    equal = engine.add_link("a", "sink", LINK_CLASS_BACKHAUL, (1_000, 1_000))
+    uniform = engine.add_link("b", "sink", LINK_CLASS_BACKHAUL, (500, 1_500))
+    return (engine, equal, uniform), {}
+
+
+def test_engine_send_and_run(benchmark):
+    def send_and_run(engine, equal, uniform):
+        for _ in range(N_EVENTS // 2):
+            engine.send(equal, None, 10)
+            engine.send(uniform, None, 10)
+        engine.run_until(2_000)
+        return engine
+
+    engine = benchmark.pedantic(send_and_run, setup=_fresh_links, rounds=20)
+    assert engine.events_processed == N_EVENTS
+    assert [link.delivered_msgs for link in engine.links.values()] == [N_EVENTS // 2] * 2
+    assert set(engine._streams) == {"link:b->sink"}
 
 
 def _pbft_world():

@@ -41,7 +41,7 @@ from loraledger.joinserver import JoinServer, format_dev_addr
 from loraledger.ledger import KIND_APPLICATION, KIND_NETWORK, Ledger
 from loraledger.metrics import MetricsRecorder
 from loraledger.nodes import BEHAVIOR_UPLINK_LOOP, MODE_EDGE, DeviceProfile, EndDevice, Gateway
-from loraledger.simnet import LINK_CLASS_AIR, Engine, LatencyModel, US_PER_S
+from loraledger.simnet import LINK_CLASS_AIR, Engine, US_PER_S
 
 DEV_ADDR = bytes.fromhex("01000001")
 NWK_S_KEY = bytes(range(16))
@@ -61,7 +61,7 @@ def _device():
     device = EndDevice(
         "dev0", 0, bytes(8), bytes(8), RootKey(bytes(16)), engine, PROFILE, MetricsRecorder()
     )
-    link = engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, LatencyModel.fixed(1))
+    link = engine.add_link("dev0", "gw0", LINK_CLASS_AIR, (1, 1))
     device.attach_uplink(link)
     device.install_session(DEV_ADDR, NWK_S_KEY, APP_S_KEY)
     return (device,), {}
@@ -105,11 +105,9 @@ def _join_world():
     gateway = Gateway("gw0", 0, MODE_EDGE, keypair, engine, directory, consensus, net_id=NET_ID)
     app_key = RootKey(APP_KEY)  # one per world, shared by the device and its registration
     device = EndDevice("dev0", 0, DEV_EUI, bytes(8), app_key, engine, PROFILE, MetricsRecorder())
-    air = LatencyModel.fixed(1)
-    device.attach_uplink(engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, air))
-    gateway.add_coverage(
-        DEV_EUI, "dev0", engine.add_link("gw0->dev0", "gw0", "dev0", LINK_CLASS_AIR, air)
-    )
+    air = (1, 1)
+    device.attach_uplink(engine.add_link("dev0", "gw0", LINK_CLASS_AIR, air))
+    gateway.add_coverage(DEV_EUI, "dev0", engine.add_link("gw0", "dev0", LINK_CLASS_AIR, air))
     gateway.core.register_device(DEV_EUI, app_key, "dev0")
     return (device, gateway), {}
 
@@ -134,7 +132,8 @@ def test_join_cycle(benchmark):
     assert session.keys.nwk_s_key == device.session.keys.nwk_s_key
     network = gateway.ledgers[KIND_NETWORK]
     assert network.height == JOINS // BATCH
-    assert network.query_context(format_dev_addr(0, 1)).zeta == JOINS // BATCH - 1
+    # the world state holds the device's last join, the tip's last transaction
+    assert network.query_context(format_dev_addr(0, 1)) is network.tip.txs[-1]
 
 
 REQUESTS = [

@@ -65,7 +65,6 @@ from .scenario import (
 )
 from .simnet import (
     Engine,
-    LatencyModel,
     LINK_CLASS_AIR,
     LINK_CLASS_BACKHAUL,
     US_PER_MS,
@@ -186,18 +185,14 @@ def build_world(config: ScenarioConfig) -> World:
     infra = {node.entity_id: node for node in gateways + servers}
 
     # full backhaul mesh among infrastructure nodes
-    backhaul_lo_us = config.backhaul_latency_ms[0] * US_PER_MS
-    backhaul_hi_us = config.backhaul_latency_ms[1] * US_PER_MS
+    lo_ms, hi_ms = config.backhaul_latency_ms
+    backhaul_latency_us = (lo_ms * US_PER_MS, hi_ms * US_PER_MS)
     for src in infra.values():
         for dst in infra.values():
             if src is dst:
                 continue
             link = engine.add_link(
-                "%s->%s" % (src.entity_id, dst.entity_id),
-                src.entity_id,
-                dst.entity_id,
-                LINK_CLASS_BACKHAUL,
-                LatencyModel.uniform(backhaul_lo_us, backhaul_hi_us),
+                src.entity_id, dst.entity_id, LINK_CLASS_BACKHAUL, backhaul_latency_us
             )
             src.attach_route(dst.entity_id, link)
     for gw in gateways:
@@ -216,7 +211,7 @@ def build_world(config: ScenarioConfig) -> World:
         servers=servers,
     )
     profile = _device_profile(config)
-    air_latency = LatencyModel.fixed(config.air_latency_ms * US_PER_MS)
+    air_latency_us = (config.air_latency_ms * US_PER_MS,) * 2
     per_gateway = config.n_devices // config.n_gateways
     authorized_per_gateway = round(per_gateway * config.authorized_fraction)
     severed = set(config.severed_gateways)
@@ -239,22 +234,8 @@ def build_world(config: ScenarioConfig) -> World:
             authorized=authorized,
         )
         loss = 1.0 if gw.index in severed else config.loss_rate
-        up = engine.add_link(
-            "%s->%s" % (device_id, gw.entity_id),
-            device_id,
-            gw.entity_id,
-            LINK_CLASS_AIR,
-            air_latency,
-            loss_rate=loss,
-        )
-        down = engine.add_link(
-            "%s->%s" % (gw.entity_id, device_id),
-            gw.entity_id,
-            device_id,
-            LINK_CLASS_AIR,
-            air_latency,
-            loss_rate=loss,
-        )
+        up = engine.add_link(device_id, gw.entity_id, LINK_CLASS_AIR, air_latency_us, loss)
+        down = engine.add_link(gw.entity_id, device_id, LINK_CLASS_AIR, air_latency_us, loss)
         device.attach_uplink(up)
         gw.add_coverage(dev_eui, device_id, down)
         if authorized:

@@ -33,7 +33,7 @@ from .frames import (
     verify_data_mic,
     verify_join_request,
 )
-from .ledger import Ledger, SessionContext, WorldEntry
+from .ledger import Ledger, SessionContext, Transaction
 
 #: the top half of each prefix's 24-bit address counter is kept for ABP devices,
 #: so the join allocator, which hands out the counters below it, never meets one
@@ -111,8 +111,9 @@ class JoinServer:
     def register_device(self, dev_eui: bytes, app_key: RootKey, device_id: str) -> None:
         self.registry[dev_eui] = Registration(app_key, device_id)
 
-    def committed_context(self, dev_addr: bytes) -> WorldEntry | None:
-        """The committed context for an address; None without a network replica."""
+    def committed_context(self, dev_addr: bytes) -> Transaction | None:
+        """The committed transaction whose sealed context names an address; None
+        when there is none or the node keeps no network replica."""
         return None if self.network is None else self.network.query_context(dev_addr)
 
     def open_session(
@@ -180,17 +181,17 @@ class JoinServer:
         session = self.sessions.get(dev_addr)
         if session is not None:
             return session
-        entry = self.committed_context(dev_addr)
-        if entry is None:
+        tx = self.committed_context(dev_addr)
+        if tx is None:
             return None
-        if entry.requester == self.entity_id:
+        if tx.requester == self.entity_id:
             private_key = self.keypair.private_key
-        elif entry.requester in self.held_keys:
-            private_key = self.held_keys[entry.requester]
+        elif tx.requester in self.held_keys:
+            private_key = self.held_keys[tx.requester]
         else:
             return None
         try:
-            context = SessionContext.from_bytes(pk_decrypt(private_key, entry.envelope))
+            context = SessionContext.from_bytes(pk_decrypt(private_key, tx.payload))
         except (DecryptionError, ValueError):
             return None
         session = NcSession(context, self.coverage.get(context.dev_eui))

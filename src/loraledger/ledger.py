@@ -421,51 +421,35 @@ def validate_tx(tx: Transaction, key_directory: KeyDirectory, kind: str) -> bool
     return key_directory.verify(tx.requester, tx.signed_span(), tx.signature)
 
 
-@dataclass(frozen=True, slots=True)
-class WorldEntry:
-    """Latest committed context for one device address, still sealed."""
-
-    requester: str
-    envelope: bytes
-    timestamp_ms: int
-    zeta: int
-
-
-def _world_entries(block: Block) -> tuple[tuple[bytes, WorldEntry], ...]:
-    """The ``(dev_addr, WorldEntry)`` pairs an accepted network block indexes, in tx order.
+def _world_entries(block: Block) -> tuple[tuple[bytes, Transaction], ...]:
+    """The ``(dev_addr, tx)`` pairs an accepted network block indexes, in tx order.
 
     Built on the block's first append and kept on it, as ``block_hash``
-    keeps its digest, so every replica that appends the block shares the
-    same frozen entries.  Only a block that passed ``validate_block`` on a
-    network ledger gets here, so every payload has ``context_metadata``.
+    keeps its digest, so every replica that appends the block parses each
+    payload's metadata once and shares the same address keys.  Only a block
+    that passed ``validate_block`` on a network ledger gets here, so every
+    payload has ``context_metadata``.
     """
     entries = block.__dict__.get("_world_entries")
     if entries is None:
-        entries = tuple(
-            (
-                context_metadata(tx.payload)[0],
-                WorldEntry(
-                    requester=tx.requester,
-                    envelope=tx.payload,
-                    timestamp_ms=tx.timestamp_ms,
-                    zeta=block.zeta,
-                ),
-            )
-            for tx in block.txs
-        )
+        entries = tuple((context_metadata(tx.payload)[0], tx) for tx in block.txs)
         object.__setattr__(block, "_world_entries", entries)
     return entries
 
 
 class Ledger:
-    """One replica's copy of a chain plus, for the network kind, world state."""
+    """One replica's copy of a chain plus, for the network kind, world state.
+
+    The world state maps each device address to the last committed
+    transaction whose session context names it; the context stays sealed.
+    """
 
     def __init__(self, kind: str) -> None:
         if kind not in _KIND_CODES:
             raise ValueError("kind must be %r or %r" % (KIND_NETWORK, KIND_APPLICATION))
         self.kind = kind
         self.blocks: list[Block] = []
-        self.world_state: dict[bytes, WorldEntry] = {}
+        self.world_state: dict[bytes, Transaction] = {}
 
     @classmethod
     def replay(cls, kind: str, blocks: list[Block], key_directory: KeyDirectory) -> "Ledger":
@@ -494,8 +478,8 @@ class Ledger:
         if self.kind == KIND_NETWORK:
             self.world_state.update(_world_entries(block))
 
-    def query_context(self, dev_addr: bytes) -> WorldEntry | None:
-        """Latest committed entry for a device address; None signals unknown."""
+    def query_context(self, dev_addr: bytes) -> Transaction | None:
+        """Last committed transaction for a device address; None signals unknown."""
         return self.world_state.get(dev_addr)
 
     def validate_chain(self, key_directory: KeyDirectory) -> bool:

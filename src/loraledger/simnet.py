@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine with lossy, latency-modeled links.
+"""Deterministic discrete-event engine with lossy links of bounded delay.
 
 Time is an integer microsecond counter.  Events are totally ordered by
 (fire_at, sequence number), so identical (scenario, seed) pairs replay the
@@ -6,7 +6,7 @@ same trace byte for byte.  Named random streams keep independent concerns
 (per-device behavior, per-link loss and latency, per-node nonce draws) from
 perturbing each other's draw sequences.  A stream's state depends only on
 the seed and its name, never on when it is made, so the engine makes one on
-its first draw: a link with no loss and a fixed latency never draws and
+its first draw: a link with no loss and equal delay bounds never draws and
 holds none.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable
 
@@ -34,66 +33,48 @@ class CausalityError(Exception):
     """An event scheduled before the current simulation time."""
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Fixed or uniform integer delay in microseconds."""
-
-    kind: str
-    lo_us: int
-    hi_us: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "uniform"):
-            raise ValueError("latency kind must be 'fixed' or 'uniform'")
-        if self.lo_us < 0 or self.hi_us < self.lo_us:
-            raise ValueError("latency bounds must satisfy 0 <= lo <= hi")
-
-    @classmethod
-    def fixed(cls, delay_us: int) -> "LatencyModel":
-        return cls(kind="fixed", lo_us=delay_us, hi_us=delay_us)
-
-    @classmethod
-    def uniform(cls, lo_us: int, hi_us: int) -> "LatencyModel":
-        return cls(kind="uniform", lo_us=lo_us, hi_us=hi_us)
-
-    def draw(self, rng: Random) -> int:
-        if self.kind == "fixed":
-            return self.lo_us
-        return rng.randrange(self.lo_us, self.hi_us + 1)
-
-
 class Link:
-    """Directed point-to-point pipe with loss, latency, and byte accounting.
+    """Directed point-to-point pipe from ``src`` to ``dst``, named ``src->dst``.
 
-    bytes_sent counts offered bytes, lost messages included; delivered and
-    lost always sum to offered.  The loss and latency stream is the engine's
-    ``link:<name>`` stream, made when the link first draws from it.
+    Each message is lost with ``loss_rate``; a delivered one arrives
+    ``lo_us`` microseconds later when the bounds are equal, else after a
+    uniform integer delay in ``[lo_us, hi_us]``.  offered_msgs is
+    delivered_msgs plus lost_msgs; bytes_sent counts offered bytes, lost
+    messages included.  The loss and delay stream is the engine's
+    ``link:<name>`` stream, made when the link first draws from it, so a link
+    with no loss and equal bounds never makes it.
     """
 
     def __init__(
         self,
-        name: str,
         src: str,
         dst: str,
         link_class: str,
-        latency: LatencyModel,
+        lo_us: int,
+        hi_us: int,
         loss_rate: float,
         engine: "Engine",
     ) -> None:
+        if lo_us < 0 or hi_us < lo_us:
+            raise ValueError("latency bounds must satisfy 0 <= lo <= hi")
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss rate must be within [0, 1]")
-        self.name = name
+        self.name = "%s->%s" % (src, dst)
         self.src = src
         self.dst = dst
         self.link_class = link_class
-        self.latency = latency
+        self.lo_us = lo_us
+        self.hi_us = hi_us
         self.loss_rate = loss_rate
         self._engine = engine
         self._rng: Random | None = None
-        self.offered_msgs = 0
         self.delivered_msgs = 0
         self.lost_msgs = 0
         self.bytes_sent = 0
+
+    @property
+    def offered_msgs(self) -> int:
+        return self.delivered_msgs + self.lost_msgs
 
     @property
     def rng(self) -> Random:
@@ -141,41 +122,32 @@ class Engine:
 
     def add_link(
         self,
-        name: str,
         src: str,
         dst: str,
         link_class: str,
-        latency: LatencyModel,
+        latency_us: tuple[int, int],
         loss_rate: float = 0.0,
     ) -> Link:
-        if name in self.links:
-            raise ValueError("link %r already exists" % name)
-        link = Link(
-            name=name,
-            src=src,
-            dst=dst,
-            link_class=link_class,
-            latency=latency,
-            loss_rate=loss_rate,
-            engine=self,
-        )
-        self.links[name] = link
+        """Add the link ``src->dst``, whose delay lies within ``latency_us = (lo, hi)``."""
+        link = Link(src, dst, link_class, *latency_us, loss_rate, self)
+        if link.name in self.links:
+            raise ValueError("link %r already exists" % link.name)
+        self.links[link.name] = link
         return link
 
     def send(self, link: Link, payload: Any, size_bytes: int) -> None:
         """Offer a message to a link; loss is decided immediately, delivery later."""
         if size_bytes < 0:
             raise ValueError("message size must be non-negative")
-        link.offered_msgs += 1
         link.bytes_sent += size_bytes
         if link.loss_rate > 0.0 and link.rng.random() < link.loss_rate:
             link.lost_msgs += 1
             return
         link.delivered_msgs += 1
-        latency = link.latency
-        # a fixed delay draws nothing, so it leaves the link's stream unmade
-        delay_us = latency.lo_us if latency.kind == "fixed" else latency.draw(link.rng)
-        # as ``schedule`` would, minus its check: a latency model is never negative
+        lo_us, hi_us = link.lo_us, link.hi_us
+        # equal bounds draw nothing, so they leave the link's stream unmade
+        delay_us = lo_us if lo_us == hi_us else link.rng.randrange(lo_us, hi_us + 1)
+        # as ``schedule`` would, minus its check: a link's bounds are never negative
         heapq.heappush(self._heap, (self.now_us + delay_us, next(self._seq), link.dst, payload))
 
     def run_until(self, t_end_us: int) -> None:

@@ -348,13 +348,11 @@ def test_criterion_10_security_suite():
     rogue = join_world.servers[1]
     ledger = rogue.ledgers[KIND_NETWORK]
     assert len(ledger.world_state) == 4
-    for dev_addr, entry in ledger.world_state.items():
+    for dev_addr, tx in ledger.world_state.items():
         for srv in join_world.servers:
             with pytest.raises(DecryptionError):
-                pk_decrypt(srv.keypair.private_key, entry.envelope)
-        opened = SessionContext.from_bytes(
-            pk_decrypt(owners[entry.requester].private_key, entry.envelope)
-        )
+                pk_decrypt(srv.keypair.private_key, tx.payload)
+        opened = SessionContext.from_bytes(pk_decrypt(owners[tx.requester].private_key, tx.payload))
         assert opened.dev_addr == dev_addr
 
     # (c) a replica that lost its chain re-syncs to a validating, equal copy

@@ -27,13 +27,25 @@ CASES = {
     "exp3": dict(EXP2, experiment=3),
     "exp2-pbft": dict(EXP2, n_servers=4, consensus_mode="pbft", consensus_p=1, duration_s=60),
     "exp1-delay-loss": dict(EXP1, join_processing_delay_ms=150, loss_rate=0.05),
+    # equal backhaul bounds: no backhaul link draws, and every backhaul delay is the bound
+    "exp2-fixed-backhaul": dict(EXP2, backhaul_latency_ms=(10, 10)),
+    "exp2-pbft-fixed-backhaul": dict(
+        EXP2,
+        n_servers=4,
+        consensus_mode="pbft",
+        consensus_p=1,
+        duration_s=60,
+        backhaul_latency_ms=(7, 7),
+    ),
 }
 
 GOLDEN = {
     "exp1": "8fef3a579f63ae9bc27449f7393251fdf22c3c5c488ddc40d9fda3f7b510e724",
     "exp1-delay-loss": "121ffdda6258b942e364c373fd6ec993b2aaa9e4493fe16c5172ecca07e230a5",
     "exp2": "598f0f1cfd98a9188fc77988a273aa8343476bc5b5ff11453767348ce15803ad",
+    "exp2-fixed-backhaul": "73ef187151516dc3b6f04e820b70fd91f028942cfbd1619fa458cae263095ac4",
     "exp2-pbft": "de271df5ed9177f05f8d3f2e856d1fbf68629068f4344a0d2459545a5ff11065",
+    "exp2-pbft-fixed-backhaul": "418febdd190bc3e49d144db7f09993f68376f07ad27d119516d9e00187b480f7",
     "exp3": "8787f1b08e70507b8252f8328495d6cc2bd2baf904049b4c42650e18b1d53582",
 }
 

@@ -56,7 +56,7 @@ from loraledger.metrics import (
     write_requests_csv,
 )
 from loraledger.scenario import ConfigError, build_config, parse_config_file
-from loraledger.simnet import Engine, LatencyModel, US_PER_S
+from loraledger.simnet import Engine, US_PER_S
 from test_crypto import count_keyed_contexts
 
 
@@ -266,7 +266,7 @@ def test_csv_layouts(tmp_path):
     engine = Engine(0)
     engine.register("a", lambda p: None)
     engine.register("b", lambda p: None)
-    link = engine.add_link("a->b", "a", "b", "backhaul", LatencyModel.fixed(1000))
+    link = engine.add_link("a", "b", "backhaul", (1000, 1000))
     engine.send(link, b"x", 10)
     engine.run_until(2000)
     links = tmp_path / "links.csv"
@@ -397,7 +397,7 @@ def test_a_world_holds_streams_only_for_what_draws():
     drew = {
         "link:" + link.name
         for link in links
-        if link.offered_msgs and (link.loss_rate > 0.0 or link.latency.kind == "uniform")
+        if link.offered_msgs and (link.loss_rate > 0.0 or link.lo_us < link.hi_us)
     }
     assert set(world.engine._streams) == (
         {"device:" + device.device_id for device in world.devices}

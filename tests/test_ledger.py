@@ -42,7 +42,6 @@ from loraledger.ledger import (
     SESSION_CONTEXT_LEN,
     SessionContext,
     Transaction,
-    WorldEntry,
     assemble_block,
     block_from_bytes,
     block_hash,
@@ -400,25 +399,23 @@ def test_ledger_append_and_world_state(directory):
     )
     ledger.append_block(b0, directory)
     assert ledger.height == 1
-    entry = ledger.query_context(ctx_a.dev_addr)
-    assert entry is not None and entry.requester == "gw0" and entry.zeta == 0
+    tx_a = ledger.query_context(ctx_a.dev_addr)
+    assert tx_a is b0.txs[0] and tx_a.requester == "gw0"
     assert ledger.query_context(ctx_b.dev_addr).timestamp_ms == 2
     assert ledger.query_context(b"\xff\xff\xff\xff") is None
 
 
 def test_transactions_and_world_entries_are_slotted_and_frozen(directory):
-    """A world holds one of each per committed tx and per replica context, so
-    neither carries a ``__dict__``."""
+    """A world holds one transaction per committed tx, so it carries no
+    ``__dict__``; the world state's entry is that transaction, not a copy."""
     ledger = Ledger(KIND_NETWORK)
     ctx = make_context(0)
     tx = make_network_tx(SIGNER, keypair("gw0"), ctx, 1, random.Random(0))
     ledger.append_block(assemble_block([tx], 0, 10, None), directory)
-    entry = ledger.query_context(ctx.dev_addr)
-    assert isinstance(entry, WorldEntry)
-    for obj, field in ((tx, "timestamp_ms"), (entry, "zeta")):
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            setattr(obj, field, 2)
+    assert ledger.query_context(ctx.dev_addr) is tx
+    assert not hasattr(tx, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(tx, "timestamp_ms", 2)
 
 
 def test_rejoin_supersedes_context(directory):
@@ -438,9 +435,9 @@ def test_rejoin_supersedes_context(directory):
     ledger.append_block(b0, directory)
     b1 = assemble_block([make_network_tx(SIGNER, kp, rejoin, 2, random.Random(1))], 1, 20, b0)
     ledger.append_block(b1, directory)
-    entry = ledger.query_context(first.dev_addr)
-    assert entry.zeta == 1
-    assert SessionContext.from_bytes(pk_decrypt(kp.private_key, entry.envelope)) == rejoin
+    tx = ledger.query_context(first.dev_addr)
+    assert tx is b1.txs[0]
+    assert SessionContext.from_bytes(pk_decrypt(kp.private_key, tx.payload)) == rejoin
 
 
 def test_ledger_rejects_invalid_append(directory):
@@ -884,19 +881,14 @@ WORLD_POOL = [
 ]
 
 
-def _reference_world_state(blocks: list[Block]) -> dict[bytes, WorldEntry]:
-    """World state folded as ``Ledger.append_block`` once built it on each replica:
-    one ``context_metadata`` call and one new ``WorldEntry`` per tx."""
+def _reference_world_state(blocks: list[Block]) -> dict[bytes, Transaction]:
+    """World state folded tx by tx: each address to the last committed
+    transaction whose context names it."""
     state = {}
     for block in blocks:
         for tx in block.txs:
             dev_addr, _ = context_metadata(tx.payload)
-            state[dev_addr] = WorldEntry(
-                requester=tx.requester,
-                envelope=tx.payload,
-                timestamp_ms=tx.timestamp_ms,
-                zeta=block.zeta,
-            )
+            state[dev_addr] = tx
     return state
 
 
@@ -911,7 +903,8 @@ def _reference_world_state(blocks: list[Block]) -> dict[bytes, WorldEntry]:
 )
 def test_replicas_share_each_blocks_world_entries(batches, replicas):
     """Replicas appending the same random network blocks end with equal world
-    states, equal to a per-tx fold, and hold the same entry objects."""
+    states, equal to a per-tx fold: each address maps to its last committed
+    transaction itself, under one address key object shared by every replica."""
     blocks = []
     for zeta, batch in enumerate(batches):
         txs = [WORLD_POOL[i] for i in batch]
@@ -923,8 +916,9 @@ def test_replicas_share_each_blocks_world_entries(batches, replicas):
     reference = _reference_world_state(blocks)
     for ledger in ledgers:
         assert ledger.world_state == reference
-        for dev_addr, entry in ledgers[0].world_state.items():
-            assert ledger.world_state[dev_addr] is entry
+        for dev_addr, tx in ledger.world_state.items():
+            assert tx is reference[dev_addr]
+        assert list(map(id, ledger.world_state)) == list(map(id, ledgers[0].world_state))
     synced = Ledger(KIND_NETWORK)
     synced.sync_from(ledgers[0], MEMO_DIRECTORY)
     assert synced.world_state == reference

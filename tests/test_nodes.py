@@ -61,7 +61,7 @@ from loraledger.nodes import (
     UplinkNotice,
 )
 from loraledger.scenario import ConfigError, build_config
-from loraledger.simnet import LINK_CLASS_AIR, US_PER_S, Engine, LatencyModel
+from loraledger.simnet import LINK_CLASS_AIR, US_PER_MS, US_PER_S, Engine
 from test_crypto import count_keyed_contexts
 
 
@@ -110,8 +110,8 @@ def test_edge_join_roundtrip():
     for node in world.gateways + world.servers:
         ledger = node.ledgers[KIND_NETWORK]
         assert ledger.height == 1
-        entry = ledger.query_context(addr)
-        assert entry is not None and entry.requester == "gw0"
+        tx = ledger.query_context(addr)
+        assert tx is not None and tx.requester == "gw0"
 
     # the fresh session carries an uplink end to end
     device.send_uplink()
@@ -408,9 +408,7 @@ def test_each_uplink_ends_once_at_its_ack_or_at_its_deadline(uplinks):
     engine.register("gw0", lambda payload: None)
     profile = DeviceProfile(BEHAVIOR_UPLINK_LOOP, US_PER_S, US_PER_S, US_PER_S, UPLINK_TIMEOUT_US)
     device = EndDevice("dev0", 0, bytes(8), bytes(8), RootKey(bytes(16)), engine, profile, recorder)
-    device.attach_uplink(
-        engine.add_link("dev0->gw0", "dev0", "gw0", LINK_CLASS_AIR, LatencyModel.fixed(1))
-    )
+    device.attach_uplink(engine.add_link("dev0", "gw0", LINK_CLASS_AIR, (1, 1)))
     dev_addr, nwk_s_key = format_dev_addr(0, 1), bytes(range(16))
     device.install_session(dev_addr, nwk_s_key, bytes(range(16, 32)))
     controller = SessionKeys(dev_addr, nwk_s_key)
@@ -751,21 +749,12 @@ def _handover_world():
     """``app_world`` with dev0000 also wired to gw1, whose key cannot open its context."""
     world = app_world()
     device, engine = world.devices[0], world.engine
-    up = engine.add_link(
-        "handover:dev0000->gw1", "dev0000", "gw1", "lora-air", _fixed_air(), loss_rate=0.0
-    )
-    down = engine.add_link(
-        "handover:gw1->dev0000", "gw1", "dev0000", "lora-air", _fixed_air(), loss_rate=0.0
-    )
+    air_us = (400 * US_PER_MS, 400 * US_PER_MS)
+    up = engine.add_link("dev0000", "gw1", LINK_CLASS_AIR, air_us)
+    down = engine.add_link("gw1", "dev0000", LINK_CLASS_AIR, air_us)
     device.attach_uplink(up)
     world.gateways[1].add_coverage(device.dev_eui, device.device_id, down)
     return world
-
-
-def _fixed_air():
-    from loraledger.simnet import LatencyModel, US_PER_MS
-
-    return LatencyModel.fixed(400 * US_PER_MS)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,9 +1078,9 @@ def test_join_skips_an_address_an_abp_device_holds(mode):
     assert join_server.sessions[joiner.session.keys.dev_addr].context.dev_eui == joiner.dev_eui
     assert srv0.core.sessions[dev_addr].context == context
     for node in world.replicas(KIND_NETWORK):
-        entry = node.ledgers[KIND_NETWORK].query_context(dev_addr)
-        assert entry.requester == srv0.entity_id
-        assert context_metadata(entry.envelope) == (dev_addr, abp.dev_eui)
+        tx = node.ledgers[KIND_NETWORK].query_context(dev_addr)
+        assert tx.requester == srv0.entity_id
+        assert context_metadata(tx.payload) == (dev_addr, abp.dev_eui)
 
 
 def _abp_context(device, dev_addr: bytes) -> SessionContext:

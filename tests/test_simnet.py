@@ -10,7 +10,6 @@ from loraledger.simnet import (
     CausalityError,
     Engine,
     LINK_CLASS_AIR,
-    LatencyModel,
     US_PER_S,
     named_stream,
 )
@@ -98,7 +97,7 @@ def test_send_and_schedule_due_at_one_microsecond_fire_in_call_order():
     engine = Engine(0)
     log = []
     engine.register("dst", log.append)
-    link = engine.add_link("a->b", "src", "dst", LINK_CLASS_AIR, LatencyModel.fixed(50))
+    link = engine.add_link("src", "dst", LINK_CLASS_AIR, (50, 50))
     engine.schedule(50, "dst", "scheduled first")
     engine.send(link, "sent second", 1)
     engine.schedule(50, "dst", "scheduled third")
@@ -149,7 +148,7 @@ def test_fixed_latency_delivery_time():
     engine = Engine(0)
     seen = []
     engine.register("dst", lambda p: seen.append(engine.now_us))
-    link = engine.add_link("a->b", "src", "dst", LINK_CLASS_AIR, LatencyModel.fixed(400_000))
+    link = engine.add_link("src", "dst", LINK_CLASS_AIR, (400_000, 400_000))
     engine.send(link, "pkt", 32)
     engine.run_until(US_PER_S)
     assert seen == [400_000]
@@ -160,9 +159,7 @@ def test_uniform_latency_within_bounds():
     engine = Engine(3)
     seen = []
     engine.register("dst", lambda p: seen.append(engine.now_us))
-    link = engine.add_link(
-        "a->b", "src", "dst", LINK_CLASS_AIR, LatencyModel.uniform(5_000, 20_000)
-    )
+    link = engine.add_link("src", "dst", LINK_CLASS_AIR, (5_000, 20_000))
     for _ in range(200):
         engine.send(link, "pkt", 1)
     engine.run_until(US_PER_S)
@@ -175,13 +172,11 @@ def test_loss_accounting_conserves_messages():
     engine = Engine(9)
     delivered = []
     engine.register("dst", lambda p: delivered.append(p))
-    link = engine.add_link(
-        "a->b", "src", "dst", LINK_CLASS_AIR, LatencyModel.fixed(10), loss_rate=0.3
-    )
+    link = engine.add_link("src", "dst", LINK_CLASS_AIR, (10, 10), loss_rate=0.3)
     for n in range(1000):
         engine.send(link, n, 10)
     engine.run_until(US_PER_S)
-    assert link.offered_msgs == 1000
+    assert link.offered_msgs == 1000  # the sum of the two counters below
     assert link.delivered_msgs + link.lost_msgs == 1000
     assert link.delivered_msgs == len(delivered)
     assert link.bytes_sent == 10_000  # bytes counted for lost messages too
@@ -192,12 +187,8 @@ def test_loss_extremes():
     engine = Engine(1)
     got = []
     engine.register("dst", lambda p: got.append(p))
-    never = engine.add_link(
-        "x->dst", "x", "dst", LINK_CLASS_AIR, LatencyModel.fixed(1), loss_rate=1.0
-    )
-    always = engine.add_link(
-        "y->dst", "y", "dst", LINK_CLASS_AIR, LatencyModel.fixed(1), loss_rate=0.0
-    )
+    never = engine.add_link("x", "dst", LINK_CLASS_AIR, (1, 1), loss_rate=1.0)
+    always = engine.add_link("y", "dst", LINK_CLASS_AIR, (1, 1), loss_rate=0.0)
     for _ in range(50):
         engine.send(never, "n", 1)
         engine.send(always, "y", 1)
@@ -208,10 +199,30 @@ def test_loss_extremes():
 
 
 def test_duplicate_link_name_rejected():
+    """A link is named by its endpoints, so one direction holds one link."""
     engine = Engine(0)
-    engine.add_link("l", "a", "b", LINK_CLASS_AIR, LatencyModel.fixed(1))
-    with pytest.raises(ValueError):
-        engine.add_link("l", "a", "b", LINK_CLASS_AIR, LatencyModel.fixed(1))
+    link = engine.add_link("a", "b", LINK_CLASS_AIR, (1, 1))
+    assert link.name == "a->b" and engine.links == {"a->b": link}
+    with pytest.raises(ValueError, match="already exists"):
+        engine.add_link("a", "b", LINK_CLASS_AIR, (2, 5))
+    assert engine.add_link("b", "a", LINK_CLASS_AIR, (1, 1)).name == "b->a"
+
+
+@pytest.mark.parametrize(
+    "latency_us, loss_rate, message",
+    [
+        ((-1, 5), 0.0, "latency bounds"),
+        ((5, 4), 0.0, "latency bounds"),
+        ((1, 1), -0.1, "loss rate"),
+        ((1, 1), 1.5, "loss rate"),
+    ],
+    ids=["lo-negative", "hi-below-lo", "loss-negative", "loss-above-one"],
+)
+def test_add_link_refuses_bad_bounds_and_loss(latency_us, loss_rate, message):
+    engine = Engine(0)
+    with pytest.raises(ValueError, match=message):
+        engine.add_link("a", "b", LINK_CLASS_AIR, latency_us, loss_rate)
+    assert engine.links == {}
 
 
 def test_full_trace_determinism():
@@ -227,12 +238,8 @@ def test_full_trace_determinism():
             engine.send(link_ba, p + 1, 4)
 
         engine.register("b", b_handler)
-        link_ab = engine.add_link(
-            "a->b", "a", "b", LINK_CLASS_AIR, LatencyModel.uniform(10, 50), loss_rate=0.2
-        )
-        link_ba = engine.add_link(
-            "b->a", "b", "a", LINK_CLASS_AIR, LatencyModel.uniform(10, 50)
-        )
+        link_ab = engine.add_link("a", "b", LINK_CLASS_AIR, (10, 50), loss_rate=0.2)
+        link_ba = engine.add_link("b", "a", LINK_CLASS_AIR, (10, 50))
         rng = engine.stream("driver")
         t = 0
         for n in range(100):
@@ -254,9 +261,10 @@ def test_named_stream_draws_as_the_engine_stream_of_its_name():
     assert [fresh.random() for _ in range(5)] == [engine.stream("alpha").random() for _ in range(5)]
 
 
-LINK_SPECS = {
-    "fixed": LatencyModel.fixed(250),
-    "uniform": LatencyModel.uniform(100, 900),
+LINK_SPECS = {  # (lo_us, hi_us)
+    "zero": (0, 0),
+    "equal": (250, 250),
+    "uniform": (100, 900),
 }
 
 
@@ -275,13 +283,14 @@ def test_link_draws_follow_its_named_stream_whenever_made(seed, specs, steps):
 
     A step of -1 draws from another stream first, so a link's first draw may
     come after any number of other draws; each other step sends on link
-    ``step % len(specs)``.
+    ``step % len(specs)``.  A link with equal bounds draws no delay: it makes
+    its stream only when it has loss, and then draws one loss per message.
     """
     engine = Engine(seed)
     delivered: dict[tuple, int] = {}  # (link name, send number) -> delivery time
     engine.register("dst", lambda sent: delivered.__setitem__(sent, engine.now_us))
     links = [
-        engine.add_link("l%d" % n, "src", "dst", LINK_CLASS_AIR, LINK_SPECS[kind], loss)
+        engine.add_link("src%d" % n, "dst", LINK_CLASS_AIR, LINK_SPECS[kind], loss)
         for n, (kind, loss) in enumerate(specs)
     ]
     sends = {link.name: 0 for link in links}
@@ -300,13 +309,17 @@ def test_link_draws_follow_its_named_stream_whenever_made(seed, specs, steps):
         for _ in range(sends[link.name]):
             if loss > 0.0 and rng.random() < loss:
                 expected.append("lost")
-            elif kind == "fixed":
-                expected.append(link.latency.lo_us)
+            elif link.lo_us == link.hi_us:
+                expected.append(link.lo_us)
             else:
-                expected.append(rng.randint(link.latency.lo_us, link.latency.hi_us))
+                expected.append(rng.randint(link.lo_us, link.hi_us))
         got = [delivered.get((link.name, k), "lost") for k in range(sends[link.name])]
         assert got == expected
-        # a loss draw on every send, a delay draw on every uniform delivery
+        # a loss draw on every send, a delay draw on every delivery with unequal bounds
         delivered_any = expected.count("lost") < len(expected)
-        drew = bool(expected) and (loss > 0.0 or (kind == "uniform" and delivered_any))
-        assert ("link:%s" % link.name in engine._streams) == drew
+        uniform = link.lo_us < link.hi_us
+        drew = bool(expected) and (loss > 0.0 or (uniform and delivered_any))
+        stream = engine._streams.get("link:%s" % link.name)
+        assert (stream is not None) == drew
+        if drew:  # and nothing more than the draws above
+            assert stream.getstate() == rng.getstate()
